@@ -22,11 +22,13 @@ import argparse
 import json
 import os
 import sys
+from dataclasses import replace
 
 from .config import (
     COMMANDS,
     ConfigError,
     DEFAULT_EXPONENT_GRID,
+    DEFAULT_PEP_GRID,
     ExperimentConfig,
     load_config,
 )
@@ -37,14 +39,13 @@ from .pep import (
     decay_exponent_checked,
     pep_curve_to_csv,
     pep_eigen_product_mc,
-    pep_ratio_curve,
     ratio_curve_to_csv,
+    ratio_point,
 )
 from .query import UNITARY_KINDS
 from .simulate import LevelNotCrossedError, SnrSweepConfig, gain_at_ber, simulate_ber
 
 REPRODUCE_BER_GRID = tuple(float(s) for s in range(0, 25, 2))
-REPRODUCE_RATIO_GRID = tuple(float(s) for s in range(10, 41, 5))
 
 GAIN_LEVELS = (1e-2, 1e-3)
 
@@ -161,9 +162,7 @@ def _run_pep(cfg: ExperimentConfig, art: _Artifacts) -> int:
             for snr in cfg.snr_grid_db
         ]
         art.write(f"pep_{slug}_{scheme}.csv", pep_curve_to_csv(curves[scheme]))
-    ratio = pep_ratio_curve(
-        cfg.delta, cfg.dims, list(cfg.snr_grid_db), cfg.trials, make_rng(cfg.seed, (21,))
-    )
+    ratio = [ratio_point(eu, ef) for eu, ef in zip(curves["unitary"], curves["uniform"])]
     art.write(f"pep_{slug}_ratio.csv", ratio_curve_to_csv(ratio))
     summary = {
         "preset": cfg.preset,
@@ -213,16 +212,10 @@ def _run_ber(cfg: ExperimentConfig, art: _Artifacts) -> int:
 def _run_reproduce(cfg: ExperimentConfig, art: _Artifacts) -> int:
     status = _run_measure(cfg, art)
     status = max(status, _run_verify_lemmas(cfg, art))
-    pep_cfg = cfg if cfg.snr_grid_explicit else _with_grid(cfg, REPRODUCE_RATIO_GRID + (45.0,))
+    pep_cfg = cfg if cfg.snr_grid_explicit else replace(cfg, snr_grid_db=DEFAULT_PEP_GRID)
     status = max(status, _run_pep(pep_cfg, art))
     status = max(status, _run_ber(cfg, art))
     return status
-
-
-def _with_grid(cfg: ExperimentConfig, grid: tuple) -> ExperimentConfig:
-    from dataclasses import replace
-
-    return replace(cfg, snr_grid_db=tuple(grid))
 
 
 _RUNNERS = {

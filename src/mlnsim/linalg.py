@@ -103,10 +103,7 @@ def numeric_rank(a: np.ndarray, rel_tol: float = RANK_REL_TOL) -> int:
     if not 0.0 < rel_tol < 1.0:
         raise ValueError(f"rel_tol must be in (0, 1), got {rel_tol}")
     a = _as_matrix(a)
-    s = singular_values(a)
-    if s[0] == 0.0:
-        return 0
-    return int(np.sum(s > rel_tol * s[0] * max(a.shape)))
+    return int(rank_from_singulars(singular_values(a), max(a.shape), rel_tol))
 
 
 def rank_from_singulars(s: np.ndarray, max_dim: int, rel_tol: float = RANK_REL_TOL) -> np.ndarray:

@@ -37,6 +37,7 @@ __all__ = [
     "RankCheckReport",
     "build_E_t",
     "build_D",
+    "scheme_weights",
     "r_unitary",
     "r_uniform",
     "compare_queries",
@@ -47,6 +48,7 @@ __all__ = [
 VERDICT_UNITARY = "unitary-dominates"
 VERDICT_UNIFORM = "uniform-dominates"
 VERDICT_COMPARABLE = "comparable"
+QUERY_SCHEMES = ("unitary", "uniform")
 
 
 def _as_diff(delta) -> DifferenceMatrix:
@@ -58,13 +60,13 @@ def _as_diff(delta) -> DifferenceMatrix:
 def build_E_t(delta, G: np.ndarray, t: int) -> np.ndarray:
     """Per-slot matrix E_t = diag(delta[:, t]) @ G for 1-based slot t.
 
-    Exactly L - L*_t of its rows are identically zero.
+    Exactly L - L*_t of its rows are identically zero. G may be batched (... x L x N).
     """
     d = _as_diff(delta)
     G = np.asarray(G, dtype=complex)
     if not 1 <= t <= d.T:
         raise IndexError(f"slot index t={t} outside 1..{d.T}")
-    if G.ndim != 2 or G.shape[0] != d.L:
+    if G.ndim < 2 or G.shape[-2] != d.L:
         raise DimensionMismatchError(f"G must have {d.L} rows, got shape {G.shape}")
     return d.delta[:, t - 1][:, None] * G
 
@@ -73,14 +75,27 @@ def build_D(delta, G: np.ndarray) -> np.ndarray:
     """Uniform-query matrix D = (G_1 delta | ... | G_N delta), L x (N*T).
 
     G_n = diag(G[:, n]) scales row l of delta by g_{l,n}, so D regroups
-    the columns of (E_1 | ... | E_T) by receive antenna.
+    the columns of (E_1 | ... | E_T) by receive antenna. G may be batched (... x L x N).
     """
     d = _as_diff(delta)
     G = np.asarray(G, dtype=complex)
-    if G.ndim != 2 or G.shape[0] != d.L:
+    if G.ndim < 2 or G.shape[-2] != d.L:
         raise DimensionMismatchError(f"G must have {d.L} rows, got shape {G.shape}")
-    blocks = [G[:, n][:, None] * d.delta for n in range(G.shape[1])]
-    return np.concatenate(blocks, axis=1)
+    D = G[..., :, :, None] * d.delta[:, None, :]  # ... x L x N x T
+    return D.reshape(G.shape[:-1] + (G.shape[-1] * d.T,))
+
+
+def scheme_weights(delta, query_kind: str) -> np.ndarray:
+    """W x L x L weights A_w that make the scheme's Gram matrices A_w o (G G^H).
+
+    Unitary: E_t E_t^H with A_t = d_t d_t^H for each slot t (W = T).
+    Uniform: D D^H with the single A = delta delta^H (W = 1).
+    """
+    if query_kind not in QUERY_SCHEMES:
+        raise ValueError(f"query_kind must be one of {QUERY_SCHEMES}, got {query_kind!r}")
+    d = _as_diff(delta)
+    B = d.delta.T[:, :, None] if query_kind == "unitary" else d.delta[None]
+    return B @ B.conj().transpose(0, 2, 1)
 
 
 def r_unitary(delta, N: int) -> int:
@@ -177,7 +192,8 @@ def empirical_rank_check(
     the fraction of draws with rank(E_t) == min(N, L*_t), and the fraction
     with rank(D) == min(N * rank(delta), nonzero rows). The report passes
     iff every fraction equals 1. Ranks use the same singular-value
-    threshold rule as ``numeric_rank``, applied to batched SVDs.
+    threshold rule as ``numeric_rank``, applied to batched SVDs (not Gram
+    eigenvalues, which would square the condition number the rule thresholds).
     """
     if trials < 1:
         raise ValueError(f"trials must be >= 1, got {trials}")
@@ -188,7 +204,7 @@ def empirical_rank_check(
     slot_fractions = []
     for t in range(T):
         expected = min(N, d.column_supports[t])
-        E = d.delta[:, t][None, :, None] * G  # trials x L x N
+        E = build_E_t(d, G, t + 1)  # trials x L x N
         if expected == 0:
             hits = np.all(np.abs(E) <= 0.0, axis=(1, 2))
         else:
@@ -197,8 +213,7 @@ def empirical_rank_check(
         slot_fractions.append(float(np.mean(hits)))
 
     expected_d = min(N * d.rank, d.nonzero_rows)
-    blocks = [G[:, :, n][:, :, None] * d.delta[None] for n in range(N)]
-    D = np.concatenate(blocks, axis=2)  # trials x L x N*T
+    D = build_D(d, G)  # trials x L x N*T
     if expected_d == 0:
         d_hits = np.all(np.abs(D) <= 0.0, axis=(1, 2))
     else:

@@ -5,12 +5,16 @@ Two routes are provided for each scheme:
 * "q-function-mc": the exact error integral, Monte Carlo averaged over
   both fading stages: mean of Q(sqrt(gbar * Z / 2)) with Z the squared
   codeword distance after the channel.
-* "eigen-product-mc": the conditional product prod 1 / (1 + lam*gbar/4)
-  over the squared singular values of the per-slot matrices E_t (unitary)
-  or of D (uniform), Monte Carlo averaged over the backscatter stage G
-  only. The product is the standard Chernoff-style bound on the
-  Gaussian-averaged Q function, so it upper-bounds the first route while
-  sharing its asymptotic decay.
+* "eigen-product-mc": the conditional term
+  prod_w 1 / det(I_L + (gbar/4) A_w o G G^H), Monte Carlo averaged over
+  the backscatter stage G only. The Gram matrices E_t E_t^H (unitary) and
+  D D^H (uniform) are both A o G G^H, so the L x L weights A_w are all
+  that depends on the scheme: d_t d_t^H for each slot t, or the single
+  delta delta^H (``measure.scheme_weights``). Each determinant equals
+  prod 1 / (1 + lam*gbar/4) over its Gram matrix's eigenvalues lam, the
+  standard Chernoff-style bound on the Gaussian-averaged Q function, so
+  this route upper-bounds the first one while sharing its asymptotic
+  decay (the determinant criterion of Tarokh, Seshadri and Calderbank).
 
 gbar = 10**(snr_db / 10) throughout. Estimators report the Monte Carlo
 standard error alongside the value.
@@ -26,12 +30,13 @@ from scipy.special import erfc
 from .channel import SystemDims
 from .codes import DifferenceMatrix
 from .linalg import DimensionMismatchError, sample_cn_matrix
-from .measure import build_D, build_E_t
+from .measure import _as_diff, build_D, build_E_t, scheme_weights
 
 __all__ = [
     "PepEstimate",
     "RatioPoint",
     "DivergentAverageError",
+    "RouteDisagreementError",
     "squared_distance_unitary",
     "squared_distance_uniform",
     "pep_qfunction_mc",
@@ -39,6 +44,7 @@ __all__ = [
     "decay_exponent",
     "check_scaled_limit",
     "decay_exponent_checked",
+    "ratio_point",
     "pep_ratio_curve",
     "pep_curve_to_csv",
     "pep_curve_from_csv",
@@ -48,8 +54,6 @@ __all__ = [
 
 METHOD_QFUNC = "q-function-mc"
 METHOD_EIGEN = "eigen-product-mc"
-
-QUERY_SCHEMES = ("unitary", "uniform")
 
 _IDENTITY_RTOL = 1e-10
 _MC_BATCH = 100_000
@@ -85,15 +89,15 @@ class DivergentAverageError(RuntimeError):
     """The scaled Monte Carlo average keeps growing instead of converging."""
 
 
-def _as_diff(delta) -> DifferenceMatrix:
-    if isinstance(delta, DifferenceMatrix):
-        return delta
-    return DifferenceMatrix(np.asarray(delta, dtype=complex))
+class RouteDisagreementError(RuntimeError):
+    """Two algebraically equal routes to a squared distance disagree."""
 
 
-def _check_scheme(query_kind: str):
-    if query_kind not in QUERY_SCHEMES:
-        raise ValueError(f"query_kind must be one of {QUERY_SCHEMES}, got {query_kind!r}")
+def _agreed(a: float, b: float) -> float:
+    """Return a after checking it matches b to 1e-10 relative."""
+    if not abs(a - b) <= _IDENTITY_RTOL * max(a, b, 1.0):
+        raise RouteDisagreementError(f"distance routes disagree: {a!r} vs {b!r}")
+    return a
 
 
 def qfunc(x):
@@ -105,7 +109,7 @@ def squared_distance_unitary(X: np.ndarray, delta, G: np.ndarray) -> float:
     """Z_X = ||(X o delta^T) G||_F^2 for a slot-varying forward process X.
 
     Computed both directly and as the per-slot sum over x_t diag(delta[:, t]) G;
-    the two routes must agree to 1e-10 relative.
+    the two routes must agree to 1e-10 relative (RouteDisagreementError).
     """
     d = _as_diff(delta)
     X = np.asarray(X, dtype=complex)
@@ -121,18 +125,14 @@ def squared_distance_unitary(X: np.ndarray, delta, G: np.ndarray) -> float:
             for t in range(d.T)
         )
     )
-    scale = max(direct, per_slot, 1.0)
-    assert abs(direct - per_slot) <= _IDENTITY_RTOL * scale, (
-        f"distance routes disagree: {direct!r} vs {per_slot!r}"
-    )
-    return direct
+    return _agreed(direct, per_slot)
 
 
 def squared_distance_uniform(y: np.ndarray, delta, G: np.ndarray) -> float:
     """Z_Y = sum_t ||y diag(delta[:, t]) G||_F^2 for a static forward row y.
 
     Also evaluated as ||y D||_F^2 with D the receive-antenna regrouping;
-    the two routes must agree to 1e-10 relative.
+    the two routes must agree to 1e-10 relative (RouteDisagreementError).
     """
     d = _as_diff(delta)
     y = np.asarray(y, dtype=complex).reshape(1, -1)
@@ -145,11 +145,7 @@ def squared_distance_uniform(y: np.ndarray, delta, G: np.ndarray) -> float:
         sum(np.sum(np.abs(y @ build_E_t(d, G, t + 1)) ** 2) for t in range(d.T))
     )
     d_form = float(np.sum(np.abs(y @ build_D(d, G)) ** 2))
-    scale = max(e_form, d_form, 1.0)
-    assert abs(e_form - d_form) <= _IDENTITY_RTOL * scale, (
-        f"distance routes disagree: {e_form!r} vs {d_form!r}"
-    )
-    return e_form
+    return _agreed(e_form, d_form)
 
 
 def _batched_z(query_kind: str, d: DifferenceMatrix, N: int, n: int, rng) -> np.ndarray:
@@ -162,6 +158,19 @@ def _batched_z(query_kind: str, d: DifferenceMatrix, N: int, n: int, rng) -> np.
     G = sample_cn_matrix(n, L * N, rng).reshape(n, L, N)
     S = np.einsum("ktl,kln->ktn", X * d.delta.T[None], G)
     return np.sum(np.abs(S) ** 2, axis=(1, 2))
+
+
+def _checked_args(query_kind: str, delta, dims: SystemDims, trials: int):
+    """Validate the estimators' shared arguments; return delta and its scheme weights."""
+    d = _as_diff(delta)
+    A = scheme_weights(d, query_kind)  # rejects an unknown query_kind
+    if trials < 1:
+        raise ValueError(f"trials must be >= 1, got {trials}")
+    if (dims.L, dims.T) != (d.L, d.T):
+        raise DimensionMismatchError(
+            f"delta is {d.L}x{d.T} but dims expect L={dims.L}, T={dims.T}"
+        )
+    return d, A
 
 
 def _mc_mean(draw, trials: int) -> tuple[float, float]:
@@ -194,14 +203,7 @@ def pep_qfunction_mc(
     as i.i.d. Gaussian slots (unitary) or one Gaussian row repeated over
     slots (uniform).
     """
-    _check_scheme(query_kind)
-    d = _as_diff(delta)
-    if trials < 1:
-        raise ValueError(f"trials must be >= 1, got {trials}")
-    if (dims.L, dims.T) != (d.L, d.T):
-        raise DimensionMismatchError(
-            f"delta is {d.L}x{d.T} but dims expect L={dims.L}, T={dims.T}"
-        )
+    d, _ = _checked_args(query_kind, delta, dims, trials)
     gbar = 10.0 ** (snr_db / 10.0)
     mean, se = _mc_mean(
         lambda n: qfunc(np.sqrt(gbar * _batched_z(query_kind, d, dims.N, n, rng) / 2.0)),
@@ -210,21 +212,14 @@ def pep_qfunction_mc(
     return PepEstimate(float(snr_db), mean, se, trials, METHOD_QFUNC)
 
 
-def _batched_lambda_product(query_kind, d, N, n, gbar, rng) -> np.ndarray:
-    """n draws of prod 1/(1 + lam*gbar/4) over the scheme's eigenvalues."""
-    L, T = d.L, d.T
+def _batched_lambda_product(A: np.ndarray, N: int, n: int, gbar: float, rng) -> np.ndarray:
+    """n draws of prod_w 1/det(I_L + (gbar/4) A_w o G G^H) for W x L x L weights A."""
+    L = A.shape[-1]
     G = sample_cn_matrix(n, L * N, rng).reshape(n, L, N)
-    if query_kind == "unitary":
-        out = np.ones(n)
-        for t in range(T):
-            Et = d.delta[:, t][None, :, None] * G
-            lam = np.linalg.svd(Et, compute_uv=False) ** 2
-            out *= np.prod(1.0 / (1.0 + lam * gbar / 4.0), axis=1)
-        return out
-    blocks = [G[:, :, j][:, :, None] * d.delta[None] for j in range(N)]
-    D = np.concatenate(blocks, axis=2)
-    lam = np.linalg.svd(D, compute_uv=False) ** 2
-    return np.prod(1.0 / (1.0 + lam * gbar / 4.0), axis=1)
+    gram = G @ G.conj().transpose(0, 2, 1)  # n x L x L
+    M = (gbar / 4.0) * A * gram[:, None]  # n x W x L x L
+    M += np.eye(L)
+    return 1.0 / np.prod(np.linalg.det(M).real, axis=1)
 
 
 def pep_eigen_product_mc(
@@ -235,24 +230,17 @@ def pep_eigen_product_mc(
     trials: int,
     rng: np.random.Generator,
 ) -> PepEstimate:
-    """Monte Carlo over G of the conditional eigenvalue product.
+    """Monte Carlo over G of prod_w 1 / det(I_L + (gbar/4) A_w o G G^H).
 
-    Zero eigenvalues contribute unit factors, so the product effectively
-    runs over the nonzero spectrum of E_t E_t^H (unitary) or D D^H
-    (uniform). At gbar = 0 every factor is 1 and the estimate is exactly 1.
+    A_w o G G^H is E_t E_t^H for each slot (unitary) or D D^H (uniform), so
+    each determinant is the product of 1 + lam*gbar/4 over that Gram
+    matrix's eigenvalues; zero eigenvalues contribute unit factors. At
+    gbar = 0, or for a zero delta, every determinant is exactly 1 and so
+    is the estimate.
     """
-    _check_scheme(query_kind)
-    d = _as_diff(delta)
-    if trials < 1:
-        raise ValueError(f"trials must be >= 1, got {trials}")
-    if (dims.L, dims.T) != (d.L, d.T):
-        raise DimensionMismatchError(
-            f"delta is {d.L}x{d.T} but dims expect L={dims.L}, T={dims.T}"
-        )
+    _, A = _checked_args(query_kind, delta, dims, trials)
     gbar = 10.0 ** (snr_db / 10.0)
-    mean, se = _mc_mean(
-        lambda n: _batched_lambda_product(query_kind, d, dims.N, n, gbar, rng), trials
-    )
+    mean, se = _mc_mean(lambda n: _batched_lambda_product(A, dims.N, n, gbar, rng), trials)
     return PepEstimate(float(snr_db), mean, se, trials, METHOD_EIGEN)
 
 
@@ -368,6 +356,22 @@ def ratio_curve_from_csv(text: str) -> list[RatioPoint]:
     return out
 
 
+def ratio_point(eu: PepEstimate, ef: PepEstimate) -> RatioPoint:
+    """Unitary-to-uniform ratio of two estimates at one SNR.
+
+    Standard errors are propagated from both estimates. A uniform-query
+    estimate of exactly zero cannot form a ratio and gives a censored point.
+    """
+    if ef.value == 0.0:
+        return RatioPoint(eu.snr_db, float("nan"), float("nan"), censored=True)
+    ratio = eu.value / ef.value
+    rel = np.hypot(
+        eu.std_error / eu.value if eu.value > 0 else 0.0,
+        ef.std_error / ef.value,
+    )
+    return RatioPoint(eu.snr_db, float(ratio), float(ratio * rel))
+
+
 def pep_ratio_curve(
     delta,
     dims: SystemDims,
@@ -376,11 +380,9 @@ def pep_ratio_curve(
     rng: np.random.Generator,
     method: str = METHOD_EIGEN,
 ) -> list[RatioPoint]:
-    """Unitary-to-uniform PEP ratio across an ascending SNR grid.
+    """Unitary-to-uniform PEP ratio (``ratio_point``) across an ascending SNR grid.
 
-    Standard errors are propagated from both estimates. A point whose
-    uniform-query estimate is exactly zero cannot form a ratio and is
-    reported censored rather than failing the curve.
+    At each SNR the unitary estimate draws from ``rng`` before the uniform one.
     """
     snr_grid = [float(s) for s in snr_grid]
     if any(b <= a for a, b in zip(snr_grid, snr_grid[1:])):
@@ -389,14 +391,5 @@ def pep_ratio_curve(
     points = []
     for snr in snr_grid:
         eu = estimator("unitary", delta, dims, snr, trials, rng)
-        ef = estimator("uniform", delta, dims, snr, trials, rng)
-        if ef.value == 0.0:
-            points.append(RatioPoint(snr, float("nan"), float("nan"), censored=True))
-            continue
-        ratio = eu.value / ef.value
-        rel = np.hypot(
-            eu.std_error / eu.value if eu.value > 0 else 0.0,
-            ef.std_error / ef.value,
-        )
-        points.append(RatioPoint(snr, float(ratio), float(ratio * rel)))
+        points.append(ratio_point(eu, estimator("uniform", delta, dims, snr, trials, rng)))
     return points

@@ -7,8 +7,8 @@ import numpy as np
 import pytest
 
 from mlnsim.cli import main
-from mlnsim.config import ConfigError, load_config, parse_snr_grid
-from mlnsim.pep import pep_curve_from_csv, ratio_curve_from_csv
+from mlnsim.config import DEFAULT_PEP_GRID, ConfigError, load_config, parse_snr_grid
+from mlnsim.pep import pep_curve_from_csv, ratio_curve_from_csv, ratio_curve_to_csv, ratio_point
 from mlnsim.simulate import BerCurve
 
 
@@ -155,8 +155,16 @@ class TestCliCommands:
         for scheme in ("unitary", "uniform"):
             ests = pep_curve_from_csv((tmp_path / f"pep_example3_{scheme}.csv").read_text())
             assert [e.snr_db for e in ests] == [10.0, 20.0, 30.0]
-        ratio = ratio_curve_from_csv((tmp_path / "pep_example3_ratio.csv").read_text())
-        assert len(ratio) == 3
+        ratio_text = (tmp_path / "pep_example3_ratio.csv").read_text()
+        assert len(ratio_curve_from_csv(ratio_text)) == 3
+        # the ratio curve is formed from the two curves just written, not redrawn
+        unitary, uniform = (
+            pep_curve_from_csv((tmp_path / f"pep_example3_{s}.csv").read_text())
+            for s in ("unitary", "uniform")
+        )
+        assert ratio_text == ratio_curve_to_csv(
+            [ratio_point(eu, ef) for eu, ef in zip(unitary, uniform)]
+        )
         summary = json.loads((tmp_path / "pep_example3_summary.json").read_text())
         assert {"unitary", "uniform"} <= set(summary)
 
@@ -201,6 +209,8 @@ class TestCliCommands:
         ]
         measure = json.loads((tmp_path / "measure_example3.json").read_text())
         assert (measure["r_unitary"], measure["r_uniform"]) == (2, 1)
+        pep = pep_curve_from_csv((tmp_path / "pep_example3_unitary.csv").read_text())
+        assert tuple(e.snr_db for e in pep) == DEFAULT_PEP_GRID
 
     def test_custom_codebook_from_file(self, tmp_path, capsys):
         cfg = {

@@ -13,6 +13,7 @@ from mlnsim.measure import (
     r_uniform,
     r_unitary,
     report_from_dict,
+    scheme_weights,
 )
 
 
@@ -84,6 +85,42 @@ class TestBuildD:
         for t in (1, 2):
             cols_e.extend(map(tuple, np.round(build_E_t(EXAMPLE1_DELTA, G, t).T, 12)))
         assert cols_d == sorted(cols_e)
+
+
+class TestBatchedBuilders:
+    def test_batched_equals_stacked_per_draw(self):
+        rng = make_rng(30)
+        for _ in range(50):
+            L, T, N = (int(rng.integers(1, 4)) for _ in range(3))
+            delta = sample_cn_matrix(L, T, rng)
+            G = sample_cn_matrix(5 * L, N, rng).reshape(5, L, N)
+            for t in range(1, T + 1):
+                stacked = np.stack([build_E_t(delta, g, t) for g in G])
+                assert np.array_equal(build_E_t(delta, G, t), stacked)
+            stacked = np.stack([build_D(delta, g) for g in G])
+            assert np.array_equal(build_D(delta, G), stacked)
+
+    def test_batch_row_count_checked(self):
+        with pytest.raises(ValueError, match="rows"):
+            build_D(EXAMPLE1_DELTA, np.ones((4, 3, 2)))
+
+
+class TestSchemeWeights:
+    def test_gram_matrices_are_weighted_ggh(self):
+        rng = make_rng(31)
+        delta = sample_cn_matrix(3, 2, rng)
+        G = sample_cn_matrix(3, 2, rng)
+        ggh = G @ G.conj().T
+        for t, A in enumerate(scheme_weights(delta, "unitary")):
+            E = build_E_t(delta, G, t + 1)
+            assert np.allclose(A * ggh, E @ E.conj().T, rtol=1e-12, atol=1e-12)
+        (A,) = scheme_weights(delta, "uniform")
+        D = build_D(delta, G)
+        assert np.allclose(A * ggh, D @ D.conj().T, rtol=1e-12, atol=1e-12)
+
+    def test_unknown_scheme(self):
+        with pytest.raises(ValueError, match="query_kind"):
+            scheme_weights(EXAMPLE1_DELTA, "dft")
 
 
 class TestMeasures:

@@ -8,9 +8,12 @@ from scipy.special import erfc
 from mlnsim.channel import SystemDims
 from mlnsim.codes import EXAMPLE1_DELTA, EXAMPLE3_DELTA
 from mlnsim.linalg import make_rng, sample_cn_matrix
+from mlnsim.measure import build_D, build_E_t, scheme_weights
 from mlnsim.pep import (
     DivergentAverageError,
     PepEstimate,
+    RouteDisagreementError,
+    _batched_lambda_product,
     check_scaled_limit,
     decay_exponent,
     decay_exponent_checked,
@@ -91,6 +94,17 @@ class TestSquaredDistanceUniform:
                 expected += abs(acc) ** 2
         assert z == pytest.approx(expected, abs=1e-12)
         assert expected == pytest.approx(13.5)
+
+
+def test_route_disagreement_raises(monkeypatch):
+    import mlnsim.pep as pep_mod
+
+    real = pep_mod.build_E_t
+    monkeypatch.setattr(pep_mod, "build_E_t", lambda d, G, t: 1.001 * real(d, G, t))
+    with pytest.raises(RouteDisagreementError, match="disagree"):
+        squared_distance_unitary(np.ones((2, 2)), EXAMPLE1_DELTA, np.eye(2))
+    with pytest.raises(RouteDisagreementError, match="disagree"):
+        squared_distance_uniform(np.ones(2), EXAMPLE1_DELTA, np.eye(2))
 
 
 class TestQFunctionMc:
@@ -174,6 +188,48 @@ class TestEigenProductMc:
                 if prev is not None:
                     assert est.value <= prev.value + 3 * np.hypot(est.std_error, prev.std_error)
                 prev = est
+
+
+class TestGramDeterminant:
+    """The determinant form against the SVD eigen-product it replaced."""
+
+    RTOL = 1e-9
+    DRAWS = 500
+
+    @staticmethod
+    def _svd_eigen_product(kind, delta, G, gbar):
+        T = delta.shape[1]
+        mats = [build_E_t(delta, G, t + 1) for t in range(T)] if kind == "unitary" else [build_D(delta, G)]
+        out = np.ones(G.shape[0])
+        for M in mats:
+            lam = np.linalg.svd(M, compute_uv=False) ** 2
+            out *= np.prod(1.0 / (1.0 + lam * gbar / 4.0), axis=1)
+        return out
+
+    def _both(self, kind, delta, N, gbar, seed):
+        L = delta.shape[0]
+        A = scheme_weights(delta, kind)
+        got = _batched_lambda_product(A, N, self.DRAWS, gbar, make_rng(seed))
+        G = sample_cn_matrix(self.DRAWS, L * N, make_rng(seed)).reshape(self.DRAWS, L, N)
+        return got, self._svd_eigen_product(kind, delta, G, gbar)
+
+    def test_matches_svd_on_same_draws(self):
+        rng = make_rng(40)
+        for trial in range(60):
+            L, T, N = (int(rng.integers(1, 4)) for _ in range(3))
+            delta = sample_cn_matrix(L, T, rng)
+            if trial % 2:
+                delta[:, int(rng.integers(T))] = 0.0
+            gbar = 10.0 ** (float(rng.choice([0.0, 10.0, 30.0, 45.0])) / 10.0)
+            for kind in ("unitary", "uniform"):
+                got, ref = self._both(kind, delta, N, gbar, 100 + trial)
+                np.testing.assert_allclose(got, ref, rtol=self.RTOL, atol=0.0)
+
+    def test_zero_delta_is_exactly_one(self):
+        for kind in ("unitary", "uniform"):
+            got, ref = self._both(kind, np.zeros((3, 2), dtype=complex), 2, 1e4, 41)
+            assert np.all(got == 1.0)
+            assert np.all(ref == 1.0)
 
 
 class TestDecayExponent:
