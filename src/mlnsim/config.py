@@ -62,6 +62,19 @@ def parse_snr_grid(text: str) -> tuple:
     return tuple(a + i * step for i in range(n + 1))
 
 
+def _integer(key: str, value, minimum: int) -> int:
+    """value as an int >= minimum; integral floats and digit strings count."""
+    try:
+        v = int(value)
+    except (TypeError, ValueError, OverflowError):
+        v = None
+    if v is None or isinstance(value, bool) or (isinstance(value, float) and v != value):
+        raise ConfigError(f"{key}: must be an integer, got {value!r}")
+    if v < minimum:
+        raise ConfigError(f"{key}: must be >= {minimum}, got {v}")
+    return v
+
+
 def _parse_entry(v):
     if isinstance(v, (int, float)):
         return complex(v)
@@ -173,13 +186,7 @@ def load_config(path: str | None = None, overrides: dict | None = None) -> Exper
         codebook_name = merged.get("codebook")
         if codebook_name is None:
             raise ConfigError("codebook: required when no preset is given")
-        try:
-            dims = SystemDims(
-                int(merged.get("m", 0)), int(merged.get("l", 0)),
-                int(merged.get("n", 0)), int(merged.get("t", 0)),
-            )
-        except (TypeError, ValueError) as exc:
-            raise ConfigError(f"dims: m/l/n/t must all be integers >= 1 ({exc})") from None
+        dims = SystemDims(*(_integer(k, merged.get(k, 0), 1) for k in ("m", "l", "n", "t")))
         codebook, delta = _build_codebook(codebook_name, merged.get("codewords"), dims)
         if "delta" in merged:
             delta = _parse_matrix(merged["delta"], "delta")
@@ -203,20 +210,11 @@ def load_config(path: str | None = None, overrides: dict | None = None) -> Exper
     else:
         grid = DEFAULT_BER_GRID if command in ("ber", "reproduce") else DEFAULT_PEP_GRID
 
-    def _positive_int(key, default):
-        v = merged.get(key, default)
-        try:
-            v = int(v)
-        except (TypeError, ValueError):
-            raise ConfigError(f"{key}: must be an integer, got {merged.get(key)!r}") from None
-        if v < 1 and key != "seed":
-            raise ConfigError(f"{key}: must be >= 1, got {v}")
-        return v
-
-    seed = int(merged.get("seed", 0))
-    trials = _positive_int("trials", 100_000 if command in ("pep", "reproduce") else 1000)
-    target_events = _positive_int("target_error_events", 200)
-    max_trials = _positive_int("max_trials_per_point", 2_000_000)
+    seed = _integer("seed", merged.get("seed", 0), 0)
+    default_trials = 100_000 if command in ("pep", "reproduce") else 1000
+    trials = _integer("trials", merged.get("trials", default_trials), 1)
+    target_events = _integer("target_error_events", merged.get("target_error_events", 200), 1)
+    max_trials = _integer("max_trials_per_point", merged.get("max_trials_per_point", 2_000_000), 1)
 
     out_dir = str(merged.get("out", "mlnsim-out"))
     parent = os.path.dirname(os.path.abspath(out_dir))

@@ -9,6 +9,20 @@ gbar = 10**(snr_db / 10).
 
 Every point draws from its own deterministic substream of the sweep seed,
 so a sweep is reproducible bit-for-bit regardless of worker scheduling.
+
+ML detection scores all K codewords of a block with one real GEMM. With
+X = Q H and S_j = (X o C_j) G, the metric is the sufficient statistic
+||R - S_j||^2 - ||R||^2 = ||S_j||^2 - 2 Re<R, S_j>. It is linear in two
+sets of per-block features: the T x L x L terms (x_t x_t^H) o (G G^H),
+which give ||S_j||^2 against the weights c_t c_t^H, and the T x L terms
+conj(R G^H) o X, which give Re<R, S_j> against c_j. Split into real and
+imaginary parts, the features F (n x F) and the weights (K x F, built once
+per point) give every distance as F @ weights.T; the argmin keeps the
+lowest index on ties. Blocks are laid out last (L x N x n), so G G^H and
+R G^H are products of length-n vectors. After sampling, a batch is worked
+through in slices of blocks whose feature and metric matrices hold at most
+_METRIC_BUDGET float64s (1 MiB), but at least _MIN_SLICE blocks, so the
+metric of a 2^16-word codebook takes 32 x 2^16 float64s (16 MiB) at most.
 """
 
 from __future__ import annotations
@@ -40,7 +54,11 @@ MIN_RESOLVED_EVENTS = 50
 CSV_HEADER = "snr_db,ber,ci_low,ci_high,error_events,trials"
 
 _BATCH_SCHEDULE = (20_000, 80_000, 200_000)
-_CODEWORD_CHUNK = 64
+# a block slice's feature and metric matrices hold at most this many float64s
+# (1 MiB, so they stay in cache), but a slice has at least _MIN_SLICE blocks so
+# that the weights of a large codebook are read once per _MIN_SLICE blocks
+_METRIC_BUDGET = 2**17
+_MIN_SLICE = 32
 
 
 class LevelNotCrossedError(ValueError):
@@ -145,6 +163,36 @@ def build_query(kind: str, dims: SystemDims, seed: int):
     return unitary_query(dims.M, kind, make_rng(seed, (0,)))
 
 
+def _metric_weights(codewords: np.ndarray) -> np.ndarray:
+    """K x F real weights that pair each codeword with the features of _metric.
+
+    Row j holds c_j c_j^H per slot and -2 c_j as (Re, -Im) parts, so that
+    Re(f w) = Re f Re w - Im f Im w is a dot product with the (Re, Im) features.
+    """
+    K = len(codewords)
+    outer = codewords[:, :, :, None] * codewords[:, :, None, :].conj()  # K x T x L x L
+    w = np.concatenate([outer.reshape(K, -1), -2.0 * codewords.reshape(K, -1)], axis=1)
+    del outer  # a 2^16-word codebook's outer products take 64 MiB
+    return np.concatenate([w.real, -w.imag], axis=1)
+
+
+def _metric(X: np.ndarray, G: np.ndarray, R: np.ndarray, weights: np.ndarray) -> np.ndarray:
+    """||R - (X o C_j) G||^2 - ||R||^2 for every block and codeword, n x K.
+
+    Arrays are blocks-last: X is T x L x n, G is L x N x n, R is T x N x n.
+    """
+    n = X.shape[-1]
+    gram = np.sum(G[:, None] * G[None].conj(), axis=2)  # L x L x n: G G^H
+    energy = X[:, :, None] * X[:, None].conj() * gram  # T x L x L x n
+    cross = X * np.sum(R[:, None].conj() * G, axis=2)  # T x L x n: X o conj(R G^H)
+    feats = np.concatenate([energy.reshape(-1, n), cross.reshape(-1, n)])
+    return np.concatenate([feats.real, feats.imag]).T @ weights.T
+
+
+def _blocks_last(A: np.ndarray) -> np.ndarray:
+    return np.ascontiguousarray(np.moveaxis(A, 0, -1))
+
+
 def ml_detect(R: np.ndarray, q, ch: ChannelRealization, codebook: Codebook) -> int:
     """Index of the codeword minimizing ||R - ((Q H) o C_k) G||_F^2.
 
@@ -158,8 +206,8 @@ def ml_detect(R: np.ndarray, q, ch: ChannelRealization, codebook: Codebook) -> i
         raise DimensionMismatchError(
             f"R must be {Q.shape[0]}x{ch.G.shape[1]}, got {R.shape}"
         )
-    dists = [float(np.sum(np.abs(R - (X * c) @ ch.G) ** 2)) for c in codebook.codewords]
-    return int(np.argmin(dists))
+    weights = _metric_weights(np.stack(codebook.codewords))
+    return int(np.argmin(_metric(X[..., None], ch.G[..., None], R[..., None], weights)[0]))
 
 
 def _simulate_point(config: SnrSweepConfig, point_index: int, Q: np.ndarray) -> BerPoint:
@@ -170,8 +218,11 @@ def _simulate_point(config: SnrSweepConfig, point_index: int, Q: np.ndarray) -> 
     rng = make_rng(config.seed, (1, point_index))
 
     codewords = np.stack(cb.codewords)  # K x T x L
+    words_last = _blocks_last(codewords)  # T x L x K
+    weights = _metric_weights(codewords)
     n_words = len(cb)
     bits_per_block = cb.bits_per_block
+    blocks_per_slice = max(_MIN_SLICE, _METRIC_BUDGET // max(weights.shape))
 
     bit_errors = 0
     error_events = 0
@@ -187,22 +238,16 @@ def _simulate_point(config: SnrSweepConfig, point_index: int, Q: np.ndarray) -> 
         H = sample_cn_matrix(n, dims.M * dims.L, rng).reshape(n, dims.M, dims.L)
         G = sample_cn_matrix(n, dims.L * dims.N, rng).reshape(n, dims.L, dims.N)
         sent = rng.integers(0, n_words, n)
-        X = np.einsum("tm,kml->ktl", Q, H)
-        S_sent = np.einsum("ktl,kln->ktn", X * codewords[sent], G)
         W = noise_std * sample_cn_matrix(n, dims.T * dims.N, rng).reshape(n, dims.T, dims.N)
-        R = S_sent + W
 
-        best = np.full(n, np.inf)
-        detected = np.zeros(n, dtype=np.int64)
-        for j0 in range(0, n_words, _CODEWORD_CHUNK):
-            chunk = codewords[j0 : j0 + _CODEWORD_CHUNK]
-            S = np.einsum("ktl,jtl,kln->kjtn", X, chunk, G)
-            d = np.sum(np.abs(R[:, None] - S) ** 2, axis=(2, 3))
-            j_best = np.argmin(d, axis=1)
-            d_best = d[np.arange(n), j_best]
-            improve = d_best < best
-            detected[improve] = j0 + j_best[improve]
-            best[improve] = d_best[improve]
+        detected = np.empty(n, dtype=np.int64)
+        for a in range(0, n, blocks_per_slice):
+            s = slice(a, a + blocks_per_slice)
+            X = (Q @ _blocks_last(H[s]).reshape(dims.M, -1)).reshape(dims.T, dims.L, -1)
+            Gs = _blocks_last(G[s])
+            Y = X * words_last[:, :, sent[s]]
+            R = np.sum(Y[:, :, None] * Gs, axis=1) + _blocks_last(W[s])
+            detected[s] = np.argmin(_metric(X, Gs, R, weights), axis=1)
 
         wrong = detected != sent
         error_events += int(np.sum(wrong))
@@ -222,7 +267,10 @@ def _worker_count(n_points: int, max_workers: int | None) -> int:
         max_workers = os.cpu_count() or 1
         env = os.environ.get("MLNSIM_THREADS")
         if env:
-            max_workers = min(max_workers, max(1, int(env)))
+            try:
+                max_workers = min(max_workers, max(1, int(env)))
+            except ValueError:
+                raise ValueError(f"MLNSIM_THREADS must be an integer, got {env!r}") from None
     return max(1, min(max_workers, n_points))
 
 

@@ -42,6 +42,19 @@ class TestLoadConfig:
         with pytest.raises(ConfigError, match="preset"):
             load_config(overrides={"command": "ber", "preset": "example1", "m": 4})
 
+    def test_non_integer_seed_is_named(self):
+        with pytest.raises(ConfigError, match="^seed: must be an integer, got 'abc'"):
+            load_config(None, {"command": "ber", "preset": "example1", "seed": "abc"})
+
+    def test_negative_seed_is_named(self):
+        with pytest.raises(ConfigError, match="^seed: must be >= 0, got -3"):
+            load_config(None, {"command": "ber", "preset": "example1", "seed": -3})
+
+    def test_fractional_dimension_is_named(self):
+        with pytest.raises(ConfigError, match="^m: must be an integer, got 2.7"):
+            load_config(None, {"command": "ber", "m": 2.7, "l": 1, "n": 1, "t": 2,
+                               "codebook": "uncoded-bpsk"})
+
     def test_flags_override_file(self, tmp_path):
         path = tmp_path / "cfg.json"
         path.write_text(json.dumps({"command": "measure", "preset": "example1", "seed": 1}))
@@ -128,6 +141,12 @@ class TestCliCommands:
         status = main(["ber", "--out", str(tmp_path)])  # no preset, no codebook
         assert status == 2
         assert "codebook" in capsys.readouterr().err
+
+    def test_negative_seed_flag_rejected_before_run(self, tmp_path, capsys):
+        status = main(["ber", "--preset", "example3", "--seed", "-1", "--out", str(tmp_path / "o")])
+        assert status == 2
+        assert "seed: must be >= 0" in capsys.readouterr().err
+        assert not (tmp_path / "o").exists()
 
     def test_ber_artifacts_roundtrip_and_determinism(self, tmp_path, capsys):
         args = [

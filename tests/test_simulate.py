@@ -1,13 +1,16 @@
 """Unit tests for the BER link simulator."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
+from mlnsim import simulate
 from mlnsim.channel import SystemDims, sample_channel
 from mlnsim.codes import pairwise_codebook_from_delta, repetition_bpsk, uncoded_bpsk, EXAMPLE1_DELTA
 from mlnsim.linalg import make_rng
 from mlnsim.pep import pep_qfunction_mc
-from mlnsim.query import uniform_query, unitary_query
+from mlnsim.query import query_array, uniform_query, unitary_query
 from mlnsim.simulate import (
     BerCurve,
     BerPoint,
@@ -62,6 +65,112 @@ class TestMlDetect:
         assert abs(point.ber - pep.value) < 3 * np.hypot(sim_se, pep.std_error)
 
 
+FAMILIES = ("uncoded_bpsk", "repetition_bpsk", "complex")
+QUERY_KINDS = ("uniform", "dft")
+
+# |metric + ||R||^2 - brute force| <= RTOL * (||R||^2 + brute force), fixed beforehand
+KERNEL_RTOL = 1e-9
+
+
+def _brute_force(X, G, R, codewords):
+    """||R - (X o C_j) G||_F^2 for blocks-last X, G, R: n x K."""
+    S = np.einsum("tlk,jtl,lnk->kjtn", X, codewords, G)
+    return np.sum(np.abs(np.moveaxis(R, -1, 0)[:, None] - S) ** 2, axis=(2, 3))
+
+
+def _random_blocks(q, codewords, n, noise_std, rng):
+    """Blocks-last X = Q H, G and R = (X o C_sent) G + W for n blocks."""
+    Q = query_array(q)
+    T, L = codewords.shape[1:]
+    N = int(rng.integers(1, 5))
+    H = rng.standard_normal((Q.shape[1], L, n)) + 1j * rng.standard_normal((Q.shape[1], L, n))
+    G = rng.standard_normal((L, N, n)) + 1j * rng.standard_normal((L, N, n))
+    X = np.einsum("tm,mlk->tlk", Q, H)
+    sent = rng.integers(0, len(codewords), n)
+    R = np.einsum("tlk,lnk->tnk", X * np.moveaxis(codewords[sent], 0, -1), G)
+    R = R + noise_std * (rng.standard_normal(R.shape) + 1j * rng.standard_normal(R.shape))
+    return X, G, R
+
+
+class TestMetricKernel:
+    """The GEMM metric against the brute-force ||R - S_j||^2 it replaces."""
+
+    @pytest.mark.parametrize("query_kind", QUERY_KINDS)
+    @pytest.mark.parametrize("family", FAMILIES)
+    def test_matches_brute_force(self, query_kind, family):
+        rng = make_rng(41, (QUERY_KINDS.index(query_kind), FAMILIES.index(family)))
+        for case in range(12):
+            T = int(rng.integers(1, 5))
+            L = 1 if family == "repetition_bpsk" else int(rng.integers(1, 5))
+            if family == "uncoded_bpsk":
+                T = min(T, 8 // L)  # K = 2^(T L) <= 256
+                codewords = np.stack(uncoded_bpsk(T, L).codewords)
+            elif family == "repetition_bpsk":
+                codewords = np.stack(repetition_bpsk(T).codewords)
+            else:
+                K = int(rng.integers(2, 257))
+                codewords = rng.standard_normal((K, T, L)) + 1j * rng.standard_normal((K, T, L))
+            M = T if query_kind == "dft" else int(rng.integers(1, 5))
+            q = unitary_query(T, "dft") if query_kind == "dft" else uniform_query(T, M)
+            noise_std = float(rng.choice([0.1, 1.0, 3.0]))
+            X, G, R = _random_blocks(q, codewords, 16, noise_std, rng)
+
+            d = simulate._metric(X, G, R, simulate._metric_weights(codewords))
+            bf = _brute_force(X, G, R, codewords)
+            r2 = np.sum(np.abs(R) ** 2, axis=(0, 1))[:, None]
+            where = f"case {case}: T={T} L={L} N={G.shape[1]} K={len(codewords)}"
+            assert np.array_equal(np.argmin(d, axis=1), np.argmin(bf, axis=1)), where
+            assert np.all(np.abs(d + r2 - bf) <= KERNEL_RTOL * (r2 + bf)), where
+
+    def test_tie_breaks_low_in_batch(self):
+        # R = 0 is equidistant from c and -c in every block
+        codewords = np.stack(_antipodal().codewords)
+        rng = make_rng(42)
+        X, G, _ = _random_blocks(unitary_query(2, "dft"), codewords, 8, 1.0, rng)
+        R = np.zeros((2, G.shape[1], 8), dtype=complex)
+        d = simulate._metric(X, G, R, simulate._metric_weights(codewords))
+        assert np.array_equal(d[:, 0], d[:, 1])
+        assert np.all(np.argmin(d, axis=1) == 0)
+
+    def test_large_codebook_sweep_in_bounded_memory(self, monkeypatch):
+        # 2^16 words on a few hundred blocks: the first two slices agree with
+        # brute force on their first blocks, and peak memory does not grow with
+        # the number of blocks (one unsliced 384 x 2^16 metric alone is 192 MiB)
+        cb = uncoded_bpsk(4, 4)
+        codewords = np.stack(cb.codewords)
+        calls = []
+        metric = simulate._metric
+
+        def spy(X, G, R, weights):
+            d = metric(X, G, R, weights)
+            if len(calls) < 2:
+                calls.append((X[..., :3].copy(), G[..., :3].copy(), R[..., :3].copy(),
+                              np.argmin(d[:3], axis=1), X.shape[-1]))
+            return d
+
+        monkeypatch.setattr(simulate, "_metric", spy)
+        peaks = []
+        for blocks in (96, 384):
+            sweep = SnrSweepConfig(
+                dims=SystemDims(4, 4, 2, 4), query_kind="dft", codebook=cb, snr_grid_db=(6.0,),
+                max_trials_per_point=blocks, target_error_events=10**6, seed=8,
+            )
+            calls.clear()
+            tracemalloc.start()
+            try:
+                point = simulate_ber(sweep, max_workers=1).points[0]
+                peaks.append(tracemalloc.get_traced_memory()[1])
+            finally:
+                tracemalloc.stop()
+            assert point.trials == blocks
+            for X, G, R, detected, slice_blocks in calls:
+                assert slice_blocks * len(cb) <= max(
+                    simulate._METRIC_BUDGET, simulate._MIN_SLICE * len(cb)
+                )
+                assert np.array_equal(detected, np.argmin(_brute_force(X, G, R, codewords), axis=1))
+        assert peaks[1] - peaks[0] < 8 * 2**20
+
+
 class TestSimulateBer:
     def test_noise_free_limit(self):
         sweep = SnrSweepConfig(
@@ -86,6 +195,11 @@ class TestSimulateBer:
         # and independent of worker count
         c = simulate_ber(sweep, max_workers=1)
         assert a.to_csv() == c.to_csv()
+
+    def test_bad_threads_env_is_named(self, monkeypatch):
+        monkeypatch.setenv("MLNSIM_THREADS", "abc")
+        with pytest.raises(ValueError, match="MLNSIM_THREADS must be an integer, got 'abc'"):
+            simulate._worker_count(3, None)
 
     def test_unitary_needs_square_block(self):
         with pytest.raises(ValueError, match="T == M"):
