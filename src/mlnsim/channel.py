@@ -9,6 +9,8 @@ of T slots the received matrix is
 
 with o the entrywise product, C the T x L tag coding matrix and W AWGN.
 Fading is quasi-static: one (H, G) realization holds for the whole block.
+Every caller computes it as X = Q H (``query.effective_forward``) and then
+(X o C) G (``mix``); both take a batch of blocks on a trailing axis.
 """
 
 from __future__ import annotations
@@ -18,12 +20,13 @@ from dataclasses import dataclass
 import numpy as np
 
 from .linalg import DimensionMismatchError, sample_cn_matrix
-from .query import query_array
+from .query import effective_forward
 
 __all__ = [
     "SystemDims",
     "ChannelRealization",
     "sample_channel",
+    "mix",
     "effective_signal",
     "backscatter_transmit",
 ]
@@ -70,21 +73,30 @@ def sample_channel(dims: SystemDims, rng: np.random.Generator) -> ChannelRealiza
     )
 
 
+def _blocks_last(A: np.ndarray) -> np.ndarray:
+    return np.ascontiguousarray(np.moveaxis(A, 0, -1))
+
+
+def mix(X: np.ndarray, C: np.ndarray, G: np.ndarray) -> np.ndarray:
+    """(X o C) G for T x L and L x N inputs, or T x L x n and L x N x n (blocks last).
+
+    A single forward row X (1 x L) broadcasts over the T rows of C.
+    """
+    return np.sum((X * C)[:, :, None] * G[None], axis=1)
+
+
 def effective_signal(q, H: np.ndarray, C: np.ndarray, G: np.ndarray) -> np.ndarray:
     """Noiseless received block S = ((Q H) o C) G, a T x N matrix."""
-    Q = query_array(q)
-    H = np.asarray(H, dtype=complex)
+    X = effective_forward(q, H)
     C = np.asarray(C, dtype=complex)
     G = np.asarray(G, dtype=complex)
-    T, M = Q.shape
-    if H.shape[0] != M:
-        raise DimensionMismatchError(f"H must have {M} rows, got {H.shape}")
-    L = H.shape[1]
-    if C.shape != (T, L):
-        raise DimensionMismatchError(f"C must be {T}x{L}, got {C.shape}")
-    if G.shape[0] != L:
-        raise DimensionMismatchError(f"G must have {L} rows, got {G.shape}")
-    return ((Q @ H) * C) @ G
+    if X.ndim != 2:
+        raise DimensionMismatchError(f"H must be a matrix, got shape {np.shape(H)}")
+    if C.shape != X.shape:
+        raise DimensionMismatchError(f"C must be {X.shape[0]}x{X.shape[1]}, got {C.shape}")
+    if G.ndim != 2 or G.shape[0] != X.shape[1]:
+        raise DimensionMismatchError(f"G must have {X.shape[1]} rows, got {G.shape}")
+    return mix(X, C, G)
 
 
 def backscatter_transmit(

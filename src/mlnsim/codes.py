@@ -113,6 +113,12 @@ class DifferenceMatrix:
         return self.delta.shape[1]
 
 
+def _as_diff(delta) -> DifferenceMatrix:
+    if isinstance(delta, DifferenceMatrix):
+        return delta
+    return DifferenceMatrix(np.asarray(delta, dtype=complex))
+
+
 def difference_matrix(C: np.ndarray, C_prime: np.ndarray) -> DifferenceMatrix:
     """Difference of two same-shape T x L codewords, stored L x T."""
     C = np.asarray(C, dtype=complex)
@@ -131,10 +137,7 @@ def pairwise_codebook_from_delta(delta) -> tuple[Codebook, float]:
     difference matrix alone, so this is the minimal code exhibiting a
     target delta.
     """
-    if isinstance(delta, DifferenceMatrix):
-        d = delta.delta
-    else:
-        d = np.asarray(delta, dtype=complex)
+    d = _as_diff(delta).delta
     energy = np.sum(np.abs(d) ** 2)
     if energy <= SUPPORT_TOL**2:
         raise ValueError("delta has no nonzero entries")

@@ -3,7 +3,8 @@
 The config file mirrors the ExperimentConfig fields one-to-one. CLI flags
 override file values; a preset, when given, fully determines dimensions,
 codebook and difference matrix, and conflicting explicit settings are
-rejected.
+rejected. Presets are fragments of the same document (``presets.PRESETS``)
+and go through the same loader.
 
 Custom codebooks are inline: ``"codebook": "custom"`` with a
 ``"codewords"`` list of T x L matrices whose entries are either plain
@@ -23,7 +24,7 @@ import numpy as np
 
 from .channel import SystemDims
 from .codes import Codebook, difference_matrix, repetition_bpsk, uncoded_bpsk, pairwise_codebook_from_delta, EXAMPLE1_DELTA
-from .presets import PRESET_NAMES, get_preset
+from .presets import PRESET_NAMES, PRESETS
 from .query import UNITARY_KINDS
 
 __all__ = ["ConfigError", "ExperimentConfig", "load_config", "parse_snr_grid"]
@@ -120,8 +121,7 @@ def _build_codebook(name, values, dims: SystemDims):
         cb = repetition_bpsk(dims.T)
         return cb, difference_matrix(cb.codewords[0], cb.codewords[1]).delta
     if name == "uncoded-bpsk":
-        cb = uncoded_bpsk(dims.T, dims.L)
-        return cb, None
+        return uncoded_bpsk(dims.T, dims.L), None
     if name == "custom":
         if not isinstance(values, list) or len(values) < 2:
             raise ConfigError("codewords: custom codebook needs a list of >= 2 codewords")
@@ -180,24 +180,22 @@ def load_config(path: str | None = None, overrides: dict | None = None) -> Exper
         conflicts = [k for k in ("m", "l", "n", "t", "codebook", "codewords", "delta") if k in merged]
         if conflicts:
             raise ConfigError(f"preset: {preset_name} fixes dims and codebook; remove {conflicts}")
-        p = get_preset(preset_name)
-        dims, codebook, codebook_name, delta = p.dims, p.codebook, p.codebook_name, p.delta
-    else:
-        codebook_name = merged.get("codebook")
-        if codebook_name is None:
-            raise ConfigError("codebook: required when no preset is given")
-        dims = SystemDims(*(_integer(k, merged.get(k, 0), 1) for k in ("m", "l", "n", "t")))
-        codebook, delta = _build_codebook(codebook_name, merged.get("codewords"), dims)
-        if "delta" in merged:
-            delta = _parse_matrix(merged["delta"], "delta")
-        elif delta is None:
-            delta = difference_matrix(codebook.codewords[0], codebook.codewords[1]).delta
-        if (codebook.T, codebook.L) != (dims.T, dims.L):
-            raise ConfigError(
-                f"codebook: codewords are {codebook.T}x{codebook.L} but dims give T={dims.T}, L={dims.L}"
-            )
-        if delta.shape != (dims.L, dims.T):
-            raise ConfigError(f"delta: must be L x T = {dims.L}x{dims.T}, got {delta.shape}")
+        merged.update(PRESETS[preset_name])
+    codebook_name = merged.get("codebook")
+    if codebook_name is None:
+        raise ConfigError("codebook: required when no preset is given")
+    dims = SystemDims(*(_integer(k, merged.get(k, 0), 1) for k in ("m", "l", "n", "t")))
+    codebook, delta = _build_codebook(codebook_name, merged.get("codewords"), dims)
+    if "delta" in merged:
+        delta = _parse_matrix(merged["delta"], "delta")
+    elif delta is None:
+        delta = difference_matrix(codebook.codewords[0], codebook.codewords[1]).delta
+    if (codebook.T, codebook.L) != (dims.T, dims.L):
+        raise ConfigError(
+            f"codebook: codewords are {codebook.T}x{codebook.L} but dims give T={dims.T}, L={dims.L}"
+        )
+    if delta.shape != (dims.L, dims.T):
+        raise ConfigError(f"delta: must be L x T = {dims.L}x{dims.T}, got {delta.shape}")
 
     grid_value = merged.get("snr_grid_db")
     explicit_grid = grid_value is not None

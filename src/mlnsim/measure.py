@@ -24,7 +24,7 @@ from dataclasses import dataclass, asdict
 
 import numpy as np
 
-from .codes import DifferenceMatrix
+from .codes import _as_diff
 from .linalg import (
     DimensionMismatchError,
     RANK_REL_TOL,
@@ -49,12 +49,6 @@ VERDICT_UNITARY = "unitary-dominates"
 VERDICT_UNIFORM = "uniform-dominates"
 VERDICT_COMPARABLE = "comparable"
 QUERY_SCHEMES = ("unitary", "uniform")
-
-
-def _as_diff(delta) -> DifferenceMatrix:
-    if isinstance(delta, DifferenceMatrix):
-        return delta
-    return DifferenceMatrix(np.asarray(delta, dtype=complex))
 
 
 def build_E_t(delta, G: np.ndarray, t: int) -> np.ndarray:
@@ -198,28 +192,19 @@ def empirical_rank_check(
     if trials < 1:
         raise ValueError(f"trials must be >= 1, got {trials}")
     d = _as_diff(delta)
-    L, T = d.L, d.T
-    G = sample_cn_matrix(L, N * trials, rng).reshape(L, trials, N).transpose(1, 0, 2)
+    G = sample_cn_matrix(d.L, N * trials, rng).reshape(d.L, trials, N).transpose(1, 0, 2)
 
-    slot_fractions = []
-    for t in range(T):
-        expected = min(N, d.column_supports[t])
-        E = build_E_t(d, G, t + 1)  # trials x L x N
+    def hits(M: np.ndarray, expected: int) -> np.ndarray:
         if expected == 0:
-            hits = np.all(np.abs(E) <= 0.0, axis=(1, 2))
-        else:
-            s = np.linalg.svd(E, compute_uv=False)
-            hits = rank_from_singulars(s, max(L, N), rel_tol) == expected
-        slot_fractions.append(float(np.mean(hits)))
+            return np.all(np.abs(M) <= 0.0, axis=(1, 2))
+        s = np.linalg.svd(M, compute_uv=False)
+        return rank_from_singulars(s, max(M.shape[-2:]), rel_tol) == expected
 
-    expected_d = min(N * d.rank, d.nonzero_rows)
-    D = build_D(d, G)  # trials x L x N*T
-    if expected_d == 0:
-        d_hits = np.all(np.abs(D) <= 0.0, axis=(1, 2))
-    else:
-        s = np.linalg.svd(D, compute_uv=False)
-        d_hits = rank_from_singulars(s, max(L, N * T), rel_tol) == expected_d
-    d_fraction = float(np.mean(d_hits))
+    slot_fractions = [
+        float(np.mean(hits(build_E_t(d, G, t + 1), min(N, d.column_supports[t]))))
+        for t in range(d.T)
+    ]
+    d_fraction = float(np.mean(hits(build_D(d, G), min(N * d.rank, d.nonzero_rows))))
 
     passed = d_fraction == 1.0 and all(f == 1.0 for f in slot_fractions)
     return RankCheckReport(

@@ -27,10 +27,11 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.special import erfc
 
-from .channel import SystemDims
-from .codes import DifferenceMatrix
+from .channel import SystemDims, _blocks_last, mix
+from .codes import DifferenceMatrix, _as_diff
+from .csvio import csv_rows
 from .linalg import DimensionMismatchError, sample_cn_matrix
-from .measure import _as_diff, build_D, build_E_t, scheme_weights
+from .measure import build_D, build_E_t, scheme_weights
 
 __all__ = [
     "PepEstimate",
@@ -118,7 +119,7 @@ def squared_distance_unitary(X: np.ndarray, delta, G: np.ndarray) -> float:
         raise DimensionMismatchError(f"X must be {d.T}x{d.L}, got {X.shape}")
     if G.ndim != 2 or G.shape[0] != d.L:
         raise DimensionMismatchError(f"G must have {d.L} rows, got {G.shape}")
-    direct = float(np.sum(np.abs((X * d.delta.T) @ G) ** 2))
+    direct = float(np.sum(np.abs(mix(X, d.delta.T, G)) ** 2))
     per_slot = float(
         sum(
             np.sum(np.abs(X[t][None, :] @ build_E_t(d, G, t + 1)) ** 2)
@@ -148,16 +149,15 @@ def squared_distance_uniform(y: np.ndarray, delta, G: np.ndarray) -> float:
     return _agreed(e_form, d_form)
 
 
-def _batched_z(query_kind: str, d: DifferenceMatrix, N: int, n: int, rng) -> np.ndarray:
-    """n draws of the squared codeword distance Z under either scheme."""
-    L, T = d.L, d.T
-    if query_kind == "unitary":
-        X = sample_cn_matrix(n, T * L, rng).reshape(n, T, L)
-    else:
-        X = np.broadcast_to(sample_cn_matrix(n, L, rng)[:, None, :], (n, T, L))
-    G = sample_cn_matrix(n, L * N, rng).reshape(n, L, N)
-    S = np.einsum("ktl,kln->ktn", X * d.delta.T[None], G)
-    return np.sum(np.abs(S) ** 2, axis=(1, 2))
+def _batched_z(rows: int, d: DifferenceMatrix, N: int, n: int, rng) -> np.ndarray:
+    """n draws of Z = ||(X o delta^T) G||_F^2 with `rows` Gaussian forward rows per draw.
+
+    The unitary scheme draws T rows (one per slot), the uniform one a single static row.
+    """
+    X = _blocks_last(sample_cn_matrix(n, rows * d.L, rng).reshape(n, rows, d.L))
+    G = _blocks_last(sample_cn_matrix(n, d.L * N, rng).reshape(n, d.L, N))
+    S = mix(X, d.delta.T[:, :, None], G)
+    return np.sum(np.abs(S) ** 2, axis=(0, 1))
 
 
 def _checked_args(query_kind: str, delta, dims: SystemDims, trials: int):
@@ -203,10 +203,10 @@ def pep_qfunction_mc(
     as i.i.d. Gaussian slots (unitary) or one Gaussian row repeated over
     slots (uniform).
     """
-    d, _ = _checked_args(query_kind, delta, dims, trials)
+    d, A = _checked_args(query_kind, delta, dims, trials)
     gbar = 10.0 ** (snr_db / 10.0)
     mean, se = _mc_mean(
-        lambda n: qfunc(np.sqrt(gbar * _batched_z(query_kind, d, dims.N, n, rng) / 2.0)),
+        lambda n: qfunc(np.sqrt(gbar * _batched_z(A.shape[0], d, dims.N, n, rng) / 2.0)),
         trials,
     )
     return PepEstimate(float(snr_db), mean, se, trials, METHOD_QFUNC)
@@ -328,14 +328,10 @@ def pep_curve_to_csv(estimates: list[PepEstimate]) -> str:
 
 
 def pep_curve_from_csv(text: str) -> list[PepEstimate]:
-    lines = [ln for ln in text.strip().splitlines() if ln]
-    if not lines or lines[0] != PEP_CSV_HEADER:
-        raise ValueError(f"unexpected CSV header: {lines[:1]}")
-    out = []
-    for ln in lines[1:]:
-        f = ln.split(",")
-        out.append(PepEstimate(float(f[0]), float(f[1]), float(f[2]), int(f[3]), f[4]))
-    return out
+    return [
+        PepEstimate(float(f[0]), float(f[1]), float(f[2]), int(f[3]), f[4])
+        for f in csv_rows(text, PEP_CSV_HEADER)
+    ]
 
 
 def ratio_curve_to_csv(points: list[RatioPoint]) -> str:
@@ -346,14 +342,10 @@ def ratio_curve_to_csv(points: list[RatioPoint]) -> str:
 
 
 def ratio_curve_from_csv(text: str) -> list[RatioPoint]:
-    lines = [ln for ln in text.strip().splitlines() if ln]
-    if not lines or lines[0] != RATIO_CSV_HEADER:
-        raise ValueError(f"unexpected CSV header: {lines[:1]}")
-    out = []
-    for ln in lines[1:]:
-        f = ln.split(",")
-        out.append(RatioPoint(float(f[0]), float(f[1]), float(f[2]), bool(int(f[3]))))
-    return out
+    return [
+        RatioPoint(float(f[0]), float(f[1]), float(f[2]), bool(int(f[3])))
+        for f in csv_rows(text, RATIO_CSV_HEADER)
+    ]
 
 
 def ratio_point(eu: PepEstimate, ef: PepEstimate) -> RatioPoint:
@@ -378,18 +370,17 @@ def pep_ratio_curve(
     snr_grid: list[float],
     trials: int,
     rng: np.random.Generator,
-    method: str = METHOD_EIGEN,
 ) -> list[RatioPoint]:
-    """Unitary-to-uniform PEP ratio (``ratio_point``) across an ascending SNR grid.
+    """Unitary-to-uniform eigen-product PEP ratio (``ratio_point``) over an ascending SNR grid.
 
     At each SNR the unitary estimate draws from ``rng`` before the uniform one.
     """
     snr_grid = [float(s) for s in snr_grid]
     if any(b <= a for a, b in zip(snr_grid, snr_grid[1:])):
         raise ValueError("snr_grid must be strictly ascending")
-    estimator = pep_eigen_product_mc if method == METHOD_EIGEN else pep_qfunction_mc
     points = []
     for snr in snr_grid:
-        eu = estimator("unitary", delta, dims, snr, trials, rng)
-        points.append(ratio_point(eu, estimator("uniform", delta, dims, snr, trials, rng)))
+        eu = pep_eigen_product_mc("unitary", delta, dims, snr, trials, rng)
+        ef = pep_eigen_product_mc("uniform", delta, dims, snr, trials, rng)
+        points.append(ratio_point(eu, ef))
     return points

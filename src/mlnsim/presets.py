@@ -18,17 +18,17 @@ from dataclasses import dataclass
 import numpy as np
 
 from .channel import SystemDims
-from .codes import (
-    EXAMPLE1_DELTA,
-    EXAMPLE3_DELTA,
-    Codebook,
-    pairwise_codebook_from_delta,
-    repetition_bpsk,
-)
+from .codes import Codebook
 
-__all__ = ["Preset", "PRESET_NAMES", "get_preset"]
+__all__ = ["Preset", "PRESETS", "PRESET_NAMES", "get_preset"]
 
-PRESET_NAMES = ("example1", "example2", "example3")
+# each preset is a config fragment: the dimension and codebook keys of the loader
+PRESETS = {
+    "example1": {"m": 2, "l": 2, "n": 2, "t": 2, "codebook": "example1-pair"},
+    "example2": {"m": 2, "l": 2, "n": 1, "t": 2, "codebook": "example1-pair"},
+    "example3": {"m": 2, "l": 1, "n": 2, "t": 2, "codebook": "repetition-bpsk"},
+}
+PRESET_NAMES = tuple(PRESETS)
 
 
 @dataclass(frozen=True)
@@ -41,14 +41,12 @@ class Preset:
 
 
 def get_preset(name: str) -> Preset:
-    if name == "example1":
-        cb, _ = pairwise_codebook_from_delta(EXAMPLE1_DELTA)
-        return Preset(name, SystemDims(2, 2, 2, 2), EXAMPLE1_DELTA.copy(), cb, "example1-pair")
-    if name == "example2":
-        cb, _ = pairwise_codebook_from_delta(EXAMPLE1_DELTA)
-        return Preset(name, SystemDims(2, 2, 1, 2), EXAMPLE1_DELTA.copy(), cb, "example1-pair")
-    if name == "example3":
-        return Preset(
-            name, SystemDims(2, 1, 2, 2), EXAMPLE3_DELTA.copy(), repetition_bpsk(2), "repetition-bpsk"
-        )
-    raise ValueError(f"unknown preset {name!r}; choose from {PRESET_NAMES}")
+    """Dimensions, codebook and difference matrix of a preset, built by the config loader."""
+    from .config import _build_codebook  # config imports this module
+
+    if name not in PRESETS:
+        raise ValueError(f"unknown preset {name!r}; choose from {PRESET_NAMES}")
+    p = PRESETS[name]
+    dims = SystemDims(p["m"], p["l"], p["n"], p["t"])
+    codebook, delta = _build_codebook(p["codebook"], None, dims)
+    return Preset(name, dims, delta, codebook, p["codebook"])

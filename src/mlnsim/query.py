@@ -113,7 +113,7 @@ def verify_unitary(q, tol: float = UNITARY_TOL) -> bool:
 
 
 def effective_forward(q, H: np.ndarray) -> np.ndarray:
-    """The forward process seen by the tag: Q @ H, a T x L matrix.
+    """The forward process seen by the tag: Q @ H, T x L (T x L x n for M x L x n H).
 
     For the uniform query all rows are identical (the static channel is
     collapsed to rank one); for a unitary query the product is again an
@@ -122,8 +122,8 @@ def effective_forward(q, H: np.ndarray) -> np.ndarray:
     """
     mat = query_array(q)
     H = np.asarray(H, dtype=complex)
-    if H.ndim != 2 or mat.shape[1] != H.shape[0]:
+    if H.ndim not in (2, 3) or mat.shape[1] != H.shape[0]:
         raise DimensionMismatchError(
             f"query has {mat.shape[1]} columns but channel has {H.shape} shape"
         )
-    return mat @ H
+    return (mat @ H.reshape(H.shape[0], -1)).reshape((mat.shape[0],) + H.shape[1:])

@@ -33,10 +33,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .channel import ChannelRealization, SystemDims
+from .channel import ChannelRealization, SystemDims, _blocks_last, mix
 from .codes import Codebook
+from .csvio import csv_rows
 from .linalg import DimensionMismatchError, make_rng, sample_cn_matrix
-from .query import QUERY_KINDS, query_array, uniform_query, unitary_query
+from .query import QUERY_KINDS, effective_forward, query_array, uniform_query, unitary_query
 
 __all__ = [
     "SnrSweepConfig",
@@ -133,15 +134,10 @@ class BerCurve:
 
     @classmethod
     def from_csv(cls, text: str) -> "BerCurve":
-        lines = [ln for ln in text.strip().splitlines() if ln]
-        if not lines or lines[0] != CSV_HEADER:
-            raise ValueError(f"unexpected CSV header: {lines[:1]}")
-        pts = []
-        for ln in lines[1:]:
-            f = ln.split(",")
-            pts.append(
-                BerPoint(float(f[0]), float(f[1]), float(f[2]), float(f[3]), int(f[4]), int(f[5]))
-            )
+        pts = (
+            BerPoint(float(f[0]), float(f[1]), float(f[2]), float(f[3]), int(f[4]), int(f[5]))
+            for f in csv_rows(text, CSV_HEADER)
+        )
         return cls(tuple(pts))
 
 
@@ -189,10 +185,6 @@ def _metric(X: np.ndarray, G: np.ndarray, R: np.ndarray, weights: np.ndarray) ->
     return np.concatenate([feats.real, feats.imag]).T @ weights.T
 
 
-def _blocks_last(A: np.ndarray) -> np.ndarray:
-    return np.ascontiguousarray(np.moveaxis(A, 0, -1))
-
-
 def ml_detect(R: np.ndarray, q, ch: ChannelRealization, codebook: Codebook) -> int:
     """Index of the codeword minimizing ||R - ((Q H) o C_k) G||_F^2.
 
@@ -200,11 +192,10 @@ def ml_detect(R: np.ndarray, q, ch: ChannelRealization, codebook: Codebook) -> i
     knows H and G exactly.
     """
     R = np.asarray(R, dtype=complex)
-    Q = query_array(q)
-    X = Q @ ch.H
-    if R.shape != (Q.shape[0], ch.G.shape[1]):
+    X = effective_forward(q, ch.H)
+    if R.shape != (X.shape[0], ch.G.shape[1]):
         raise DimensionMismatchError(
-            f"R must be {Q.shape[0]}x{ch.G.shape[1]}, got {R.shape}"
+            f"R must be {X.shape[0]}x{ch.G.shape[1]}, got {R.shape}"
         )
     weights = _metric_weights(np.stack(codebook.codewords))
     return int(np.argmin(_metric(X[..., None], ch.G[..., None], R[..., None], weights)[0]))
@@ -243,10 +234,9 @@ def _simulate_point(config: SnrSweepConfig, point_index: int, Q: np.ndarray) -> 
         detected = np.empty(n, dtype=np.int64)
         for a in range(0, n, blocks_per_slice):
             s = slice(a, a + blocks_per_slice)
-            X = (Q @ _blocks_last(H[s]).reshape(dims.M, -1)).reshape(dims.T, dims.L, -1)
+            X = effective_forward(Q, _blocks_last(H[s]))
             Gs = _blocks_last(G[s])
-            Y = X * words_last[:, :, sent[s]]
-            R = np.sum(Y[:, :, None] * Gs, axis=1) + _blocks_last(W[s])
+            R = mix(X, words_last[:, :, sent[s]], Gs) + _blocks_last(W[s])
             detected[s] = np.argmin(_metric(X, Gs, R, weights), axis=1)
 
         wrong = detected != sent

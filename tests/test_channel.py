@@ -8,10 +8,11 @@ from mlnsim.channel import (
     SystemDims,
     backscatter_transmit,
     effective_signal,
+    mix,
     sample_channel,
 )
 from mlnsim.linalg import DimensionMismatchError, make_rng, numeric_rank, sample_cn_matrix
-from mlnsim.query import uniform_query
+from mlnsim.query import effective_forward, uniform_query
 
 
 class TestSystemDims:
@@ -103,6 +104,44 @@ class TestEffectiveSignal:
     def test_dimension_mismatch(self):
         with pytest.raises(DimensionMismatchError):
             effective_signal(uniform_query(2, 2), np.ones((2, 2)), np.ones((3, 2)), np.ones((2, 2)))
+
+
+class TestBatchedKernel:
+    @staticmethod
+    def _last(A):
+        return np.moveaxis(A, 0, -1)
+
+    def test_equals_stacked_scalar_calls(self):
+        rng = make_rng(12)
+        for _ in range(60):
+            T, M, L, N, n = (int(rng.integers(1, 5)) for _ in range(5))
+            q = sample_cn_matrix(T, M, rng)
+            H = sample_cn_matrix(n, M * L, rng).reshape(n, M, L)
+            C = sample_cn_matrix(n, T * L, rng).reshape(n, T, L)
+            G = sample_cn_matrix(n, L * N, rng).reshape(n, L, N)
+            X = effective_forward(q, self._last(H))
+            assert X.shape == (T, L, n)
+            S = mix(X, self._last(C), self._last(G))
+            assert S.shape == (T, N, n)
+            for k in range(n):
+                expected = effective_signal(q, H[k], C[k], G[k])
+                assert np.max(np.abs(S[..., k] - expected)) <= 1e-12
+
+    def test_single_row_broadcasts_over_slots(self):
+        # the uniform query's static forward row, as the PEP route draws it
+        rng = make_rng(13)
+        T, L, N, n = 3, 2, 2, 4
+        y = sample_cn_matrix(n, L, rng)
+        C = sample_cn_matrix(T, L, rng)
+        G = sample_cn_matrix(n, L * N, rng).reshape(n, L, N)
+        S = mix(self._last(y[:, None, :]), C[:, :, None], self._last(G))
+        for k in range(n):
+            expected = mix(np.repeat(y[k][None], T, axis=0), C, G[k])
+            assert np.max(np.abs(S[..., k] - expected)) <= 1e-12
+
+    def test_effective_signal_rejects_batched_h(self):
+        with pytest.raises(DimensionMismatchError, match="matrix"):
+            effective_signal(uniform_query(2, 2), np.ones((2, 2, 3)), np.ones((2, 2)), np.ones((2, 2)))
 
 
 class TestBackscatterTransmit:

@@ -11,6 +11,8 @@ from mlnsim.linalg import make_rng, sample_cn_matrix
 from mlnsim.measure import build_D, build_E_t, scheme_weights
 from mlnsim.pep import (
     DivergentAverageError,
+    PEP_CSV_HEADER,
+    RATIO_CSV_HEADER,
     PepEstimate,
     RouteDisagreementError,
     _batched_lambda_product,
@@ -22,6 +24,7 @@ from mlnsim.pep import (
     pep_eigen_product_mc,
     pep_qfunction_mc,
     pep_ratio_curve,
+    qfunc,
     ratio_curve_from_csv,
     ratio_curve_to_csv,
     squared_distance_uniform,
@@ -135,6 +138,32 @@ class TestQFunctionMc:
         a = pep_qfunction_mc("unitary", delta, dims, 10.0, 50_000, make_rng(9))
         b = pep_qfunction_mc("uniform", delta, dims, 10.0, 50_000, make_rng(10))
         assert abs(a.value - b.value) < 3 * np.hypot(a.std_error, b.std_error)
+
+
+    @pytest.mark.parametrize("delta, dims", [(EXAMPLE1_DELTA, DIMS1), (EXAMPLE3_DELTA, DIMS3)])
+    @pytest.mark.parametrize("scheme", ["unitary", "uniform"])
+    def test_draw_order_matches_scalar_distances(self, monkeypatch, scheme, delta, dims):
+        # per batch: the forward rows (T per draw for unitary, 1 for uniform), then G
+        import mlnsim.pep as pep_mod
+
+        monkeypatch.setattr(pep_mod, "_MC_BATCH", 64)
+        trials, snr = 150, 10.0
+        est = pep_qfunction_mc(scheme, delta, dims, snr, trials, make_rng(31))
+        rng = make_rng(31)
+        L, T, N = dims.L, dims.T, dims.N
+        rows = T if scheme == "unitary" else 1
+        z = []
+        for n in (64, 64, 22):
+            X = sample_cn_matrix(n, rows * L, rng).reshape(n, rows, L)
+            G = sample_cn_matrix(n, L * N, rng).reshape(n, L, N)
+            for k in range(n):
+                if scheme == "unitary":
+                    z.append(squared_distance_unitary(X[k], delta, G[k]))
+                else:
+                    z.append(squared_distance_uniform(X[k, 0], delta, G[k]))
+        gbar = 10.0 ** (snr / 10.0)
+        expected = np.mean(qfunc(np.sqrt(gbar * np.array(z) / 2.0)))
+        assert est.value == pytest.approx(expected, rel=1e-12)
 
 
 class TestEigenProductMc:
@@ -284,6 +313,15 @@ class TestRatioCurve:
         assert [(p.snr_db, p.ratio, p.std_error, p.censored) for p in again] == [
             (p.snr_db, p.ratio, p.std_error, p.censored) for p in pts
         ]
+
+
+@pytest.mark.parametrize(
+    "read, header",
+    [(pep_curve_from_csv, PEP_CSV_HEADER), (ratio_curve_from_csv, RATIO_CSV_HEADER)],
+)
+def test_csv_short_row_names_line(read, header):
+    with pytest.raises(ValueError, match="line 3"):
+        read(f"{header}\n\n1,2\n")
 
 
 def test_pep_csv_roundtrip():

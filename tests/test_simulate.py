@@ -240,6 +240,10 @@ class TestBerCurveCsv:
         with pytest.raises(ValueError, match="header"):
             BerCurve.from_csv("wrong,header\n1,2\n")
 
+    def test_short_row_names_line(self):
+        with pytest.raises(ValueError, match="line 2"):
+            BerCurve.from_csv(f"{simulate.CSV_HEADER}\n1,2\n")
+
     def test_points_must_be_ordered(self):
         with pytest.raises(ValueError, match="ordered"):
             BerCurve((BerPoint(4.0, 0.1, 0.09, 0.11, 100, 1000),
