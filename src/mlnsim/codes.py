@@ -14,6 +14,7 @@ rank are what the performance measures consume.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 from itertools import product
 
 import numpy as np
@@ -78,6 +79,22 @@ class Codebook:
 
     def __len__(self) -> int:
         return len(self.codewords)
+
+    @cached_property
+    def stacked(self) -> np.ndarray:
+        """The codewords as one read-only K x T x L array."""
+        a = np.stack(self.codewords)
+        a.flags.writeable = False
+        return a
+
+    @cached_property
+    def metric_weights(self) -> np.ndarray:
+        """The read-only K x F codeword weights of the ML metric, built once."""
+        from .simulate import _metric_weights  # simulate imports this module
+
+        w = _metric_weights(self.stacked)
+        w.flags.writeable = False
+        return w
 
 
 @dataclass(frozen=True)

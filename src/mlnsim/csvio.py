@@ -3,20 +3,32 @@
 __all__ = ["csv_rows"]
 
 
-def csv_rows(text: str, header: str) -> list[list[str]]:
-    """The fields of each data row of a CSV document that must start with header.
+def csv_rows(text: str, header: str, types: tuple) -> list[list]:
+    """The converted fields of each data row of a CSV document that must start with header.
 
-    Blank lines are skipped. A different header, or a row whose field count
-    differs from the header's, raises ValueError naming the line.
+    types holds one converter per column, such as float or int. Blank lines
+    are skipped. A different header or a row whose field count differs from
+    the header's raises ValueError naming the line; a field its converter
+    rejects raises ValueError naming the line and the column.
     """
     lines = [(i, ln.strip()) for i, ln in enumerate(text.splitlines(), 1) if ln.strip()]
     if not lines or lines[0][1] != header:
         raise ValueError(f"unexpected CSV header: {[ln for _, ln in lines[:1]]}")
-    width = header.count(",") + 1
+    names = header.split(",")
     rows = []
     for i, ln in lines[1:]:
         fields = ln.split(",")
-        if len(fields) != width:
-            raise ValueError(f"CSV line {i}: expected {width} fields, got {len(fields)}: {ln!r}")
-        rows.append(fields)
+        if len(fields) != len(names):
+            raise ValueError(
+                f"CSV line {i}: expected {len(names)} fields, got {len(fields)}: {ln!r}"
+            )
+        row = []
+        for name, convert, field in zip(names, types, fields):
+            try:
+                row.append(convert(field))
+            except ValueError:
+                raise ValueError(
+                    f"CSV line {i}, column {name!r}: cannot read {field!r} as {convert.__name__}"
+                ) from None
+        rows.append(row)
     return rows

@@ -56,8 +56,13 @@ def sample_cn_matrix(rows: int, cols: int, rng: np.random.Generator) -> np.ndarr
     """
     if rows < 1 or cols < 1:
         raise DimensionMismatchError(f"dimensions must be >= 1, got ({rows}, {cols})")
-    z = rng.standard_normal((rows, cols)) + 1j * rng.standard_normal((rows, cols))
-    return z / np.sqrt(2.0)
+    # combine first, then divide: the same bits as (a + 1j b) / sqrt(2) with
+    # fewer passes (dividing a and b first changes the last bit of some entries)
+    z = np.empty((rows, cols), dtype=complex)
+    z.real = rng.standard_normal((rows, cols))
+    z.imag = rng.standard_normal((rows, cols))
+    z /= np.sqrt(2.0)
+    return z
 
 
 def matmul(a: np.ndarray, b: np.ndarray) -> np.ndarray:

@@ -25,7 +25,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import erfc
 
 from .channel import SystemDims, _blocks_last, mix
 from .codes import DifferenceMatrix, _as_diff
@@ -103,6 +102,8 @@ def _agreed(a: float, b: float) -> float:
 
 def qfunc(x):
     """Gaussian tail probability Q(x) = P(N(0,1) > x)."""
+    from scipy.special import erfc  # imported here: no CLI stage needs it at start-up
+
     return 0.5 * erfc(np.asarray(x) / np.sqrt(2.0))
 
 
@@ -328,10 +329,8 @@ def pep_curve_to_csv(estimates: list[PepEstimate]) -> str:
 
 
 def pep_curve_from_csv(text: str) -> list[PepEstimate]:
-    return [
-        PepEstimate(float(f[0]), float(f[1]), float(f[2]), int(f[3]), f[4])
-        for f in csv_rows(text, PEP_CSV_HEADER)
-    ]
+    rows = csv_rows(text, PEP_CSV_HEADER, (float, float, float, int, str))
+    return [PepEstimate(*f) for f in rows]
 
 
 def ratio_curve_to_csv(points: list[RatioPoint]) -> str:
@@ -342,10 +341,8 @@ def ratio_curve_to_csv(points: list[RatioPoint]) -> str:
 
 
 def ratio_curve_from_csv(text: str) -> list[RatioPoint]:
-    return [
-        RatioPoint(float(f[0]), float(f[1]), float(f[2]), bool(int(f[3])))
-        for f in csv_rows(text, RATIO_CSV_HEADER)
-    ]
+    rows = csv_rows(text, RATIO_CSV_HEADER, (float, float, float, int))
+    return [RatioPoint(*f[:3], bool(f[3])) for f in rows]
 
 
 def ratio_point(eu: PepEstimate, ef: PepEstimate) -> RatioPoint:

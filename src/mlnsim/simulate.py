@@ -7,8 +7,15 @@ expressions: codebooks carry unit average energy per slot, query rows
 have unit norm, and the per-entry complex noise variance is 1 / gbar with
 gbar = 10**(snr_db / 10).
 
-Every point draws from its own deterministic substream of the sweep seed,
-so a sweep is reproducible bit-for-bit regardless of worker scheduling.
+A sweep draws each batch of blocks (_BATCH_SCHEDULE) once and scores it at
+every point still below its event target and the cap. A batch is split
+into chunks of _CHUNK blocks; chunk c of batch b draws H, G, the sent
+codewords and unit-variance noise W, in that order, from the substream
+(1, b, c) of the sweep seed. So a sweep samples as many blocks as its
+longest point needs, a sweep is reproducible bit-for-bit regardless of
+worker scheduling, and each point still counts the blocks of the batches
+it was active for. Points share blocks and so are correlated across SNR;
+each point's own estimate and Wilson interval are as before.
 
 ML detection scores all K codewords of a block with one real GEMM. With
 X = Q H and S_j = (X o C_j) G, the metric is the sufficient statistic
@@ -16,13 +23,17 @@ X = Q H and S_j = (X o C_j) G, the metric is the sufficient statistic
 sets of per-block features: the T x L x L terms (x_t x_t^H) o (G G^H),
 which give ||S_j||^2 against the weights c_t c_t^H, and the T x L terms
 conj(R G^H) o X, which give Re<R, S_j> against c_j. Split into real and
-imaginary parts, the features F (n x F) and the weights (K x F, built once
-per point) give every distance as F @ weights.T; the argmin keeps the
-lowest index on ties. Blocks are laid out last (L x N x n), so G G^H and
-R G^H are products of length-n vectors. After sampling, a batch is worked
-through in slices of blocks whose feature and metric matrices hold at most
-_METRIC_BUDGET float64s (1 MiB), but at least _MIN_SLICE blocks, so the
-metric of a 2^16-word codebook takes 32 x 2^16 float64s (16 MiB) at most.
+imaginary parts (real parts alone for a real codebook), the features F
+(n x F) and the weights (K x F, built once per codebook) give every
+distance as F @ weights.T; the argmin keeps the lowest index on ties. With
+R = S + s W the metric is base + s noise, where base is the metric of the
+noise-free S and noise = -2 Re<W, S_j> comes from the cross features of W
+alone. Both are SNR-free, so each point costs one scaled sum and argmin.
+Blocks are laid out last (L x N x n), so G G^H and R G^H are products of
+length-n vectors. A chunk is worked through in slices of blocks whose
+base, noise and scratch arrays hold at most _METRIC_BUDGET float64s
+together (1 MiB), but at least _MIN_SLICE blocks each, so those of a
+2^16-word codebook take 3 x 32 x 2^16 float64s (48 MiB) at most.
 """
 
 from __future__ import annotations
@@ -55,9 +66,12 @@ MIN_RESOLVED_EVENTS = 50
 CSV_HEADER = "snr_db,ber,ci_low,ci_high,error_events,trials"
 
 _BATCH_SCHEDULE = (20_000, 80_000, 200_000)
-# a block slice's feature and metric matrices hold at most this many float64s
-# (1 MiB, so they stay in cache), but a slice has at least _MIN_SLICE blocks so
-# that the weights of a large codebook are read once per _MIN_SLICE blocks
+# a batch is drawn in chunks of this many blocks, each from its own substream;
+# it divides every scheduled batch size, so the first batch splits in two
+_CHUNK = 10_000
+# a block slice's metric arrays hold at most this many float64s together (1 MiB,
+# so they stay in cache), but a slice has at least _MIN_SLICE blocks so that the
+# weights of a large codebook are read once per _MIN_SLICE blocks
 _METRIC_BUDGET = 2**17
 _MIN_SLICE = 32
 
@@ -134,11 +148,8 @@ class BerCurve:
 
     @classmethod
     def from_csv(cls, text: str) -> "BerCurve":
-        pts = (
-            BerPoint(float(f[0]), float(f[1]), float(f[2]), float(f[3]), int(f[4]), int(f[5]))
-            for f in csv_rows(text, CSV_HEADER)
-        )
-        return cls(tuple(pts))
+        rows = csv_rows(text, CSV_HEADER, (float, float, float, float, int, int))
+        return cls(tuple(BerPoint(*f) for f in rows))
 
 
 def _wilson_interval(errors: int, n: int, z: float = 1.959963984540054) -> tuple[float, float]:
@@ -162,14 +173,31 @@ def build_query(kind: str, dims: SystemDims, seed: int):
 def _metric_weights(codewords: np.ndarray) -> np.ndarray:
     """K x F real weights that pair each codeword with the features of _metric.
 
-    Row j holds c_j c_j^H per slot and -2 c_j as (Re, -Im) parts, so that
-    Re(f w) = Re f Re w - Im f Im w is a dot product with the (Re, Im) features.
+    Row j holds c_j c_j^H per slot and then -2 c_j, each as (Re, -Im) parts,
+    so that Re(f w) = Re f Re w - Im f Im w is a dot product with the (Re, Im)
+    features. A real codebook (every built-in one) has no Im parts: its rows
+    hold the Re parts alone, F = T L (L + 1), and _metric reads that from F.
     """
+    real = not np.any(codewords.imag)
+    if real:
+        codewords = codewords.real
     K = len(codewords)
-    outer = codewords[:, :, :, None] * codewords[:, :, None, :].conj()  # K x T x L x L
-    w = np.concatenate([outer.reshape(K, -1), -2.0 * codewords.reshape(K, -1)], axis=1)
-    del outer  # a 2^16-word codebook's outer products take 64 MiB
-    return np.concatenate([w.real, -w.imag], axis=1)
+    outer = (codewords[:, :, :, None] * codewords[:, :, None, :].conj()).reshape(K, -1)
+    cross = -2.0 * codewords.reshape(K, -1)
+    if real:
+        return np.concatenate([outer, cross], axis=1)
+    return np.concatenate([outer.real, -outer.imag, cross.real, -cross.imag], axis=1)
+
+
+def _real_rows(z: np.ndarray, parts: int) -> np.ndarray:
+    """z (... x n) as real feature rows: Re then Im, or Re alone when parts == 1."""
+    z = z.reshape(-1, z.shape[-1])
+    return np.concatenate([z.real, z.imag]) if parts == 2 else z.real
+
+
+def _cross(X: np.ndarray, G: np.ndarray, R: np.ndarray) -> np.ndarray:
+    """T x L x n: X o conj(R G^H), whose pairing with c_j gives Re<R, S_j>."""
+    return X * np.sum(R[:, None].conj() * G, axis=2)
 
 
 def _metric(X: np.ndarray, G: np.ndarray, R: np.ndarray, weights: np.ndarray) -> np.ndarray:
@@ -177,12 +205,23 @@ def _metric(X: np.ndarray, G: np.ndarray, R: np.ndarray, weights: np.ndarray) ->
 
     Arrays are blocks-last: X is T x L x n, G is L x N x n, R is T x N x n.
     """
-    n = X.shape[-1]
+    T, L, n = X.shape
+    parts = weights.shape[1] // (T * L * (L + 1))
     gram = np.sum(G[:, None] * G[None].conj(), axis=2)  # L x L x n: G G^H
     energy = X[:, :, None] * X[:, None].conj() * gram  # T x L x L x n
-    cross = X * np.sum(R[:, None].conj() * G, axis=2)  # T x L x n: X o conj(R G^H)
-    feats = np.concatenate([energy.reshape(-1, n), cross.reshape(-1, n)])
-    return np.concatenate([feats.real, feats.imag]).T @ weights.T
+    feats = np.concatenate([_real_rows(energy, parts), _real_rows(_cross(X, G, R), parts)])
+    return feats.T @ weights.T
+
+
+def _noise_metric(X: np.ndarray, G: np.ndarray, W: np.ndarray, weights: np.ndarray) -> np.ndarray:
+    """-2 Re<W, S_j> for every block and codeword, n x K.
+
+    The metric is linear in the noise: _metric(X, G, S + s W, weights) equals
+    _metric(X, G, S, weights) + s _noise_metric(X, G, W, weights).
+    """
+    T, L, _ = X.shape
+    parts = weights.shape[1] // (T * L * (L + 1))
+    return _real_rows(_cross(X, G, W), parts).T @ weights[:, -parts * T * L:].T
 
 
 def ml_detect(R: np.ndarray, q, ch: ChannelRealization, codebook: Codebook) -> int:
@@ -197,62 +236,48 @@ def ml_detect(R: np.ndarray, q, ch: ChannelRealization, codebook: Codebook) -> i
         raise DimensionMismatchError(
             f"R must be {X.shape[0]}x{ch.G.shape[1]}, got {R.shape}"
         )
-    weights = _metric_weights(np.stack(codebook.codewords))
-    return int(np.argmin(_metric(X[..., None], ch.G[..., None], R[..., None], weights)[0]))
+    d = _metric(X[..., None], ch.G[..., None], R[..., None], codebook.metric_weights)
+    return int(np.argmin(d[0]))
 
 
-def _simulate_point(config: SnrSweepConfig, point_index: int, Q: np.ndarray) -> BerPoint:
+def _score_chunk(
+    config: SnrSweepConfig, Q: np.ndarray, key: tuple, n: int, noise_stds: np.ndarray
+) -> np.ndarray:
+    """Error events and bit errors at each noise scale on one chunk of n blocks.
+
+    The chunk draws H, G, sent and unit-variance W from its own substream key.
+    Returns a 2 x len(noise_stds) integer array (events, then bit errors).
+    """
     dims, cb = config.dims, config.codebook
-    snr_db = config.snr_grid_db[point_index]
-    gbar = 10.0 ** (snr_db / 10.0)
-    noise_std = np.sqrt(1.0 / gbar)
-    rng = make_rng(config.seed, (1, point_index))
+    rng = make_rng(config.seed, key)
+    H = sample_cn_matrix(n, dims.M * dims.L, rng).reshape(n, dims.M, dims.L)
+    G = sample_cn_matrix(n, dims.L * dims.N, rng).reshape(n, dims.L, dims.N)
+    sent = rng.integers(0, len(cb), n)
+    W = sample_cn_matrix(n, dims.T * dims.N, rng).reshape(n, dims.T, dims.N)
 
-    codewords = np.stack(cb.codewords)  # K x T x L
-    words_last = _blocks_last(codewords)  # T x L x K
-    weights = _metric_weights(codewords)
-    n_words = len(cb)
-    bits_per_block = cb.bits_per_block
-    blocks_per_slice = max(_MIN_SLICE, _METRIC_BUDGET // max(weights.shape))
-
-    bit_errors = 0
-    error_events = 0
-    trials = 0
-    batch_idx = 0
-    while error_events < config.target_error_events and trials < config.max_trials_per_point:
-        n = min(
-            _BATCH_SCHEDULE[min(batch_idx, len(_BATCH_SCHEDULE) - 1)],
-            config.max_trials_per_point - trials,
-        )
-        batch_idx += 1
-
-        H = sample_cn_matrix(n, dims.M * dims.L, rng).reshape(n, dims.M, dims.L)
-        G = sample_cn_matrix(n, dims.L * dims.N, rng).reshape(n, dims.L, dims.N)
-        sent = rng.integers(0, n_words, n)
-        W = noise_std * sample_cn_matrix(n, dims.T * dims.N, rng).reshape(n, dims.T, dims.N)
-
-        detected = np.empty(n, dtype=np.int64)
-        for a in range(0, n, blocks_per_slice):
-            s = slice(a, a + blocks_per_slice)
-            X = effective_forward(Q, _blocks_last(H[s]))
-            Gs = _blocks_last(G[s])
-            R = mix(X, words_last[:, :, sent[s]], Gs) + _blocks_last(W[s])
-            detected[s] = np.argmin(_metric(X, Gs, R, weights), axis=1)
-
-        wrong = detected != sent
-        error_events += int(np.sum(wrong))
-        bit_errors += int(
-            np.sum(np.bitwise_count(np.bitwise_xor(sent[wrong], detected[wrong])))
-        )
-        trials += n
-
-    bits = trials * bits_per_block
-    ber = bit_errors / bits
-    ci_low, ci_high = _wilson_interval(bit_errors, bits)
-    return BerPoint(snr_db, ber, ci_low, ci_high, error_events, trials)
+    weights = cb.metric_weights
+    # base, noise and buf share the budget
+    step = max(_MIN_SLICE, _METRIC_BUDGET // (3 * max(weights.shape)))
+    buf = np.empty((min(step, n), len(cb)))
+    tallies = np.zeros((2, len(noise_stds)), dtype=np.int64)
+    for a in range(0, n, step):
+        s = slice(a, a + step)
+        X = effective_forward(Q, _blocks_last(H[s]))
+        Gs = _blocks_last(G[s])
+        base = _metric(X, Gs, mix(X, _blocks_last(cb.stacked[sent[s]]), Gs), weights)
+        noise = _noise_metric(X, Gs, _blocks_last(W[s]), weights)
+        out = buf[: len(base)]
+        for i, noise_std in enumerate(noise_stds):
+            np.multiply(noise, noise_std, out=out)
+            out += base
+            detected = np.argmin(out, axis=1)
+            wrong = detected != sent[s]
+            tallies[0, i] += np.count_nonzero(wrong)
+            tallies[1, i] += np.sum(np.bitwise_count(sent[s][wrong] ^ detected[wrong]))
+    return tallies
 
 
-def _worker_count(n_points: int, max_workers: int | None) -> int:
+def _worker_count(n_tasks: int, max_workers: int | None) -> int:
     if max_workers is None:
         max_workers = os.cpu_count() or 1
         env = os.environ.get("MLNSIM_THREADS")
@@ -261,26 +286,55 @@ def _worker_count(n_points: int, max_workers: int | None) -> int:
                 max_workers = min(max_workers, max(1, int(env)))
             except ValueError:
                 raise ValueError(f"MLNSIM_THREADS must be an integer, got {env!r}") from None
-    return max(1, min(max_workers, n_points))
+    return max(1, min(max_workers, n_tasks))
 
 
 def simulate_ber(config: SnrSweepConfig, max_workers: int | None = None) -> BerCurve:
     """Run the full SNR sweep and return the BER curve.
 
-    Points run in a thread pool (capped by the MLNSIM_THREADS environment
-    variable when max_workers is not given), each on its own substream of
-    the config seed, so the result does not depend on scheduling.
-    Under-resolved points (too few error events at the trial cap) are kept
-    and flagged via BerPoint.resolved rather than failing the sweep.
+    Every batch of blocks is drawn once and scored at every SNR point that
+    is still below its event target. Chunks of a batch run in a thread pool
+    (capped by the MLNSIM_THREADS environment variable when max_workers is
+    not given), each on its own substream of the config seed, so the result
+    does not depend on scheduling. Under-resolved points (too few error
+    events at the trial cap) are kept and flagged via BerPoint.resolved
+    rather than failing the sweep.
     """
     Q = query_array(build_query(config.query_kind, config.dims, config.seed))
-    indices = range(len(config.snr_grid_db))
-    workers = _worker_count(len(config.snr_grid_db), max_workers)
-    if workers == 1:
-        points = [_simulate_point(config, i, Q) for i in indices]
-    else:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            points = list(pool.map(lambda i: _simulate_point(config, i, Q), indices))
+    grid = np.asarray(config.snr_grid_db)
+    noise_stds = np.sqrt(1.0 / 10.0 ** (grid / 10.0))
+    cap = config.max_trials_per_point
+    events = np.zeros(len(grid), dtype=np.int64)
+    bit_errors = np.zeros(len(grid), dtype=np.int64)
+    trials = np.zeros(len(grid), dtype=np.int64)
+    active = np.ones(len(grid), dtype=bool)
+    drawn = 0
+    batch = 0
+    largest_batch_chunks = -(-min(max(_BATCH_SCHEDULE), cap) // _CHUNK)
+    workers = _worker_count(largest_batch_chunks, max_workers)
+    with ThreadPoolExecutor(max_workers=workers) as pool:
+        while active.any():
+            n = min(_BATCH_SCHEDULE[min(batch, len(_BATCH_SCHEDULE) - 1)], cap - drawn)
+            idx = np.flatnonzero(active)
+            tallies = pool.map(
+                lambda c: _score_chunk(
+                    config, Q, (1, batch, c), min(_CHUNK, n - c * _CHUNK), noise_stds[idx]
+                ),
+                range(-(-n // _CHUNK)),
+            )
+            for t in tallies:  # in chunk order
+                events[idx] += t[0]
+                bit_errors[idx] += t[1]
+            trials[idx] += n
+            drawn += n
+            batch += 1
+            active &= (events < config.target_error_events) & (drawn < cap)
+
+    points = []
+    for snr_db, e, b, n in zip(config.snr_grid_db, events, bit_errors, trials):
+        bits = int(n) * config.codebook.bits_per_block
+        ci_low, ci_high = _wilson_interval(int(b), bits)
+        points.append(BerPoint(snr_db, int(b) / bits, ci_low, ci_high, int(e), int(n)))
     return BerCurve(tuple(points))
 
 

@@ -46,6 +46,16 @@ class TestSampling:
         with pytest.raises(DimensionMismatchError):
             sample_cn_matrix(0, 2, make_rng(0))
 
+    def test_bits_match_combine_then_divide(self):
+        # the same bits as the two-pass reference from the same generator state
+        for seed in range(3):
+            rng = make_rng(seed, (9,))
+            ref = make_rng(seed, (9,))
+            a = ref.standard_normal((500, 7))
+            b = ref.standard_normal((500, 7))
+            z = sample_cn_matrix(500, 7, rng)
+            assert np.array_equal(z.view(np.uint64), ((a + 1j * b) / np.sqrt(2)).view(np.uint64))
+
 
 class TestMatmul:
     def test_identity(self):

@@ -324,6 +324,19 @@ def test_csv_short_row_names_line(read, header):
         read(f"{header}\n\n1,2\n")
 
 
+@pytest.mark.parametrize(
+    "read, row, column",
+    [
+        (pep_curve_from_csv, f"{PEP_CSV_HEADER}\n1,abc,3,4,m\n", "value"),
+        (pep_curve_from_csv, f"{PEP_CSV_HEADER}\n1,2,3,4.5,m\n", "trials"),
+        (ratio_curve_from_csv, f"{RATIO_CSV_HEADER}\n1,2,3,yes\n", "censored"),
+    ],
+)
+def test_csv_non_numeric_field_names_line_and_column(read, row, column):
+    with pytest.raises(ValueError, match=f"line 2, column '{column}'"):
+        read(row)
+
+
 def test_pep_csv_roundtrip():
     rng = make_rng(21)
     ests = [pep_eigen_product_mc("unitary", EXAMPLE3_DELTA, DIMS3, s, 1000, rng) for s in (10.0, 20.0)]

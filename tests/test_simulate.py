@@ -78,6 +78,19 @@ def _brute_force(X, G, R, codewords):
     return np.sum(np.abs(np.moveaxis(R, -1, 0)[:, None] - S) ** 2, axis=(2, 3))
 
 
+def _random_codewords(family, rng):
+    """The K x T x L codewords of one random case of a codebook family, T and L in 1..4."""
+    T = int(rng.integers(1, 5))
+    L = 1 if family == "repetition_bpsk" else int(rng.integers(1, 5))
+    if family == "uncoded_bpsk":
+        T = min(T, 8 // L)  # K = 2^(T L) <= 256
+        return np.stack(uncoded_bpsk(T, L).codewords)
+    if family == "repetition_bpsk":
+        return np.stack(repetition_bpsk(T).codewords)
+    K = int(rng.integers(2, 257))
+    return rng.standard_normal((K, T, L)) + 1j * rng.standard_normal((K, T, L))
+
+
 def _random_blocks(q, codewords, n, noise_std, rng):
     """Blocks-last X = Q H, G and R = (X o C_sent) G + W for n blocks."""
     Q = query_array(q)
@@ -100,27 +113,58 @@ class TestMetricKernel:
     def test_matches_brute_force(self, query_kind, family):
         rng = make_rng(41, (QUERY_KINDS.index(query_kind), FAMILIES.index(family)))
         for case in range(12):
-            T = int(rng.integers(1, 5))
-            L = 1 if family == "repetition_bpsk" else int(rng.integers(1, 5))
-            if family == "uncoded_bpsk":
-                T = min(T, 8 // L)  # K = 2^(T L) <= 256
-                codewords = np.stack(uncoded_bpsk(T, L).codewords)
-            elif family == "repetition_bpsk":
-                codewords = np.stack(repetition_bpsk(T).codewords)
-            else:
-                K = int(rng.integers(2, 257))
-                codewords = rng.standard_normal((K, T, L)) + 1j * rng.standard_normal((K, T, L))
+            codewords = _random_codewords(family, rng)
+            T, L = codewords.shape[1:]
             M = T if query_kind == "dft" else int(rng.integers(1, 5))
             q = unitary_query(T, "dft") if query_kind == "dft" else uniform_query(T, M)
             noise_std = float(rng.choice([0.1, 1.0, 3.0]))
             X, G, R = _random_blocks(q, codewords, 16, noise_std, rng)
 
-            d = simulate._metric(X, G, R, simulate._metric_weights(codewords))
+            weights = simulate._metric_weights(codewords)
+            # real codebooks take the reduced path without the Im parts
+            parts = 2 if family == "complex" else 1
+            assert weights.shape == (len(codewords), parts * T * L * (L + 1))
+            d = simulate._metric(X, G, R, weights)
             bf = _brute_force(X, G, R, codewords)
             r2 = np.sum(np.abs(R) ** 2, axis=(0, 1))[:, None]
             where = f"case {case}: T={T} L={L} N={G.shape[1]} K={len(codewords)}"
             assert np.array_equal(np.argmin(d, axis=1), np.argmin(bf, axis=1)), where
             assert np.all(np.abs(d + r2 - bf) <= KERNEL_RTOL * (r2 + bf)), where
+
+    @pytest.mark.parametrize("family", FAMILIES)
+    def test_split_metric_matches_metric(self, family):
+        # base on the noise-free S plus s times the noise term equals the metric of S + s W
+        rng = make_rng(43, (FAMILIES.index(family),))
+        for case in range(12):
+            codewords = _random_codewords(family, rng)
+            T, L = codewords.shape[1:]
+            X, G, S = _random_blocks(unitary_query(T, "dft"), codewords, 16, 0.0, rng)
+            W = rng.standard_normal(S.shape) + 1j * rng.standard_normal(S.shape)
+            s = float(rng.choice([0.03, 0.3, 3.0]))
+            weights = simulate._metric_weights(codewords)
+            split = simulate._metric(X, G, S, weights) + s * simulate._noise_metric(X, G, W, weights)
+            R = S + s * W
+            d = simulate._metric(X, G, R, weights)
+            r2 = np.sum(np.abs(R) ** 2, axis=(0, 1))[:, None]
+            bf = _brute_force(X, G, R, codewords)
+            where = f"case {case}: T={T} L={L} N={G.shape[1]} K={len(codewords)}"
+            assert np.all(np.abs(split - d) <= KERNEL_RTOL * (r2 + bf)), where
+
+    def test_weights_built_once_per_codebook(self, monkeypatch):
+        cb = uncoded_bpsk(2, 2)
+        built = []
+        build = simulate._metric_weights
+        monkeypatch.setattr(simulate, "_metric_weights", lambda c: built.append(1) or build(c))
+        dims = SystemDims(2, 2, 2, 2)
+        q = unitary_query(2, "dft")
+        rng = make_rng(44)
+        for k in range(3):
+            ch = sample_channel(dims, rng)
+            r = backscatter_transmit(q, ch, cb.codewords[k], 0.0, rng)
+            assert ml_detect(r, q, ch, cb) == k
+        assert len(built) == 1
+        assert cb.metric_weights is cb.metric_weights
+        assert not cb.metric_weights.flags.writeable
 
     def test_tie_breaks_low_in_batch(self):
         # R = 0 is equidistant from c and -c in every block
@@ -196,6 +240,47 @@ class TestSimulateBer:
         c = simulate_ber(sweep, max_workers=1)
         assert a.to_csv() == c.to_csv()
 
+    def test_sweep_draws_each_block_once(self, monkeypatch):
+        # one draw stream per sweep: max_trials blocks of H, G and W, not one per point
+        drawn = []
+        sample = simulate.sample_cn_matrix
+
+        def counting(rows, cols, rng):
+            drawn.append(rows * cols)
+            return sample(rows, cols, rng)
+
+        monkeypatch.setattr(simulate, "sample_cn_matrix", counting)
+        dims = SystemDims(2, 2, 3, 2)
+        sweep = SnrSweepConfig(
+            dims=dims, query_kind="uniform", codebook=_antipodal(),
+            snr_grid_db=(20.0, 30.0, 40.0), max_trials_per_point=30_000,
+            target_error_events=10**6, seed=9,
+        )
+        curve = simulate_ber(sweep, max_workers=2)
+        assert all(p.trials == 30_000 for p in curve.points)
+        assert sum(drawn) == 30_000 * (dims.M * dims.L + dims.L * dims.N + dims.T * dims.N)
+
+    def test_byte_identical_across_worker_counts(self):
+        # batches of 20k and 50k blocks span two and five chunks
+        sweep = SnrSweepConfig(
+            dims=SystemDims(2, 1, 2, 2), query_kind="dft", codebook=uncoded_bpsk(2, 1),
+            snr_grid_db=(4.0, 10.0, 16.0), max_trials_per_point=70_000,
+            target_error_events=2_000, seed=10,
+        )
+        csvs = [simulate_ber(sweep, max_workers=w).to_csv() for w in (1, 2, 3)]
+        assert csvs[0] == csvs[1] == csvs[2]
+        assert [p.trials for p in BerCurve.from_csv(csvs[0]).points] == [20_000, 70_000, 70_000]
+
+    def test_point_stops_after_its_target_batch(self):
+        sweep = SnrSweepConfig(
+            dims=SystemDims(2, 2, 2, 2), query_kind="dft", codebook=_antipodal(),
+            snr_grid_db=(0.0, 40.0), max_trials_per_point=100_000,
+            target_error_events=300, seed=11,
+        )
+        low, high = simulate_ber(sweep, max_workers=1).points
+        assert (low.trials, high.trials) == (20_000, 100_000)
+        assert low.error_events >= 300 and high.error_events < 300
+
     def test_bad_threads_env_is_named(self, monkeypatch):
         monkeypatch.setenv("MLNSIM_THREADS", "abc")
         with pytest.raises(ValueError, match="MLNSIM_THREADS must be an integer, got 'abc'"):
@@ -243,6 +328,10 @@ class TestBerCurveCsv:
     def test_short_row_names_line(self):
         with pytest.raises(ValueError, match="line 2"):
             BerCurve.from_csv(f"{simulate.CSV_HEADER}\n1,2\n")
+
+    def test_non_numeric_field_names_line_and_column(self):
+        with pytest.raises(ValueError, match="line 3, column 'error_events'"):
+            BerCurve.from_csv(f"{simulate.CSV_HEADER}\n0.0,0.1,0.0,0.2,5,100\n2.0,0.1,0.0,0.2,x,100\n")
 
     def test_points_must_be_ordered(self):
         with pytest.raises(ValueError, match="ordered"):
