@@ -90,11 +90,30 @@ class Codebook:
     @cached_property
     def metric_weights(self) -> np.ndarray:
         """The read-only K x F codeword weights of the ML metric, built once."""
-        from .simulate import _metric_weights  # simulate imports this module
-
         w = _metric_weights(self.stacked)
         w.flags.writeable = False
         return w
+
+
+def _metric_weights(codewords: np.ndarray) -> np.ndarray:
+    """K x F real weights that pair each K x T x L codeword with the ML metric features.
+
+    Row j holds c_j c_j^H per slot (T L^2 columns) and then -2 c_j (T L
+    columns), each as (Re, -Im) parts, so that Re(f w) = Re f Re w - Im f Im w
+    is a dot product with (Re, Im) features. A real codebook (every built-in
+    one) has no Im parts: its rows hold the Re parts alone, so F = T L (L + 1)
+    for a real codebook and twice that otherwise. simulate._metric builds the
+    matching features.
+    """
+    real = not np.any(codewords.imag)
+    if real:
+        codewords = codewords.real
+    K = len(codewords)
+    outer = (codewords[:, :, :, None] * codewords[:, :, None, :].conj()).reshape(K, -1)
+    cross = -2.0 * codewords.reshape(K, -1)
+    if real:
+        return np.concatenate([outer, cross], axis=1)
+    return np.concatenate([outer.real, -outer.imag, cross.real, -cross.imag], axis=1)
 
 
 @dataclass(frozen=True)

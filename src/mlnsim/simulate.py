@@ -24,7 +24,7 @@ sets of per-block features: the T x L x L terms (x_t x_t^H) o (G G^H),
 which give ||S_j||^2 against the weights c_t c_t^H, and the T x L terms
 conj(R G^H) o X, which give Re<R, S_j> against c_j. Split into real and
 imaginary parts (real parts alone for a real codebook), the features F
-(n x F) and the weights (K x F, built once per codebook) give every
+(n x F) and the weights (K x F, Codebook.metric_weights) give every
 distance as F @ weights.T; the argmin keeps the lowest index on ties. With
 R = S + s W the metric is base + s noise, where base is the metric of the
 noise-free S and noise = -2 Re<W, S_j> comes from the cross features of W
@@ -170,25 +170,6 @@ def build_query(kind: str, dims: SystemDims, seed: int):
     return unitary_query(dims.M, kind, make_rng(seed, (0,)))
 
 
-def _metric_weights(codewords: np.ndarray) -> np.ndarray:
-    """K x F real weights that pair each codeword with the features of _metric.
-
-    Row j holds c_j c_j^H per slot and then -2 c_j, each as (Re, -Im) parts,
-    so that Re(f w) = Re f Re w - Im f Im w is a dot product with the (Re, Im)
-    features. A real codebook (every built-in one) has no Im parts: its rows
-    hold the Re parts alone, F = T L (L + 1), and _metric reads that from F.
-    """
-    real = not np.any(codewords.imag)
-    if real:
-        codewords = codewords.real
-    K = len(codewords)
-    outer = (codewords[:, :, :, None] * codewords[:, :, None, :].conj()).reshape(K, -1)
-    cross = -2.0 * codewords.reshape(K, -1)
-    if real:
-        return np.concatenate([outer, cross], axis=1)
-    return np.concatenate([outer.real, -outer.imag, cross.real, -cross.imag], axis=1)
-
-
 def _real_rows(z: np.ndarray, parts: int) -> np.ndarray:
     """z (... x n) as real feature rows: Re then Im, or Re alone when parts == 1."""
     z = z.reshape(-1, z.shape[-1])
@@ -204,6 +185,8 @@ def _metric(X: np.ndarray, G: np.ndarray, R: np.ndarray, weights: np.ndarray) ->
     """||R - (X o C_j) G||^2 - ||R||^2 for every block and codeword, n x K.
 
     Arrays are blocks-last: X is T x L x n, G is L x N x n, R is T x N x n.
+    weights are Codebook.metric_weights; their width tells whether they
+    carry Im parts (see codes._metric_weights).
     """
     T, L, n = X.shape
     parts = weights.shape[1] // (T * L * (L + 1))
@@ -241,30 +224,37 @@ def ml_detect(R: np.ndarray, q, ch: ChannelRealization, codebook: Codebook) -> i
 
 
 def _score_chunk(
-    config: SnrSweepConfig, Q: np.ndarray, key: tuple, n: int, noise_stds: np.ndarray
+    config: SnrSweepConfig,
+    Q: np.ndarray,
+    words: np.ndarray,
+    weights: np.ndarray,
+    key: tuple,
+    n: int,
+    noise_stds: np.ndarray,
 ) -> np.ndarray:
     """Error events and bit errors at each noise scale on one chunk of n blocks.
 
-    The chunk draws H, G, sent and unit-variance W from its own substream key.
-    Returns a 2 x len(noise_stds) integer array (events, then bit errors).
+    words and weights are the codebook's stacked codewords and metric
+    weights. The chunk draws H, G, sent and unit-variance W from its own
+    substream key. Returns a 2 x len(noise_stds) integer array (events, then
+    bit errors).
     """
-    dims, cb = config.dims, config.codebook
+    dims = config.dims
     rng = make_rng(config.seed, key)
     H = sample_cn_matrix(n, dims.M * dims.L, rng).reshape(n, dims.M, dims.L)
     G = sample_cn_matrix(n, dims.L * dims.N, rng).reshape(n, dims.L, dims.N)
-    sent = rng.integers(0, len(cb), n)
+    sent = rng.integers(0, len(words), n)
     W = sample_cn_matrix(n, dims.T * dims.N, rng).reshape(n, dims.T, dims.N)
 
-    weights = cb.metric_weights
     # base, noise and buf share the budget
     step = max(_MIN_SLICE, _METRIC_BUDGET // (3 * max(weights.shape)))
-    buf = np.empty((min(step, n), len(cb)))
+    buf = np.empty((min(step, n), len(words)))
     tallies = np.zeros((2, len(noise_stds)), dtype=np.int64)
     for a in range(0, n, step):
         s = slice(a, a + step)
         X = effective_forward(Q, _blocks_last(H[s]))
         Gs = _blocks_last(G[s])
-        base = _metric(X, Gs, mix(X, _blocks_last(cb.stacked[sent[s]]), Gs), weights)
+        base = _metric(X, Gs, mix(X, _blocks_last(words[sent[s]]), Gs), weights)
         noise = _noise_metric(X, Gs, _blocks_last(W[s]), weights)
         out = buf[: len(base)]
         for i, noise_std in enumerate(noise_stds):
@@ -310,6 +300,8 @@ def simulate_ber(config: SnrSweepConfig, max_workers: int | None = None) -> BerC
     active = np.ones(len(grid), dtype=bool)
     drawn = 0
     batch = 0
+    # read the cached codebook arrays once, before any worker can race to build them
+    words, weights = config.codebook.stacked, config.codebook.metric_weights
     largest_batch_chunks = -(-min(max(_BATCH_SCHEDULE), cap) // _CHUNK)
     workers = _worker_count(largest_batch_chunks, max_workers)
     with ThreadPoolExecutor(max_workers=workers) as pool:
@@ -318,7 +310,8 @@ def simulate_ber(config: SnrSweepConfig, max_workers: int | None = None) -> BerC
             idx = np.flatnonzero(active)
             tallies = pool.map(
                 lambda c: _score_chunk(
-                    config, Q, (1, batch, c), min(_CHUNK, n - c * _CHUNK), noise_stds[idx]
+                    config, Q, words, weights, (1, batch, c), min(_CHUNK, n - c * _CHUNK),
+                    noise_stds[idx],
                 ),
                 range(-(-n // _CHUNK)),
             )

@@ -5,10 +5,16 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from mlnsim import simulate
+from mlnsim import codes, simulate
 from mlnsim.channel import SystemDims, sample_channel
-from mlnsim.codes import pairwise_codebook_from_delta, repetition_bpsk, uncoded_bpsk, EXAMPLE1_DELTA
-from mlnsim.linalg import make_rng
+from mlnsim.codes import (
+    EXAMPLE1_DELTA,
+    _metric_weights,
+    pairwise_codebook_from_delta,
+    repetition_bpsk,
+    uncoded_bpsk,
+)
+from mlnsim.linalg import make_rng, sample_cn_matrix
 from mlnsim.pep import pep_qfunction_mc
 from mlnsim.query import query_array, uniform_query, unitary_query
 from mlnsim.simulate import (
@@ -120,7 +126,7 @@ class TestMetricKernel:
             noise_std = float(rng.choice([0.1, 1.0, 3.0]))
             X, G, R = _random_blocks(q, codewords, 16, noise_std, rng)
 
-            weights = simulate._metric_weights(codewords)
+            weights = _metric_weights(codewords)
             # real codebooks take the reduced path without the Im parts
             parts = 2 if family == "complex" else 1
             assert weights.shape == (len(codewords), parts * T * L * (L + 1))
@@ -141,7 +147,7 @@ class TestMetricKernel:
             X, G, S = _random_blocks(unitary_query(T, "dft"), codewords, 16, 0.0, rng)
             W = rng.standard_normal(S.shape) + 1j * rng.standard_normal(S.shape)
             s = float(rng.choice([0.03, 0.3, 3.0]))
-            weights = simulate._metric_weights(codewords)
+            weights = _metric_weights(codewords)
             split = simulate._metric(X, G, S, weights) + s * simulate._noise_metric(X, G, W, weights)
             R = S + s * W
             d = simulate._metric(X, G, R, weights)
@@ -153,8 +159,8 @@ class TestMetricKernel:
     def test_weights_built_once_per_codebook(self, monkeypatch):
         cb = uncoded_bpsk(2, 2)
         built = []
-        build = simulate._metric_weights
-        monkeypatch.setattr(simulate, "_metric_weights", lambda c: built.append(1) or build(c))
+        build = codes._metric_weights
+        monkeypatch.setattr(codes, "_metric_weights", lambda c: built.append(1) or build(c))
         dims = SystemDims(2, 2, 2, 2)
         q = unitary_query(2, "dft")
         rng = make_rng(44)
@@ -172,47 +178,66 @@ class TestMetricKernel:
         rng = make_rng(42)
         X, G, _ = _random_blocks(unitary_query(2, "dft"), codewords, 8, 1.0, rng)
         R = np.zeros((2, G.shape[1], 8), dtype=complex)
-        d = simulate._metric(X, G, R, simulate._metric_weights(codewords))
+        d = simulate._metric(X, G, R, _metric_weights(codewords))
         assert np.array_equal(d[:, 0], d[:, 1])
         assert np.all(np.argmin(d, axis=1) == 0)
 
     def test_large_codebook_sweep_in_bounded_memory(self, monkeypatch):
-        # 2^16 words on a few hundred blocks: the first two slices agree with
-        # brute force on their first blocks, and peak memory does not grow with
-        # the number of blocks (one unsliced 384 x 2^16 metric alone is 192 MiB)
+        # 2^16 words on a few hundred blocks: the tallies of the 96-block sweep
+        # equal brute-force ML on R = S + s W redrawn from its one chunk's
+        # substream, and with the cached weights built beforehand, peak memory
+        # does not grow with the number of blocks (one unsliced 384 x 2^16
+        # metric alone is 192 MiB)
         cb = uncoded_bpsk(4, 4)
-        codewords = np.stack(cb.codewords)
-        calls = []
+        dims = SystemDims(4, 4, 2, 4)
+        K = len(cb)
+        slices = []
         metric = simulate._metric
 
         def spy(X, G, R, weights):
-            d = metric(X, G, R, weights)
-            if len(calls) < 2:
-                calls.append((X[..., :3].copy(), G[..., :3].copy(), R[..., :3].copy(),
-                              np.argmin(d[:3], axis=1), X.shape[-1]))
-            return d
+            slices.append(X.shape[-1])
+            return metric(X, G, R, weights)
 
         monkeypatch.setattr(simulate, "_metric", spy)
-        peaks = []
+        # build the cached weights untraced: real, so T L (L + 1) columns
+        assert cb.metric_weights.shape == (K, 80)
+        peaks, points = [], []
         for blocks in (96, 384):
             sweep = SnrSweepConfig(
-                dims=SystemDims(4, 4, 2, 4), query_kind="dft", codebook=cb, snr_grid_db=(6.0,),
+                dims=dims, query_kind="dft", codebook=cb, snr_grid_db=(6.0,),
                 max_trials_per_point=blocks, target_error_events=10**6, seed=8,
             )
-            calls.clear()
+            slices.clear()
             tracemalloc.start()
             try:
-                point = simulate_ber(sweep, max_workers=1).points[0]
+                points.append(simulate_ber(sweep, max_workers=1).points[0])
                 peaks.append(tracemalloc.get_traced_memory()[1])
             finally:
                 tracemalloc.stop()
-            assert point.trials == blocks
-            for X, G, R, detected, slice_blocks in calls:
-                assert slice_blocks * len(cb) <= max(
-                    simulate._METRIC_BUDGET, simulate._MIN_SLICE * len(cb)
-                )
-                assert np.array_equal(detected, np.argmin(_brute_force(X, G, R, codewords), axis=1))
+            assert points[-1].trials == sum(slices) == blocks
+            assert max(slices) * 3 * K <= max(simulate._METRIC_BUDGET, 3 * simulate._MIN_SLICE * K)
         assert peaks[1] - peaks[0] < 8 * 2**20
+        assert peaks[1] < 96 * 2**20
+
+        # the 96 blocks are chunk 0 of batch 0, drawn in the simulator's order
+        rng = make_rng(8, (1, 0, 0))
+        H = sample_cn_matrix(96, dims.M * dims.L, rng).reshape(96, dims.M, dims.L)
+        G = sample_cn_matrix(96, dims.L * dims.N, rng).reshape(96, dims.L, dims.N)
+        sent = rng.integers(0, K, 96)
+        W = sample_cn_matrix(96, dims.T * dims.N, rng).reshape(96, dims.T, dims.N)
+        Q = query_array(simulate.build_query("dft", dims, 8))
+        XG = np.einsum("tm,kml,kln->ktln", Q, H, G)  # ((X o C) G)[t] = C[t] @ XG[t]
+        R = np.einsum("ktl,ktln->ktn", cb.stacked[sent], XG)
+        R = R + np.sqrt(1.0 / 10.0 ** (6.0 / 10.0)) * W
+        words = np.ascontiguousarray(cb.stacked.transpose(1, 0, 2))  # T x K x L
+        detected = np.empty(96, dtype=np.int64)
+        for k in range(96):  # ||R - S_j||^2 for every word j, one block at a time
+            diff = R[k][:, None] - words @ XG[k]
+            detected[k] = np.argmin(np.sum(diff.real**2 + diff.imag**2, axis=(0, 2)))
+        wrong = detected != sent
+        assert points[0].error_events == np.count_nonzero(wrong) > 0
+        bit_errors = int(np.sum(np.bitwise_count(sent[wrong] ^ detected[wrong])))
+        assert points[0].ber * 96 * cb.bits_per_block == pytest.approx(bit_errors, abs=1e-6)
 
 
 class TestSimulateBer:
