@@ -16,6 +16,7 @@ from mlnsim import (
     compare_queries,
     decay_exponent_checked,
     make_rng,
+    pep_eigen_product_curve,
     pep_eigen_product_mc,
     pep_qfunction_mc,
     pep_ratio_curve,
@@ -39,11 +40,8 @@ for name in ("example1", "example3"):
 
     for si, scheme in enumerate(("unitary", "uniform")):
         nominal = measures.r_unitary if scheme == "unitary" else measures.r_uniform
-        rng = make_rng(3, (si,))
-        ests = [
-            pep_eigen_product_mc(scheme, p.delta, p.dims, snr, TRIALS, rng)
-            for snr in EXPONENT_GRID
-        ]
+        # one set of G draws scores every point of the curve
+        ests = pep_eigen_product_curve(scheme, p.delta, p.dims, EXPONENT_GRID, TRIALS, make_rng(3, (si,)))
         try:
             fitted = decay_exponent_checked(ests, nominal)
             print(f"  {scheme:8s} decay exponent {fitted:.2f} (nominal {nominal})")

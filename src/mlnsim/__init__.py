@@ -49,6 +49,7 @@ from .pep import (
     check_scaled_limit,
     decay_exponent,
     decay_exponent_checked,
+    pep_eigen_product_curve,
     pep_eigen_product_mc,
     pep_qfunction_mc,
     pep_ratio_curve,

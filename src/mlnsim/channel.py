@@ -27,6 +27,7 @@ __all__ = [
     "ChannelRealization",
     "sample_channel",
     "mix",
+    "gram",
     "effective_signal",
     "backscatter_transmit",
 ]
@@ -83,6 +84,11 @@ def mix(X: np.ndarray, C: np.ndarray, G: np.ndarray) -> np.ndarray:
     A single forward row X (1 x L) broadcasts over the T rows of C.
     """
     return np.sum((X * C)[:, :, None] * G[None], axis=1)
+
+
+def gram(G: np.ndarray) -> np.ndarray:
+    """G G^H: L x L for an L x N G, or L x L x n for L x N x n (blocks last)."""
+    return np.sum(G[:, None] * G[None].conj(), axis=2)
 
 
 def effective_signal(q, H: np.ndarray, C: np.ndarray, G: np.ndarray) -> np.ndarray:

@@ -38,7 +38,7 @@ from .pep import (
     DivergentAverageError,
     decay_exponent_checked,
     pep_curve_to_csv,
-    pep_eigen_product_mc,
+    pep_eigen_product_curve,
     ratio_curve_to_csv,
     ratio_point,
 )
@@ -157,10 +157,7 @@ def _run_pep(cfg: ExperimentConfig, art: _Artifacts) -> int:
     curves = {}
     for i, scheme in enumerate(("unitary", "uniform")):
         rng = make_rng(cfg.seed, (20, i))
-        curves[scheme] = [
-            pep_eigen_product_mc(scheme, cfg.delta, cfg.dims, snr, cfg.trials, rng)
-            for snr in cfg.snr_grid_db
-        ]
+        curves[scheme] = pep_eigen_product_curve(scheme, cfg.delta, cfg.dims, cfg.snr_grid_db, cfg.trials, rng)
         art.write(f"pep_{slug}_{scheme}.csv", pep_curve_to_csv(curves[scheme]))
     ratio = [ratio_point(eu, ef) for eu, ef in zip(curves["unitary"], curves["uniform"])]
     art.write(f"pep_{slug}_ratio.csv", ratio_curve_to_csv(ratio))

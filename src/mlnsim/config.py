@@ -34,6 +34,7 @@ COMMANDS = ("measure", "verify-lemmas", "pep", "ber", "reproduce")
 DEFAULT_BER_GRID = tuple(float(s) for s in range(0, 41, 2))
 DEFAULT_PEP_GRID = tuple(float(s) for s in range(10, 46, 5))
 DEFAULT_EXPONENT_GRID = tuple(float(s) for s in range(25, 46, 5))
+_MAX_GRID_POINTS = 10_000
 
 CODEBOOK_BUILDERS = ("example1-pair", "repetition-bpsk", "uncoded-bpsk", "custom")
 
@@ -49,18 +50,29 @@ class ConfigError(ValueError):
 
 
 def parse_snr_grid(text: str) -> tuple:
-    """Parse "A:STEP:B" into an inclusive ascending dB grid."""
-    parts = text.split(":")
-    if len(parts) != 3:
-        raise ConfigError(f"snr_grid_db: expected A:STEP:B, got {text!r}")
+    """Parse "A:STEP:B" into A, A + STEP, ... <= B; a last point within 1e-9 STEP of B becomes B."""
     try:
-        a, step, b = (float(p) for p in parts)
+        a, step, b = (float(p) for p in text.split(":"))
     except ValueError:
-        raise ConfigError(f"snr_grid_db: non-numeric field in {text!r}") from None
-    if step <= 0 or b < a:
-        raise ConfigError(f"snr_grid_db: need step > 0 and B >= A in {text!r}")
-    n = int(round((b - a) / step))
-    return tuple(a + i * step for i in range(n + 1))
+        raise ConfigError(f"snr_grid_db: expected A:STEP:B with numeric fields, got {text!r}") from None
+    steps = (b - a) / step + 1e-9 if step > 0 else -1.0  # not finite unless A and B are
+    if not (math.isfinite(step) and a <= b and 0.0 <= steps < _MAX_GRID_POINTS):
+        raise ConfigError(f"snr_grid_db: need finite A <= B, STEP > 0, <= {_MAX_GRID_POINTS} points: {text!r}")
+    n = math.floor(steps)
+    last = a + n * step
+    return _checked_grid([a + i * step for i in range(n)] + [b if n and b - last <= 1e-9 * step else last])
+
+
+def _checked_grid(values) -> tuple:
+    """values as a nonempty, finite, strictly ascending tuple of floats."""
+    try:
+        grid = tuple(float(s) for s in values if not isinstance(s, (str, bytes, bool)))
+        ok = 0 < len(grid) == len(values) and all(map(math.isfinite, grid))
+    except (TypeError, ValueError, OverflowError):
+        ok = False
+    if not ok or any(b <= a for a, b in zip(grid, grid[1:])):
+        raise ConfigError(f"snr_grid_db: need finite numbers, strictly ascending, got {values!r:.100}")
+    return grid
 
 
 def _integer(key: str, value, minimum: int) -> int:
@@ -202,9 +214,7 @@ def load_config(path: str | None = None, overrides: dict | None = None) -> Exper
     if isinstance(grid_value, str):
         grid = parse_snr_grid(grid_value)
     elif grid_value is not None:
-        grid = tuple(float(s) for s in grid_value)
-        if any(b <= a for a, b in zip(grid, grid[1:])):
-            raise ConfigError("snr_grid_db: must be strictly ascending")
+        grid = _checked_grid(grid_value)
     else:
         grid = DEFAULT_BER_GRID if command in ("ber", "reproduce") else DEFAULT_PEP_GRID
 

@@ -15,6 +15,9 @@ Two routes are provided for each scheme:
   standard Chernoff-style bound on the Gaussian-averaged Q function, so
   this route upper-bounds the first one while sharing its asymptotic
   decay (the determinant criterion of Tarokh, Seshadri and Calderbank).
+  Only gbar depends on SNR, so ``pep_eigen_product_curve`` takes lam once
+  per draw of G and scores every point of a curve from it: the points are
+  correlated across SNR, while each one's estimate and SE are unchanged.
 
 gbar = 10**(snr_db / 10) throughout. Estimators report the Monte Carlo
 standard error alongside the value.
@@ -26,7 +29,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .channel import SystemDims, _blocks_last, mix
+from .channel import SystemDims, _blocks_last, gram, mix
 from .codes import DifferenceMatrix, _as_diff
 from .csvio import csv_rows
 from .linalg import DimensionMismatchError, sample_cn_matrix
@@ -41,6 +44,7 @@ __all__ = [
     "squared_distance_uniform",
     "pep_qfunction_mc",
     "pep_eigen_product_mc",
+    "pep_eigen_product_curve",
     "decay_exponent",
     "check_scaled_limit",
     "decay_exponent_checked",
@@ -174,20 +178,20 @@ def _checked_args(query_kind: str, delta, dims: SystemDims, trials: int):
     return d, A
 
 
-def _mc_mean(draw, trials: int) -> tuple[float, float]:
-    """Mean and standard error of batched `draw(n)` over `trials` samples."""
-    total = 0.0
-    total_sq = 0.0
+def _mc_mean(draw, trials: int, points: int = 1) -> tuple[np.ndarray, np.ndarray]:
+    """Means and standard errors over `trials` samples; draw(n) yields `points` length-n samples."""
+    total = np.zeros(points)
+    total_sq = np.zeros(points)
     done = 0
     while done < trials:
         n = min(_MC_BATCH, trials - done)
-        v = draw(n)
-        total += float(np.sum(v))
-        total_sq += float(np.sum(v * v))
+        for i, v in enumerate(draw(n)):
+            total[i] += float(np.sum(v))
+            total_sq[i] += float(np.sum(v * v))
         done += n
     mean = total / trials
-    var = max(total_sq / trials - mean * mean, 0.0)
-    return mean, float(np.sqrt(var / trials))
+    var = np.maximum(total_sq / trials - mean * mean, 0.0)
+    return mean, np.sqrt(var / trials)
 
 
 def pep_qfunction_mc(
@@ -207,20 +211,29 @@ def pep_qfunction_mc(
     d, A = _checked_args(query_kind, delta, dims, trials)
     gbar = 10.0 ** (snr_db / 10.0)
     mean, se = _mc_mean(
-        lambda n: qfunc(np.sqrt(gbar * _batched_z(A.shape[0], d, dims.N, n, rng) / 2.0)),
+        lambda n: [qfunc(np.sqrt(gbar * _batched_z(A.shape[0], d, dims.N, n, rng) / 2.0))],
         trials,
     )
-    return PepEstimate(float(snr_db), mean, se, trials, METHOD_QFUNC)
+    return PepEstimate(float(snr_db), float(mean[0]), float(se[0]), trials, METHOD_QFUNC)
 
 
-def _batched_lambda_product(A: np.ndarray, N: int, n: int, gbar: float, rng) -> np.ndarray:
-    """n draws of prod_w 1/det(I_L + (gbar/4) A_w o G G^H) for W x L x L weights A."""
-    L = A.shape[-1]
-    G = sample_cn_matrix(n, L * N, rng).reshape(n, L, N)
-    gram = G @ G.conj().transpose(0, 2, 1)  # n x L x L
-    M = (gbar / 4.0) * A * gram[:, None]  # n x W x L x L
-    M += np.eye(L)
-    return 1.0 / np.prod(np.linalg.det(M).real, axis=1)
+def _lambda_products(A: np.ndarray, N: int, n: int, gbars: list[float], rng):
+    """Yield, per gbar, n draws of prod_w 1/det(I_L + (gbar/4) A_w o G G^H) from one draw of G."""
+    G = sample_cn_matrix(n, A.shape[-1] * N, rng).reshape(n, A.shape[-1], N)
+    lam = np.linalg.eigvalsh(np.moveaxis(A[..., None] * gram(_blocks_last(G)), -1, 0)).reshape(n, -1)
+    for g in gbars:
+        yield 1.0 / np.prod(1.0 + (g / 4.0) * lam, axis=1)
+
+
+def pep_eigen_product_curve(
+    query_kind: str, delta, dims: SystemDims, snr_grid, trials: int, rng: np.random.Generator
+) -> list[PepEstimate]:
+    """``pep_eigen_product_mc`` at every point of snr_grid, all from one set of G draws."""
+    _, A = _checked_args(query_kind, delta, dims, trials)
+    snrs = [float(s) for s in snr_grid]
+    gbars = [10.0 ** (s / 10.0) for s in snrs]
+    mean, se = _mc_mean(lambda n: _lambda_products(A, dims.N, n, gbars, rng), trials, len(snrs))
+    return [PepEstimate(s, float(m), float(e), trials, METHOD_EIGEN) for s, m, e in zip(snrs, mean, se)]
 
 
 def pep_eigen_product_mc(
@@ -237,12 +250,9 @@ def pep_eigen_product_mc(
     each determinant is the product of 1 + lam*gbar/4 over that Gram
     matrix's eigenvalues; zero eigenvalues contribute unit factors. At
     gbar = 0, or for a zero delta, every determinant is exactly 1 and so
-    is the estimate.
+    is the estimate. A one-point ``pep_eigen_product_curve``.
     """
-    _, A = _checked_args(query_kind, delta, dims, trials)
-    gbar = 10.0 ** (snr_db / 10.0)
-    mean, se = _mc_mean(lambda n: _batched_lambda_product(A, dims.N, n, gbar, rng), trials)
-    return PepEstimate(float(snr_db), mean, se, trials, METHOD_EIGEN)
+    return pep_eigen_product_curve(query_kind, delta, dims, [snr_db], trials, rng)[0]
 
 
 def decay_exponent(estimates: list[PepEstimate]) -> float:
@@ -282,7 +292,9 @@ def check_scaled_limit(estimates: list[PepEstimate], exponent: int) -> ScaledLim
 
     When the limiting expectation behind the high-SNR constant is finite,
     the scaled sequence flattens; systematic growth (factor above 3,
-    significant at 3 sigma) flags a divergent average.
+    significant at 3 sigma) flags a divergent average. z combines the
+    endpoints' errors as if independent, which is conservative for the
+    positively correlated points of one ``pep_eigen_product_curve``.
     """
     if len(estimates) < 2:
         raise ValueError("need >= 2 estimates to assess the scaled limit")

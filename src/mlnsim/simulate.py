@@ -44,7 +44,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .channel import ChannelRealization, SystemDims, _blocks_last, mix
+from .channel import ChannelRealization, SystemDims, _blocks_last, gram, mix
 from .codes import Codebook
 from .csvio import csv_rows
 from .linalg import DimensionMismatchError, make_rng, sample_cn_matrix
@@ -190,8 +190,7 @@ def _metric(X: np.ndarray, G: np.ndarray, R: np.ndarray, weights: np.ndarray) ->
     """
     T, L, n = X.shape
     parts = weights.shape[1] // (T * L * (L + 1))
-    gram = np.sum(G[:, None] * G[None].conj(), axis=2)  # L x L x n: G G^H
-    energy = X[:, :, None] * X[:, None].conj() * gram  # T x L x L x n
+    energy = X[:, :, None] * X[:, None].conj() * gram(G)  # T x L x L x n
     feats = np.concatenate([_real_rows(energy, parts), _real_rows(_cross(X, G, R), parts)])
     return feats.T @ weights.T
 

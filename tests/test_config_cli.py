@@ -1,10 +1,15 @@
 """Tests for config loading and the command-line front end."""
 
 import json
+import math
 import os
+import tempfile
+from decimal import Decimal
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from mlnsim.cli import main
 from mlnsim.config import DEFAULT_PEP_GRID, ConfigError, load_config, parse_snr_grid
@@ -20,6 +25,106 @@ class TestParseGrid:
         for bad in ("0:2", "a:2:6", "0:-2:6", "6:2:0"):
             with pytest.raises(ConfigError):
                 parse_snr_grid(bad)
+
+    def test_no_point_past_b(self):
+        assert parse_snr_grid("0:6:10") == (0.0, 6.0)
+        for text in ("0:6:10", "0:4:13", "1:0.3:2", "-5:2.5:3", "0:0.7:7.1"):
+            b = float(text.split(":")[2])
+            assert all(s <= b for s in parse_snr_grid(text)), text
+
+    def test_fractional_step_ends_at_b(self):
+        grid = parse_snr_grid("0:0.1:1")
+        assert len(grid) == 11 and grid[-1] == 1.0
+        assert parse_snr_grid("0:0.1:0.3") == (0.0, 0.1, 0.2, 0.3)
+
+    @pytest.mark.parametrize("bad", ["nan:1:5", "0:1:inf", "-inf:1:0", "0:inf:5", "0:nan:5", "0:1e-300:1"])
+    def test_non_finite_or_huge_grid_is_named(self, bad):
+        with pytest.raises(ConfigError, match="snr_grid_db"):
+            parse_snr_grid(bad)
+
+    @pytest.mark.parametrize("bad", [["a", "b"], 5, [1, None], [float("nan"), 1], [], [2, 1], [True, 2]])
+    def test_bad_json_grid_is_named(self, bad):
+        with pytest.raises(ConfigError, match="snr_grid_db"):
+            load_config(overrides={"command": "pep", "preset": "example1", "snr_grid_db": bad})
+
+    @pytest.mark.parametrize("grid", ["nan:1:5", "0:1:inf"])
+    def test_cli_rejects_non_finite_grid(self, tmp_path, capsys, grid):
+        out = tmp_path / "o"
+        assert main(["measure", "--preset", "example1", "--snr-grid", grid, "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert "snr_grid_db" in err and "Traceback" not in err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("value", [["a", "b"], 5, [1, None], [float("nan"), 1]])
+    def test_cli_rejects_bad_json_grid(self, tmp_path, capsys, value):
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps({"command": "pep", "preset": "example1", "snr_grid_db": value}))
+        assert main(["pep", "--config", str(path), "--out", str(tmp_path / "o")]) == 2
+        err = capsys.readouterr().err
+        assert "snr_grid_db" in err and "Traceback" not in err
+
+
+_OUT = os.path.join(tempfile.gettempdir(), "mlnsim-out")
+_NUMBER = st.floats(allow_nan=True, allow_infinity=True) | st.integers(-10**400, 10**400)
+_JSON = st.recursive(
+    st.none() | st.booleans() | _NUMBER | st.text(max_size=4),
+    lambda inner: st.lists(inner, max_size=5) | st.dictionaries(st.text(max_size=3), inner, max_size=3),
+    max_leaves=8,
+)
+
+
+def _assert_valid_grid(grid, low=-math.inf, high=math.inf):
+    assert isinstance(grid, tuple) and grid
+    assert all(isinstance(s, float) and math.isfinite(s) and low <= s <= high for s in grid)
+    assert all(b > a for a, b in zip(grid, grid[1:]))
+
+
+class TestGridProperties:
+    """Every grid either comes out finite, ascending and in range, or names snr_grid_db."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(
+        st.one_of(
+            st.tuples(_NUMBER, _NUMBER, _NUMBER).map(lambda t: ":".join(map(repr, t))),
+            st.text(alphabet="0123456789.:-+eEinfa ", max_size=16),
+        )
+    )
+    @example("0.0:1000000000.0:-1.0")  # B < A within 1e-9 STEP
+    @example("0.0:1000000000.0:1.0")  # a lone A must not snap to B
+    def test_range_strings(self, text):
+        try:
+            grid = parse_snr_grid(text)
+        except ConfigError as exc:
+            assert "snr_grid_db" in str(exc)
+            return
+        a, _, b = (float(p) for p in text.split(":"))
+        _assert_valid_grid(grid, a, b)
+        assert grid[0] == a
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        st.integers(-500, 500),
+        st.sampled_from(["0.1", "0.25", "0.5", "1", "2", "2.5", "5"]),
+        st.integers(0, 60),
+    )
+    def test_whole_step_strings_end_at_b(self, a_tenths, step, k):
+        a = Decimal(a_tenths) / 10
+        b = a + k * Decimal(step)
+        grid = parse_snr_grid(f"{a}:{step}:{b}")
+        assert len(grid) == k + 1 and grid[-1] == float(b)
+        _assert_valid_grid(grid, float(a), float(b))
+
+    @settings(max_examples=300, deadline=None)
+    @given(_JSON | st.lists(st.floats(allow_nan=True, allow_infinity=True), max_size=6)
+           | st.lists(st.floats(-100, 100), min_size=1, max_size=6, unique=True).map(sorted))
+    def test_json_values(self, value):
+        overrides = {"command": "pep", "preset": "example1", "snr_grid_db": value, "out": _OUT}
+        try:
+            cfg = load_config(overrides=overrides)
+        except ConfigError as exc:
+            assert "snr_grid_db" in str(exc)
+            return
+        _assert_valid_grid(cfg.snr_grid_db)
 
 
 class TestLoadConfig:

@@ -1,5 +1,7 @@
 """Unit tests for the pairwise error probability estimators."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 from scipy.integrate import dblquad
@@ -15,12 +17,13 @@ from mlnsim.pep import (
     RATIO_CSV_HEADER,
     PepEstimate,
     RouteDisagreementError,
-    _batched_lambda_product,
+    _lambda_products,
     check_scaled_limit,
     decay_exponent,
     decay_exponent_checked,
     pep_curve_from_csv,
     pep_curve_to_csv,
+    pep_eigen_product_curve,
     pep_eigen_product_mc,
     pep_qfunction_mc,
     pep_ratio_curve,
@@ -238,7 +241,7 @@ class TestGramDeterminant:
     def _both(self, kind, delta, N, gbar, seed):
         L = delta.shape[0]
         A = scheme_weights(delta, kind)
-        got = _batched_lambda_product(A, N, self.DRAWS, gbar, make_rng(seed))
+        got = next(_lambda_products(A, N, self.DRAWS, [gbar], make_rng(seed)))
         G = sample_cn_matrix(self.DRAWS, L * N, make_rng(seed)).reshape(self.DRAWS, L, N)
         return got, self._svd_eigen_product(kind, delta, G, gbar)
 
@@ -259,6 +262,99 @@ class TestGramDeterminant:
             got, ref = self._both(kind, np.zeros((3, 2), dtype=complex), 2, 1e4, 41)
             assert np.all(got == 1.0)
             assert np.all(ref == 1.0)
+
+
+class TestEigenProductCurve:
+    """One set of G draws per curve, scored at every SNR point."""
+
+    RTOL = 1e-9
+
+    @staticmethod
+    def _determinant_terms(kind, delta, G, gbar):
+        """prod_w 1/det(I + (gbar/4) A_w o G G^H) per draw, with the batched G @ G^H."""
+        A = scheme_weights(delta, kind)
+        gram = G @ G.conj().transpose(0, 2, 1)
+        M = (gbar / 4.0) * A * gram[:, None] + np.eye(delta.shape[0])
+        return 1.0 / np.prod(np.linalg.det(M).real, axis=1)
+
+    def test_matches_determinants_on_redrawn_g(self, monkeypatch):
+        import mlnsim.pep as pep_mod
+
+        monkeypatch.setattr(pep_mod, "_MC_BATCH", 128)
+        trials = 300  # batches of 128, 128 and 44 draws
+        rng = make_rng(50)
+        for case in range(30):
+            L, T, N = (int(rng.integers(1, 4)) for _ in range(3))
+            delta = sample_cn_matrix(L, T, rng)
+            if case % 2:
+                delta[:, int(rng.integers(T))] = 0.0
+            grid = sorted(rng.choice([0.0, 5.0, 10.0, 20.0, 30.0, 45.0], size=4, replace=False))
+            dims = SystemDims(2, L, N, T)
+            for kind in ("unitary", "uniform"):
+                curve = pep_eigen_product_curve(kind, delta, dims, grid, trials, make_rng(200 + case))
+                redraw = make_rng(200 + case)
+                G = np.concatenate(
+                    [sample_cn_matrix(n, L * N, redraw).reshape(n, L, N) for n in (128, 128, 44)]
+                )
+                assert [e.snr_db for e in curve] == grid
+                for est, snr in zip(curve, grid):
+                    ref = self._determinant_terms(kind, delta, G, 10.0 ** (snr / 10.0))
+                    assert est.trials == trials and est.method == "eigen-product-mc"
+                    np.testing.assert_allclose(est.value, ref.mean(), rtol=self.RTOL, atol=0.0)
+                    np.testing.assert_allclose(
+                        est.std_error, ref.std() / np.sqrt(trials), rtol=1e-6, atol=1e-15
+                    )
+
+    def test_draws_do_not_grow_with_grid(self, monkeypatch):
+        import mlnsim.pep as pep_mod
+
+        monkeypatch.setattr(pep_mod, "_MC_BATCH", 100)
+        drawn = []
+
+        def counting(rows, cols, rng):
+            drawn.append(rows * cols)
+            return sample_cn_matrix(rows, cols, rng)
+
+        monkeypatch.setattr(pep_mod, "sample_cn_matrix", counting)
+        trials = 250
+        for points in (1, 2, 12):
+            drawn.clear()
+            grid = [10.0 + 3.0 * i for i in range(points)]
+            pep_eigen_product_curve("unitary", EXAMPLE1_DELTA, DIMS1, grid, trials, make_rng(51))
+            assert sum(drawn) == trials * DIMS1.L * DIMS1.N
+            assert len(drawn) == 3
+
+    def test_every_point_equals_a_one_point_run(self):
+        grid = [10.0, 15.0, 20.0, 25.0, 30.0, 35.0, 40.0, 45.0]
+        for delta, dims in ((EXAMPLE1_DELTA, DIMS1), (EXAMPLE3_DELTA, DIMS3)):
+            for kind in ("unitary", "uniform"):
+                curve = pep_eigen_product_curve(kind, delta, dims, grid, 3000, make_rng(52))
+                for est, snr in zip(curve, grid):
+                    assert est == pep_eigen_product_mc(kind, delta, dims, snr, 3000, make_rng(52))
+                one = pep_eigen_product_curve(kind, delta, dims, [grid[0]], 3000, make_rng(52))
+                assert one == [pep_eigen_product_mc(kind, delta, dims, grid[0], 3000, make_rng(52))]
+
+    def test_zero_gbar_and_zero_delta_give_exactly_one(self):
+        for kind in ("unitary", "uniform"):
+            curve = pep_eigen_product_curve(kind, EXAMPLE1_DELTA, DIMS1, [-np.inf, 20.0], 500, make_rng(53))
+            assert (curve[0].value, curve[0].std_error) == (1.0, 0.0)
+            assert curve[1].value < 1.0
+            zero = pep_eigen_product_curve(kind, np.zeros((2, 2)), DIMS1, [-np.inf, 0.0, 45.0], 500, make_rng(54))
+            assert all((e.value, e.std_error) == (1.0, 0.0) for e in zero)
+
+    def test_memory_does_not_grow_with_grid(self):
+        # stacking one length-`trials` sample per point would add 56 x 4000 x 8 B (1.8 MB)
+        pep_eigen_product_curve("unitary", EXAMPLE1_DELTA, DIMS1, [10.0], 4000, make_rng(55))  # warm-up
+        peaks = []
+        for points in (8, 64):
+            grid = list(np.linspace(10.0, 45.0, points))
+            tracemalloc.start()
+            try:
+                pep_eigen_product_curve("unitary", EXAMPLE1_DELTA, DIMS1, grid, 4000, make_rng(55))
+                peaks.append(tracemalloc.get_traced_memory()[1])
+            finally:
+                tracemalloc.stop()
+        assert abs(peaks[1] - peaks[0]) < 64 * 1024
 
 
 class TestDecayExponent:
