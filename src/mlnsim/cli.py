@@ -72,7 +72,7 @@ def _build_parser() -> _Parser:
         help="Monte Carlo trials for verify-lemmas/pep (defaults 1000 / 100000)",
     )
     parser.add_argument(
-        "--snr-grid", default=None, metavar="A:STEP:B",
+        "--snr-grid", dest="snr_grid_db", default=None, metavar="A:STEP:B",
         help="SNR grid in dB (defaults: ber 0:2:40, pep 10:5:45)",
     )
     parser.add_argument(
@@ -80,11 +80,11 @@ def _build_parser() -> _Parser:
         help="unitary construction compared against the uniform query (default dft)",
     )
     parser.add_argument(
-        "--events", type=int, default=None, metavar="N",
+        "--events", dest="target_error_events", type=int, default=None, metavar="N",
         help="target error events per BER point (default 200)",
     )
     parser.add_argument(
-        "--max-trials", type=int, default=None, metavar="N",
+        "--max-trials", dest="max_trials_per_point", type=int, default=None, metavar="N",
         help="trial cap per BER point (default 2000000)",
     )
     parser.add_argument("--out", default=None, metavar="DIR", help="output directory (default mlnsim-out)")
@@ -226,19 +226,9 @@ _RUNNERS = {
 
 def main(argv: list[str] | None = None) -> int:
     args = _build_parser().parse_args(argv)
-    overrides = {
-        "command": args.command,
-        "preset": args.preset,
-        "seed": args.seed,
-        "trials": args.trials,
-        "snr_grid_db": args.snr_grid,
-        "query": args.query,
-        "target_error_events": args.events,
-        "max_trials_per_point": args.max_trials,
-        "out": args.out,
-    }
+    overrides = vars(args)  # each flag's dest is its config key
     try:
-        cfg = load_config(args.config, overrides)
+        cfg = load_config(overrides.pop("config"), overrides)
     except ConfigError as exc:
         print(f"mlnsim {args.command}: {exc}", file=sys.stderr)
         return 2

@@ -3,14 +3,14 @@
 The config file mirrors the ExperimentConfig fields one-to-one. CLI flags
 override file values; a preset, when given, fully determines dimensions,
 codebook and difference matrix, and conflicting explicit settings are
-rejected. Presets are fragments of the same document (``presets.PRESETS``)
-and go through the same loader.
+rejected. Presets are fragments of the same document (``PRESETS``), built
+by the same ``_setting`` as a loaded one.
 
 Custom codebooks are inline: ``"codebook": "custom"`` with a
-``"codewords"`` list of T x L matrices whose entries are either plain
-numbers (real) or two-element [re, im] lists. An explicit ``"delta"``
-matrix (L x T, same entry forms) may be supplied for the analytical
-commands; otherwise the difference of the first two codewords is used.
+``"codewords"`` list of T x L matrices whose entries are finite numbers
+(real) or [re, im] pairs of them. An explicit L x T ``"delta"`` (same
+entries) wins for the analytical commands; else example1-pair uses
+EXAMPLE1_DELTA and other codes their first two codewords' difference.
 """
 
 from __future__ import annotations
@@ -24,10 +24,9 @@ import numpy as np
 
 from .channel import SystemDims
 from .codes import Codebook, difference_matrix, repetition_bpsk, uncoded_bpsk, pairwise_codebook_from_delta, EXAMPLE1_DELTA
-from .presets import PRESET_NAMES, PRESETS
 from .query import UNITARY_KINDS
 
-__all__ = ["ConfigError", "ExperimentConfig", "load_config", "parse_snr_grid"]
+__all__ = ["ConfigError", "ExperimentConfig", "PRESETS", "PRESET_NAMES", "load_config", "parse_snr_grid"]
 
 COMMANDS = ("measure", "verify-lemmas", "pep", "ber", "reproduce")
 
@@ -37,6 +36,14 @@ DEFAULT_EXPONENT_GRID = tuple(float(s) for s in range(25, 46, 5))
 _MAX_GRID_POINTS = 10_000
 
 CODEBOOK_BUILDERS = ("example1-pair", "repetition-bpsk", "uncoded-bpsk", "custom")
+
+# each preset is a config fragment: the dimension and codebook keys of the loader
+PRESETS = {
+    "example1": {"m": 2, "l": 2, "n": 2, "t": 2, "codebook": "example1-pair"},
+    "example2": {"m": 2, "l": 2, "n": 1, "t": 2, "codebook": "example1-pair"},
+    "example3": {"m": 2, "l": 1, "n": 2, "t": 2, "codebook": "repetition-bpsk"},
+}
+PRESET_NAMES = tuple(PRESETS)
 
 _CONFIG_KEYS = {
     "command", "preset", "m", "l", "n", "t", "query", "codebook", "codewords",
@@ -88,12 +95,15 @@ def _integer(key: str, value, minimum: int) -> int:
     return v
 
 
-def _parse_entry(v):
-    if isinstance(v, (int, float)):
-        return complex(v)
-    if isinstance(v, list) and len(v) == 2 and all(isinstance(x, (int, float)) for x in v):
-        return complex(v[0], v[1])
-    raise ConfigError(f"codewords: matrix entries must be numbers or [re, im] pairs, got {v!r}")
+def _parse_entry(v, what: str) -> complex:
+    parts = v if isinstance(v, list) and len(v) == 2 else [v]
+    try:  # math.isfinite raises OverflowError for an int too large for a float
+        ok = all(isinstance(x, (int, float)) and not isinstance(x, bool) and math.isfinite(x) for x in parts)
+    except OverflowError:
+        ok = False
+    if not ok:
+        raise ConfigError(f"{what}: matrix entries must be finite numbers or [re, im] pairs, got {v!r:.100}")
+    return complex(*parts)
 
 
 def _parse_matrix(rows, what: str) -> np.ndarray:
@@ -102,7 +112,7 @@ def _parse_matrix(rows, what: str) -> np.ndarray:
     width = len(rows[0])
     if width == 0 or any(len(r) != width for r in rows):
         raise ConfigError(f"{what}: rows must be nonempty and equal length")
-    return np.array([[_parse_entry(v) for v in r] for r in rows], dtype=complex)
+    return np.array([[_parse_entry(v, what) for v in r] for r in rows], dtype=complex)
 
 
 @dataclass(frozen=True)
@@ -125,28 +135,45 @@ class ExperimentConfig:
     snr_grid_explicit: bool = field(default=False, compare=False)
 
 
-def _build_codebook(name, values, dims: SystemDims):
+def _build_codebook(name, values, dims: SystemDims) -> Codebook:
     if name == "example1-pair":
-        cb, _ = pairwise_codebook_from_delta(EXAMPLE1_DELTA)
-        return cb, EXAMPLE1_DELTA.copy()
+        return pairwise_codebook_from_delta(EXAMPLE1_DELTA)[0]
     if name == "repetition-bpsk":
-        cb = repetition_bpsk(dims.T)
-        return cb, difference_matrix(cb.codewords[0], cb.codewords[1]).delta
+        return repetition_bpsk(dims.T)
     if name == "uncoded-bpsk":
-        return uncoded_bpsk(dims.T, dims.L), None
+        return uncoded_bpsk(dims.T, dims.L)
     if name == "custom":
         if not isinstance(values, list) or len(values) < 2:
             raise ConfigError("codewords: custom codebook needs a list of >= 2 codewords")
         words = tuple(_parse_matrix(w, "codewords") for w in values)
-        bits = math.log2(len(words))
-        if bits != int(bits):
-            raise ConfigError(f"codewords: count {len(words)} is not a power of 2")
-        try:
-            cb = Codebook(words, bits_per_block=int(bits))
-        except ValueError as exc:
-            raise ConfigError(f"codewords: {exc}") from exc
-        return cb, None
+        # a count that is not a power of 2 fails Codebook's own bits check
+        return Codebook(words, bits_per_block=len(words).bit_length() - 1)
     raise ConfigError(f"codebook: unknown name {name!r}; choose from {CODEBOOK_BUILDERS}")
+
+
+def _setting(doc: dict) -> tuple[SystemDims, Codebook, np.ndarray]:
+    """Dims, codebook and L x T difference matrix of a document or preset fragment."""
+    name = doc.get("codebook")
+    if name is None:
+        raise ConfigError("codebook: required when no preset is given")
+    dims = SystemDims(*(_integer(k, doc.get(k, 0), 1) for k in ("m", "l", "n", "t")))
+    try:
+        codebook = _build_codebook(name, doc.get("codewords"), dims)
+    except ConfigError:
+        raise
+    except ValueError as exc:  # a builder's own check: size, shape, count or energy
+        raise ConfigError(f"{'codewords' if name == 'custom' else 'codebook'}: {exc}") from exc
+    if (codebook.T, codebook.L) != (dims.T, dims.L):
+        raise ConfigError(f"codebook: codewords are {codebook.T}x{codebook.L} but dims give T={dims.T}, L={dims.L}")
+    if "delta" in doc:
+        delta = _parse_matrix(doc["delta"], "delta")
+    elif name == "example1-pair":
+        delta = EXAMPLE1_DELTA.copy()
+    else:
+        delta = difference_matrix(codebook.codewords[0], codebook.codewords[1]).delta
+    if delta.shape != (dims.L, dims.T):
+        raise ConfigError(f"delta: must be L x T = {dims.L}x{dims.T}, got {delta.shape}")
+    return dims, codebook, delta
 
 
 def load_config(path: str | None = None, overrides: dict | None = None) -> ExperimentConfig:
@@ -162,8 +189,8 @@ def load_config(path: str | None = None, overrides: dict | None = None) -> Exper
                 raw = json.load(fh)
         except OSError as exc:
             raise ConfigError(f"config: cannot read {path}: {exc}") from exc
-        except json.JSONDecodeError as exc:
-            raise ConfigError(f"config: {path} line {exc.lineno}: {exc.msg}") from exc
+        except ValueError as exc:  # malformed JSON, or an integer literal past Python's digit limit
+            raise ConfigError(f"config: {path}: {exc}") from exc
         if not isinstance(raw, dict):
             raise ConfigError("config: top level must be a JSON object")
     unknown = set(raw) - _CONFIG_KEYS
@@ -193,21 +220,12 @@ def load_config(path: str | None = None, overrides: dict | None = None) -> Exper
         if conflicts:
             raise ConfigError(f"preset: {preset_name} fixes dims and codebook; remove {conflicts}")
         merged.update(PRESETS[preset_name])
-    codebook_name = merged.get("codebook")
-    if codebook_name is None:
-        raise ConfigError("codebook: required when no preset is given")
-    dims = SystemDims(*(_integer(k, merged.get(k, 0), 1) for k in ("m", "l", "n", "t")))
-    codebook, delta = _build_codebook(codebook_name, merged.get("codewords"), dims)
-    if "delta" in merged:
-        delta = _parse_matrix(merged["delta"], "delta")
-    elif delta is None:
-        delta = difference_matrix(codebook.codewords[0], codebook.codewords[1]).delta
-    if (codebook.T, codebook.L) != (dims.T, dims.L):
-        raise ConfigError(
-            f"codebook: codewords are {codebook.T}x{codebook.L} but dims give T={dims.T}, L={dims.L}"
-        )
-    if delta.shape != (dims.L, dims.T):
-        raise ConfigError(f"delta: must be L x T = {dims.L}x{dims.T}, got {delta.shape}")
+    dims, codebook, delta = _setting(merged)
+    ber = command in ("ber", "reproduce")  # the BER stage runs the unitary query (SnrSweepConfig)
+    if ber and dims.T != dims.M:
+        raise ConfigError(f"t: a unitary query needs t == m, got t={dims.T}, m={dims.M}")
+    if ber and query == "hadamard" and dims.M & (dims.M - 1):
+        raise ConfigError(f"query: hadamard needs m a power of 2, got m={dims.M}")
 
     grid_value = merged.get("snr_grid_db")
     explicit_grid = grid_value is not None
@@ -234,7 +252,7 @@ def load_config(path: str | None = None, overrides: dict | None = None) -> Exper
         preset=preset_name,
         dims=dims,
         query=query,
-        codebook_name=codebook_name,
+        codebook_name=merged["codebook"],
         codebook=codebook,
         delta=np.asarray(delta, dtype=complex),
         snr_grid_db=grid,

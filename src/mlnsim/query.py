@@ -42,14 +42,6 @@ class QueryMatrix:
     matrix: np.ndarray
     kind: str
 
-    @property
-    def T(self) -> int:
-        return self.matrix.shape[0]
-
-    @property
-    def M(self) -> int:
-        return self.matrix.shape[1]
-
 
 def query_array(q) -> np.ndarray:
     """Accept a QueryMatrix or a bare array and return the array."""

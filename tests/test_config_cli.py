@@ -12,8 +12,9 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from mlnsim.cli import main
-from mlnsim.config import DEFAULT_PEP_GRID, ConfigError, load_config, parse_snr_grid
+from mlnsim.config import DEFAULT_PEP_GRID, PRESET_NAMES, ConfigError, load_config, parse_snr_grid
 from mlnsim.pep import pep_curve_from_csv, ratio_curve_from_csv, ratio_curve_to_csv, ratio_point
+from mlnsim.presets import get_preset
 from mlnsim.simulate import BerCurve
 
 
@@ -125,6 +126,167 @@ class TestGridProperties:
             assert "snr_grid_db" in str(exc)
             return
         _assert_valid_grid(cfg.snr_grid_db)
+
+
+# matrix entries tagged with whether the loader must accept them; every accepted
+# one has modulus 1, so any 2 or 4 words of them meet the energy normalization
+_UNIT_ENTRY = st.sampled_from([1, -1, 1.0, -1.0, [0, 1], [0.0, -1.0], [1, 0], [-1, 0.0]])
+_BAD_NUMBER = (
+    st.sampled_from([math.nan, math.inf, -math.inf, True, False])
+    | st.integers(2**1024, 10**400) | st.integers(-(10**400), -(2**1024))
+)
+_BAD_ENTRY = st.one_of(
+    _BAD_NUMBER,
+    st.text(max_size=3),
+    st.none(),
+    st.lists(_UNIT_ENTRY, max_size=3).filter(lambda v: len(v) != 2),  # not a pair
+    st.tuples(_BAD_NUMBER, st.sampled_from([1, 0.5]) | _BAD_NUMBER).map(list).flatmap(st.permutations),
+    st.lists(st.lists(_NUMBER, min_size=2, max_size=2), min_size=1, max_size=2),  # nested pairs
+)
+_ENTRY = _UNIT_ENTRY.map(lambda v: (True, v)) | _BAD_ENTRY.map(lambda v: (False, v))
+
+
+def _loads_or_names(overrides, *fields):
+    """The loaded config, or None after checking that the ConfigError starts with one of fields."""
+    try:
+        return load_config(overrides={"out": _OUT, **overrides})
+    except ConfigError as exc:
+        assert str(exc).startswith(tuple(f"{f}:" for f in fields)), (fields, str(exc))
+        return None
+
+
+class TestDocumentProperties:
+    """Every codewords, delta or dims value either loads or raises a ConfigError naming its field."""
+
+    _CUSTOM = {"command": "measure", "m": 2, "l": 1, "n": 2, "t": 2, "codebook": "custom"}
+    _REPETITION = {"command": "measure", "m": 2, "l": 1, "n": 2, "t": 2, "codebook": "repetition-bpsk"}
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.lists(st.lists(_ENTRY, min_size=2, max_size=2), max_size=5))
+    @example([[(True, 1), (False, math.nan)], [(True, -1), (True, -1)]])
+    @example([[(True, 1), (False, 10**400)], [(True, -1), (True, -1)]])
+    @example([[(True, 1), (False, True)], [(True, -1), (True, -1)]])
+    def test_codewords_entries(self, tagged):
+        words = [[[v] for _, v in w] for w in tagged]
+        ok = len(words) in (2, 4) and all(good for w in tagged for good, _ in w)
+        cfg = _loads_or_names({**self._CUSTOM, "codewords": words}, "codewords")
+        assert (cfg is not None) == ok
+        if cfg is not None:
+            assert np.all(np.isfinite(cfg.codebook.stacked)) and np.all(np.isfinite(cfg.delta))
+
+    @settings(max_examples=200, deadline=None)
+    @given(_JSON)
+    def test_codewords_any_json(self, value):
+        cfg = _loads_or_names({**self._CUSTOM, "codewords": value}, "codewords", "codebook")
+        if cfg is not None:
+            assert np.all(np.isfinite(cfg.codebook.stacked))
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.lists(_ENTRY, min_size=2, max_size=2))
+    @example([(True, 1), (False, math.inf)])
+    @example([(True, 1), (False, "x")])
+    def test_delta_entries(self, tagged):
+        cfg = _loads_or_names({**self._REPETITION, "delta": [[v for _, v in tagged]]}, "delta")
+        assert (cfg is not None) == all(good for good, _ in tagged)
+        if cfg is not None:
+            want = [complex(*v) if isinstance(v, list) else complex(v) for _, v in tagged]
+            assert cfg.delta.tolist() == [want]
+
+    @settings(max_examples=200, deadline=None)
+    @given(_JSON)
+    def test_delta_any_json(self, value):
+        cfg = _loads_or_names({**self._REPETITION, "delta": value}, "delta")
+        if cfg is not None:
+            assert cfg.delta.shape == (1, 2) and np.all(np.isfinite(cfg.delta))
+
+    @settings(max_examples=300, deadline=None)
+    @given(
+        st.sampled_from(["measure", "pep", "ber", "reproduce"]),
+        st.fixed_dictionaries({k: st.one_of(
+            st.integers(-1, 5), st.integers(2**64, 10**400), st.floats(allow_nan=True, allow_infinity=True),
+            st.booleans(), st.none(), st.sampled_from(["2", "x", "", "1.5", "0"]), st.lists(st.integers(1, 3)),
+        ) for k in ("m", "l", "n", "t")}),
+    )
+    @example("measure", {"m": 4, "l": 4, "n": 1, "t": 5})  # 2^20 words: the builder refuses
+    @example("ber", {"m": 3, "l": 1, "n": 2, "t": 2})
+    def test_dims(self, command, dims):
+        def as_dim(v):  # what a dimension value means, or None if it is rejected
+            if isinstance(v, str):
+                v = {"2": 2}.get(v)
+            elif isinstance(v, float) and math.isfinite(v) and v == int(v):
+                v = int(v)
+            return v if type(v) is int and v >= 1 else None
+
+        parsed = {k: as_dim(v) for k, v in dims.items()}
+        bad = [k for k in "mlnt" if parsed[k] is None]  # the loader checks m, l, n, t in turn
+        if bad:
+            expected = bad[0]
+        elif parsed["t"] * parsed["l"] > 16:
+            expected = "codebook"
+        elif command in ("ber", "reproduce") and parsed["t"] != parsed["m"]:
+            expected = "t"
+        else:
+            expected = None
+        doc = {"command": command, "codebook": "uncoded-bpsk", **dims}
+        cfg = _loads_or_names(doc, *([expected] if expected else []))
+        assert (cfg is None) == bool(expected)
+        if cfg is not None:
+            assert (cfg.dims.M, cfg.dims.L, cfg.dims.N, cfg.dims.T) == tuple(parsed[k] for k in "mlnt")
+            assert len(cfg.codebook) == 2 ** (parsed["t"] * parsed["l"])
+
+
+@pytest.mark.parametrize("name", PRESET_NAMES)
+def test_get_preset_matches_load_config(name):
+    p = get_preset(name)
+    cfg = load_config(overrides={"command": "measure", "preset": name})
+    assert p.dims == cfg.dims and p.codebook_name == cfg.codebook_name
+    assert np.array_equal(p.delta, cfg.delta)
+    assert len(p.codebook) == len(cfg.codebook)
+    assert np.array_equal(p.codebook.stacked, cfg.codebook.stacked)
+
+
+_CUSTOM_PAIR = {"m": 2, "l": 1, "n": 2, "t": 2, "codebook": "custom"}
+_FAULTS = {
+    "nan-codeword": ("measure", {**_CUSTOM_PAIR, "codewords": [[[math.nan], [1]], [[-1], [-1]]]}, "codewords"),
+    "huge-int-codeword": ("measure", {**_CUSTOM_PAIR, "codewords": [[[10**400], [1]], [[-1], [-1]]]}, "codewords"),
+    "bool-codeword": ("measure", {**_CUSTOM_PAIR, "codewords": [[[True], [1]], [[-1], [-1]]]}, "codewords"),
+    "inf-delta": ("measure", {"m": 2, "l": 1, "n": 2, "t": 2, "codebook": "repetition-bpsk",
+                              "delta": [[1, math.inf]]}, "delta"),
+    "string-delta": ("measure", {"m": 2, "l": 1, "n": 2, "t": 2, "codebook": "repetition-bpsk",
+                                 "delta": [[1, "x"]]}, "delta"),
+    "uncoded-too-large": ("measure", {"m": 4, "l": 4, "n": 1, "t": 5, "codebook": "uncoded-bpsk"}, "codebook"),
+    "unitary-t-not-m": ("reproduce", {"m": 3, "l": 1, "n": 2, "t": 2, "codebook": "repetition-bpsk"}, "t"),
+    "hadamard-m-3": ("ber", {"m": 3, "l": 1, "n": 2, "t": 3, "codebook": "repetition-bpsk",
+                             "query": "hadamard"}, "query"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(_FAULTS))
+def test_cli_fault_is_named_before_any_stage(tmp_path, capsys, case):
+    command, doc, field = _FAULTS[case]
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps({"command": command, **doc}))
+    out = tmp_path / "o"
+    assert main([command, "--config", str(path), "--out", str(out)]) == 2
+    captured = capsys.readouterr()
+    assert captured.err.startswith(f"mlnsim {command}: {field}:"), captured.err
+    assert "Traceback" not in captured.err and captured.out == ""
+    assert not out.exists()
+
+
+def test_cli_names_integer_literal_past_digit_limit(tmp_path, capsys):
+    path = tmp_path / "cfg.json"
+    path.write_text('{"command": "measure", "preset": "example1", "seed": ' + "1" * 5000 + "}")
+    assert main(["measure", "--config", str(path), "--out", str(tmp_path / "o")]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("mlnsim measure: config:") and "Traceback" not in err
+
+
+@pytest.mark.parametrize("command", ["measure", "pep", "verify-lemmas"])
+def test_t_other_than_m_loads_without_ber(command):
+    cfg = load_config(overrides={"command": command, "m": 3, "l": 1, "n": 2, "t": 2,
+                                 "codebook": "repetition-bpsk", "query": "hadamard"})
+    assert (cfg.dims.M, cfg.dims.T) == (3, 2)
 
 
 class TestLoadConfig:

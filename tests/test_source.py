@@ -27,3 +27,22 @@ def test_cli_import_leaves_scipy_unloaded():
     out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
                          text=True, check=True, timeout=60)
     assert out.stdout.strip() == "False"
+
+
+def test_no_function_imports_a_sibling_module():
+    # a deferred package import hides an import cycle (presets once imported config
+    # inside get_preset); only third-party imports such as scipy may be deferred
+    def sibling(node):
+        if isinstance(node, ast.ImportFrom):
+            return node.level > 0 or (node.module or "").split(".")[0] == "mlnsim"
+        return isinstance(node, ast.Import) and any(a.name.split(".")[0] == "mlnsim" for a in node.names)
+
+    found = [
+        f"{path.name}:{node.lineno}"
+        for path in sorted(SRC.glob("*.py"))
+        for func in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
+        if isinstance(func, (ast.FunctionDef, ast.AsyncFunctionDef))
+        for node in ast.walk(func)
+        if sibling(node)
+    ]
+    assert found == []
