@@ -242,7 +242,9 @@ def load_config(path: str | None = None, overrides: dict | None = None) -> Exper
     target_events = _integer("target_error_events", merged.get("target_error_events", 200), 1)
     max_trials = _integer("max_trials_per_point", merged.get("max_trials_per_point", 2_000_000), 1)
 
-    out_dir = str(merged.get("out", "mlnsim-out"))
+    out_dir = merged.get("out", "mlnsim-out")
+    if not isinstance(out_dir, str) or not out_dir or "\0" in out_dir:
+        raise ConfigError(f"out: must be a nonempty directory path, got {out_dir!r:.100}")
     parent = os.path.dirname(os.path.abspath(out_dir))
     if not os.path.isdir(parent) or not os.access(parent, os.W_OK):
         raise ConfigError(f"out: cannot create output directory under {parent}")

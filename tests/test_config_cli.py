@@ -155,8 +155,20 @@ def _loads_or_names(overrides, *fields):
         return None
 
 
+def _as_count(value):
+    """What the loader makes of a count such as seed or trials: an int, or None if rejected."""
+    if isinstance(value, bool) or not isinstance(value, (int, float, str)):
+        return None
+    if isinstance(value, float):
+        return int(value) if math.isfinite(value) and value == int(value) else None
+    try:
+        return int(value)  # integer strings count, as they do for m, l, n and t
+    except ValueError:
+        return None
+
+
 class TestDocumentProperties:
-    """Every codewords, delta or dims value either loads or raises a ConfigError naming its field."""
+    """Every codewords, delta, dims, seed, trials or out value loads or raises a ConfigError naming its field."""
 
     _CUSTOM = {"command": "measure", "m": 2, "l": 1, "n": 2, "t": 2, "codebook": "custom"}
     _REPETITION = {"command": "measure", "m": 2, "l": 1, "n": 2, "t": 2, "codebook": "repetition-bpsk"}
@@ -234,6 +246,35 @@ class TestDocumentProperties:
             assert (cfg.dims.M, cfg.dims.L, cfg.dims.N, cfg.dims.T) == tuple(parsed[k] for k in "mlnt")
             assert len(cfg.codebook) == 2 ** (parsed["t"] * parsed["l"])
 
+    @settings(max_examples=300, deadline=None)
+    @given(
+        st.sampled_from(["seed", "trials"]),
+        _JSON | st.integers(-3, 3) | st.floats(-3, 3) | st.sampled_from(["0", "1", "-1", " 7 ", "2.0", "x", ""]),
+    )
+    @example("seed", True)
+    @example("trials", 0.0)
+    @example("trials", 2.5)
+    def test_seed_and_trials(self, key, value):
+        minimum, default = {"seed": (0, 0), "trials": (1, 1000)}[key]
+        want = default if value is None else _as_count(value)  # a None override is no override
+        cfg = _loads_or_names({"command": "verify-lemmas", "preset": "example1", key: value}, key)
+        assert (cfg is not None) == (want is not None and want >= minimum)
+        if cfg is not None:
+            got = getattr(cfg, key)
+            assert type(got) is int and got == want
+
+    @settings(max_examples=300, deadline=None)
+    @given(_JSON | st.text(max_size=12) | st.sampled_from(["", ".", "/", "out", "no-such-dir/out", "a\0b"]))
+    @example(["x", 1])
+    @example("")
+    def test_out(self, value):
+        cfg = _loads_or_names({"command": "measure", "preset": "example1", "out": value}, "out")
+        if value is not None and (not isinstance(value, str) or not value or "\0" in value):
+            assert cfg is None
+        if cfg is not None:
+            assert cfg.output_dir == ("mlnsim-out" if value is None else value)
+            assert os.path.isdir(os.path.dirname(os.path.abspath(cfg.output_dir)))
+
 
 @pytest.mark.parametrize("name", PRESET_NAMES)
 def test_get_preset_matches_load_config(name):
@@ -272,6 +313,20 @@ def test_cli_fault_is_named_before_any_stage(tmp_path, capsys, case):
     assert captured.err.startswith(f"mlnsim {command}: {field}:"), captured.err
     assert "Traceback" not in captured.err and captured.out == ""
     assert not out.exists()
+
+
+@pytest.mark.parametrize("doc_out, flag_out", [(["x", 1], None), (None, "")])
+def test_cli_bad_out_is_named(tmp_path, monkeypatch, capsys, doc_out, flag_out):
+    # str(["x", 1]) would name a directory "['x', 1]", and "" names none, so writing would fail
+    monkeypatch.chdir(tmp_path)
+    doc = {"command": "measure", "preset": "example1"} | ({} if doc_out is None else {"out": doc_out})
+    (tmp_path / "cfg.json").write_text(json.dumps(doc))
+    argv = ["measure", "--config", "cfg.json"] + ([] if flag_out is None else ["--out", flag_out])
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.err.startswith("mlnsim measure: out: must be a nonempty directory path"), captured.err
+    assert "Traceback" not in captured.err and captured.out == ""
+    assert [p.name for p in tmp_path.iterdir()] == ["cfg.json"]
 
 
 def test_cli_names_integer_literal_past_digit_limit(tmp_path, capsys):
@@ -321,6 +376,13 @@ class TestLoadConfig:
         with pytest.raises(ConfigError, match="^m: must be an integer, got 2.7"):
             load_config(None, {"command": "ber", "m": 2.7, "l": 1, "n": 1, "t": 2,
                                "codebook": "uncoded-bpsk"})
+
+    @pytest.mark.parametrize("value", ["", ["x", 1], 3, {"a": "b"}, "a\0b"])
+    def test_bad_out_is_named(self, tmp_path, monkeypatch, value):
+        monkeypatch.chdir(tmp_path)
+        with pytest.raises(ConfigError, match="^out: must be a nonempty directory path"):
+            load_config(None, {"command": "measure", "preset": "example1", "out": value})
+        assert list(tmp_path.iterdir()) == []
 
     def test_flags_override_file(self, tmp_path):
         path = tmp_path / "cfg.json"

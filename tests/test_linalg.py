@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from mlnsim import linalg
 from mlnsim.linalg import (
     DimensionMismatchError,
     frobenius_norm_sq,
@@ -11,9 +12,11 @@ from mlnsim.linalg import (
     matmul,
     numeric_rank,
     random_unitary,
+    rank_from_singulars,
     sample_cn_matrix,
     singular_values,
 )
+from mlnsim.measure import empirical_rank_check
 
 EXAMPLE1_DELTA = np.array([[1.0, -2.0], [1.5, 2.5]])
 
@@ -140,6 +143,86 @@ class TestSingularValues:
         assert resid < 1e-10
 
 
+def _lapack(a):
+    return np.linalg.svd(a, compute_uv=False)
+
+
+def _stack(m, n, rng, count=300):
+    """Random m x n matrices over six decades of scale, led by the degenerate kinds."""
+    a = sample_cn_matrix(count * m, n, rng).reshape(count, m, n) * 10.0 ** rng.uniform(-3, 3, (count, 1, 1))
+    a[0] = 0
+    a[1, 0] = 0  # a zero row
+    a[2, :, 0] = 0  # a zero column
+    if m > 1:
+        a[3, 1] = (0.3 - 2j) * a[3, 0]  # proportional rows
+    if n > 1:
+        a[4, :, 1] = (1.7 + 0.1j) * a[4, :, 0]  # proportional columns
+    for i in range(5, 15):  # all singular values equal
+        a[i] = 3.5 * random_unitary(max(m, n), rng)[:m, :n]
+    return a
+
+
+def _near_threshold(m, n, count, rng):
+    """U S V^H with sigma2 / sigma1 log-uniform on [1e-11, 1e-8], around the rank threshold."""
+    u = np.linalg.qr(sample_cn_matrix(count * m, m, rng).reshape(count, m, m))[0]
+    v = np.linalg.qr(sample_cn_matrix(count * n, n, rng).reshape(count, n, n))[0]
+    s = np.zeros((count, m, n))
+    s[:, 0, 0] = 10.0 ** rng.uniform(-3, 3, count)
+    s[:, 1, 1] = s[:, 0, 0] * 10.0 ** rng.uniform(-11, -8, count)
+    return u @ s @ v
+
+
+class TestSingularValueStacks:
+    """The closed form for min(m, n) <= 2 against numpy's LAPACK SVD, taken here."""
+
+    @pytest.mark.parametrize("m", [1, 2, 3, 4])
+    @pytest.mark.parametrize("n", [1, 2, 3, 4])
+    def test_every_shape_matches_lapack(self, m, n):
+        a = _stack(m, n, make_rng(20, (m, n)))
+        got, ref = singular_values(a), _lapack(a)
+        assert got.shape == ref.shape == (len(a), min(m, n))
+        assert np.all(np.abs(got - ref) <= 1e-12 * ref[:, :1])
+        assert np.all(got[0] == 0)
+
+    @pytest.mark.parametrize("shape", [(2, 2), (2, 4), (4, 2), (3, 2)])
+    def test_rank_decisions_match_lapack_near_threshold(self, shape):
+        a = _near_threshold(*shape, 25_000, make_rng(21, shape))
+        ref = rank_from_singulars(_lapack(a), max(shape))
+        got = rank_from_singulars(singular_values(a), max(shape))
+        assert 0.3 < np.mean(ref == 1) < 0.7  # the band straddles the threshold
+        assert np.array_equal(got, ref)
+
+    def test_leading_axes_and_slices(self, monkeypatch):
+        a = sample_cn_matrix(3 * 5 * 2, 3, make_rng(22)).reshape(3, 5, 2, 3)
+        whole = singular_values(a)
+        assert whole.shape == (3, 5, 2)
+        assert np.all(np.abs(whole - _lapack(a)) <= 1e-12 * _lapack(a)[..., :1])
+        monkeypatch.setattr(linalg, "_SV_SLICE", 2)
+        assert np.array_equal(singular_values(a), whole)
+
+    @pytest.mark.parametrize("scale", [1e-300, 1e-200, 1e200, 1e300])
+    def test_extreme_scales(self, scale):
+        a = _stack(2, 3, make_rng(23), count=20) * scale
+        got, ref = singular_values(a), _lapack(a)
+        assert np.all(np.abs(got - ref) <= 1e-12 * ref[:, :1])
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_non_finite_entry_raises(self, bad):
+        a = np.ones((4, 2, 3))
+        a[2, 1, 0] = bad
+        with pytest.raises(np.linalg.LinAlgError), np.errstate(invalid="ignore"):
+            singular_values(a)
+
+    def test_rank_check_makes_no_lapack_call(self, monkeypatch):
+        calls = []
+        svd = np.linalg.svd
+        monkeypatch.setattr(np.linalg, "svd", lambda a, *args, **kw: calls.append(np.shape(a)) or svd(a, *args, **kw))
+        report = empirical_rank_check(EXAMPLE1_DELTA, 2, 2000, make_rng(24))
+        assert report.passed and calls == []
+        singular_values(np.eye(3))  # the spy does see the k >= 3 route
+        assert calls == [(3, 3)]
+
+
 class TestNumericRank:
     def test_zero_matrix(self):
         assert numeric_rank(np.zeros((2, 3))) == 0
@@ -161,6 +244,11 @@ class TestNumericRank:
     def test_bad_tol(self):
         with pytest.raises(ValueError):
             numeric_rank(np.eye(2), rel_tol=2.0)
+
+    @pytest.mark.parametrize("rel_tol", [-1.0, 0.0, 1.0, 2.0])
+    def test_rank_rule_rejects_bad_tol(self, rel_tol):
+        with pytest.raises(ValueError, match="rel_tol"):
+            rank_from_singulars(np.ones((5, 2)), 2, rel_tol)
 
 
 class TestRandomUnitary:

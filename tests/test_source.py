@@ -46,3 +46,21 @@ def test_no_function_imports_a_sibling_module():
         if sibling(node)
     ]
     assert found == []
+
+
+def test_only_linalg_computes_singular_values():
+    # singular values have one implementation: linalg.singular_values picks the
+    # closed form or LAPACK, and every rank decision goes through it
+    def svd_use(node):
+        if isinstance(node, ast.Attribute):
+            return node.attr == "svd"
+        return isinstance(node, ast.ImportFrom) and any(a.name == "svd" for a in node.names)
+
+    found = [
+        f"{path.name}:{node.lineno}"
+        for path in sorted(SRC.glob("*.py"))
+        if path.name != "linalg.py"
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
+        if svd_use(node)
+    ]
+    assert found == []
