@@ -26,7 +26,7 @@ from mlnsim.presets import get_preset
 TRIALS = 50_000
 EXPONENT_GRID = (25.0, 30.0, 35.0, 40.0, 45.0)
 
-for name in ("example1", "example3"):
+for pi, name in enumerate(("example1", "example3")):
     p = get_preset(name)
     measures = compare_queries(p.delta, p.dims.N)
     print(f"\n=== {name}: nominal measures r_unitary={measures.r_unitary}, "
@@ -34,8 +34,8 @@ for name in ("example1", "example3"):
 
     print("both estimators at 15 dB (eigen product upper-bounds the exact value):")
     for scheme in ("unitary", "uniform"):
-        exact = pep_qfunction_mc(scheme, p.delta, p.dims, 15.0, TRIALS, make_rng(1, (hash(name) % 100, 0)))
-        bound = pep_eigen_product_mc(scheme, p.delta, p.dims, 15.0, TRIALS, make_rng(1, (hash(name) % 100, 1)))
+        exact = pep_qfunction_mc(scheme, p.delta, p.dims, 15.0, TRIALS, make_rng(1, (pi, 0)))
+        bound = pep_eigen_product_mc(scheme, p.delta, p.dims, 15.0, TRIALS, make_rng(1, (pi, 1)))
         print(f"  {scheme:8s} exact {exact.value:.3e}  eigen-product {bound.value:.3e}")
 
     for si, scheme in enumerate(("unitary", "uniform")):

@@ -24,6 +24,7 @@ import numpy as np
 
 from .channel import SystemDims
 from .codes import Codebook, difference_matrix, repetition_bpsk, uncoded_bpsk, pairwise_codebook_from_delta, EXAMPLE1_DELTA
+from .measure import QUERY_SCHEMES, scheme_weights
 from .query import UNITARY_KINDS
 
 __all__ = ["ConfigError", "ExperimentConfig", "PRESETS", "PRESET_NAMES", "load_config", "parse_snr_grid"]
@@ -173,6 +174,11 @@ def _setting(doc: dict) -> tuple[SystemDims, Codebook, np.ndarray]:
         delta = difference_matrix(codebook.codewords[0], codebook.codewords[1]).delta
     if delta.shape != (dims.L, dims.T):
         raise ConfigError(f"delta: must be L x T = {dims.L}x{dims.T}, got {delta.shape}")
+    try:
+        for kind in QUERY_SCHEMES:
+            scheme_weights(delta, kind)
+    except ValueError as exc:  # finite entries whose products overflow
+        raise ConfigError(str(exc)) from exc
     return dims, codebook, delta
 
 

@@ -1,4 +1,4 @@
-"""Complex-matrix primitives: sampling, products, norms, singular values, rank.
+"""Complex-matrix primitives: sampling, products, norms, singular values, PSD eigenvalues, rank.
 
 Matrices are plain 2-D ``numpy`` arrays of ``complex128``. Every operation
 is a pure function of its inputs; randomness always comes in through an
@@ -17,6 +17,7 @@ __all__ = [
     "hadamard",
     "frobenius_norm_sq",
     "singular_values",
+    "psd_eigenvalues",
     "numeric_rank",
     "random_unitary",
 ]
@@ -29,6 +30,8 @@ RANK_REL_TOL = 1e-10
 # matrices per slice of singular_values' closed form: a 2 x 4 slice's
 # temporaries are about 1 MB, where a whole 100k-draw stack's reach tens of MB
 _SV_SLICE = 16384
+
+_INV_SQRT2 = 1.0 / np.sqrt(2.0)
 
 
 class DimensionMismatchError(ValueError):
@@ -60,12 +63,13 @@ def sample_cn_matrix(rows: int, cols: int, rng: np.random.Generator) -> np.ndarr
     """
     if rows < 1 or cols < 1:
         raise DimensionMismatchError(f"dimensions must be >= 1, got ({rows}, {cols})")
-    # combine first, then divide: the same bits as (a + 1j b) / sqrt(2) with
-    # fewer passes (dividing a and b first changes the last bit of some entries)
+    # one draw for both parts, in the order of two (rows, cols) draws; numpy divides
+    # a complex by a real as a product with its reciprocal, so scaling each part by
+    # 1/sqrt(2) gives the bits of (a + 1j b) / sqrt(2) (a / sqrt(2) would not)
+    ab = rng.standard_normal((2, rows, cols))
     z = np.empty((rows, cols), dtype=complex)
-    z.real = rng.standard_normal((rows, cols))
-    z.imag = rng.standard_normal((rows, cols))
-    z /= np.sqrt(2.0)
+    np.multiply(ab[0], _INV_SQRT2, out=z.real)
+    np.multiply(ab[1], _INV_SQRT2, out=z.imag)
     return z
 
 
@@ -154,6 +158,46 @@ def singular_values(a: np.ndarray) -> np.ndarray:
     if not np.all(np.isfinite(s)):
         raise np.linalg.LinAlgError("singular values are not finite")
     return s
+
+
+def psd_eigenvalues(m: np.ndarray) -> np.ndarray:
+    """Eigenvalues of a Hermitian PSD k x k matrix, or of every one in a stack (..., k, k), ascending.
+
+    For k >= 3 this is numpy's LAPACK ``eigvalsh``. For k <= 2 a closed form
+    is evaluated elementwise over the stack, which skips LAPACK's fixed cost
+    per tiny matrix. k = 1 gives the entry itself. For k = 2, with
+    m = [[a, b], [conj(b), c]],
+
+        hi = (a + c) / 2 + hypot((a - c) / 2, |b|),   lo = det / hi,
+
+    with det / hi formed as (max(a, c) / hi) min(a, c) - (|b| / hi) |b|, as
+    LAPACK's dlae2 does, so that no product over- or underflows, and lo = 0
+    when hi = 0 (the zero matrix). Each term of lo is at most hi, so its
+    absolute error stays a few eps * hi, as ``eigvalsh``'s does; a zero row
+    or column gives lo = 0 exactly. Hermitian symmetry and PSD input are not
+    checked.
+
+    Raises ``numpy.linalg.LinAlgError`` if an eigenvalue is NaN or infinite,
+    or if LAPACK fails to converge.
+    """
+    m = np.asarray(m)
+    if m.ndim < 2 or m.shape[-1] != m.shape[-2] or m.shape[-1] < 1:
+        raise DimensionMismatchError(f"matrix must be (..., k, k) with k >= 1, got shape {m.shape}")
+    k = m.shape[-1]
+    if k > 2:
+        lam = np.linalg.eigvalsh(m)
+    elif k == 1:
+        lam = m[..., 0, :].real.copy()
+    else:
+        a, c, b = m[..., 0, 0].real, m[..., 1, 1].real, np.abs(m[..., 0, 1])
+        hi = (a + c) / 2 + np.hypot((a - c) / 2, b)
+        nz = hi > 0
+        lo = np.divide(np.maximum(a, c), hi, out=np.zeros_like(hi), where=nz) * np.minimum(a, c)
+        lo -= np.divide(b, hi, out=np.zeros_like(hi), where=nz) * b
+        lam = np.stack([lo, hi], axis=-1)
+    if not np.all(np.isfinite(lam)):
+        raise np.linalg.LinAlgError("eigenvalues are not finite")
+    return lam
 
 
 def _norm_sq(x: np.ndarray) -> np.ndarray:

@@ -85,12 +85,18 @@ def scheme_weights(delta, query_kind: str) -> np.ndarray:
 
     Unitary: E_t E_t^H with A_t = d_t d_t^H for each slot t (W = T).
     Uniform: D D^H with the single A = delta delta^H (W = 1).
+    Raises ValueError naming delta when a weight is not finite, as when an
+    entry near 1e154 or above overflows its products.
     """
     if query_kind not in QUERY_SCHEMES:
         raise ValueError(f"query_kind must be one of {QUERY_SCHEMES}, got {query_kind!r}")
     d = _as_diff(delta)
     B = d.delta.T[:, :, None] if query_kind == "unitary" else d.delta[None]
-    return B @ B.conj().transpose(0, 2, 1)
+    with np.errstate(over="ignore", invalid="ignore"):  # reported below, naming delta
+        A = B @ B.conj().transpose(0, 2, 1)
+    if not np.all(np.isfinite(A)):
+        raise ValueError(f"delta: the {query_kind} weights (products of delta entries) are not finite")
+    return A
 
 
 def r_unitary(delta, N: int) -> int:

@@ -11,13 +11,18 @@ Two routes are provided for each scheme:
   D D^H (uniform) are both A o G G^H, so the L x L weights A_w are all
   that depends on the scheme: d_t d_t^H for each slot t, or the single
   delta delta^H (``measure.scheme_weights``). Each determinant equals
-  prod 1 / (1 + lam*gbar/4) over its Gram matrix's eigenvalues lam, the
+  prod 1 / (1 + lam*gbar/4) over its Gram matrix's eigenvalues lam
+  (``linalg.psd_eigenvalues``: a closed form for L <= 2), the
   standard Chernoff-style bound on the Gaussian-averaged Q function, so
   this route upper-bounds the first one while sharing its asymptotic
   decay (the determinant criterion of Tarokh, Seshadri and Calderbank).
   Only gbar depends on SNR, so ``pep_eigen_product_curve`` takes lam once
   per draw of G and scores every point of a curve from it: the points are
   correlated across SNR, while each one's estimate and SE are unchanged.
+
+The Q-function route draws each batch's forward rows and then its G whole
+and forms Z in slices of ``_Z_SLICE`` draws, which keeps its temporaries
+small and changes no bit of the result.
 
 gbar = 10**(snr_db / 10) throughout. Estimators report the Monte Carlo
 standard error alongside the value.
@@ -32,7 +37,7 @@ import numpy as np
 from .channel import SystemDims, _blocks_last, gram, mix
 from .codes import DifferenceMatrix, _as_diff
 from .csvio import csv_rows
-from .linalg import DimensionMismatchError, sample_cn_matrix
+from .linalg import DimensionMismatchError, psd_eigenvalues, sample_cn_matrix
 from .measure import build_D, build_E_t, scheme_weights
 
 __all__ = [
@@ -61,6 +66,9 @@ METHOD_EIGEN = "eigen-product-mc"
 
 _IDENTITY_RTOL = 1e-10
 _MC_BATCH = 100_000
+# draws per slice of _batched_z's mixing: for example1 a slice's T x L x N
+# product is 1 MB where a whole batch's is 13 MB; slicing changes no bit
+_Z_SLICE = 8192
 
 # A scheme's scaled average gbar**R * pep should flatten out at high SNR;
 # growth beyond this factor across the fit window (and beyond 3 sigma)
@@ -158,17 +166,22 @@ def _batched_z(rows: int, d: DifferenceMatrix, N: int, n: int, rng) -> np.ndarra
     """n draws of Z = ||(X o delta^T) G||_F^2 with `rows` Gaussian forward rows per draw.
 
     The unitary scheme draws T rows (one per slot), the uniform one a single static row.
+    X and then G are drawn for all n at once; the mixing runs _Z_SLICE draws at a time.
     """
-    X = _blocks_last(sample_cn_matrix(n, rows * d.L, rng).reshape(n, rows, d.L))
-    G = _blocks_last(sample_cn_matrix(n, d.L * N, rng).reshape(n, d.L, N))
-    S = mix(X, d.delta.T[:, :, None], G)
-    return np.sum(np.abs(S) ** 2, axis=(0, 1))
+    X = sample_cn_matrix(n, rows * d.L, rng).reshape(n, rows, d.L)
+    G = sample_cn_matrix(n, d.L * N, rng).reshape(n, d.L, N)
+    C = d.delta.T[:, :, None]
+    z = np.empty(n)
+    for i in range(0, n, _Z_SLICE):
+        s = slice(i, i + _Z_SLICE)
+        z[s] = np.sum(np.abs(mix(_blocks_last(X[s]), C, _blocks_last(G[s]))) ** 2, axis=(0, 1))
+    return z
 
 
 def _checked_args(query_kind: str, delta, dims: SystemDims, trials: int):
     """Validate the estimators' shared arguments; return delta and its scheme weights."""
     d = _as_diff(delta)
-    A = scheme_weights(d, query_kind)  # rejects an unknown query_kind
+    A = scheme_weights(d, query_kind)  # rejects an unknown query_kind and overflowing weights
     if trials < 1:
         raise ValueError(f"trials must be >= 1, got {trials}")
     if (dims.L, dims.T) != (d.L, d.T):
@@ -220,7 +233,11 @@ def pep_qfunction_mc(
 def _lambda_products(A: np.ndarray, N: int, n: int, gbars: list[float], rng):
     """Yield, per gbar, n draws of prod_w 1/det(I_L + (gbar/4) A_w o G G^H) from one draw of G."""
     G = sample_cn_matrix(n, A.shape[-1] * N, rng).reshape(n, A.shape[-1], N)
-    lam = np.linalg.eigvalsh(np.moveaxis(A[..., None] * gram(_blocks_last(G)), -1, 0)).reshape(n, -1)
+    try:  # finite weights near 1e308 can still overflow a Gram matrix; name delta, not NaN PEPs
+        with np.errstate(over="ignore", invalid="ignore"):
+            lam = psd_eigenvalues(np.moveaxis(A[..., None] * gram(_blocks_last(G)), -1, 0)).reshape(n, -1)
+    except np.linalg.LinAlgError as exc:
+        raise ValueError("delta: the Gram matrices A_w o G G^H are not finite; delta is too large") from exc
     for g in gbars:
         yield 1.0 / np.prod(1.0 + (g / 4.0) * lam, axis=1)
 

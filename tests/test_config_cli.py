@@ -295,6 +295,8 @@ _FAULTS = {
                               "delta": [[1, math.inf]]}, "delta"),
     "string-delta": ("measure", {"m": 2, "l": 1, "n": 2, "t": 2, "codebook": "repetition-bpsk",
                                  "delta": [[1, "x"]]}, "delta"),
+    "overflowing-delta": ("pep", {"m": 2, "l": 2, "n": 2, "t": 2, "codebook": "uncoded-bpsk",
+                                  "delta": [[1e200, 1], [1, 1]]}, "delta"),
     "uncoded-too-large": ("measure", {"m": 4, "l": 4, "n": 1, "t": 5, "codebook": "uncoded-bpsk"}, "codebook"),
     "unitary-t-not-m": ("reproduce", {"m": 3, "l": 1, "n": 2, "t": 2, "codebook": "repetition-bpsk"}, "t"),
     "hadamard-m-3": ("ber", {"m": 3, "l": 1, "n": 2, "t": 3, "codebook": "repetition-bpsk",
@@ -359,6 +361,13 @@ class TestLoadConfig:
     def test_missing_codebook_is_named(self):
         with pytest.raises(ConfigError, match="codebook"):
             load_config(overrides={"command": "ber", "m": 2, "l": 2, "n": 2, "t": 2})
+
+    def test_overflowing_delta_is_named(self):
+        # finite entries whose products overflow would give NaN PEPs
+        doc = {"command": "pep", "m": 2, "l": 2, "n": 2, "t": 2, "codebook": "uncoded-bpsk"}
+        with pytest.raises(ConfigError, match="^delta: "):
+            load_config(overrides={**doc, "delta": [[1e200, 1], [1, 1]]})
+        assert load_config(overrides={**doc, "delta": [[1e100, 1], [1, 1]]}).delta[0, 0] == 1e100
 
     def test_preset_conflicts_rejected(self):
         with pytest.raises(ConfigError, match="preset"):

@@ -11,6 +11,7 @@ from mlnsim.linalg import (
     make_rng,
     matmul,
     numeric_rank,
+    psd_eigenvalues,
     random_unitary,
     rank_from_singulars,
     sample_cn_matrix,
@@ -58,6 +59,14 @@ class TestSampling:
             b = ref.standard_normal((500, 7))
             z = sample_cn_matrix(500, 7, rng)
             assert np.array_equal(z.view(np.uint64), ((a + 1j * b) / np.sqrt(2)).view(np.uint64))
+
+    def test_leaves_stream_where_two_draws_do(self):
+        # the one (2, rows, cols) draw consumes what two (rows, cols) draws would
+        rng, ref = make_rng(5, (9,)), make_rng(5, (9,))
+        sample_cn_matrix(33, 5, rng)
+        ref.standard_normal((33, 5))
+        ref.standard_normal((33, 5))
+        assert rng.standard_normal() == ref.standard_normal()
 
 
 class TestMatmul:
@@ -221,6 +230,75 @@ class TestSingularValueStacks:
         assert report.passed and calls == []
         singular_values(np.eye(3))  # the spy does see the k >= 3 route
         assert calls == [(3, 3)]
+
+
+def _psd_stack(k, rank, count, rng):
+    """count Hermitian PSD k x k matrices B B^H with B k x rank, O(1) entries."""
+    b = sample_cn_matrix(count * k, rank, rng).reshape(count, k, rank)
+    return b @ b.conj().swapaxes(-1, -2)
+
+
+class TestPsdEigenvalues:
+    """The closed form for k <= 2 against numpy's LAPACK eigvalsh, taken here."""
+
+    @staticmethod
+    def _assert_matches_lapack(m):
+        got, ref = psd_eigenvalues(m), np.linalg.eigvalsh(m)
+        assert got.shape == ref.shape
+        hi = np.abs(ref).max(axis=-1, keepdims=True)
+        assert np.all(np.abs(got - ref) <= 8 * np.finfo(float).eps * hi)
+        return got
+
+    @pytest.mark.parametrize("k", [1, 2, 3])
+    @pytest.mark.parametrize("rank", [1, 2, 4])
+    def test_random_stacks_match_lapack(self, k, rank):
+        self._assert_matches_lapack(_psd_stack(k, rank, 2000, make_rng(30, (k, rank))))
+
+    def test_exactly_rank_one(self):
+        got = self._assert_matches_lapack(_psd_stack(2, 1, 2000, make_rng(31)))
+        assert np.all(got[:, 1] > 0)
+
+    @pytest.mark.parametrize("row", [0, 1])
+    def test_zero_row_and_column_give_exact_zero(self, row):
+        m = _psd_stack(2, 3, 500, make_rng(32, (row,)))
+        m[:, row, :] = 0.0
+        m[:, :, row] = 0.0
+        got = self._assert_matches_lapack(m)
+        assert np.all(got[:, 0] == 0.0)
+        assert np.all(got[:, 1] == m[:, 1 - row, 1 - row].real)
+        assert np.array_equal(psd_eigenvalues(np.zeros((3, 2, 2))), np.zeros((3, 2)))
+
+    def test_equal_eigenvalues(self):
+        c = 10.0 ** make_rng(33).uniform(-3, 3, 200)
+        scaled = c[:, None, None] * np.eye(2)
+        assert np.array_equal(self._assert_matches_lapack(scaled), np.stack([c, c], axis=-1))
+        u = np.stack([random_unitary(2, make_rng(34, (i,))) for i in range(200)])
+        self._assert_matches_lapack(u @ scaled @ u.conj().swapaxes(-1, -2))
+
+    @pytest.mark.parametrize("scale", [1e-300, 1e-150, 1e150, 1e300])
+    def test_extreme_scales(self, scale):
+        for rank in (1, 2):
+            self._assert_matches_lapack(_psd_stack(2, rank, 200, make_rng(35, (rank,))) * scale)
+
+    def test_leading_axes_and_real_input(self):
+        m = _psd_stack(2, 2, 3 * 4, make_rng(36)).reshape(3, 4, 2, 2)
+        assert self._assert_matches_lapack(m).shape == (3, 4, 2)
+        assert np.array_equal(psd_eigenvalues(np.array([[2.0, 0.0], [0.0, 3.0]])), [2.0, 3.0])
+        assert np.array_equal(psd_eigenvalues(np.array([[[4.0]]])), [[4.0]])
+
+    @pytest.mark.parametrize("k", [1, 2, 3])
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_non_finite_entry_raises(self, k, bad):
+        m = np.tile(np.eye(k), (4, 1, 1))
+        m[2, 0, k - 1] = bad
+        m[2, k - 1, 0] = bad
+        with pytest.raises(np.linalg.LinAlgError), np.errstate(invalid="ignore"):
+            psd_eigenvalues(m)
+
+    @pytest.mark.parametrize("shape", [(2,), (2, 3), (4, 1, 2), (0, 0)])
+    def test_bad_shapes(self, shape):
+        with pytest.raises(DimensionMismatchError):
+            psd_eigenvalues(np.ones(shape))
 
 
 class TestNumericRank:

@@ -9,7 +9,7 @@ from scipy.special import erfc
 
 from mlnsim.channel import SystemDims
 from mlnsim.codes import EXAMPLE1_DELTA, EXAMPLE3_DELTA
-from mlnsim.linalg import make_rng, sample_cn_matrix
+from mlnsim.linalg import make_rng, psd_eigenvalues, sample_cn_matrix
 from mlnsim.measure import build_D, build_E_t, scheme_weights
 from mlnsim.pep import (
     DivergentAverageError,
@@ -168,6 +168,26 @@ class TestQFunctionMc:
         expected = np.mean(qfunc(np.sqrt(gbar * np.array(z) / 2.0)))
         assert est.value == pytest.approx(expected, rel=1e-12)
 
+    @pytest.mark.parametrize("delta, dims", [(EXAMPLE1_DELTA, DIMS1), (EXAMPLE3_DELTA, DIMS3)])
+    @pytest.mark.parametrize("scheme", ["unitary", "uniform"])
+    def test_slices_change_no_bit(self, monkeypatch, scheme, delta, dims):
+        # batches of 50 and 30 draws in slices of 7: each batch crosses several
+        # slice boundaries and ends on a ragged slice (50 = 7 * 7 + 1, 30 = 4 * 7 + 2)
+        import mlnsim.pep as pep_mod
+
+        monkeypatch.setattr(pep_mod, "_MC_BATCH", 50)
+        runs = []
+        for z_slice in (7, 50):
+            monkeypatch.setattr(pep_mod, "_Z_SLICE", z_slice)
+            est = pep_qfunction_mc(scheme, delta, dims, 5.0, 130, make_rng(32))
+            runs.append((est.value, est.std_error))
+        assert runs[0] == runs[1]
+
+    def test_overflowing_delta_is_named(self):
+        for kind in ("unitary", "uniform"):
+            with pytest.raises(ValueError, match="^delta: "):
+                pep_qfunction_mc(kind, np.array([[1e200, 1.0], [1.0, 1.0]]), DIMS1, 10.0, 10, make_rng(33))
+
 
 class TestEigenProductMc:
     def test_zero_gbar_gives_one(self):
@@ -211,6 +231,14 @@ class TestEigenProductMc:
                     exact = pep_qfunction_mc(scheme, delta, dims, snr, 20_000, rng)
                     assert prod.value >= exact.value - 3 * np.hypot(prod.std_error, exact.std_error)
 
+    @pytest.mark.parametrize("big", [1e200, 1e154])
+    def test_overflowing_delta_is_named(self, big):
+        # every entry is finite, but delta delta^H (1e200) or the Gram matrices (1e154, whose
+        # weights are still finite) overflow; eigvalsh turned either into NaN PEPs
+        for kind in ("unitary", "uniform"):
+            with pytest.raises(ValueError, match="^delta: "):
+                pep_eigen_product_curve(kind, np.array([[big, 1.0], [1.0, 1.0]]), DIMS1, [10.0], 100, make_rng(17))
+
     def test_monotone_in_snr(self):
         rng = make_rng(16)
         for scheme in ("unitary", "uniform"):
@@ -245,7 +273,12 @@ class TestGramDeterminant:
         G = sample_cn_matrix(self.DRAWS, L * N, make_rng(seed)).reshape(self.DRAWS, L, N)
         return got, self._svd_eigen_product(kind, delta, G, gbar)
 
-    def test_matches_svd_on_same_draws(self):
+    def test_matches_svd_on_same_draws(self, monkeypatch):
+        # LAPACK's eigvalsh runs only for L >= 3; for L <= 2 the closed form of
+        # psd_eigenvalues gives the Gram eigenvalues, and it matches eigvalsh
+        calls = []
+        eigvalsh = np.linalg.eigvalsh
+        monkeypatch.setattr(np.linalg, "eigvalsh", lambda m: calls.append(np.shape(m)[-1]) or eigvalsh(m))
         rng = make_rng(40)
         for trial in range(60):
             L, T, N = (int(rng.integers(1, 4)) for _ in range(3))
@@ -254,8 +287,14 @@ class TestGramDeterminant:
                 delta[:, int(rng.integers(T))] = 0.0
             gbar = 10.0 ** (float(rng.choice([0.0, 10.0, 30.0, 45.0])) / 10.0)
             for kind in ("unitary", "uniform"):
+                calls.clear()
                 got, ref = self._both(kind, delta, N, gbar, 100 + trial)
                 np.testing.assert_allclose(got, ref, rtol=self.RTOL, atol=0.0)
+                assert calls == ([L] if L >= 3 else [])
+                G = sample_cn_matrix(self.DRAWS, L * N, make_rng(trial)).reshape(self.DRAWS, L, N)
+                grams = scheme_weights(delta, kind) * (G @ G.conj().swapaxes(1, 2))[:, None]
+                lam, ref_lam = psd_eigenvalues(grams), eigvalsh(grams)
+                assert np.all(np.abs(lam - ref_lam) <= 8 * np.finfo(float).eps * ref_lam[..., -1:])
 
     def test_zero_delta_is_exactly_one(self):
         for kind in ("unitary", "uniform"):

@@ -48,19 +48,28 @@ def test_no_function_imports_a_sibling_module():
     assert found == []
 
 
-def test_only_linalg_computes_singular_values():
-    # singular values have one implementation: linalg.singular_values picks the
-    # closed form or LAPACK, and every rank decision goes through it
-    def svd_use(node):
+def _uses_outside_linalg(names):
+    """Places outside linalg.py that reach any of names as an attribute or an import."""
+    def use(node):
         if isinstance(node, ast.Attribute):
-            return node.attr == "svd"
-        return isinstance(node, ast.ImportFrom) and any(a.name == "svd" for a in node.names)
+            return node.attr in names
+        return isinstance(node, ast.ImportFrom) and any(a.name in names for a in node.names)
 
-    found = [
+    return [
         f"{path.name}:{node.lineno}"
         for path in sorted(SRC.glob("*.py"))
         if path.name != "linalg.py"
         for node in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
-        if svd_use(node)
+        if use(node)
     ]
-    assert found == []
+
+
+def test_only_linalg_computes_singular_values():
+    # singular values have one implementation: linalg.singular_values picks the
+    # closed form or LAPACK, and every rank decision goes through it
+    assert _uses_outside_linalg({"svd"}) == []
+
+
+def test_only_linalg_computes_eigenvalues():
+    # likewise linalg.psd_eigenvalues for the PEP route's Gram matrices
+    assert _uses_outside_linalg({"eigvalsh", "eigh", "eigvals"}) == []
