@@ -74,21 +74,28 @@ def sample_channel(dims: SystemDims, rng: np.random.Generator) -> ChannelRealiza
     )
 
 
-def _blocks_last(A: np.ndarray) -> np.ndarray:
-    return np.ascontiguousarray(np.moveaxis(A, 0, -1))
+def _blocks_last(A: np.ndarray, *, out: np.ndarray | None = None) -> np.ndarray:
+    moved = A.transpose(tuple(range(1, A.ndim)) + (0,))
+    if out is None:
+        return np.ascontiguousarray(moved)
+    out[...] = moved
+    return out
 
 
-def mix(X: np.ndarray, C: np.ndarray, G: np.ndarray) -> np.ndarray:
+def mix(
+    X: np.ndarray, C: np.ndarray, G: np.ndarray, *, out: np.ndarray | None = None
+) -> np.ndarray:
     """(X o C) G for T x L and L x N inputs, or T x L x n and L x N x n (blocks last).
 
-    A single forward row X (1 x L) broadcasts over the T rows of C.
+    A single forward row X (1 x L) broadcasts over the T rows of C. The
+    result goes to out when given.
     """
-    return np.sum((X * C)[:, :, None] * G[None], axis=1)
+    return np.sum((X * C)[:, :, None] * G[None], axis=1, out=out)
 
 
-def gram(G: np.ndarray) -> np.ndarray:
-    """G G^H: L x L for an L x N G, or L x L x n for L x N x n (blocks last)."""
-    return np.sum(G[:, None] * G[None].conj(), axis=2)
+def gram(G: np.ndarray, *, out: np.ndarray | None = None) -> np.ndarray:
+    """G G^H: L x L for an L x N G, or L x L x n for L x N x n (blocks last), into out if given."""
+    return np.sum(G[:, None] * G[None].conj(), axis=2, out=out)
 
 
 def effective_signal(q, H: np.ndarray, C: np.ndarray, G: np.ndarray) -> np.ndarray:

@@ -33,6 +33,10 @@ _SV_SLICE = 16384
 
 _INV_SQRT2 = 1.0 / np.sqrt(2.0)
 
+# sample_cn_matrix draws at most this many float64s (64 KiB) at a time, a size
+# malloc reuses without fresh pages: a larger matrix goes piece by piece
+_DRAW_PIECE = 8192
+
 
 class DimensionMismatchError(ValueError):
     """Operands have incompatible shapes."""
@@ -55,22 +59,45 @@ def _as_matrix(a, name: str = "matrix") -> np.ndarray:
     return a
 
 
-def sample_cn_matrix(rows: int, cols: int, rng: np.random.Generator) -> np.ndarray:
+def sample_cn_matrix(
+    rows: int, cols: int, rng: np.random.Generator, *, out: np.ndarray | None = None
+) -> np.ndarray:
     """Sample a rows x cols matrix of i.i.d. CN(0, 1) entries.
 
     Circularly-symmetric complex Gaussian with unit total variance: real
-    and imaginary parts are independent N(0, 1/2).
+    and imaginary parts are independent N(0, 1/2). Given out (a C-contiguous
+    complex128 rows x cols array), the draw is written there and out is
+    returned, with the same bits and the same generator state afterwards as
+    a call without it.
     """
     if rows < 1 or cols < 1:
         raise DimensionMismatchError(f"dimensions must be >= 1, got ({rows}, {cols})")
-    # one draw for both parts, in the order of two (rows, cols) draws; numpy divides
-    # a complex by a real as a product with its reciprocal, so scaling each part by
-    # 1/sqrt(2) gives the bits of (a + 1j b) / sqrt(2) (a / sqrt(2) would not)
-    ab = rng.standard_normal((2, rows, cols))
-    z = np.empty((rows, cols), dtype=complex)
-    np.multiply(ab[0], _INV_SQRT2, out=z.real)
-    np.multiply(ab[1], _INV_SQRT2, out=z.imag)
-    return z
+    if out is None:
+        out = np.empty((rows, cols), dtype=complex)
+    elif out.shape != (rows, cols) or out.dtype != complex or not out.flags.c_contiguous:
+        raise ValueError(
+            f"out must be a C-contiguous complex128 array of shape ({rows}, {cols}), "
+            f"got {out.dtype} {out.shape}"
+        )
+    # the stream holds every real part and then every imaginary part, as one
+    # (2, rows, cols) draw would. numpy divides a complex by a real as a product
+    # with its reciprocal, so scaling each part by 1/sqrt(2) gives the bits of
+    # (a + 1j b) / sqrt(2) (a / sqrt(2) would not)
+    size = rows * cols
+    parts = out.view(np.float64).reshape(size, 2).T  # Re and Im, as strided views
+    if 2 * size <= _DRAW_PIECE:
+        np.multiply(rng.standard_normal((2, size)), _INV_SQRT2, out=parts)
+        return out
+    # a Generator's normal stream carries no state between calls, so a large draw
+    # made piece by piece into a small scratch gives the same values and leaves
+    # the same state, without a temporary the size of the draw
+    scratch = np.empty(_DRAW_PIECE)
+    for part in parts:
+        for a in range(0, size, _DRAW_PIECE):
+            piece = scratch[: size - a]
+            rng.standard_normal(out=piece)
+            np.multiply(piece, _INV_SQRT2, out=part[a : a + piece.size])
+    return out
 
 
 def matmul(a: np.ndarray, b: np.ndarray) -> np.ndarray:

@@ -104,13 +104,14 @@ def verify_unitary(q, tol: float = UNITARY_TOL) -> bool:
     return frobenius_norm_sq(resid) < tol**2
 
 
-def effective_forward(q, H: np.ndarray) -> np.ndarray:
+def effective_forward(q, H: np.ndarray, *, out: np.ndarray | None = None) -> np.ndarray:
     """The forward process seen by the tag: Q @ H, T x L (T x L x n for M x L x n H).
 
     For the uniform query all rows are identical (the static channel is
     collapsed to rank one); for a unitary query the product is again an
     i.i.d. complex Gaussian matrix when H is, so the effective channel
-    varies from slot to slot inside the coherence block.
+    varies from slot to slot inside the coherence block. The product goes
+    to out (C-contiguous) when given.
     """
     mat = query_array(q)
     H = np.asarray(H, dtype=complex)
@@ -118,4 +119,8 @@ def effective_forward(q, H: np.ndarray) -> np.ndarray:
         raise DimensionMismatchError(
             f"query has {mat.shape[1]} columns but channel has {H.shape} shape"
         )
-    return (mat @ H.reshape(H.shape[0], -1)).reshape((mat.shape[0],) + H.shape[1:])
+    shape = (mat.shape[0],) + H.shape[1:]
+    if out is not None and not out.flags.c_contiguous:
+        raise ValueError("out must be C-contiguous")
+    flat = None if out is None else out.reshape(mat.shape[0], -1)
+    return np.matmul(mat, H.reshape(H.shape[0], -1), out=flat).reshape(shape)

@@ -31,14 +31,37 @@ noise-free S and noise = -2 Re<W, S_j> comes from the cross features of W
 alone. Both are SNR-free, so each point costs one scaled sum and argmin.
 Blocks are laid out last (L x N x n), so G G^H and R G^H are products of
 length-n vectors. A chunk is worked through in slices of blocks whose
-base, noise and scratch arrays hold at most _METRIC_BUDGET float64s
+base, noise and spare arrays hold at most _METRIC_BUDGET float64s
 together (1 MiB), but at least _MIN_SLICE blocks each, so those of a
 2^16-word codebook take 3 x 32 x 2^16 float64s (48 MiB) at most.
+
+The points of a slice are scored from the noisiest down, the first on
+every block and each later one only on the blocks in error at the point
+before (while more than half of the blocks scored at a point are in
+error, the next point scores the same blocks again, which costs less than
+gathering the rows in error). That gives the tallies of scoring every block at every point: with
+R = S_sent at s = 0, the sent word's metric is the lowest there, and each
+word's metric is linear in s, so f_sent - f_j is a line that is <= 0 at
+s = 0. A block detected correctly at scale s' has that line <= 0 at s'
+too, so it is < 0 inside (0, s') unless it is 0 throughout, which is an
+identical line whose tie went to the lower index at s' already. So a block
+correct at one point is correct at every less noisy one (exactly so in real
+arithmetic; in floating point only a block within rounding of a tie could
+differ).
+
+Each pool worker keeps one _Workspace for the whole sweep. The chunk's
+H, G and W, every slice array and the metric's temporaries are views of
+arrays it allocates on first use and enlarges only for a larger chunk or
+slice than any before, so later chunks allocate no large array and do not fault in fresh pages when malloc
+has returned freed memory to the system. The workspace goes with the pool
+at the end of the sweep.
 """
 
 from __future__ import annotations
 
+import math
 import os
+import threading
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
@@ -170,40 +193,93 @@ def build_query(kind: str, dims: SystemDims, seed: int):
     return unitary_query(dims.M, kind, make_rng(seed, (0,)))
 
 
-def _real_rows(z: np.ndarray, parts: int) -> np.ndarray:
-    """z (... x n) as real feature rows: Re then Im, or Re alone when parts == 1."""
+class _Workspace(threading.local):
+    """The arrays each pool worker reuses for every chunk and slice of one sweep.
+
+    A threading.local: every thread that uses it sees its own arrays.
+    view(name, shape) is a C-contiguous view of the first entries of the
+    flat array kept under name, which is allocated (or grown) only when a
+    larger view is asked for, so short chunks and slices reuse its memory.
+    A name's contents are overwritten by the next call that asks for it.
+    """
+
+    def __init__(self):
+        self._flat = {}
+
+    def view(self, name: str, shape: tuple, dtype=complex) -> np.ndarray:
+        size = math.prod(shape)
+        flat = self._flat.get(name)
+        if flat is None or flat.size < size:
+            flat = self._flat[name] = np.empty(size, dtype)
+        return flat[:size].reshape(shape)
+
+
+def _scratch(ws: _Workspace | None, name: str, shape: tuple, dtype=complex) -> np.ndarray:
+    """An array to compute into: a view of ws's array under name, or a new one without ws."""
+    return np.empty(shape, dtype) if ws is None else ws.view(name, shape, dtype)
+
+
+def _real_rows(z: np.ndarray, parts: int) -> tuple:
+    """z (... x n) as real feature rows: views of Re then Im, or of Re alone when parts == 1."""
     z = z.reshape(-1, z.shape[-1])
-    return np.concatenate([z.real, z.imag]) if parts == 2 else z.real
+    return (z.real, z.imag)[:parts]
 
 
-def _cross(X: np.ndarray, G: np.ndarray, R: np.ndarray) -> np.ndarray:
+def _cross(X: np.ndarray, G: np.ndarray, R: np.ndarray, ws: _Workspace | None) -> np.ndarray:
     """T x L x n: X o conj(R G^H), whose pairing with c_j gives Re<R, S_j>."""
-    return X * np.sum(R[:, None].conj() * G, axis=2)
+    T, L, n = X.shape
+    Rc = np.conjugate(R[:, None], out=_scratch(ws, "conj", (T, 1) + R.shape[1:]))
+    prod = np.multiply(Rc, G, out=_scratch(ws, "prod", (T, L) + R.shape[1:]))
+    cross = np.sum(prod, axis=2, out=_scratch(ws, "cross", (T, L, n)))
+    return np.multiply(X, cross, out=cross)
 
 
-def _metric(X: np.ndarray, G: np.ndarray, R: np.ndarray, weights: np.ndarray) -> np.ndarray:
+def _metric(
+    X: np.ndarray,
+    G: np.ndarray,
+    R: np.ndarray,
+    weights: np.ndarray,
+    *,
+    out: np.ndarray | None = None,
+    ws: _Workspace | None = None,
+) -> np.ndarray:
     """||R - (X o C_j) G||^2 - ||R||^2 for every block and codeword, n x K.
 
     Arrays are blocks-last: X is T x L x n, G is L x N x n, R is T x N x n.
     weights are Codebook.metric_weights; their width tells whether they
-    carry Im parts (see codes._metric_weights).
+    carry Im parts (see codes._metric_weights). The result goes to out, and
+    the temporaries to ws's arrays, when given.
     """
     T, L, n = X.shape
     parts = weights.shape[1] // (T * L * (L + 1))
-    energy = X[:, :, None] * X[:, None].conj() * gram(G)  # T x L x L x n
-    feats = np.concatenate([_real_rows(energy, parts), _real_rows(_cross(X, G, R), parts)])
-    return feats.T @ weights.T
+    Xc = np.conjugate(X[:, None], out=_scratch(ws, "conj", (T, 1, L, n)))
+    energy = np.multiply(X[:, :, None], Xc, out=_scratch(ws, "energy", (T, L, L, n)))
+    energy *= gram(G, out=_scratch(ws, "gram", (L, L, n)))
+    rows = _real_rows(energy, parts) + _real_rows(_cross(X, G, R, ws), parts)
+    feats = np.concatenate(rows, out=_scratch(ws, "feats", (len(weights[0]), n), float))
+    return np.matmul(feats.T, weights.T, out=out)
 
 
-def _noise_metric(X: np.ndarray, G: np.ndarray, W: np.ndarray, weights: np.ndarray) -> np.ndarray:
+def _noise_metric(
+    X: np.ndarray,
+    G: np.ndarray,
+    W: np.ndarray,
+    weights: np.ndarray,
+    *,
+    out: np.ndarray | None = None,
+    ws: _Workspace | None = None,
+) -> np.ndarray:
     """-2 Re<W, S_j> for every block and codeword, n x K.
 
     The metric is linear in the noise: _metric(X, G, S + s W, weights) equals
-    _metric(X, G, S, weights) + s _noise_metric(X, G, W, weights).
+    _metric(X, G, S, weights) + s _noise_metric(X, G, W, weights). out and ws
+    are as for _metric.
     """
-    T, L, _ = X.shape
+    T, L, n = X.shape
     parts = weights.shape[1] // (T * L * (L + 1))
-    return _real_rows(_cross(X, G, W), parts).T @ weights[:, -parts * T * L:].T
+    rows = _real_rows(_cross(X, G, W, ws), parts)
+    feats = np.concatenate(rows, out=_scratch(ws, "feats", (parts * T * L, n), float))
+    return np.matmul(feats.T, weights[:, -parts * T * L:].T, out=out)
 
 
 def ml_detect(R: np.ndarray, q, ch: ChannelRealization, codebook: Codebook) -> int:
@@ -222,6 +298,55 @@ def ml_detect(R: np.ndarray, q, ch: ChannelRealization, codebook: Codebook) -> i
     return int(np.argmin(d[0]))
 
 
+def _score_points(
+    base: np.ndarray,
+    noise: np.ndarray,
+    sent: np.ndarray,
+    noise_stds: np.ndarray,
+    tallies: np.ndarray,
+    spare: np.ndarray,
+) -> None:
+    """Add the error events and bit errors of n blocks at each noise scale to tallies.
+
+    base + s noise (both n x K) is the metric at noise scale s, sent holds the
+    sent word indices and spare is an n x K array to work in; base, noise and
+    spare are overwritten. noise_stds must be descending: the first scale
+    scores every block in place and each later one only the blocks in error
+    at the scale before (or, while those are more than half of the blocks
+    scored, the same blocks again), which gives the tallies of scoring every
+    block at every scale (see the module docstring). Equal scales give equal
+    metrics and are allowed, as are infinite ones, after which every block
+    is scored again: SNRs past the under- or overflow of the noise level
+    give such scales.
+    """
+    if not np.all(noise_stds[1:] <= noise_stds[:-1]):
+        raise ValueError(f"noise scales must be descending, got {noise_stds}")
+    for i, noise_std in enumerate(noise_stds):
+        metric = spare[: len(sent)]
+        np.multiply(noise, noise_std, out=metric)
+        metric += base
+        detected = np.argmin(metric, axis=1)
+        wrong = np.flatnonzero(detected != sent)
+        tallies[0, i] += wrong.size
+        tallies[1, i] += np.sum(np.bitwise_count(sent[wrong] ^ detected[wrong]))
+        if noise_std == np.inf:
+            continue  # infinite metrics tell nothing of the blocks at finite scales
+        if wrong.size == 0 or i == len(noise_stds) - 1:
+            break
+        if 2 * wrong.size > len(sent):
+            # gathering most rows costs more than scoring them all again, and the
+            # rows scored in excess are correct at every later scale
+            continue
+        # keep the rows in error: their noise moves to the spare rows, their base
+        # to the noise rows, and the base rows become the spare
+        noise, base, spare = (
+            np.take(noise, wrong, axis=0, out=spare[: wrong.size], mode="clip"),
+            np.take(base, wrong, axis=0, out=noise[: wrong.size], mode="clip"),
+            base,
+        )
+        sent = sent[wrong]
+
+
 def _score_chunk(
     config: SnrSweepConfig,
     Q: np.ndarray,
@@ -230,39 +355,39 @@ def _score_chunk(
     key: tuple,
     n: int,
     noise_stds: np.ndarray,
+    ws: _Workspace,
 ) -> np.ndarray:
     """Error events and bit errors at each noise scale on one chunk of n blocks.
 
-    words and weights are the codebook's stacked codewords and metric
-    weights. The chunk draws H, G, sent and unit-variance W from its own
-    substream key. Returns a 2 x len(noise_stds) integer array (events, then
-    bit errors).
+    words are the codebook's codewords blocks-last (T x L x K) and weights
+    its metric weights. The chunk draws H, G, sent and unit-variance W from
+    its own substream key, and works in the calling thread's arrays of ws.
+    Returns a 2 x len(noise_stds) integer array (events, then bit errors).
     """
-    dims = config.dims
+    M, L, N, T = config.dims.M, config.dims.L, config.dims.N, config.dims.T
+    K = words.shape[-1]
     rng = make_rng(config.seed, key)
-    H = sample_cn_matrix(n, dims.M * dims.L, rng).reshape(n, dims.M, dims.L)
-    G = sample_cn_matrix(n, dims.L * dims.N, rng).reshape(n, dims.L, dims.N)
-    sent = rng.integers(0, len(words), n)
-    W = sample_cn_matrix(n, dims.T * dims.N, rng).reshape(n, dims.T, dims.N)
+    H = sample_cn_matrix(n, M * L, rng, out=ws.view("H", (n, M * L))).reshape(n, M, L)
+    G = sample_cn_matrix(n, L * N, rng, out=ws.view("G", (n, L * N))).reshape(n, L, N)
+    sent = rng.integers(0, K, n)
+    W = sample_cn_matrix(n, T * N, rng, out=ws.view("W", (n, T * N))).reshape(n, T, N)
 
-    # base, noise and buf share the budget
+    # base, noise and the scorer's spare share the budget
     step = max(_MIN_SLICE, _METRIC_BUDGET // (3 * max(weights.shape)))
-    buf = np.empty((min(step, n), len(words)))
     tallies = np.zeros((2, len(noise_stds)), dtype=np.int64)
     for a in range(0, n, step):
-        s = slice(a, a + step)
-        X = effective_forward(Q, _blocks_last(H[s]))
-        Gs = _blocks_last(G[s])
-        base = _metric(X, Gs, mix(X, _blocks_last(words[sent[s]]), Gs), weights)
-        noise = _noise_metric(X, Gs, _blocks_last(W[s]), weights)
-        out = buf[: len(base)]
-        for i, noise_std in enumerate(noise_stds):
-            np.multiply(noise, noise_std, out=out)
-            out += base
-            detected = np.argmin(out, axis=1)
-            wrong = detected != sent[s]
-            tallies[0, i] += np.count_nonzero(wrong)
-            tallies[1, i] += np.sum(np.bitwise_count(sent[s][wrong] ^ detected[wrong]))
+        sent_s = sent[a : a + step]
+        k = len(sent_s)
+        X = effective_forward(
+            Q, _blocks_last(H[a : a + k], out=ws.view("Hs", (M, L, k))), out=ws.view("X", (T, L, k))
+        )
+        Gs = _blocks_last(G[a : a + k], out=ws.view("Gs", (L, N, k)))
+        C = np.take(words, sent_s, axis=2, out=ws.view("C", (T, L, k)), mode="clip")
+        S = mix(X, C, Gs, out=ws.view("S", (T, N, k)))
+        Ws = _blocks_last(W[a : a + k], out=ws.view("Ws", (T, N, k)))
+        base = _metric(X, Gs, S, weights, out=ws.view("base", (k, K), float), ws=ws)
+        noise = _noise_metric(X, Gs, Ws, weights, out=ws.view("noise", (k, K), float), ws=ws)
+        _score_points(base, noise, sent_s, noise_stds, tallies, ws.view("spare", (k, K), float))
     return tallies
 
 
@@ -272,9 +397,12 @@ def _worker_count(n_tasks: int, max_workers: int | None) -> int:
         env = os.environ.get("MLNSIM_THREADS")
         if env:
             try:
-                max_workers = min(max_workers, max(1, int(env)))
+                threads = int(env)
             except ValueError:
-                raise ValueError(f"MLNSIM_THREADS must be an integer, got {env!r}") from None
+                threads = 0
+            if threads < 1:
+                raise ValueError(f"MLNSIM_THREADS must be an integer >= 1, got {env!r}")
+            max_workers = min(max_workers, threads)
     return max(1, min(max_workers, n_tasks))
 
 
@@ -300,9 +428,11 @@ def simulate_ber(config: SnrSweepConfig, max_workers: int | None = None) -> BerC
     drawn = 0
     batch = 0
     # read the cached codebook arrays once, before any worker can race to build them
-    words, weights = config.codebook.stacked, config.codebook.metric_weights
+    words = _blocks_last(config.codebook.stacked)
+    weights = config.codebook.metric_weights
     largest_batch_chunks = -(-min(max(_BATCH_SCHEDULE), cap) // _CHUNK)
     workers = _worker_count(largest_batch_chunks, max_workers)
+    ws = _Workspace()
     with ThreadPoolExecutor(max_workers=workers) as pool:
         while active.any():
             n = min(_BATCH_SCHEDULE[min(batch, len(_BATCH_SCHEDULE) - 1)], cap - drawn)
@@ -310,7 +440,7 @@ def simulate_ber(config: SnrSweepConfig, max_workers: int | None = None) -> BerC
             tallies = pool.map(
                 lambda c: _score_chunk(
                     config, Q, words, weights, (1, batch, c), min(_CHUNK, n - c * _CHUNK),
-                    noise_stds[idx],
+                    noise_stds[idx], ws,
                 ),
                 range(-(-n // _CHUNK)),
             )

@@ -6,8 +6,10 @@ import pytest
 from mlnsim.channel import (
     ChannelRealization,
     SystemDims,
+    _blocks_last,
     backscatter_transmit,
     effective_signal,
+    gram,
     mix,
     sample_channel,
 )
@@ -138,6 +140,29 @@ class TestBatchedKernel:
         for k in range(n):
             expected = mix(np.repeat(y[k][None], T, axis=0), C, G[k])
             assert np.max(np.abs(S[..., k] - expected)) <= 1e-12
+
+    def test_out_buffers_hold_the_fresh_results(self):
+        # dirty buffers filled through out= hold the bits of calls without it
+        rng = make_rng(14)
+        T, M, L, N, n = 3, 2, 2, 4, 50
+        q = sample_cn_matrix(T, M, rng)
+        H = sample_cn_matrix(n, M * L, rng).reshape(n, M, L)
+        C = sample_cn_matrix(T * L, n, rng).reshape(T, L, n)
+        G = sample_cn_matrix(n, L * N, rng).reshape(n, L, N)
+        Hb, Gb = (np.full(A.shape[1:] + (n,), np.nan, complex) for A in (H, G))
+        assert _blocks_last(H, out=Hb) is Hb and np.array_equal(Hb, _blocks_last(H))
+        assert _blocks_last(G, out=Gb) is Gb and np.array_equal(Gb, _blocks_last(G))
+        cases = [
+            (lambda out: effective_forward(q, Hb, out=out), (T, L, n)),
+            (lambda out: mix(effective_forward(q, Hb), C, Gb, out=out), (T, N, n)),
+            (lambda out: gram(Gb, out=out), (L, L, n)),
+        ]
+        for f, shape in cases:
+            out = np.full(shape, np.nan, complex)
+            assert np.shares_memory(f(out), out)
+            assert np.array_equal(out.view(np.uint64), f(None).view(np.uint64))
+        with pytest.raises(ValueError, match="C-contiguous"):
+            effective_forward(q, Hb, out=np.empty((L, T, n), complex).transpose(1, 0, 2))
 
     def test_effective_signal_rejects_batched_h(self):
         with pytest.raises(DimensionMismatchError, match="matrix"):

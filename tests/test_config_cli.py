@@ -584,6 +584,21 @@ class TestCliCommands:
         assert (out["r_unitary"], out["r_uniform"]) == (2, 1)
         assert (tmp_path / "out" / "measure_custom.json").exists()
 
+    @pytest.mark.parametrize("env", ["0", "-2", "abc"])
+    def test_bad_threads_env_exits_two(self, tmp_path, monkeypatch, capsys, env):
+        monkeypatch.setenv("MLNSIM_THREADS", env)
+        out = tmp_path / "o"
+        status = main(
+            ["ber", "--preset", "example3", "--snr-grid", "0:4:4", "--events", "20",
+             "--max-trials", "2000", "--out", str(out)]
+        )
+        assert status == 2
+        captured = capsys.readouterr()
+        assert captured.err == (
+            f"mlnsim ber: ValueError: MLNSIM_THREADS must be an integer >= 1, got '{env}'\n"
+        )
+        assert not out.exists() and captured.out == ""
+
     def test_threads_env_respected(self, tmp_path, monkeypatch):
         monkeypatch.setenv("MLNSIM_THREADS", "1")
         status = main(

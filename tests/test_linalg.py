@@ -51,22 +51,50 @@ class TestSampling:
             sample_cn_matrix(0, 2, make_rng(0))
 
     def test_bits_match_combine_then_divide(self):
-        # the same bits as the two-pass reference from the same generator state
-        for seed in range(3):
+        # the same bits as the two-pass reference from the same generator state;
+        # 3000 x 7 is drawn in three pieces per part
+        for seed, rows in [(0, 500), (1, 500), (2, 500), (0, 3000), (1, 3000)]:
             rng = make_rng(seed, (9,))
             ref = make_rng(seed, (9,))
-            a = ref.standard_normal((500, 7))
-            b = ref.standard_normal((500, 7))
-            z = sample_cn_matrix(500, 7, rng)
+            a = ref.standard_normal((rows, 7))
+            b = ref.standard_normal((rows, 7))
+            z = sample_cn_matrix(rows, 7, rng)
             assert np.array_equal(z.view(np.uint64), ((a + 1j * b) / np.sqrt(2)).view(np.uint64))
+            assert rng.standard_normal() == ref.standard_normal()
 
     def test_leaves_stream_where_two_draws_do(self):
-        # the one (2, rows, cols) draw consumes what two (rows, cols) draws would
+        # the draw consumes what two (rows, cols) draws would
         rng, ref = make_rng(5, (9,)), make_rng(5, (9,))
         sample_cn_matrix(33, 5, rng)
         ref.standard_normal((33, 5))
         ref.standard_normal((33, 5))
         assert rng.standard_normal() == ref.standard_normal()
+
+    @pytest.mark.parametrize(
+        "rows, cols",
+        [(1, 1), (500, 7), (3000, 7), (linalg._DRAW_PIECE // 2, 1), (linalg._DRAW_PIECE // 2 + 1, 1)],
+    )
+    def test_out_buffer_reused_matches_fresh_draws(self, rows, cols):
+        # a dirty buffer filled twice holds each time the bits of a fresh call, and
+        # the generator ends where two fresh calls leave it; 3000 x 7 is drawn in
+        # three pieces per part, and the last two sizes sit either side of the
+        # largest one-piece draw
+        rng, ref = make_rng(6, (9,)), make_rng(6, (9,))
+        buf = np.full((rows, cols), np.nan + 1j * np.inf)
+        for _ in range(2):
+            fresh = sample_cn_matrix(rows, cols, ref)
+            assert sample_cn_matrix(rows, cols, rng, out=buf) is buf
+            assert np.array_equal(buf.view(np.uint64), fresh.view(np.uint64))
+        assert rng.bit_generator.state == ref.bit_generator.state
+
+    @pytest.mark.parametrize(
+        "out",
+        [np.empty((3, 4)), np.empty((4, 3), complex), np.empty((4, 3), complex).T,
+         np.empty((3, 4), np.complex64)],
+    )
+    def test_bad_out_rejected(self, out):
+        with pytest.raises(ValueError, match="out must be a C-contiguous complex128"):
+            sample_cn_matrix(3, 4, make_rng(0), out=out)
 
 
 class TestMatmul:

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from mlnsim import codes, simulate
-from mlnsim.channel import SystemDims, sample_channel
+from mlnsim.channel import SystemDims, mix, sample_channel
 from mlnsim.codes import (
     EXAMPLE1_DELTA,
     _metric_weights,
@@ -194,9 +194,9 @@ class TestMetricKernel:
         slices = []
         metric = simulate._metric
 
-        def spy(X, G, R, weights):
+        def spy(X, G, R, weights, *, out=None, ws=None):
             slices.append(X.shape[-1])
-            return metric(X, G, R, weights)
+            return metric(X, G, R, weights, out=out, ws=ws)
 
         monkeypatch.setattr(simulate, "_metric", spy)
         # build the cached weights untraced: real, so T L (L + 1) columns
@@ -240,6 +240,123 @@ class TestMetricKernel:
         assert points[0].ber * 96 * cb.bits_per_block == pytest.approx(bit_errors, abs=1e-6)
 
 
+def _tallies_every_point(base, noise, sent, noise_stds):
+    """Events and bit errors with every block scored at every noise scale."""
+    tallies = np.zeros((2, len(noise_stds)), dtype=np.int64)
+    for i, noise_std in enumerate(noise_stds):
+        metric = np.multiply(noise, noise_std)
+        metric += base
+        detected = np.argmin(metric, axis=1)
+        wrong = detected != sent
+        tallies[0, i] = np.count_nonzero(wrong)
+        tallies[1, i] = np.sum(np.bitwise_count(sent[wrong] ^ detected[wrong]))
+    return tallies
+
+
+def _score(base, noise, sent, noise_stds):
+    tallies = np.zeros((2, len(noise_stds)), dtype=np.int64)
+    simulate._score_points(base.copy(), noise.copy(), sent, noise_stds, tallies, np.empty_like(base))
+    return tallies
+
+
+class TestScorePoints:
+    """Scoring each point on the blocks in error at the point before, against scoring all."""
+
+    @pytest.mark.parametrize("K", [2, 4, 256])
+    @pytest.mark.parametrize("kind", ["real", "complex"])
+    def test_matches_every_point_brute_force(self, K, kind):
+        rng = make_rng(45, (K, kind == "complex"))
+        for case in range(8):
+            T, L, N = (int(v) for v in rng.integers(1, 4, 3))
+            if kind == "real":  # few distinct words when T L is small, so exact ties too
+                codewords = rng.choice([-1.0, 1.0], (K, T, L)).astype(complex)
+            else:
+                codewords = rng.standard_normal((K, T, L)) + 1j * rng.standard_normal((K, T, L))
+            n = 300
+            X = query_array(unitary_query(T, "dft")) @ (
+                rng.standard_normal((T, L * n)) + 1j * rng.standard_normal((T, L * n))
+            )
+            X = X.reshape(T, L, n)
+            G = rng.standard_normal((L, N, n)) + 1j * rng.standard_normal((L, N, n))
+            W = rng.standard_normal((T, N, n)) + 1j * rng.standard_normal((T, N, n))
+            sent = rng.integers(0, K, n)
+            S = mix(X, np.moveaxis(codewords[sent], 0, -1), G)
+            weights = _metric_weights(codewords)
+            base = simulate._metric(X, G, S, weights)
+            noise = simulate._noise_metric(X, G, W, weights)
+            # the noisiest scale in [3, 30) has errors to carry over, the rest in [0.01, 3);
+            # some cases repeat a scale or end at 0, as SNRs past the noise underflow do
+            rest = np.exp(rng.uniform(np.log(0.01), np.log(3.0), int(rng.integers(0, 7))))
+            stds = np.concatenate([[rng.uniform(3.0, 30.0)], np.sort(rest)[::-1]])
+            if case % 4 == 1:
+                stds = np.repeat(stds, 2)
+            if case % 4 == 2:
+                stds = np.concatenate([stds, [0.0, 0.0]])
+            expected = _tallies_every_point(base, noise, sent, stds)
+            where = f"case {case}: T={T} L={L} N={N} scales={stds}"
+            assert np.array_equal(_score(base, noise, sent, stds), expected), where
+            assert expected[0, 0] > 0, where
+
+    def test_all_tie_block_detected_as_word_zero(self):
+        # G = 0 makes every word's metric 0 at every scale: each block is word 0
+        codewords = np.stack(uncoded_bpsk(2, 1).codewords)
+        X = np.ones((2, 1, 8), dtype=complex)
+        G = np.zeros((1, 2, 8), dtype=complex)
+        W = np.ones((2, 2, 8), dtype=complex)
+        sent = np.array([0, 1, 2, 3, 3, 2, 1, 0])
+        weights = _metric_weights(codewords)
+        base = simulate._metric(X, G, mix(X, np.moveaxis(codewords[sent], 0, -1), G), weights)
+        noise = simulate._noise_metric(X, G, W, weights)
+        assert not base.any() and not noise.any()
+        stds = np.array([4.0, 1.0, 0.25])
+        bits = int(np.sum(np.bitwise_count(sent)))
+        assert np.array_equal(_score(base, noise, sent, stds), [[6, 6, 6], [bits] * 3])
+        assert np.array_equal(_tallies_every_point(base, noise, sent, stds), [[6, 6, 6], [bits] * 3])
+
+    def test_block_won_at_infinite_scale_is_scored_again(self):
+        # word 0 ties word 1 at -inf and wins at scale inf, but loses at scale 1
+        base = np.array([[0.0, 1.0, 5.0]] * 4)
+        noise = np.array([[-1.0, -5.0, 1.0]] * 4)
+        sent = np.zeros(4, dtype=np.int64)
+        stds = np.array([np.inf, 1.0, 0.0])
+        expected = [[0, 4, 0], [0, 4, 0]]
+        assert np.array_equal(_tallies_every_point(base, noise, sent, stds), expected)
+        assert np.array_equal(_score(base, noise, sent, stds), expected)
+
+    @pytest.mark.parametrize(
+        "stds", [[1.0, 2.0], [0.0, 1e-300], [2.0, 0.5, 0.7], [1.0, np.inf], [1.0, np.nan]]
+    )
+    def test_rejects_scales_not_descending(self, stds):
+        base = noise = np.zeros((4, 2))
+        with pytest.raises(ValueError, match="must be descending"):
+            _score(base, noise, np.zeros(4, dtype=np.int64), np.array(stds))
+
+    def test_chunk_reuses_its_workspace(self):
+        # after its first chunk a worker allocates a small fraction of what that chunk did
+        dims = SystemDims(2, 2, 2, 2)
+        cb = _antipodal()
+        sweep = SnrSweepConfig(dims=dims, query_kind="dft", codebook=cb, snr_grid_db=(0.0, 10.0))
+        Q = query_array(simulate.build_query("dft", dims, 0))
+        words = np.ascontiguousarray(np.moveaxis(cb.stacked, 0, -1))
+        stds = np.array([1.0, 0.3])
+        ws = simulate._Workspace()
+        peaks, tallies = [], []
+        for chunk in range(2):
+            tracemalloc.start()
+            try:
+                t = simulate._score_chunk(sweep, Q, words, cb.metric_weights, (1, 0, chunk), 10_000, stds, ws)
+                peaks.append(tracemalloc.get_traced_memory()[1])
+            finally:
+                tracemalloc.stop()
+            tallies.append(t)
+        assert peaks[1] < peaks[0] / 4
+        # and a fresh workspace gives the second chunk the same tallies
+        fresh = simulate._score_chunk(
+            sweep, Q, words, cb.metric_weights, (1, 0, 1), 10_000, stds, simulate._Workspace()
+        )
+        assert np.array_equal(fresh, tallies[1])
+
+
 class TestSimulateBer:
     def test_noise_free_limit(self):
         sweep = SnrSweepConfig(
@@ -251,6 +368,18 @@ class TestSimulateBer:
         assert point.ber == 0.0
         assert point.trials == 10_000
         assert not point.resolved
+
+    @pytest.mark.filterwarnings("ignore:overflow encountered in power:RuntimeWarning")
+    @pytest.mark.filterwarnings("ignore:divide by zero encountered in divide:RuntimeWarning")
+    def test_grid_past_noise_level_overflow_runs(self):
+        # 10**(+-400) over- and underflows: the noise scales are inf, inf, 1, 0, 0
+        sweep = SnrSweepConfig(
+            dims=SystemDims(2, 2, 2, 2), query_kind="dft", codebook=uncoded_bpsk(2, 2),
+            snr_grid_db=(-5000.0, -4000.0, 0.0, 4000.0, 5000.0), max_trials_per_point=2_000,
+            target_error_events=10**6, seed=5,
+        )
+        points = simulate_ber(sweep, max_workers=1).points
+        assert [(p.ber, p.trials) for p in points[3:]] == [(0.0, 2_000)] * 2
 
     def test_reproducible_bit_for_bit(self):
         sweep = SnrSweepConfig(
@@ -270,9 +399,9 @@ class TestSimulateBer:
         drawn = []
         sample = simulate.sample_cn_matrix
 
-        def counting(rows, cols, rng):
+        def counting(rows, cols, rng, *, out=None):
             drawn.append(rows * cols)
-            return sample(rows, cols, rng)
+            return sample(rows, cols, rng, out=out)
 
         monkeypatch.setattr(simulate, "sample_cn_matrix", counting)
         dims = SystemDims(2, 2, 3, 2)
@@ -307,9 +436,22 @@ class TestSimulateBer:
         assert low.error_events >= 300 and high.error_events < 300
 
     def test_bad_threads_env_is_named(self, monkeypatch):
-        monkeypatch.setenv("MLNSIM_THREADS", "abc")
-        with pytest.raises(ValueError, match="MLNSIM_THREADS must be an integer, got 'abc'"):
-            simulate._worker_count(3, None)
+        for env in ("abc", "0", "-2"):
+            monkeypatch.setenv("MLNSIM_THREADS", env)
+            with pytest.raises(ValueError, match=f"MLNSIM_THREADS must be an integer >= 1, got '{env}'"):
+                simulate._worker_count(3, None)
+
+    def test_short_last_chunk_byte_identical_across_worker_counts(self):
+        # a 25k cap draws chunks of 10k, 10k and then 5k blocks, so a worker's
+        # arrays are reused for a shorter chunk than they were made for
+        sweep = SnrSweepConfig(
+            dims=SystemDims(2, 2, 2, 2), query_kind="dft", codebook=uncoded_bpsk(2, 2),
+            snr_grid_db=(0.0, 8.0, 16.0, 24.0), max_trials_per_point=25_000,
+            target_error_events=10**6, seed=12,
+        )
+        csvs = [simulate_ber(sweep, max_workers=w).to_csv() for w in (1, 2, 3)]
+        assert csvs[0] == csvs[1] == csvs[2]
+        assert all(p.trials == 25_000 for p in BerCurve.from_csv(csvs[0]).points)
 
     def test_unitary_needs_square_block(self):
         with pytest.raises(ValueError, match="T == M"):
