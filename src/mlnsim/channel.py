@@ -15,6 +15,8 @@ Every caller computes it as X = Q H (``query.effective_forward``) and then
 
 from __future__ import annotations
 
+import math
+import sys
 from dataclasses import dataclass
 
 import numpy as np
@@ -30,7 +32,33 @@ __all__ = [
     "gram",
     "effective_signal",
     "backscatter_transmit",
+    "snr_gain",
+    "checked_snr_grid",
 ]
+
+# below this |snr_db| (about 3082.5 dB), gbar and 1 / gbar are finite nonzero floats
+_SNR_DB_MAX = 10.0 * math.log10(sys.float_info.max)
+
+
+def snr_gain(snr_db):
+    """The SNR gbar = 10**(snr_db / 10); unit-energy signals get noise variance 1 / gbar per entry."""
+    return 10.0 ** (snr_db / 10.0)
+
+
+def checked_snr_grid(values) -> tuple:
+    """values as a nonempty, strictly ascending tuple of floats, each with |snr_db| < _SNR_DB_MAX.
+
+    Raises ValueError starting "snr_grid_db:" otherwise.
+    """
+    grid = tuple(float(s) for s in values)
+    if not grid or any(b <= a for a, b in zip(grid, grid[1:])):
+        raise ValueError(f"snr_grid_db: must be nonempty and strictly ascending, got {grid!r:.100}")
+    if not all(abs(s) < _SNR_DB_MAX for s in grid):
+        raise ValueError(
+            f"snr_grid_db: need |snr| < {_SNR_DB_MAX:.4f} dB, where gbar and 1/gbar are finite "
+            f"and nonzero floats, got {grid!r:.100}"
+        )
+    return grid
 
 
 @dataclass(frozen=True)

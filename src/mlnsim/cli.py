@@ -118,20 +118,22 @@ def _slug(cfg: ExperimentConfig) -> str:
     return cfg.preset or "custom"
 
 
-def _run_measure(cfg: ExperimentConfig, art: _Artifacts) -> int:
-    report = compare_queries(cfg.delta, cfg.dims.N)
-    text = json.dumps(report.to_dict(), indent=2)
+def _report(art: _Artifacts, name: str, doc: dict) -> None:
+    """Print doc as indented JSON and write the same text to the output file name."""
+    text = json.dumps(doc, indent=2)
     print(text)
-    art.write(f"measure_{_slug(cfg)}.json", text + "\n")
+    art.write(name, text + "\n")
+
+
+def _run_measure(cfg: ExperimentConfig, art: _Artifacts) -> int:
+    _report(art, f"measure_{_slug(cfg)}.json", compare_queries(cfg.delta, cfg.dims.N).to_dict())
     return 0
 
 
 def _run_verify_lemmas(cfg: ExperimentConfig, art: _Artifacts) -> int:
     rng = make_rng(cfg.seed, (10,))
     report = empirical_rank_check(cfg.delta, cfg.dims.N, cfg.trials, rng)
-    text = json.dumps(report.to_dict(), indent=2)
-    print(text)
-    art.write(f"lemma_check_{_slug(cfg)}.json", text + "\n")
+    _report(art, f"lemma_check_{_slug(cfg)}.json", report.to_dict())
     if not report.passed:
         print("rank predictions NOT met on sampled draws", file=sys.stderr)
         return 3
@@ -168,9 +170,7 @@ def _run_pep(cfg: ExperimentConfig, art: _Artifacts) -> int:
         "unitary": _exponent_summary(curves["unitary"], measures.r_unitary),
         "uniform": _exponent_summary(curves["uniform"], measures.r_uniform),
     }
-    text = json.dumps(summary, indent=2)
-    print(text)
-    art.write(f"pep_{slug}_summary.json", text + "\n")
+    _report(art, f"pep_{slug}_summary.json", summary)
     return 0
 
 
@@ -200,9 +200,7 @@ def _run_ber(cfg: ExperimentConfig, art: _Artifacts) -> int:
         except LevelNotCrossedError as exc:
             summary[key] = None
             summary[key + "_note"] = str(exc)
-    text = json.dumps(summary, indent=2)
-    print(text)
-    art.write(f"ber_{slug}_summary.json", text + "\n")
+    _report(art, f"ber_{slug}_summary.json", summary)
     return 0
 
 

@@ -22,7 +22,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .channel import SystemDims
+from .channel import SystemDims, checked_snr_grid
 from .codes import Codebook, difference_matrix, repetition_bpsk, uncoded_bpsk, pairwise_codebook_from_delta, EXAMPLE1_DELTA
 from .measure import QUERY_SCHEMES, scheme_weights
 from .query import UNITARY_KINDS
@@ -72,15 +72,15 @@ def parse_snr_grid(text: str) -> tuple:
 
 
 def _checked_grid(values) -> tuple:
-    """values as a nonempty, finite, strictly ascending tuple of floats."""
+    """A JSON list of numbers as ``checked_snr_grid`` gives it; ConfigError naming snr_grid_db otherwise."""
     try:
-        grid = tuple(float(s) for s in values if not isinstance(s, (str, bytes, bool)))
-        ok = 0 < len(grid) == len(values) and all(map(math.isfinite, grid))
-    except (TypeError, ValueError, OverflowError):
-        ok = False
-    if not ok or any(b <= a for a, b in zip(grid, grid[1:])):
-        raise ConfigError(f"snr_grid_db: need finite numbers, strictly ascending, got {values!r:.100}")
-    return grid
+        if any(isinstance(s, (str, bytes, bool)) for s in values):  # float() would take "1" and True
+            raise TypeError
+        return checked_snr_grid(values)
+    except ValueError as exc:
+        raise ConfigError(str(exc)) from None
+    except (TypeError, OverflowError):  # not a list, or an entry that is not a float
+        raise ConfigError(f"snr_grid_db: need a list of numbers, got {values!r:.100}") from None
 
 
 def _integer(key: str, value, minimum: int) -> int:

@@ -1,6 +1,19 @@
-"""The one reader behind the package's CSV formats (BER, PEP and ratio curves)."""
+"""The one writer and reader behind the package's CSV formats (BER, PEP and ratio curves)."""
 
-__all__ = ["csv_rows"]
+__all__ = ["csv_text", "csv_rows"]
+
+
+def _field(v) -> str:
+    """repr for a float (it reads back as the same float), 0 or 1 for a bool, str otherwise."""
+    return repr(float(v)) if isinstance(v, float) else str(int(v) if isinstance(v, bool) else v)
+
+
+def csv_text(header: str, rows) -> str:
+    """A CSV document: header, then one line per row of fields, each line ending in a newline.
+
+    Floats are written with repr, booleans as 0 or 1, and ints and strings with str.
+    """
+    return "".join(f"{line}\n" for line in [header] + [",".join(map(_field, r)) for r in rows])
 
 
 def csv_rows(text: str, header: str, types: tuple) -> list[list]:

@@ -22,7 +22,7 @@ __all__ = [
     "random_unitary",
 ]
 
-# Default relative tolerance for rank decisions. The matrices handled here
+# Relative tolerance for rank decisions. The matrices handled here
 # are tiny (at most a few rows/columns) with O(1) entries, so true zero
 # singular values sit many orders of magnitude below sigma_max.
 RANK_REL_TOL = 1e-10
@@ -232,27 +232,24 @@ def _norm_sq(x: np.ndarray) -> np.ndarray:
     return np.einsum("...i,...i->...", x.real, x.real) + np.einsum("...i,...i->...", x.imag, x.imag)
 
 
-def numeric_rank(a: np.ndarray, rel_tol: float = RANK_REL_TOL) -> int:
-    """Count singular values above rel_tol * sigma_max * max(rows, cols).
+def numeric_rank(a: np.ndarray) -> int:
+    """Count singular values above RANK_REL_TOL * sigma_max * max(rows, cols).
 
     The zero matrix has rank 0.
     """
     a = _as_matrix(a)
-    return int(rank_from_singulars(singular_values(a), max(a.shape), rel_tol))
+    return int(rank_from_singulars(singular_values(a), max(a.shape)))
 
 
-def rank_from_singulars(s: np.ndarray, max_dim: int, rel_tol: float = RANK_REL_TOL) -> np.ndarray:
+def rank_from_singulars(s: np.ndarray, max_dim: int) -> np.ndarray:
     """Rank rule of ``numeric_rank`` applied to singular values of one matrix or a stack.
 
     ``s`` holds singular values along the last axis (descending), as
     ``singular_values`` returns them; a value counts when it exceeds
-    rel_tol * s[..., 0] * max_dim. Returns integer ranks with the leading
-    stack shape. Raises ``ValueError`` unless 0 < rel_tol < 1.
+    RANK_REL_TOL * s[..., 0] * max_dim. Returns integer ranks with the
+    leading stack shape.
     """
-    if not 0.0 < rel_tol < 1.0:
-        raise ValueError(f"rel_tol must be in (0, 1), got {rel_tol}")
-    smax = s[..., 0]
-    thresh = rel_tol * smax * max_dim
+    thresh = RANK_REL_TOL * s[..., 0] * max_dim
     return np.sum(s > thresh[..., None], axis=-1).astype(int)
 
 

@@ -25,13 +25,7 @@ from dataclasses import dataclass, asdict
 import numpy as np
 
 from .codes import _as_diff
-from .linalg import (
-    DimensionMismatchError,
-    RANK_REL_TOL,
-    rank_from_singulars,
-    sample_cn_matrix,
-    singular_values,
-)
+from .linalg import DimensionMismatchError, rank_from_singulars, sample_cn_matrix, singular_values
 
 __all__ = [
     "MeasureReport",
@@ -172,21 +166,12 @@ class RankCheckReport:
     passed: bool
 
     def to_dict(self) -> dict:
-        return {
-            "trials": self.trials,
-            "per_slot_fractions": list(self.per_slot_fractions),
-            "d_fraction": self.d_fraction,
-            "passed": self.passed,
-        }
+        d = asdict(self)
+        d["per_slot_fractions"] = list(self.per_slot_fractions)
+        return d
 
 
-def empirical_rank_check(
-    delta,
-    N: int,
-    trials: int,
-    rng: np.random.Generator,
-    rel_tol: float = RANK_REL_TOL,
-) -> RankCheckReport:
+def empirical_rank_check(delta, N: int, trials: int, rng: np.random.Generator) -> RankCheckReport:
     """Validate the almost-sure rank predictions on sampled G.
 
     Draws `trials` independent G matrices and records, for every slot t,
@@ -195,7 +180,7 @@ def empirical_rank_check(
     iff every fraction equals 1. Ranks use ``numeric_rank``'s threshold
     rule on the singular values of each stack of E_t or D matrices, which
     ``singular_values`` computes in one elementwise pass when min(m, n) <= 2.
-    Raises ``ValueError`` unless trials >= 1 and 0 < rel_tol < 1.
+    Raises ``ValueError`` unless trials >= 1.
     """
     if trials < 1:
         raise ValueError(f"trials must be >= 1, got {trials}")
@@ -203,7 +188,7 @@ def empirical_rank_check(
     G = sample_cn_matrix(d.L, N * trials, rng).reshape(d.L, trials, N).transpose(1, 0, 2)
 
     def hits(M: np.ndarray, expected: int) -> np.ndarray:
-        return rank_from_singulars(singular_values(M), max(M.shape[-2:]), rel_tol) == expected
+        return rank_from_singulars(singular_values(M), max(M.shape[-2:])) == expected
 
     slot_fractions = [
         float(np.mean(hits(build_E_t(d, G, t + 1), min(N, d.column_supports[t]))))

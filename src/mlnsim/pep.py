@@ -24,19 +24,19 @@ The Q-function route draws each batch's forward rows and then its G whole
 and forms Z in slices of ``_Z_SLICE`` draws, which keeps its temporaries
 small and changes no bit of the result.
 
-gbar = 10**(snr_db / 10) throughout. Estimators report the Monte Carlo
-standard error alongside the value.
+gbar = 10**(snr_db / 10) (``channel.snr_gain``) throughout. Estimators
+report the Monte Carlo standard error alongside the value.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import astuple, dataclass
 
 import numpy as np
 
-from .channel import SystemDims, _blocks_last, gram, mix
+from .channel import SystemDims, _blocks_last, checked_snr_grid, gram, mix, snr_gain
 from .codes import DifferenceMatrix, _as_diff
-from .csvio import csv_rows
+from .csvio import csv_rows, csv_text
 from .linalg import DimensionMismatchError, psd_eigenvalues, sample_cn_matrix
 from .measure import build_D, build_E_t, scheme_weights
 
@@ -222,7 +222,7 @@ def pep_qfunction_mc(
     slots (uniform).
     """
     d, A = _checked_args(query_kind, delta, dims, trials)
-    gbar = 10.0 ** (snr_db / 10.0)
+    gbar = snr_gain(snr_db)
     mean, se = _mc_mean(
         lambda n: [qfunc(np.sqrt(gbar * _batched_z(A.shape[0], d, dims.N, n, rng) / 2.0))],
         trials,
@@ -248,7 +248,7 @@ def pep_eigen_product_curve(
     """``pep_eigen_product_mc`` at every point of snr_grid, all from one set of G draws."""
     _, A = _checked_args(query_kind, delta, dims, trials)
     snrs = [float(s) for s in snr_grid]
-    gbars = [10.0 ** (s / 10.0) for s in snrs]
+    gbars = [snr_gain(s) for s in snrs]
     mean, se = _mc_mean(lambda n: _lambda_products(A, dims.N, n, gbars, rng), trials, len(snrs))
     return [PepEstimate(s, float(m), float(e), trials, METHOD_EIGEN) for s, m, e in zip(snrs, mean, se)]
 
@@ -318,8 +318,8 @@ def check_scaled_limit(estimates: list[PepEstimate], exponent: int) -> ScaledLim
     first, last = estimates[0], estimates[-1]
     if first.value <= 0.0 or last.value <= 0.0:
         raise ValueError("scaled-limit check needs positive endpoint values")
-    g_first = 10.0 ** (first.snr_db / 10.0)
-    g_last = 10.0 ** (last.snr_db / 10.0)
+    g_first = snr_gain(first.snr_db)
+    g_last = snr_gain(last.snr_db)
     growth = (last.value * g_last**exponent) / (first.value * g_first**exponent)
     rel_err = np.hypot(first.std_error / first.value, last.std_error / last.value)
     z = np.log(growth) / rel_err if rel_err > 0 else np.inf
@@ -351,10 +351,7 @@ RATIO_CSV_HEADER = "snr_db,ratio,std_error,censored"
 
 
 def pep_curve_to_csv(estimates: list[PepEstimate]) -> str:
-    lines = [PEP_CSV_HEADER]
-    for e in estimates:
-        lines.append(f"{e.snr_db!r},{e.value!r},{e.std_error!r},{e.trials},{e.method}")
-    return "\n".join(lines) + "\n"
+    return csv_text(PEP_CSV_HEADER, map(astuple, estimates))
 
 
 def pep_curve_from_csv(text: str) -> list[PepEstimate]:
@@ -363,10 +360,7 @@ def pep_curve_from_csv(text: str) -> list[PepEstimate]:
 
 
 def ratio_curve_to_csv(points: list[RatioPoint]) -> str:
-    lines = [RATIO_CSV_HEADER]
-    for p in points:
-        lines.append(f"{p.snr_db!r},{p.ratio!r},{p.std_error!r},{int(p.censored)}")
-    return "\n".join(lines) + "\n"
+    return csv_text(RATIO_CSV_HEADER, map(astuple, points))
 
 
 def ratio_curve_from_csv(text: str) -> list[RatioPoint]:
@@ -397,15 +391,12 @@ def pep_ratio_curve(
     trials: int,
     rng: np.random.Generator,
 ) -> list[RatioPoint]:
-    """Unitary-to-uniform eigen-product PEP ratio (``ratio_point``) over an ascending SNR grid.
+    """Unitary-to-uniform eigen-product PEP ratio (``ratio_point``) over a ``checked_snr_grid``.
 
     At each SNR the unitary estimate draws from ``rng`` before the uniform one.
     """
-    snr_grid = [float(s) for s in snr_grid]
-    if any(b <= a for a, b in zip(snr_grid, snr_grid[1:])):
-        raise ValueError("snr_grid must be strictly ascending")
     points = []
-    for snr in snr_grid:
+    for snr in checked_snr_grid(snr_grid):
         eu = pep_eigen_product_mc("unitary", delta, dims, snr, trials, rng)
         ef = pep_eigen_product_mc("uniform", delta, dims, snr, trials, rng)
         points.append(ratio_point(eu, ef))

@@ -5,7 +5,7 @@ Per SNR point, blocks are simulated until a target number of error events
 The SNR convention ties the simulated channel to the analytical PEP
 expressions: codebooks carry unit average energy per slot, query rows
 have unit norm, and the per-entry complex noise variance is 1 / gbar with
-gbar = 10**(snr_db / 10).
+gbar = 10**(snr_db / 10) (``channel.snr_gain``).
 
 A sweep draws each batch of blocks (_BATCH_SCHEDULE) once and scores it at
 every point still below its event target and the cap. A batch is split
@@ -63,13 +63,13 @@ import math
 import os
 import threading
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass
+from dataclasses import astuple, dataclass
 
 import numpy as np
 
-from .channel import ChannelRealization, SystemDims, _blocks_last, gram, mix
+from .channel import ChannelRealization, SystemDims, _blocks_last, checked_snr_grid, gram, mix, snr_gain
 from .codes import Codebook
-from .csvio import csv_rows
+from .csvio import csv_rows, csv_text
 from .linalg import DimensionMismatchError, make_rng, sample_cn_matrix
 from .query import QUERY_KINDS, effective_forward, query_array, uniform_query, unitary_query
 
@@ -116,10 +116,7 @@ class SnrSweepConfig:
     seed: int = 0
 
     def __post_init__(self):
-        grid = tuple(float(s) for s in self.snr_grid_db)
-        object.__setattr__(self, "snr_grid_db", grid)
-        if any(b <= a for a, b in zip(grid, grid[1:])):
-            raise ValueError("snr_grid_db must be strictly ascending")
+        object.__setattr__(self, "snr_grid_db", checked_snr_grid(self.snr_grid_db))
         if self.query_kind not in QUERY_KINDS:
             raise ValueError(f"query_kind must be one of {QUERY_KINDS}, got {self.query_kind!r}")
         if self.target_error_events < 1 or self.max_trials_per_point < 1:
@@ -161,13 +158,7 @@ class BerCurve:
             raise ValueError("curve points must be ordered by snr_db")
 
     def to_csv(self) -> str:
-        lines = [CSV_HEADER]
-        for p in self.points:
-            lines.append(
-                f"{p.snr_db!r},{p.ber!r},{p.ci_low!r},{p.ci_high!r},"
-                f"{p.error_events},{p.trials}"
-            )
-        return "\n".join(lines) + "\n"
+        return csv_text(CSV_HEADER, map(astuple, self.points))
 
     @classmethod
     def from_csv(cls, text: str) -> "BerCurve":
@@ -175,10 +166,9 @@ class BerCurve:
         return cls(tuple(BerPoint(*f) for f in rows))
 
 
-def _wilson_interval(errors: int, n: int, z: float = 1.959963984540054) -> tuple[float, float]:
-    """95% Wilson score interval for a binomial proportion."""
-    if n == 0:
-        return 0.0, 1.0
+def _wilson_interval(errors: int, n: int) -> tuple[float, float]:
+    """95% Wilson score interval for a binomial proportion of n >= 1 trials."""
+    z = 1.959963984540054  # two-sided 95% standard normal quantile
     p = errors / n
     denom = 1.0 + z * z / n
     center = (p + z * z / (2 * n)) / denom
@@ -214,23 +204,18 @@ class _Workspace(threading.local):
         return flat[:size].reshape(shape)
 
 
-def _scratch(ws: _Workspace | None, name: str, shape: tuple, dtype=complex) -> np.ndarray:
-    """An array to compute into: a view of ws's array under name, or a new one without ws."""
-    return np.empty(shape, dtype) if ws is None else ws.view(name, shape, dtype)
-
-
 def _real_rows(z: np.ndarray, parts: int) -> tuple:
     """z (... x n) as real feature rows: views of Re then Im, or of Re alone when parts == 1."""
     z = z.reshape(-1, z.shape[-1])
     return (z.real, z.imag)[:parts]
 
 
-def _cross(X: np.ndarray, G: np.ndarray, R: np.ndarray, ws: _Workspace | None) -> np.ndarray:
+def _cross(X: np.ndarray, G: np.ndarray, R: np.ndarray, ws: _Workspace) -> np.ndarray:
     """T x L x n: X o conj(R G^H), whose pairing with c_j gives Re<R, S_j>."""
     T, L, n = X.shape
-    Rc = np.conjugate(R[:, None], out=_scratch(ws, "conj", (T, 1) + R.shape[1:]))
-    prod = np.multiply(Rc, G, out=_scratch(ws, "prod", (T, L) + R.shape[1:]))
-    cross = np.sum(prod, axis=2, out=_scratch(ws, "cross", (T, L, n)))
+    Rc = np.conjugate(R[:, None], out=ws.view("conj", (T, 1) + R.shape[1:]))
+    prod = np.multiply(Rc, G, out=ws.view("prod", (T, L) + R.shape[1:]))
+    cross = np.sum(prod, axis=2, out=ws.view("cross", (T, L, n)))
     return np.multiply(X, cross, out=cross)
 
 
@@ -247,16 +232,17 @@ def _metric(
 
     Arrays are blocks-last: X is T x L x n, G is L x N x n, R is T x N x n.
     weights are Codebook.metric_weights; their width tells whether they
-    carry Im parts (see codes._metric_weights). The result goes to out, and
-    the temporaries to ws's arrays, when given.
+    carry Im parts (see codes._metric_weights). The result goes to out when
+    given; the temporaries are views of ws's arrays, or of a fresh _Workspace.
     """
+    ws = _Workspace() if ws is None else ws
     T, L, n = X.shape
     parts = weights.shape[1] // (T * L * (L + 1))
-    Xc = np.conjugate(X[:, None], out=_scratch(ws, "conj", (T, 1, L, n)))
-    energy = np.multiply(X[:, :, None], Xc, out=_scratch(ws, "energy", (T, L, L, n)))
-    energy *= gram(G, out=_scratch(ws, "gram", (L, L, n)))
+    Xc = np.conjugate(X[:, None], out=ws.view("conj", (T, 1, L, n)))
+    energy = np.multiply(X[:, :, None], Xc, out=ws.view("energy", (T, L, L, n)))
+    energy *= gram(G, out=ws.view("gram", (L, L, n)))
     rows = _real_rows(energy, parts) + _real_rows(_cross(X, G, R, ws), parts)
-    feats = np.concatenate(rows, out=_scratch(ws, "feats", (len(weights[0]), n), float))
+    feats = np.concatenate(rows, out=ws.view("feats", (len(weights[0]), n), float))
     return np.matmul(feats.T, weights.T, out=out)
 
 
@@ -275,10 +261,11 @@ def _noise_metric(
     _metric(X, G, S, weights) + s _noise_metric(X, G, W, weights). out and ws
     are as for _metric.
     """
+    ws = _Workspace() if ws is None else ws
     T, L, n = X.shape
     parts = weights.shape[1] // (T * L * (L + 1))
     rows = _real_rows(_cross(X, G, W, ws), parts)
-    feats = np.concatenate(rows, out=_scratch(ws, "feats", (parts * T * L, n), float))
+    feats = np.concatenate(rows, out=ws.view("feats", (parts * T * L, n), float))
     return np.matmul(feats.T, weights[:, -parts * T * L:].T, out=out)
 
 
@@ -315,12 +302,11 @@ def _score_points(
     at the scale before (or, while those are more than half of the blocks
     scored, the same blocks again), which gives the tallies of scoring every
     block at every scale (see the module docstring). Equal scales give equal
-    metrics and are allowed, as are infinite ones, after which every block
-    is scored again: SNRs past the under- or overflow of the noise level
-    give such scales.
+    metrics and are allowed; scales must be finite, as those of a checked
+    SNR grid are.
     """
-    if not np.all(noise_stds[1:] <= noise_stds[:-1]):
-        raise ValueError(f"noise scales must be descending, got {noise_stds}")
+    if not (np.all(noise_stds[1:] <= noise_stds[:-1]) and np.all(np.isfinite(noise_stds))):
+        raise ValueError(f"noise scales must be descending and finite, got {noise_stds}")
     for i, noise_std in enumerate(noise_stds):
         metric = spare[: len(sent)]
         np.multiply(noise, noise_std, out=metric)
@@ -329,8 +315,6 @@ def _score_points(
         wrong = np.flatnonzero(detected != sent)
         tallies[0, i] += wrong.size
         tallies[1, i] += np.sum(np.bitwise_count(sent[wrong] ^ detected[wrong]))
-        if noise_std == np.inf:
-            continue  # infinite metrics tell nothing of the blocks at finite scales
         if wrong.size == 0 or i == len(noise_stds) - 1:
             break
         if 2 * wrong.size > len(sent):
@@ -419,7 +403,7 @@ def simulate_ber(config: SnrSweepConfig, max_workers: int | None = None) -> BerC
     """
     Q = query_array(build_query(config.query_kind, config.dims, config.seed))
     grid = np.asarray(config.snr_grid_db)
-    noise_stds = np.sqrt(1.0 / 10.0 ** (grid / 10.0))
+    noise_stds = np.sqrt(1.0 / snr_gain(grid))
     cap = config.max_trials_per_point
     events = np.zeros(len(grid), dtype=np.int64)
     bit_errors = np.zeros(len(grid), dtype=np.int64)

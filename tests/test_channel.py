@@ -1,5 +1,8 @@
 """Unit tests for the dyadic channel model."""
 
+import math
+import sys
+
 import numpy as np
 import pytest
 
@@ -8,10 +11,12 @@ from mlnsim.channel import (
     SystemDims,
     _blocks_last,
     backscatter_transmit,
+    checked_snr_grid,
     effective_signal,
     gram,
     mix,
     sample_channel,
+    snr_gain,
 )
 from mlnsim.linalg import DimensionMismatchError, make_rng, numeric_rank, sample_cn_matrix
 from mlnsim.query import effective_forward, uniform_query
@@ -209,3 +214,27 @@ class TestBackscatterTransmit:
         ch = sample_channel(SystemDims(1, 1, 1, 1), rng)
         with pytest.raises(ValueError):
             backscatter_transmit(uniform_query(1, 1), ch, np.ones((1, 1)), -0.1, rng)
+
+
+# the largest |snr_db| whose gain and noise variance are finite, nonzero floats
+_EDGE = math.nextafter(10.0 * math.log10(sys.float_info.max), 0.0)
+
+
+class TestSnrGrid:
+    def test_gain_is_the_db_convention(self):
+        assert snr_gain(0.0) == 1.0 and snr_gain(20.0) == 100.0 and snr_gain(-10.0) == 0.1
+        assert np.array_equal(snr_gain(np.array([0.0, 10.0])), [1.0, 10.0])
+
+    def test_edges_of_the_float_range_accepted(self):
+        assert checked_snr_grid([-_EDGE, 0, _EDGE]) == (-_EDGE, 0.0, _EDGE)
+        for gain in [snr_gain(-_EDGE), snr_gain(_EDGE), *snr_gain(np.array([-_EDGE, _EDGE]))]:
+            assert 0.0 < gain < math.inf and 0.0 < 1.0 / gain < math.inf
+
+    @pytest.mark.parametrize(
+        "grid",
+        [[], [2.0, 1.0], [1.0, 1.0], [0.0, math.nan], [0.0, math.inf], [-math.inf, 0.0],
+         [math.nextafter(_EDGE, math.inf)], [-math.nextafter(_EDGE, math.inf)], [-3100.0], [3100.0]],
+    )
+    def test_rejects_grid_named(self, grid):
+        with pytest.raises(ValueError, match="^snr_grid_db:"):
+            checked_snr_grid(grid)

@@ -11,6 +11,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from mlnsim.channel import snr_gain
 from mlnsim.cli import main
 from mlnsim.config import DEFAULT_PEP_GRID, PRESET_NAMES, ConfigError, load_config, parse_snr_grid
 from mlnsim.pep import pep_curve_from_csv, ratio_curve_from_csv, ratio_curve_to_csv, ratio_point
@@ -78,6 +79,9 @@ def _assert_valid_grid(grid, low=-math.inf, high=math.inf):
     assert isinstance(grid, tuple) and grid
     assert all(isinstance(s, float) and math.isfinite(s) and low <= s <= high for s in grid)
     assert all(b > a for a, b in zip(grid, grid[1:]))
+    # the gain and the noise variance 1/gain are finite and nonzero, as floats and as arrays
+    for gain in [snr_gain(s) for s in grid] + list(snr_gain(np.array(grid))):
+        assert 0.0 < gain < math.inf and 0.0 < 1.0 / gain < math.inf, grid
 
 
 class TestGridProperties:
@@ -301,6 +305,9 @@ _FAULTS = {
     "unitary-t-not-m": ("reproduce", {"m": 3, "l": 1, "n": 2, "t": 2, "codebook": "repetition-bpsk"}, "t"),
     "hadamard-m-3": ("ber", {"m": 3, "l": 1, "n": 2, "t": 3, "codebook": "repetition-bpsk",
                              "query": "hadamard"}, "query"),
+    # the gain 10**(snr/10) overflows past about 3082.5 dB, its inverse below about -3082.5 dB
+    "pep-grid-past-gain-range": ("pep", {"preset": "example1", "snr_grid_db": "3000:50:3100"}, "snr_grid_db"),
+    "ber-grid-past-noise-range": ("ber", {"preset": "example1", "snr_grid_db": "-3100:3100:3100"}, "snr_grid_db"),
 }
 
 
