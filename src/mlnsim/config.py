@@ -25,7 +25,7 @@ import numpy as np
 from .channel import SystemDims, checked_snr_grid
 from .codes import Codebook, difference_matrix, repetition_bpsk, uncoded_bpsk, pairwise_codebook_from_delta, EXAMPLE1_DELTA
 from .measure import QUERY_SCHEMES, scheme_weights
-from .query import UNITARY_KINDS
+from .query import UNITARY_KINDS, check_query_shape
 
 __all__ = ["ConfigError", "ExperimentConfig", "PRESETS", "PRESET_NAMES", "load_config", "parse_snr_grid"]
 
@@ -227,11 +227,11 @@ def load_config(path: str | None = None, overrides: dict | None = None) -> Exper
             raise ConfigError(f"preset: {preset_name} fixes dims and codebook; remove {conflicts}")
         merged.update(PRESETS[preset_name])
     dims, codebook, delta = _setting(merged)
-    ber = command in ("ber", "reproduce")  # the BER stage runs the unitary query (SnrSweepConfig)
-    if ber and dims.T != dims.M:
-        raise ConfigError(f"t: a unitary query needs t == m, got t={dims.T}, m={dims.M}")
-    if ber and query == "hadamard" and dims.M & (dims.M - 1):
-        raise ConfigError(f"query: hadamard needs m a power of 2, got m={dims.M}")
+    if command in ("ber", "reproduce"):  # the BER stage runs the unitary query (SnrSweepConfig)
+        try:
+            check_query_shape(query, dims.T, dims.M)
+        except ValueError as exc:  # t is at fault when it differs from m, else the kind is
+            raise ConfigError(f"{'t' if dims.T != dims.M else 'query'}: {exc}") from None
 
     grid_value = merged.get("snr_grid_db")
     explicit_grid = grid_value is not None

@@ -85,13 +85,10 @@ def sample_cn_matrix(
     # (a + 1j b) / sqrt(2) (a / sqrt(2) would not)
     size = rows * cols
     parts = out.view(np.float64).reshape(size, 2).T  # Re and Im, as strided views
-    if 2 * size <= _DRAW_PIECE:
-        np.multiply(rng.standard_normal((2, size)), _INV_SQRT2, out=parts)
-        return out
-    # a Generator's normal stream carries no state between calls, so a large draw
-    # made piece by piece into a small scratch gives the same values and leaves
-    # the same state, without a temporary the size of the draw
-    scratch = np.empty(_DRAW_PIECE)
+    # a Generator's normal stream carries no state between calls, so a draw made
+    # piece by piece into a small scratch gives the same values and leaves the
+    # same state, without a temporary the size of the draw
+    scratch = np.empty(min(size, _DRAW_PIECE))
     for part in parts:
         for a in range(0, size, _DRAW_PIECE):
             piece = scratch[: size - a]

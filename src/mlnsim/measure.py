@@ -95,14 +95,12 @@ def scheme_weights(delta, query_kind: str) -> np.ndarray:
 
 def r_unitary(delta, N: int) -> int:
     """Unitary-query measure: sum over slots of min(N, L*_t)."""
-    d = _as_diff(delta)
-    return int(sum(min(N, s) for s in d.column_supports))
+    return compare_queries(delta, N).r_unitary
 
 
 def r_uniform(delta, N: int) -> int:
     """Uniform-query measure: min(N * rank(delta), nonzero rows of delta)."""
-    d = _as_diff(delta)
-    return int(min(N * d.rank, d.nonzero_rows))
+    return compare_queries(delta, N).r_uniform
 
 
 @dataclass(frozen=True)
@@ -135,11 +133,11 @@ def report_from_dict(d: dict) -> MeasureReport:
 
 
 def compare_queries(delta, N: int) -> MeasureReport:
-    """Evaluate both measures for a difference matrix and N receive antennas."""
+    """Both measures for delta and N receive antennas; the only place the almost-sure ranks are formed."""
     d = _as_diff(delta)
     per_slot = tuple(min(N, s) for s in d.column_supports)
     ru = int(sum(per_slot))
-    rf = r_uniform(d, N)
+    rf = int(min(N * d.rank, d.nonzero_rows))
     if ru > rf:
         verdict = VERDICT_UNITARY
     elif ru < rf:
@@ -174,12 +172,13 @@ class RankCheckReport:
 def empirical_rank_check(delta, N: int, trials: int, rng: np.random.Generator) -> RankCheckReport:
     """Validate the almost-sure rank predictions on sampled G.
 
-    Draws `trials` independent G matrices and records, for every slot t,
-    the fraction of draws with rank(E_t) == min(N, L*_t), and the fraction
-    with rank(D) == min(N * rank(delta), nonzero rows). The report passes
-    iff every fraction equals 1. Ranks use ``numeric_rank``'s threshold
-    rule on the singular values of each stack of E_t or D matrices, which
-    ``singular_values`` computes in one elementwise pass when min(m, n) <= 2.
+    Draws `trials` independent G matrices and records, for every slot t, the
+    fraction of draws with rank(E_t) == min(N, L*_t), and the fraction with
+    rank(D) == min(N * rank(delta), nonzero rows), ranks ``compare_queries``
+    gives. The report passes iff every fraction equals 1. Ranks use
+    ``numeric_rank``'s threshold rule on the singular values of each stack
+    of E_t or D matrices, which ``singular_values`` computes in one
+    elementwise pass when min(m, n) <= 2.
     Raises ``ValueError`` unless trials >= 1.
     """
     if trials < 1:
@@ -190,11 +189,9 @@ def empirical_rank_check(delta, N: int, trials: int, rng: np.random.Generator) -
     def hits(M: np.ndarray, expected: int) -> np.ndarray:
         return rank_from_singulars(singular_values(M), max(M.shape[-2:])) == expected
 
-    slot_fractions = [
-        float(np.mean(hits(build_E_t(d, G, t + 1), min(N, d.column_supports[t]))))
-        for t in range(d.T)
-    ]
-    d_fraction = float(np.mean(hits(build_D(d, G), min(N * d.rank, d.nonzero_rows))))
+    predicted = compare_queries(d, N)
+    slot_fractions = [float(np.mean(hits(build_E_t(d, G, t + 1), r))) for t, r in enumerate(predicted.per_slot_ranks)]
+    d_fraction = float(np.mean(hits(build_D(d, G), predicted.r_uniform)))
 
     passed = d_fraction == 1.0 and all(f == 1.0 for f in slot_fractions)
     return RankCheckReport(

@@ -4,7 +4,7 @@ Two routes are provided for each scheme:
 
 * "q-function-mc": the exact error integral, Monte Carlo averaged over
   both fading stages: mean of Q(sqrt(gbar * Z / 2)) with Z the squared
-  codeword distance after the channel.
+  codeword distance after the channel; Q is ``qfunc`` (``math.erfc``).
 * "eigen-product-mc": the conditional term
   prod_w 1 / det(I_L + (gbar/4) A_w o G G^H), Monte Carlo averaged over
   the backscatter stage G only. The Gram matrices E_t E_t^H (unitary) and
@@ -24,17 +24,18 @@ The Q-function route draws each batch's forward rows and then its G whole
 and forms Z in slices of ``_Z_SLICE`` draws, which keeps its temporaries
 small and changes no bit of the result.
 
-gbar = 10**(snr_db / 10) (``channel.snr_gain``) throughout. Estimators
-report the Monte Carlo standard error alongside the value.
+gbar = 10**(snr_db / 10) (``channel.snr_gain``) at any point below ``channel._SNR_DB_MAX``,
+-inf dB included and NaN not; each estimate carries its Monte Carlo standard error.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import astuple, dataclass
 
 import numpy as np
 
-from .channel import SystemDims, _blocks_last, checked_snr_grid, gram, mix, snr_gain
+from .channel import _SNR_DB_MAX, SystemDims, _blocks_last, checked_snr_grid, gram, mix, snr_gain
 from .codes import DifferenceMatrix, _as_diff
 from .csvio import csv_rows, csv_text
 from .linalg import DimensionMismatchError, psd_eigenvalues, sample_cn_matrix
@@ -113,10 +114,9 @@ def _agreed(a: float, b: float) -> float:
 
 
 def qfunc(x):
-    """Gaussian tail probability Q(x) = P(N(0,1) > x)."""
-    from scipy.special import erfc  # imported here: no CLI stage needs it at start-up
-
-    return 0.5 * erfc(np.asarray(x) / np.sqrt(2.0))
+    """Gaussian tail probability Q(x) = P(N(0,1) > x) = erfc(x / sqrt 2) / 2, one ``math.erfc`` per entry."""
+    y = np.asarray(x, dtype=float) / np.sqrt(2.0)
+    return 0.5 * np.fromiter(map(math.erfc, y.ravel().tolist()), float, y.size).reshape(y.shape)
 
 
 def squared_distance_unitary(X: np.ndarray, delta, G: np.ndarray) -> float:
@@ -178,8 +178,8 @@ def _batched_z(rows: int, d: DifferenceMatrix, N: int, n: int, rng) -> np.ndarra
     return z
 
 
-def _checked_args(query_kind: str, delta, dims: SystemDims, trials: int):
-    """Validate the estimators' shared arguments; return delta and its scheme weights."""
+def _checked_args(query_kind: str, delta, dims: SystemDims, trials: int, snrs: list[float]):
+    """Validate the estimators' shared arguments; return delta, its scheme weights and the gains of snrs."""
     d = _as_diff(delta)
     A = scheme_weights(d, query_kind)  # rejects an unknown query_kind and overflowing weights
     if trials < 1:
@@ -188,7 +188,9 @@ def _checked_args(query_kind: str, delta, dims: SystemDims, trials: int):
         raise DimensionMismatchError(
             f"delta is {d.L}x{d.T} but dims expect L={dims.L}, T={dims.T}"
         )
-    return d, A
+    if not all(s < _SNR_DB_MAX for s in snrs):  # NaN fails too; -inf (gbar = 0) passes
+        raise ValueError(f"snr_db: need points below {_SNR_DB_MAX:.4f} dB and no NaN, got {snrs!r:.100}")
+    return d, A, [snr_gain(s) for s in snrs]
 
 
 def _mc_mean(draw, trials: int, points: int = 1) -> tuple[np.ndarray, np.ndarray]:
@@ -221,8 +223,7 @@ def pep_qfunction_mc(
     as i.i.d. Gaussian slots (unitary) or one Gaussian row repeated over
     slots (uniform).
     """
-    d, A = _checked_args(query_kind, delta, dims, trials)
-    gbar = snr_gain(snr_db)
+    d, A, (gbar,) = _checked_args(query_kind, delta, dims, trials, [float(snr_db)])
     mean, se = _mc_mean(
         lambda n: [qfunc(np.sqrt(gbar * _batched_z(A.shape[0], d, dims.N, n, rng) / 2.0))],
         trials,
@@ -246,9 +247,8 @@ def pep_eigen_product_curve(
     query_kind: str, delta, dims: SystemDims, snr_grid, trials: int, rng: np.random.Generator
 ) -> list[PepEstimate]:
     """``pep_eigen_product_mc`` at every point of snr_grid, all from one set of G draws."""
-    _, A = _checked_args(query_kind, delta, dims, trials)
     snrs = [float(s) for s in snr_grid]
-    gbars = [snr_gain(s) for s in snrs]
+    _, A, gbars = _checked_args(query_kind, delta, dims, trials, snrs)
     mean, se = _mc_mean(lambda n: _lambda_products(A, dims.N, n, gbars, rng), trials, len(snrs))
     return [PepEstimate(s, float(m), float(e), trials, METHOD_EIGEN) for s, m, e in zip(snrs, mean, se)]
 

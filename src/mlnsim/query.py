@@ -65,9 +65,15 @@ def _dft_matrix(M: int) -> np.ndarray:
     return np.exp(-2j * np.pi * np.outer(idx, idx) / M) / np.sqrt(M)
 
 
+def check_query_shape(kind: str, T: int, M: int) -> None:
+    """Raise ValueError unless a kind query fits T slots: unitary needs T == M, hadamard M a power of 2."""
+    if kind in UNITARY_KINDS and T != M:
+        raise ValueError(f"unitary query needs T == M, got T={T}, M={M}")
+    if kind == "hadamard" and M & (M - 1):
+        raise ValueError(f"hadamard query needs M a power of 2, got M={M}")
+
+
 def _sylvester_hadamard(M: int) -> np.ndarray:
-    if M & (M - 1) != 0:
-        raise ValueError(f"hadamard query needs M a power of 2, got {M}")
     h = np.ones((1, 1))
     while h.shape[0] < M:
         h = np.block([[h, h], [h, -h]])
@@ -82,6 +88,7 @@ def unitary_query(M: int, kind: str = "dft", rng: np.random.Generator | None = N
     """
     if M < 1:
         raise DimensionMismatchError(f"M must be >= 1, got {M}")
+    check_query_shape(kind, M, M)
     if kind == "dft":
         q = _dft_matrix(M)
     elif kind == "hadamard":

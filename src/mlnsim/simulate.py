@@ -71,7 +71,7 @@ from .channel import ChannelRealization, SystemDims, _blocks_last, checked_snr_g
 from .codes import Codebook
 from .csvio import csv_rows, csv_text
 from .linalg import DimensionMismatchError, make_rng, sample_cn_matrix
-from .query import QUERY_KINDS, effective_forward, query_array, uniform_query, unitary_query
+from .query import QUERY_KINDS, check_query_shape, effective_forward, query_array, uniform_query, unitary_query
 
 __all__ = [
     "SnrSweepConfig",
@@ -126,8 +126,7 @@ class SnrSweepConfig:
             raise DimensionMismatchError(
                 f"codebook is {cb.T}x{cb.L} but dims expect T={d.T}, L={d.L}"
             )
-        if self.query_kind != "uniform" and d.T != d.M:
-            raise ValueError(f"unitary query needs T == M, got T={d.T}, M={d.M}")
+        check_query_shape(self.query_kind, d.T, d.M)
 
 
 @dataclass(frozen=True)

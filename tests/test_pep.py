@@ -44,6 +44,33 @@ def _qfunc(x):
     return 0.5 * erfc(x / np.sqrt(2))
 
 
+def test_qfunc_matches_erfc_reference():
+    # relative agreement wherever the reference is a normal float; Q underflows past x ~ 38.5
+    x = np.linspace(0.0, 38.5, 200_001)
+    ref = _qfunc(x)
+    got = qfunc(x)
+    normal = ref > 1e-300
+    assert normal.sum() > 190_000
+    assert np.max(np.abs(got[normal] - ref[normal]) / ref[normal]) <= 1e-13
+    assert qfunc(0.0) == 0.5 and qfunc(np.inf) == 0.0
+    assert qfunc(x.reshape(-1, 1)).shape == (x.size, 1)
+
+
+_PEP_ROUTES = {
+    "qfunction": lambda snr: pep_qfunction_mc("unitary", EXAMPLE1_DELTA, DIMS1, snr, 10, make_rng(40)),
+    "eigen-mc": lambda snr: pep_eigen_product_mc("uniform", EXAMPLE1_DELTA, DIMS1, snr, 10, make_rng(40)),
+    "eigen-curve": lambda snr: pep_eigen_product_curve("unitary", EXAMPLE1_DELTA, DIMS1, [0.0, snr], 10, make_rng(40)),
+}
+
+
+@pytest.mark.parametrize("route", sorted(_PEP_ROUTES))
+@pytest.mark.parametrize("snr", [3100.0, np.nan, np.inf])
+def test_pep_routes_name_an_snr_past_the_gain_range(route, snr):
+    # 10**(snr/10) overflows a float past about 3082.5 dB; NaN would give a NaN estimate
+    with pytest.raises(ValueError, match="^snr_db: "):
+        _PEP_ROUTES[route](snr)
+
+
 class TestSquaredDistanceUnitary:
     def test_zero_delta(self):
         X = sample_cn_matrix(2, 2, make_rng(1))
@@ -117,6 +144,11 @@ class TestQFunctionMc:
     def test_low_snr_limit(self):
         est = pep_qfunction_mc("unitary", EXAMPLE1_DELTA, DIMS1, -60.0, 20_000, make_rng(6))
         assert abs(est.value - 0.5) < 0.01
+
+    def test_zero_gbar_is_half(self):
+        # -inf dB stays a valid point, as it is for the eigen-product routes
+        est = pep_qfunction_mc("unitary", EXAMPLE1_DELTA, DIMS1, -np.inf, 100, make_rng(7))
+        assert est.value == 0.5 and est.std_error == 0.0
 
     def test_zero_delta_is_half(self):
         est = pep_qfunction_mc("uniform", np.zeros((2, 2)), DIMS1, 15.0, 100, make_rng(7))

@@ -447,6 +447,14 @@ class TestSimulateBer:
                 snr_grid_db=(0.0,),
             )
 
+    def test_hadamard_needs_power_of_two_at_construction(self):
+        # the sweep would otherwise construct and fail when it builds its query
+        with pytest.raises(ValueError, match="power of 2"):
+            SnrSweepConfig(
+                dims=SystemDims(3, 1, 2, 3), query_kind="hadamard", codebook=repetition_bpsk(3),
+                snr_grid_db=(0.0,),
+            )
+
     def test_grid_must_ascend(self):
         with pytest.raises(ValueError, match="ascending"):
             SnrSweepConfig(
