@@ -1,5 +1,6 @@
 """Unit tests for the pairwise error probability estimators."""
 
+import math
 import tracemalloc
 
 import numpy as np
@@ -38,6 +39,14 @@ DIMS1 = SystemDims(2, 2, 2, 2)
 DIMS3 = SystemDims(2, 1, 2, 2)
 DIMS_SCALAR = SystemDims(1, 1, 1, 1)
 DELTA_SCALAR = np.array([[2.0]])
+# L = T = N = 3, and a delta whose middle slot carries no difference
+DELTA_333 = np.array([[1.0, -1j, 2.0], [0.5 + 1j, 2.0, -1.0], [-2.0, 1j, 1.5]])
+DIMS_333 = SystemDims(3, 3, 3, 3)
+DELTA_ZERO_COL = np.array([[1.0, 0.0, -2.0], [2.0 + 1j, 0.0, 1.0]])
+DIMS_ZERO_COL = SystemDims(3, 2, 3, 3)
+_DISTANCE_CASES = [
+    (EXAMPLE1_DELTA, DIMS1), (EXAMPLE3_DELTA, DIMS3), (DELTA_333, DIMS_333), (DELTA_ZERO_COL, DIMS_ZERO_COL),
+]
 
 
 def _qfunc(x):
@@ -54,6 +63,49 @@ def test_qfunc_matches_erfc_reference():
     assert np.max(np.abs(got[normal] - ref[normal]) / ref[normal]) <= 1e-13
     assert qfunc(0.0) == 0.5 and qfunc(np.inf) == 0.0
     assert qfunc(x.reshape(-1, 1)).shape == (x.size, 1)
+
+
+def _qfunc_stdlib(x):
+    """0.5 * math.erfc(x / sqrt 2) entry by entry: the standard library as an independent reference."""
+    y = np.asarray(x, dtype=float) / np.sqrt(2.0)
+    return np.array([0.5 * math.erfc(v) for v in y.ravel().tolist()]).reshape(y.shape)
+
+
+# fixed before the vectorised erfc was written: relative where the reference is a
+# normal float, and within two subnormal steps of it in the tail below that
+_QFUNC_RTOL = 2e-15
+_SUBNORMAL_STEP = 2.0**-1074
+
+
+def test_qfunc_edge_semantics():
+    x = np.linspace(0.0, 40.0, 4001)
+    for v in (np.nan, [np.nan, 1.0, -np.inf, 0.2]):
+        assert np.isnan(qfunc(v)).tolist() == np.isnan(v).tolist()
+    assert qfunc(-np.inf) == 1.0 and qfunc(np.inf) == 0.0
+    assert qfunc([-np.inf, 3.0, np.inf])[[0, 2]].tolist() == [1.0, 0.0]
+    # negative x gives 1 - Q(|x|), to the spacing of the floats in [0.5, 1]
+    assert np.max(np.abs(qfunc(-x) - _qfunc_stdlib(-x)) / _qfunc_stdlib(-x)) <= _QFUNC_RTOL
+    assert np.max(np.abs(qfunc(-x) - (1.0 - qfunc(x)))) <= np.finfo(float).eps
+    for shape in [(), (0,), (3, 0), (2, 1)]:
+        got = qfunc(np.full(shape, 0.3))
+        assert got.shape == shape and got.dtype == np.float64
+
+
+def test_qfunc_dense_at_rational_boundaries():
+    # erfc arguments around 0.46875 and 4, where the rational approximation changes,
+    # around 26.55, where erfc leaves the normal floats, and on through the subnormal
+    # tail to past the point where Q underflows to zero; both signs
+    y = np.concatenate(
+        [np.linspace(b - 2e-3, b + 2e-3, 40_001) for b in (0.46875, 4.0, 26.55)]
+        + [np.linspace(26.4, 27.5, 40_001)]
+    )
+    x = np.concatenate([y, -y]) * np.sqrt(2.0)
+    ref, got = _qfunc_stdlib(x), qfunc(x)
+    normal = ref >= np.finfo(float).tiny
+    assert normal.sum() > 120_000 and (~normal).sum() > 20_000 and np.any(ref == 0.0)
+    assert np.max(np.abs(got[normal] - ref[normal]) / ref[normal]) <= _QFUNC_RTOL
+    tail = ~normal
+    assert np.all(np.abs(got[tail] - ref[tail]) <= _QFUNC_RTOL * ref[tail] + 2 * _SUBNORMAL_STEP)
 
 
 _PEP_ROUTES = {
@@ -175,7 +227,7 @@ class TestQFunctionMc:
         assert abs(a.value - b.value) < 3 * np.hypot(a.std_error, b.std_error)
 
 
-    @pytest.mark.parametrize("delta, dims", [(EXAMPLE1_DELTA, DIMS1), (EXAMPLE3_DELTA, DIMS3)])
+    @pytest.mark.parametrize("delta, dims", _DISTANCE_CASES)
     @pytest.mark.parametrize("scheme", ["unitary", "uniform"])
     def test_draw_order_matches_scalar_distances(self, monkeypatch, scheme, delta, dims):
         # per batch: the forward rows (T per draw for unitary, 1 for uniform), then G
@@ -200,7 +252,7 @@ class TestQFunctionMc:
         expected = np.mean(qfunc(np.sqrt(gbar * np.array(z) / 2.0)))
         assert est.value == pytest.approx(expected, rel=1e-12)
 
-    @pytest.mark.parametrize("delta, dims", [(EXAMPLE1_DELTA, DIMS1), (EXAMPLE3_DELTA, DIMS3)])
+    @pytest.mark.parametrize("delta, dims", _DISTANCE_CASES)
     @pytest.mark.parametrize("scheme", ["unitary", "uniform"])
     def test_slices_change_no_bit(self, monkeypatch, scheme, delta, dims):
         # batches of 50 and 30 draws in slices of 7: each batch crosses several
@@ -333,6 +385,33 @@ class TestGramDeterminant:
             got, ref = self._both(kind, np.zeros((3, 2), dtype=complex), 2, 1e4, 41)
             assert np.all(got == 1.0)
             assert np.all(ref == 1.0)
+
+
+def test_lambda_products_keep_every_bit_of_the_row_product(monkeypatch):
+    # W * L eigenvalues per draw, 1 to 9 of them: each point's product must be
+    # 1 / np.prod(1 + (gbar/4) lam, axis=1) on the same eigenvalues, bit for bit
+    import mlnsim.pep as pep_mod
+
+    seen = []
+    real = pep_mod.psd_eigenvalues
+    monkeypatch.setattr(pep_mod, "psd_eigenvalues", lambda m: seen.append(real(m)) or seen[-1])
+    rng = make_rng(70)
+    gbars = [0.0, 10.0, 10.0**4.5]
+    draws = 200
+    for wl in range(1, 10):
+        divisors = [k for k in range(1, wl + 1) if wl % k == 0]
+        for kind in ("unitary", "uniform"):
+            L = int(rng.choice(divisors)) if kind == "unitary" else wl
+            T = wl // L if kind == "unitary" else int(rng.integers(1, 4))
+            delta = sample_cn_matrix(L, T, rng)
+            if T > 1 and wl % 2:
+                delta[:, int(rng.integers(T))] = 0.0
+            seen.clear()
+            got = list(_lambda_products(scheme_weights(delta, kind), int(rng.integers(1, 4)), draws, gbars, rng))
+            lam = seen[0].reshape(draws, -1)
+            assert lam.shape[1] == wl
+            for g, v in zip(gbars, got):
+                assert np.array_equal(v, 1.0 / np.prod(1.0 + (g / 4.0) * lam, axis=1))
 
 
 class TestEigenProductCurve:
