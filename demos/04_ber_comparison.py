@@ -7,7 +7,7 @@ one CSV per (setting, scheme) next to this script.
 
 import pathlib
 
-from mlnsim import LevelNotCrossedError, SnrSweepConfig, gain_at_ber, simulate_ber
+from mlnsim import LevelNotCrossedError, SnrSweepConfig, gain_at_ber, simulate_bers
 from mlnsim.presets import PRESET_NAMES, get_preset
 
 OUT = pathlib.Path(__file__).resolve().parent / "ber_curves"
@@ -18,9 +18,10 @@ GRID = tuple(float(s) for s in range(0, 25, 2))
 for name in PRESET_NAMES:
     p = get_preset(name)
     print(f"\n=== {name}: {p.dims.M}x{p.dims.L}x{p.dims.N}, codebook {p.codebook_name} ===")
-    curves = {}
-    for kind in ("dft", "uniform"):
-        cfg = SnrSweepConfig(
+    kinds = ("dft", "uniform")
+    # both schemes on the same blocks (common random numbers), each block drawn once
+    sweeps = [
+        SnrSweepConfig(
             dims=p.dims,
             query_kind=kind,
             codebook=p.codebook,
@@ -29,9 +30,12 @@ for name in PRESET_NAMES:
             target_error_events=200,
             seed=2024,
         )
-        curves[kind] = simulate_ber(cfg)
+        for kind in kinds
+    ]
+    curves = dict(zip(kinds, simulate_bers(sweeps)))
+    for kind, curve in curves.items():
         path = OUT / f"{name}_{kind}.csv"
-        path.write_text(curves[kind].to_csv())
+        path.write_text(curve.to_csv())
         print(f"wrote {path}")
 
     print(f"{'snr_db':>7} {'unitary':>12} {'uniform':>12}")

@@ -7,7 +7,9 @@ for a whole block, and unitary queries, whose orthonormal rows make the
 effective channel vary from slot to slot inside the coherence interval.
 It provides the channel model, query constructions, codebooks, rank-based
 performance measures with empirical validators, pairwise-error-probability
-estimators, and a seeded Monte Carlo BER link simulator.
+estimators, and a seeded Monte Carlo BER link simulator. Its
+simulate_bers sweeps both query schemes on the same blocks (common random
+numbers), drawing each block once; simulate_ber is its one-sweep call.
 """
 
 from .channel import ChannelRealization, SystemDims, backscatter_transmit, effective_signal, sample_channel
@@ -66,6 +68,7 @@ from .simulate import (
     gain_at_ber,
     ml_detect,
     simulate_ber,
+    simulate_bers,
 )
 
 __version__ = "0.1.0"

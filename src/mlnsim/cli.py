@@ -43,7 +43,7 @@ from .pep import (
     ratio_point,
 )
 from .query import UNITARY_KINDS
-from .simulate import LevelNotCrossedError, SnrSweepConfig, gain_at_ber, simulate_ber
+from .simulate import LevelNotCrossedError, SnrSweepConfig, gain_at_ber, simulate_bers
 
 REPRODUCE_BER_GRID = tuple(float(s) for s in range(0, 25, 2))
 
@@ -179,9 +179,9 @@ def _run_ber(cfg: ExperimentConfig, art: _Artifacts) -> int:
     grid = cfg.snr_grid_db
     if cfg.command == "reproduce" and not cfg.snr_grid_explicit:
         grid = REPRODUCE_BER_GRID
-    curves = {}
-    for kind in (cfg.query, "uniform"):
-        sweep = SnrSweepConfig(
+    kinds = (cfg.query, "uniform")
+    sweeps = [
+        SnrSweepConfig(
             dims=cfg.dims,
             query_kind=kind,
             codebook=cfg.codebook,
@@ -190,8 +190,11 @@ def _run_ber(cfg: ExperimentConfig, art: _Artifacts) -> int:
             target_error_events=cfg.target_error_events,
             seed=cfg.seed,
         )
-        curves[kind] = simulate_ber(sweep)
-        art.write(f"ber_{slug}_{kind}.csv", curves[kind].to_csv())
+        for kind in kinds
+    ]
+    curves = dict(zip(kinds, simulate_bers(sweeps)))
+    for kind, curve in curves.items():
+        art.write(f"ber_{slug}_{kind}.csv", curve.to_csv())
     summary = {"preset": cfg.preset, "query": cfg.query, "snr_grid_db": list(grid)}
     for level in GAIN_LEVELS:
         key = f"gain_db_at_{level:g}"

@@ -17,6 +17,16 @@ worker scheduling, and each point still counts the blocks of the batches
 it was active for. Points share blocks and so are correlated across SNR;
 each point's own estimate and Wilson interval are as before.
 
+The query Q comes from its own substream (0,), so sweeps that differ only
+in query_kind, grid or event target draw the same blocks: the curves of a
+unitary-against-uniform comparison share every block (common random
+numbers) and are positively correlated. simulate_bers runs such sweeps
+together. Each chunk is drawn once and its H, G, W, sent words and their
+blocks-last copies are shared; X = Q H, S, the metric and the scoring are
+per sweep, and each sweep's curve is the one it gets alone. An interval
+for a gain that treats the two curves as independent (such as the Wilson
+bracket of the acceptance suite) is therefore conservative.
+
 ML detection scores all K codewords of a block with one real GEMM. With
 X = Q H and S_j = (X o C_j) G, the metric is the sufficient statistic
 ||R - S_j||^2 - ||R||^2 = ||S_j||^2 - 2 Re<R, S_j>. It is linear in two
@@ -49,12 +59,13 @@ correct at one point is correct at every less noisy one (exactly so in real
 arithmetic; in floating point only a block within rounding of a tie could
 differ).
 
-Each pool worker keeps one _Workspace for the whole sweep. The chunk's
-H, G and W, every slice array and the metric's temporaries are views of
-arrays it allocates on first use and enlarges only for a larger chunk or
-slice than any before, so later chunks allocate no large array and do not fault in fresh pages when malloc
-has returned freed memory to the system. The workspace goes with the pool
-at the end of the sweep.
+A call has one thread pool, and each pool worker keeps one _Workspace for
+all the sweeps of the call. The chunk's H, G and W, every slice array and
+the metric's temporaries are views of arrays it allocates on first use and
+enlarges only for a larger chunk or slice than any before, so later chunks
+allocate no large array and do not fault in fresh pages when malloc has
+returned freed memory to the system. The workspace goes with the pool at
+the end of the call.
 """
 
 from __future__ import annotations
@@ -80,6 +91,7 @@ __all__ = [
     "LevelNotCrossedError",
     "ml_detect",
     "simulate_ber",
+    "simulate_bers",
     "gain_at_ber",
 ]
 
@@ -97,6 +109,8 @@ _CHUNK = 10_000
 # weights of a large codebook are read once per _MIN_SLICE blocks
 _METRIC_BUDGET = 2**17
 _MIN_SLICE = 32
+# the config fields that fix which blocks a sweep draws, so sweeps run together share them
+_SHARED_FIELDS = ("dims", "codebook", "seed", "max_trials_per_point")
 
 
 class LevelNotCrossedError(ValueError):
@@ -332,20 +346,22 @@ def _score_points(
 
 def _score_chunk(
     config: SnrSweepConfig,
-    Q: np.ndarray,
+    schemes: list,
     words: np.ndarray,
     weights: np.ndarray,
     key: tuple,
     n: int,
-    noise_stds: np.ndarray,
     ws: _Workspace,
 ) -> np.ndarray:
-    """Error events and bit errors at each noise scale on one chunk of n blocks.
+    """Error events and bit errors at each noise scale of each scheme on one chunk of n blocks.
 
-    words are the codebook's codewords blocks-last (T x L x K) and weights
-    its metric weights. The chunk draws H, G, sent and unit-variance W from
-    its own substream key, and works in the calling thread's arrays of ws.
-    Returns a 2 x len(noise_stds) integer array (events, then bit errors).
+    config gives the dims and seed every scheme shares, schemes holds one
+    (Q, noise_stds) pair per query scheme, words are the codebook's codewords
+    blocks-last (T x L x K) and weights its metric weights. The chunk draws
+    H, G, sent and unit-variance W from its own substream key once for all
+    schemes, and works in the calling thread's arrays of ws. Returns a 2 x P
+    integer array (events, then bit errors) of the P noise scales of all
+    schemes in order; a scheme without noise scales is not scored.
     """
     M, L, N, T = config.dims.M, config.dims.L, config.dims.N, config.dims.T
     K = words.shape[-1]
@@ -357,20 +373,24 @@ def _score_chunk(
 
     # base, noise and the scorer's spare share the budget
     step = max(_MIN_SLICE, _METRIC_BUDGET // (3 * max(weights.shape)))
-    tallies = np.zeros((2, len(noise_stds)), dtype=np.int64)
+    scales = [len(noise_stds) for _, noise_stds in schemes]
+    tallies = np.zeros((2, sum(scales)), dtype=np.int64)
+    per_scheme = np.split(tallies, np.cumsum(scales)[:-1], axis=1)
     for a in range(0, n, step):
         sent_s = sent[a : a + step]
         k = len(sent_s)
-        X = effective_forward(
-            Q, _blocks_last(H[a : a + k], out=ws.view("Hs", (M, L, k))), out=ws.view("X", (T, L, k))
-        )
+        Hs = _blocks_last(H[a : a + k], out=ws.view("Hs", (M, L, k)))
         Gs = _blocks_last(G[a : a + k], out=ws.view("Gs", (L, N, k)))
         C = np.take(words, sent_s, axis=2, out=ws.view("C", (T, L, k)), mode="clip")
-        S = mix(X, C, Gs, out=ws.view("S", (T, N, k)))
         Ws = _blocks_last(W[a : a + k], out=ws.view("Ws", (T, N, k)))
-        base = _metric(X, Gs, S, weights, out=ws.view("base", (k, K), float), ws=ws)
-        noise = _noise_metric(X, Gs, Ws, weights, out=ws.view("noise", (k, K), float), ws=ws)
-        _score_points(base, noise, sent_s, noise_stds, tallies, ws.view("spare", (k, K), float))
+        for (Q, noise_stds), t in zip(schemes, per_scheme):
+            if len(noise_stds) == 0:
+                continue
+            X = effective_forward(Q, Hs, out=ws.view("X", (T, L, k)))
+            S = mix(X, C, Gs, out=ws.view("S", (T, N, k)))
+            base = _metric(X, Gs, S, weights, out=ws.view("base", (k, K), float), ws=ws)
+            noise = _noise_metric(X, Gs, Ws, weights, out=ws.view("noise", (k, K), float), ws=ws)
+            _score_points(base, noise, sent_s, noise_stds, t, ws.view("spare", (k, K), float))
     return tallies
 
 
@@ -386,61 +406,94 @@ def _worker_count(n_tasks: int, max_workers: int | None) -> int:
             if threads < 1:
                 raise ValueError(f"MLNSIM_THREADS must be an integer >= 1, got {env!r}")
             max_workers = min(max_workers, threads)
-    return max(1, min(max_workers, n_tasks))
+    elif max_workers < 1:
+        raise ValueError(f"max_workers must be >= 1, got {max_workers!r}")
+    return min(max_workers, n_tasks)
 
 
-def simulate_ber(config: SnrSweepConfig, max_workers: int | None = None) -> BerCurve:
-    """Run the full SNR sweep and return the BER curve.
+def _shared_layout(configs: tuple) -> SnrSweepConfig:
+    """The first config, once every config is known to share the fields that fix the blocks."""
+    if not configs:
+        raise ValueError("configs: a sweep needs at least one SnrSweepConfig")
+    first = configs[0]
+    for other in configs[1:]:
+        for name in _SHARED_FIELDS:
+            a, b = getattr(first, name), getattr(other, name)
+            same = np.array_equal(a.stacked, b.stacked) if name == "codebook" else a == b
+            if not same:
+                raise ValueError(
+                    f"{name}: the configs of one sweep must share {', '.join(_SHARED_FIELDS)}"
+                )
+    return first
 
-    Every batch of blocks is drawn once and scored at every SNR point that
-    is still below its event target. Chunks of a batch run in a thread pool
+
+def simulate_bers(configs, max_workers: int | None = None) -> tuple[BerCurve, ...]:
+    """Run several SNR sweeps on the same blocks and return their BER curves, in order.
+
+    The configs may differ in query_kind, snr_grid_db and target_error_events
+    but must share dims, codebook, seed and max_trials_per_point, which fix
+    the blocks drawn; otherwise a ValueError names the first field that
+    differs. Every batch of blocks is drawn once and scored at every SNR
+    point of every config that is still below its event target, so the
+    curves share their channel, codeword and noise draws (common random
+    numbers). Chunks of a batch run in one thread pool for the whole call
     (capped by the MLNSIM_THREADS environment variable when max_workers is
-    not given), each on its own substream of the config seed, so the result
-    does not depend on scheduling. Under-resolved points (too few error
-    events at the trial cap) are kept and flagged via BerPoint.resolved
-    rather than failing the sweep.
+    not given), each on its own substream of the seed, so the result does
+    not depend on scheduling, and each curve equals that of its config swept
+    alone. Under-resolved points (too few error events at the trial cap) are
+    kept and flagged via BerPoint.resolved rather than failing the sweep.
     """
-    Q = query_array(build_query(config.query_kind, config.dims, config.seed))
-    grid = np.asarray(config.snr_grid_db)
-    noise_stds = np.sqrt(1.0 / snr_gain(grid))
-    cap = config.max_trials_per_point
-    events = np.zeros(len(grid), dtype=np.int64)
-    bit_errors = np.zeros(len(grid), dtype=np.int64)
-    trials = np.zeros(len(grid), dtype=np.int64)
-    active = np.ones(len(grid), dtype=bool)
+    configs = tuple(configs)
+    layout = _shared_layout(configs)
+    cap = layout.max_trials_per_point
+    largest_batch_chunks = -(-min(max(_BATCH_SCHEDULE), cap) // _CHUNK)
+    workers = _worker_count(largest_batch_chunks, max_workers)
+    queries = [query_array(build_query(c.query_kind, c.dims, c.seed)) for c in configs]
+    # the points of every config in one array, config by config
+    sizes = [len(c.snr_grid_db) for c in configs]
+    owner = np.repeat(np.arange(len(configs)), sizes)
+    noise_stds = np.sqrt(1.0 / snr_gain(np.concatenate([c.snr_grid_db for c in configs])))
+    targets = np.repeat([c.target_error_events for c in configs], sizes)
+    counts = np.zeros((3, len(owner)), dtype=np.int64)  # events, bit errors and trials
+    active = np.ones(len(owner), dtype=bool)
     drawn = 0
     batch = 0
     # read the cached codebook arrays once, before any worker can race to build them
-    words = _blocks_last(config.codebook.stacked)
-    weights = config.codebook.metric_weights
-    largest_batch_chunks = -(-min(max(_BATCH_SCHEDULE), cap) // _CHUNK)
-    workers = _worker_count(largest_batch_chunks, max_workers)
+    words = _blocks_last(layout.codebook.stacked)
+    weights = layout.codebook.metric_weights
     ws = _Workspace()
     with ThreadPoolExecutor(max_workers=workers) as pool:
         while active.any():
             n = min(_BATCH_SCHEDULE[min(batch, len(_BATCH_SCHEDULE) - 1)], cap - drawn)
             idx = np.flatnonzero(active)
+            schemes = [(Q, noise_stds[idx[owner[idx] == j]]) for j, Q in enumerate(queries)]
             tallies = pool.map(
                 lambda c: _score_chunk(
-                    config, Q, words, weights, (1, batch, c), min(_CHUNK, n - c * _CHUNK),
-                    noise_stds[idx], ws,
+                    layout, schemes, words, weights, (1, batch, c), min(_CHUNK, n - c * _CHUNK), ws
                 ),
                 range(-(-n // _CHUNK)),
             )
             for t in tallies:  # in chunk order
-                events[idx] += t[0]
-                bit_errors[idx] += t[1]
-            trials[idx] += n
+                counts[:2, idx] += t
+            counts[2, idx] += n
             drawn += n
             batch += 1
-            active &= (events < config.target_error_events) & (drawn < cap)
+            active &= (counts[0] < targets) & (drawn < cap)
 
-    points = []
-    for snr_db, e, b, n in zip(config.snr_grid_db, events, bit_errors, trials):
-        bits = int(n) * config.codebook.bits_per_block
-        ci_low, ci_high = _wilson_interval(int(b), bits)
-        points.append(BerPoint(snr_db, int(b) / bits, ci_low, ci_high, int(e), int(n)))
-    return BerCurve(tuple(points))
+    curves = []
+    for config, count in zip(configs, np.split(counts, np.cumsum(sizes)[:-1], axis=1)):
+        points = []
+        for snr_db, e, b, n in zip(config.snr_grid_db, *count):
+            bits = int(n) * config.codebook.bits_per_block
+            ci_low, ci_high = _wilson_interval(int(b), bits)
+            points.append(BerPoint(snr_db, int(b) / bits, ci_low, ci_high, int(e), int(n)))
+        curves.append(BerCurve(tuple(points)))
+    return tuple(curves)
+
+
+def simulate_ber(config: SnrSweepConfig, max_workers: int | None = None) -> BerCurve:
+    """Run the full SNR sweep of one config and return its BER curve (see simulate_bers)."""
+    return simulate_bers([config], max_workers)[0]
 
 
 def _crossing_snr(curve: BerCurve, ber_level: float, label: str) -> float:

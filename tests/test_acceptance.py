@@ -16,12 +16,14 @@ integral over the form's eigenvalues. The test averages it over 50k draws of
 ``G`` with 32-node Gauss-Legendre quadrature (no noise, no ``H``, no ML
 detector) and requires the exact gain at BER 1e-3 (2.40 dB) to lie inside
 the bracket of gains formed from the simulated curves' 95% Wilson bounds
-(about [1.85, 2.94] dB). Every simulated point lies within 1.8 standard
-errors of the exact BER. The abstract's "5-10 dB in mid SNR" is not what
-this code gives at BER 1e-3: its exact gap is 1.4 dB at 1e-2, 2.4 dB at 1e-3
-and 3.5 dB at 1e-4, and first exceeds 4 dB between 1e-4 and 1e-5 (4.8 dB at
-1e-5), levels that mid SNR does not reach. The verdict line prints those
-gaps.
+(about [1.85, 2.94] dB). The two curves share every block (common random
+numbers, ``simulate_bers``), so they are positively correlated; the bracket
+treats them as independent, which makes it conservative. Every simulated
+point lies within 1.8 standard errors of the exact BER. The abstract's
+"5-10 dB in mid SNR" is not what this code gives at BER 1e-3: its exact gap
+is 1.4 dB at 1e-2, 2.4 dB at 1e-3 and 3.5 dB at 1e-4, and first exceeds 4 dB
+between 1e-4 and 1e-5 (4.8 dB at 1e-5), levels that mid SNR does not reach.
+The verdict line prints those gaps.
 """
 
 import json
@@ -43,7 +45,7 @@ from mlnsim.pep import (
     pep_ratio_curve,
 )
 from mlnsim.presets import get_preset
-from mlnsim.simulate import BerCurve, SnrSweepConfig, gain_at_ber, simulate_ber
+from mlnsim.simulate import BerCurve, SnrSweepConfig, gain_at_ber, simulate_ber, simulate_bers
 
 SEED = 20240901
 
@@ -54,14 +56,14 @@ def _verdict(criterion: int, ok: bool, detail: str):
 
 def _ber_pair(preset_name: str, grid, events: int, max_trials: int, seed: int):
     p = get_preset(preset_name)
-    curves = {}
-    for kind in ("dft", "uniform"):
-        cfg = SnrSweepConfig(
+    sweeps = [
+        SnrSweepConfig(
             dims=p.dims, query_kind=kind, codebook=p.codebook, snr_grid_db=grid,
             max_trials_per_point=max_trials, target_error_events=events, seed=seed,
         )
-        curves[kind] = simulate_ber(cfg)
-    return curves["dft"], curves["uniform"]
+        for kind in ("dft", "uniform")
+    ]
+    return simulate_bers(sweeps)
 
 
 def test_criterion_1_measure_exactness(tmp_path, capsys):

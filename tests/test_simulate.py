@@ -25,6 +25,7 @@ from mlnsim.simulate import (
     gain_at_ber,
     ml_detect,
     simulate_ber,
+    simulate_bers,
 )
 from mlnsim.channel import backscatter_transmit
 
@@ -334,7 +335,7 @@ class TestScorePoints:
         for chunk in range(2):
             tracemalloc.start()
             try:
-                t = simulate._score_chunk(sweep, Q, words, cb.metric_weights, (1, 0, chunk), 10_000, stds, ws)
+                t = simulate._score_chunk(sweep, [(Q, stds)], words, cb.metric_weights, (1, 0, chunk), 10_000, ws)
                 peaks.append(tracemalloc.get_traced_memory()[1])
             finally:
                 tracemalloc.stop()
@@ -342,7 +343,7 @@ class TestScorePoints:
         assert peaks[1] < peaks[0] / 4
         # and a fresh workspace gives the second chunk the same tallies
         fresh = simulate._score_chunk(
-            sweep, Q, words, cb.metric_weights, (1, 0, 1), 10_000, stds, simulate._Workspace()
+            sweep, [(Q, stds)], words, cb.metric_weights, (1, 0, 1), 10_000, simulate._Workspace()
         )
         assert np.array_equal(fresh, tallies[1])
 
@@ -383,23 +384,7 @@ class TestSimulateBer:
 
     def test_sweep_draws_each_block_once(self, monkeypatch):
         # one draw stream per sweep: max_trials blocks of H, G and W, not one per point
-        drawn = []
-        sample = simulate.sample_cn_matrix
-
-        def counting(rows, cols, rng, *, out=None):
-            drawn.append(rows * cols)
-            return sample(rows, cols, rng, out=out)
-
-        monkeypatch.setattr(simulate, "sample_cn_matrix", counting)
-        dims = SystemDims(2, 2, 3, 2)
-        sweep = SnrSweepConfig(
-            dims=dims, query_kind="uniform", codebook=_antipodal(),
-            snr_grid_db=(20.0, 30.0, 40.0), max_trials_per_point=30_000,
-            target_error_events=10**6, seed=9,
-        )
-        curve = simulate_ber(sweep, max_workers=2)
-        assert all(p.trials == 30_000 for p in curve.points)
-        assert sum(drawn) == 30_000 * (dims.M * dims.L + dims.L * dims.N + dims.T * dims.N)
+        _assert_draws_each_block_once(monkeypatch, ("uniform",), lambda s: [simulate_ber(s[0], max_workers=2)])
 
     def test_byte_identical_across_worker_counts(self):
         # batches of 20k and 50k blocks span two and five chunks
@@ -471,6 +456,96 @@ class TestSimulateBer:
         point = simulate_ber(sweep).points[0]
         assert 0.0 < point.ber < 0.5
         assert point.ci_low <= point.ber <= point.ci_high
+
+
+def _assert_draws_each_block_once(monkeypatch, kinds, run):
+    """run(sweeps), one sweep per query kind, samples max_trials blocks of H, G and W in all."""
+    drawn = []
+    sample = simulate.sample_cn_matrix
+
+    def counting(rows, cols, rng, *, out=None):
+        drawn.append(rows * cols)
+        return sample(rows, cols, rng, out=out)
+
+    monkeypatch.setattr(simulate, "sample_cn_matrix", counting)
+    dims = SystemDims(2, 2, 3, 2)
+    sweeps = [
+        SnrSweepConfig(
+            dims=dims, query_kind=kind, codebook=_antipodal(),
+            snr_grid_db=(20.0, 30.0, 40.0), max_trials_per_point=30_000,
+            target_error_events=10**6, seed=9,
+        )
+        for kind in kinds
+    ]
+    curves = run(sweeps)
+    assert all(p.trials == 30_000 for c in curves for p in c.points)
+    assert sum(drawn) == 30_000 * (dims.M * dims.L + dims.L * dims.N + dims.T * dims.N)
+
+
+def _joint_sweeps(**changes):
+    """Two sweeps on one block layout; changes apply to the second."""
+    base = dict(
+        dims=SystemDims(2, 2, 2, 2), codebook=uncoded_bpsk(2, 2), max_trials_per_point=70_000, seed=13,
+    )
+    first = SnrSweepConfig(query_kind="dft", snr_grid_db=(0.0, 6.0), target_error_events=300, **base)
+    second = SnrSweepConfig(
+        **{**base, "query_kind": "uniform", "snr_grid_db": (4.0, 12.0, 20.0, 28.0),
+           "target_error_events": 2_000, **changes}
+    )
+    return first, second
+
+
+class TestSimulateBers:
+    def test_equals_separate_sweeps_for_any_worker_count(self):
+        # the dft sweep stops after the first batch of 20k blocks, while the
+        # uniform one runs on to the 70k cap (batches of two and five chunks)
+        sweeps = _joint_sweeps()
+        separate = [simulate_ber(s, max_workers=1).to_csv() for s in sweeps]
+        for workers in (1, 2, 3):
+            joint = [c.to_csv() for c in simulate_bers(sweeps, max_workers=workers)]
+            assert joint == separate, workers
+        first, second = (BerCurve.from_csv(c).points for c in separate)
+        assert [p.trials for p in first] == [20_000, 20_000]
+        assert second[-1].trials == 70_000
+
+    def test_pair_draws_each_block_once(self, monkeypatch):
+        # not once per query scheme
+        _assert_draws_each_block_once(monkeypatch, ("dft", "uniform"), lambda s: simulate_bers(s, max_workers=2))
+
+    def test_equal_codebooks_share_a_sweep(self):
+        # the same codewords in two Codebook objects fix the same blocks
+        sweeps = _joint_sweeps(codebook=uncoded_bpsk(2, 2))
+        assert sweeps[0].codebook is not sweeps[1].codebook
+        joint = simulate_bers(sweeps, max_workers=1)
+        assert [c.to_csv() for c in joint] == [simulate_ber(s, max_workers=1).to_csv() for s in sweeps]
+
+    @pytest.mark.parametrize(
+        "field,changes",
+        [
+            ("dims", {"dims": SystemDims(2, 2, 3, 2)}),
+            # the same words in another order
+            ("codebook", {"codebook": codes.Codebook(tuple(-c for c in uncoded_bpsk(2, 2).codewords), 4)}),
+            ("seed", {"seed": 14}),
+            ("max_trials_per_point", {"max_trials_per_point": 60_000}),
+            # the first field that differs is named
+            ("seed", {"seed": 14, "max_trials_per_point": 60_000}),
+        ],
+    )
+    def test_configs_must_share_the_block_layout(self, field, changes):
+        with pytest.raises(ValueError, match=f"^{field}: the configs of one sweep must share"):
+            simulate_bers(_joint_sweeps(**changes))
+
+    def test_no_configs_rejected(self):
+        with pytest.raises(ValueError, match="^configs:"):
+            simulate_bers([])
+
+    @pytest.mark.parametrize("workers", [0, -5])
+    def test_max_workers_below_one_rejected(self, workers):
+        sweeps = _joint_sweeps()
+        with pytest.raises(ValueError, match=f"max_workers must be >= 1, got {workers}"):
+            simulate_bers(sweeps, max_workers=workers)
+        with pytest.raises(ValueError, match=f"max_workers must be >= 1, got {workers}"):
+            simulate_ber(sweeps[0], max_workers=workers)
 
 
 class TestBerCurveCsv:
