@@ -33,8 +33,9 @@ _SV_SLICE = 16384
 
 _INV_SQRT2 = 1.0 / np.sqrt(2.0)
 
-# sample_cn_matrix draws at most this many float64s (64 KiB) at a time, a size
-# malloc reuses without fresh pages: a larger matrix goes piece by piece
+# sample_cn_matrix draws whole rows, at most this many float64s (64 KiB) at a
+# time unless one row is longer, a size malloc reuses without fresh pages: a
+# larger matrix goes piece by piece
 _DRAW_PIECE = 8192
 
 
@@ -65,35 +66,36 @@ def sample_cn_matrix(
     """Sample a rows x cols matrix of i.i.d. CN(0, 1) entries.
 
     Circularly-symmetric complex Gaussian with unit total variance: real
-    and imaginary parts are independent N(0, 1/2). Given out (a C-contiguous
-    complex128 rows x cols array), the draw is written there and out is
-    returned, with the same bits and the same generator state afterwards as
-    a call without it.
+    and imaginary parts are independent N(0, 1/2). Given out (a C- or
+    F-contiguous complex128 rows x cols array), the draw is written there
+    and out is returned, with the same bits and the same generator state
+    afterwards as a call without it. An F-contiguous out (the transpose of a
+    C-contiguous cols x rows array) puts each drawn row in a column.
     """
     if rows < 1 or cols < 1:
         raise DimensionMismatchError(f"dimensions must be >= 1, got ({rows}, {cols})")
     if out is None:
         out = np.empty((rows, cols), dtype=complex)
-    elif out.shape != (rows, cols) or out.dtype != complex or not out.flags.c_contiguous:
+    elif out.shape != (rows, cols) or out.dtype != complex or not out.flags.forc:
         raise ValueError(
-            f"out must be a C-contiguous complex128 array of shape ({rows}, {cols}), "
+            f"out must be a C- or F-contiguous complex128 array of shape ({rows}, {cols}), "
             f"got {out.dtype} {out.shape}"
         )
     # the stream holds every real part and then every imaginary part, as one
     # (2, rows, cols) draw would. numpy divides a complex by a real as a product
     # with its reciprocal, so scaling each part by 1/sqrt(2) gives the bits of
-    # (a + 1j b) / sqrt(2) (a / sqrt(2) would not)
-    size = rows * cols
-    parts = out.view(np.float64).reshape(size, 2).T  # Re and Im, as strided views
-    # a Generator's normal stream carries no state between calls, so a draw made
-    # piece by piece into a small scratch gives the same values and leaves the
+    # (a + 1j b) / sqrt(2) (a / sqrt(2) would not). A Generator's normal stream
+    # carries no state between calls, so a draw made piece by piece (whole rows,
+    # at least one) into a small scratch gives the same values and leaves the
     # same state, without a temporary the size of the draw
-    scratch = np.empty(min(size, _DRAW_PIECE))
-    for part in parts:
-        for a in range(0, size, _DRAW_PIECE):
-            piece = scratch[: size - a]
+    step = min(rows, max(1, _DRAW_PIECE // cols))
+    scratch = np.empty((step, cols))
+    for part in (out.real, out.imag):
+        for a in range(0, rows, step):
+            piece = scratch[: rows - a]
             rng.standard_normal(out=piece)
-            np.multiply(piece, _INV_SQRT2, out=part[a : a + piece.size])
+            piece *= _INV_SQRT2
+            part[a : a + len(piece)] = piece
     return out
 
 

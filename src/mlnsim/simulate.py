@@ -21,29 +21,34 @@ The query Q comes from its own substream (0,), so sweeps that differ only
 in query_kind, grid or event target draw the same blocks: the curves of a
 unitary-against-uniform comparison share every block (common random
 numbers) and are positively correlated. simulate_bers runs such sweeps
-together. Each chunk is drawn once and its H, G, W, sent words and their
-blocks-last copies are shared; X = Q H, S, the metric and the scoring are
-per sweep, and each sweep's curve is the one it gets alone. An interval
-for a gain that treats the two curves as independent (such as the Wilson
-bracket of the acceptance suite) is therefore conservative.
+together. Each chunk is drawn once and its H, G, W, sent words and the
+query-free terms of its slices are shared; X = Q H, the metric and the
+scoring are per sweep, and each sweep's curve is the one it gets alone. An
+interval for a gain that treats the two curves as independent (such as the
+Wilson bracket of the acceptance suite) is therefore conservative.
 
 ML detection scores all K codewords of a block with one real GEMM. With
 X = Q H and S_j = (X o C_j) G, the metric is the sufficient statistic
-||R - S_j||^2 - ||R||^2 = ||S_j||^2 - 2 Re<R, S_j>. It is linear in two
-sets of per-block features: the T x L x L terms (x_t x_t^H) o (G G^H),
-which give ||S_j||^2 against the weights c_t c_t^H, and the T x L terms
-conj(R G^H) o X, which give Re<R, S_j> against c_j. Split into real and
-imaginary parts (real parts alone for a real codebook), the features F
-(n x F) and the weights (K x F, Codebook.metric_weights) give every
-distance as F @ weights.T; the argmin keeps the lowest index on ties. With
-R = S + s W the metric is base + s noise, where base is the metric of the
-noise-free S and noise = -2 Re<W, S_j> comes from the cross features of W
-alone. Both are SNR-free, so each point costs one scaled sum and argmin.
-Blocks are laid out last (L x N x n), so G G^H and R G^H are products of
-length-n vectors. A chunk is worked through in slices of blocks whose
-base, noise and spare arrays hold at most _METRIC_BUDGET float64s
-together (1 MiB), but at least _MIN_SLICE blocks each, so those of a
-2^16-word codebook take 3 x 32 x 2^16 float64s (48 MiB) at most.
+||R - S_j||^2 - ||R||^2 = ||S_j||^2 - 2 Re<R, S_j>. With R = S + s W it is
+base + s noise: both are SNR-free, so each point costs one scaled sum and
+argmin. base is linear in the T x L x L energy features
+E = (x_t x_t^H) o (G G^H), against the weights c_t c_t^H, and in the T x L
+cross features sum_l' E[t, l, l'] conj(c_tl') of the sent word c, which equal
+X o conj(S G^H), against c_j: S itself is never formed. noise is linear in
+the cross features X o V of W, with V = conj(W) G^T. Split into real and
+imaginary parts (real parts alone for a real codebook), the features (n x F)
+and the weights (K x F, Codebook.metric_weights) give every distance as one
+product; the argmin keeps the lowest index on ties. G G^H and V do not
+depend on the query, so each slice forms them once for every sweep.
+ml_detect runs the same kernel, with R as the noise on the zero word.
+
+Blocks are laid out last (L x N x n), so G G^H and V are products of
+length-n vectors; a chunk's draws go straight into blocks-last arrays, of
+which a slice is a view. A chunk is scored in as few equal slices as keep
+every per-slice buffer (_slice_bytes) within _SLICE_BYTES and the scorer's
+arrays within _SCORE_BYTES, at least _MIN_SLICE blocks each, so those of a
+2^16-word codebook take 3 x 32 x 2^16 float64s (48 MiB) at most. The
+number of numpy calls per slice does not grow with L, N or T.
 
 The points of a slice are scored from the noisiest down, the first on
 every block and each later one only on the blocks in error at the point
@@ -60,7 +65,7 @@ arithmetic; in floating point only a block within rounding of a tie could
 differ).
 
 A call has one thread pool, and each pool worker keeps one _Workspace for
-all the sweeps of the call. The chunk's H, G and W, every slice array and
+all the sweeps of the call. The chunk's H, G and W, every slice buffer and
 the metric's temporaries are views of arrays it allocates on first use and
 enlarges only for a larger chunk or slice than any before, so later chunks
 allocate no large array and do not fault in fresh pages when malloc has
@@ -78,7 +83,7 @@ from dataclasses import astuple, dataclass
 
 import numpy as np
 
-from .channel import ChannelRealization, SystemDims, _blocks_last, checked_snr_grid, gram, mix, snr_gain
+from .channel import ChannelRealization, SystemDims, checked_snr_grid, snr_gain
 from .codes import Codebook
 from .csvio import csv_rows, csv_text
 from .linalg import DimensionMismatchError, make_rng, sample_cn_matrix
@@ -104,10 +109,12 @@ _BATCH_SCHEDULE = (20_000, 80_000, 200_000)
 # a batch is drawn in chunks of this many blocks, each from its own substream;
 # it divides every scheduled batch size, so the first batch splits in two
 _CHUNK = 10_000
-# a block slice's metric arrays hold at most this many float64s together (1 MiB,
-# so they stay in cache), but a slice has at least _MIN_SLICE blocks so that the
-# weights of a large codebook are read once per _MIN_SLICE blocks
-_METRIC_BUDGET = 2**17
+# a chunk is scored in as few equal slices of blocks as keep all per-slice buffers
+# within _SLICE_BYTES and the scorer's three blocks x K arrays within _SCORE_BYTES,
+# but of at least _MIN_SLICE blocks, so a large codebook's weights are read once per
+# _MIN_SLICE blocks
+_SLICE_BYTES = 3 * 2**20
+_SCORE_BYTES = 2**20
 _MIN_SLICE = 32
 # the config fields that fix which blocks a sweep draws, so sweeps run together share them
 _SHARED_FIELDS = ("dims", "codebook", "seed", "max_trials_per_point")
@@ -217,69 +224,68 @@ class _Workspace(threading.local):
         return flat[:size].reshape(shape)
 
 
-def _real_rows(z: np.ndarray, parts: int) -> tuple:
-    """z (... x n) as real feature rows: views of Re then Im, or of Re alone when parts == 1."""
-    z = z.reshape(-1, z.shape[-1])
-    return (z.real, z.imag)[:parts]
+def _put_parts(z: np.ndarray, rows: np.ndarray, parts: int) -> np.ndarray:
+    """Copy z's Re and then Im parts (Re alone when parts == 1) into rows, (parts z.size / n) x n."""
+    for part, block in zip((z.real, z.imag)[:parts], rows.reshape((parts,) + z.shape)):
+        block[...] = part
+    return rows
 
 
-def _cross(X: np.ndarray, G: np.ndarray, R: np.ndarray, ws: _Workspace) -> np.ndarray:
-    """T x L x n: X o conj(R G^H), whose pairing with c_j gives Re<R, S_j>."""
+def _shared_terms(G: np.ndarray, W: np.ndarray, ws: _Workspace) -> tuple:
+    """gram = G G^H (L x L x n) and V = conj(W) G^T (T x L x n), as views of ws's arrays."""
+    L, N, n = G.shape
+    T = W.shape[0]
+    Gc = np.conjugate(G, out=ws.view("conj", G.shape))
+    prod = np.multiply(G[:, None], Gc[None], out=ws.view("tmp", (L, L, N, n)))
+    gram = np.sum(prod, axis=2, out=ws.view("gram", (L, L, n)))
+    prod = np.multiply(W[:, None], Gc[None], out=ws.view("tmp", (T, L, N, n)))
+    V = np.sum(prod, axis=2, out=ws.view("V", (T, L, n)))
+    return gram, np.conjugate(V, out=V)
+
+
+def _base_features(X: np.ndarray, gram: np.ndarray, Cc: np.ndarray, parts: int, ws: _Workspace) -> np.ndarray:
+    """F x n features of the noise-free metric, F = parts T L (L + 1), as a view of ws's arrays.
+
+    The energy features E[t, l, l'] = X_tl conj(X_tl') gram_ll' come first,
+    then the cross features sum_l' E[t, l, l'] Cc[t, l'], which equal
+    X o conj(S G^H) for S = (X o C) G and Cc = conj(C). Each gives its Re rows
+    and then its Im rows (Re rows alone when parts == 1).
+    """
     T, L, n = X.shape
-    Rc = np.conjugate(R[:, None], out=ws.view("conj", (T, 1) + R.shape[1:]))
-    prod = np.multiply(Rc, G, out=ws.view("prod", (T, L) + R.shape[1:]))
-    cross = np.sum(prod, axis=2, out=ws.view("cross", (T, L, n)))
-    return np.multiply(X, cross, out=cross)
+    E = ws.view("tmp", (T, L, L, n))
+    np.multiply(X[:, None], gram.transpose(1, 0, 2), out=E)  # X_tl' gram_l'l
+    np.conjugate(E, out=E)  # conj(X_tl') gram_ll', as gram is Hermitian
+    E *= X[:, :, None]
+    feats = ws.view("feats", (parts * T * L * (L + 1), n), float)
+    _put_parts(E, feats[: parts * T * L * L], parts)
+    # real words need Re(E Cc) = Re(E) Re(Cc) alone
+    prod, c = (E, Cc) if parts == 2 else (E.real, Cc.real)
+    np.multiply(prod, c[:, None], out=prod)
+    for part, rows in zip((E.real, E.imag)[:parts], feats[parts * T * L * L :].reshape(parts, T, L, n)):
+        np.sum(part, axis=2, out=rows)
+    return feats
 
 
 def _metric(
-    X: np.ndarray,
-    G: np.ndarray,
-    R: np.ndarray,
-    weights: np.ndarray,
-    *,
-    out: np.ndarray | None = None,
-    ws: _Workspace | None = None,
-) -> np.ndarray:
-    """||R - (X o C_j) G||^2 - ||R||^2 for every block and codeword, n x K.
+    X: np.ndarray, gram: np.ndarray, V: np.ndarray, Cc: np.ndarray, weights: np.ndarray,
+    ws: _Workspace, base: np.ndarray | None = None, noise: np.ndarray | None = None,
+) -> tuple:
+    """base and noise (n x K each): the metric ||R - S_j||^2 - ||R||^2 of R = S + s W is base + s noise.
 
-    Arrays are blocks-last: X is T x L x n, G is L x N x n, R is T x N x n.
-    weights are Codebook.metric_weights; their width tells whether they
-    carry Im parts (see codes._metric_weights). The result goes to out when
-    given; the temporaries are views of ws's arrays, or of a fresh _Workspace.
+    Arrays are blocks-last: X = Q H is T x L x n, gram and V are the
+    _shared_terms of G and W, and Cc holds the conjugated sent words C of
+    S = (X o C) G. base = ||S_j||^2 - 2 Re<S, S_j> and noise = -2 Re<W, S_j>.
+    weights are Codebook.metric_weights, whose width tells whether they carry
+    Im parts. The results go to base and noise when given, the temporaries to ws.
     """
-    ws = _Workspace() if ws is None else ws
     T, L, n = X.shape
     parts = weights.shape[1] // (T * L * (L + 1))
-    Xc = np.conjugate(X[:, None], out=ws.view("conj", (T, 1, L, n)))
-    energy = np.multiply(X[:, :, None], Xc, out=ws.view("energy", (T, L, L, n)))
-    energy *= gram(G, out=ws.view("gram", (L, L, n)))
-    rows = _real_rows(energy, parts) + _real_rows(_cross(X, G, R, ws), parts)
-    feats = np.concatenate(rows, out=ws.view("feats", (len(weights[0]), n), float))
-    return np.matmul(feats.T, weights.T, out=out)
-
-
-def _noise_metric(
-    X: np.ndarray,
-    G: np.ndarray,
-    W: np.ndarray,
-    weights: np.ndarray,
-    *,
-    out: np.ndarray | None = None,
-    ws: _Workspace | None = None,
-) -> np.ndarray:
-    """-2 Re<W, S_j> for every block and codeword, n x K.
-
-    The metric is linear in the noise: _metric(X, G, S + s W, weights) equals
-    _metric(X, G, S, weights) + s _noise_metric(X, G, W, weights). out and ws
-    are as for _metric.
-    """
-    ws = _Workspace() if ws is None else ws
-    T, L, n = X.shape
-    parts = weights.shape[1] // (T * L * (L + 1))
-    rows = _real_rows(_cross(X, G, W, ws), parts)
-    feats = np.concatenate(rows, out=ws.view("feats", (parts * T * L, n), float))
-    return np.matmul(feats.T, weights[:, -parts * T * L:].T, out=out)
+    feats = _base_features(X, gram, Cc, parts, ws)
+    base = np.matmul(feats.T, weights.T, out=base)
+    # -2 Re<W, S_j> pairs the cross features X o V of W with c_j, as base's pair those of S
+    rows = _put_parts(np.multiply(X, V, out=ws.view("tmp", X.shape)), feats[: parts * T * L], parts)
+    noise = np.matmul(rows.T, weights[:, parts * T * L * L :].T, out=noise)
+    return base, noise
 
 
 def ml_detect(R: np.ndarray, q, ch: ChannelRealization, codebook: Codebook) -> int:
@@ -294,8 +300,10 @@ def ml_detect(R: np.ndarray, q, ch: ChannelRealization, codebook: Codebook) -> i
         raise DimensionMismatchError(
             f"R must be {X.shape[0]}x{ch.G.shape[1]}, got {R.shape}"
         )
-    d = _metric(X[..., None], ch.G[..., None], R[..., None], codebook.metric_weights)
-    return int(np.argmin(d[0]))
+    ws = _Workspace()
+    gram, V = _shared_terms(ch.G[..., None], R[..., None], ws)  # R is the noise on the zero word
+    base, noise = _metric(X[..., None], gram, V, np.zeros(X.shape + (1,)), codebook.metric_weights, ws)
+    return int(np.argmin(base[0] + noise[0]))
 
 
 def _score_points(
@@ -344,6 +352,22 @@ def _score_points(
         sent = sent[wrong]
 
 
+def _sent_words(codebook: Codebook) -> np.ndarray:
+    """The conjugated codewords blocks-last (T x L x K), real for a real codebook."""
+    words = codebook.stacked
+    return np.ascontiguousarray(np.moveaxis(np.conjugate(words if np.any(words.imag) else words.real), 0, -1))
+
+
+def _slice_bytes(dims: SystemDims, words: np.ndarray, weights: np.ndarray) -> tuple:
+    """Bytes per block of every per-slice buffer of _score_chunk, and of the scorer's alone."""
+    L, N, T = dims.L, dims.N, dims.T
+    K, F = weights.shape
+    scorer = 8 * 3 * K  # base, noise and the scorer's spare
+    # conj, gram, V, X and tmp are complex, C holds words and feats is real
+    complex_entries = L * N + L * L + 2 * T * L + max(L * L * N, T * L * N, T * L * L)
+    return 16 * complex_entries + words.itemsize * T * L + 8 * F + scorer, scorer
+
+
 def _score_chunk(
     config: SnrSweepConfig,
     schemes: list,
@@ -356,40 +380,43 @@ def _score_chunk(
     """Error events and bit errors at each noise scale of each scheme on one chunk of n blocks.
 
     config gives the dims and seed every scheme shares, schemes holds one
-    (Q, noise_stds) pair per query scheme, words are the codebook's codewords
-    blocks-last (T x L x K) and weights its metric weights. The chunk draws
-    H, G, sent and unit-variance W from its own substream key once for all
-    schemes, and works in the calling thread's arrays of ws. Returns a 2 x P
-    integer array (events, then bit errors) of the P noise scales of all
-    schemes in order; a scheme without noise scales is not scored.
+    (Q, noise_stds) pair per query scheme, words are the codebook's
+    conjugated codewords blocks-last (T x L x K) and weights its metric
+    weights. The chunk draws H, G, sent and unit-variance W from its own
+    substream key once for all schemes, and works in the calling thread's
+    arrays of ws. Returns a 2 x P integer array (events, then bit errors) of
+    the P noise scales of all schemes in order; a scheme without noise
+    scales is not scored.
     """
     M, L, N, T = config.dims.M, config.dims.L, config.dims.N, config.dims.T
     K = words.shape[-1]
     rng = make_rng(config.seed, key)
-    H = sample_cn_matrix(n, M * L, rng, out=ws.view("H", (n, M * L))).reshape(n, M, L)
-    G = sample_cn_matrix(n, L * N, rng, out=ws.view("G", (n, L * N))).reshape(n, L, N)
+    # each draw's rows (blocks) go to the columns of a blocks-last array
+    H = sample_cn_matrix(n, M * L, rng, out=ws.view("H", (M * L, n)).T).T.reshape(M, L, n)
+    G = sample_cn_matrix(n, L * N, rng, out=ws.view("G", (L * N, n)).T).T.reshape(L, N, n)
     sent = rng.integers(0, K, n)
-    W = sample_cn_matrix(n, T * N, rng, out=ws.view("W", (n, T * N))).reshape(n, T, N)
+    W = sample_cn_matrix(n, T * N, rng, out=ws.view("W", (T * N, n)).T).T.reshape(T, N, n)
 
-    # base, noise and the scorer's spare share the budget
-    step = max(_MIN_SLICE, _METRIC_BUDGET // (3 * max(weights.shape)))
+    # as few equal slices as keep to _SLICE_BYTES and _SCORE_BYTES
+    per_block, scorer = _slice_bytes(config.dims, words, weights)
+    most = max(_MIN_SLICE, min(_SLICE_BYTES // per_block, _SCORE_BYTES // scorer))
+    step = -(-n // -(-n // most))
     scales = [len(noise_stds) for _, noise_stds in schemes]
     tallies = np.zeros((2, sum(scales)), dtype=np.int64)
     per_scheme = np.split(tallies, np.cumsum(scales)[:-1], axis=1)
     for a in range(0, n, step):
         sent_s = sent[a : a + step]
         k = len(sent_s)
-        Hs = _blocks_last(H[a : a + k], out=ws.view("Hs", (M, L, k)))
-        Gs = _blocks_last(G[a : a + k], out=ws.view("Gs", (L, N, k)))
-        C = np.take(words, sent_s, axis=2, out=ws.view("C", (T, L, k)), mode="clip")
-        Ws = _blocks_last(W[a : a + k], out=ws.view("Ws", (T, N, k)))
+        Hs, Gs, Ws = H[..., a : a + k], G[..., a : a + k], W[..., a : a + k]
+        gram, V = _shared_terms(Gs, Ws, ws)
+        Cc = np.take(words, sent_s, axis=2, out=ws.view("C", (T, L, k), words.dtype), mode="clip")
         for (Q, noise_stds), t in zip(schemes, per_scheme):
             if len(noise_stds) == 0:
                 continue
-            X = effective_forward(Q, Hs, out=ws.view("X", (T, L, k)))
-            S = mix(X, C, Gs, out=ws.view("S", (T, N, k)))
-            base = _metric(X, Gs, S, weights, out=ws.view("base", (k, K), float), ws=ws)
-            noise = _noise_metric(X, Gs, Ws, weights, out=ws.view("noise", (k, K), float), ws=ws)
+            X = ws.view("X", (T, L, k))
+            np.matmul(Q, Hs.transpose(1, 0, 2), out=X.transpose(1, 0, 2))  # Q H, per tag antenna
+            base, noise = ws.view("base", (k, K), float), ws.view("noise", (k, K), float)
+            _metric(X, gram, V, Cc, weights, ws, base, noise)
             _score_points(base, noise, sent_s, noise_stds, t, ws.view("spare", (k, K), float))
     return tallies
 
@@ -459,7 +486,7 @@ def simulate_bers(configs, max_workers: int | None = None) -> tuple[BerCurve, ..
     drawn = 0
     batch = 0
     # read the cached codebook arrays once, before any worker can race to build them
-    words = _blocks_last(layout.codebook.stacked)
+    words = _sent_words(layout.codebook)
     weights = layout.codebook.metric_weights
     ws = _Workspace()
     with ThreadPoolExecutor(max_workers=workers) as pool:

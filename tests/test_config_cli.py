@@ -12,9 +12,9 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from mlnsim.channel import snr_gain
-from mlnsim.cli import main
+from mlnsim.cli import _exponent_summary, main
 from mlnsim.config import DEFAULT_PEP_GRID, PRESET_NAMES, ConfigError, load_config, parse_snr_grid
-from mlnsim.pep import pep_curve_from_csv, ratio_curve_from_csv, ratio_curve_to_csv, ratio_point
+from mlnsim.pep import PepEstimate, pep_curve_from_csv, ratio_curve_from_csv, ratio_curve_to_csv, ratio_point
 from mlnsim.presets import get_preset
 from mlnsim.simulate import BerCurve
 
@@ -302,6 +302,11 @@ _FAULTS = {
     "overflowing-delta": ("pep", {"m": 2, "l": 2, "n": 2, "t": 2, "codebook": "uncoded-bpsk",
                                   "delta": [[1e200, 1], [1, 1]]}, "delta"),
     "uncoded-too-large": ("measure", {"m": 4, "l": 4, "n": 1, "t": 5, "codebook": "uncoded-bpsk"}, "codebook"),
+    # 2 x 3 codewords where t = l = 2
+    "codewords-not-t-by-l": ("ber", {"m": 2, "l": 2, "n": 2, "t": 2, "codebook": "custom",
+                                     "codewords": [[[1, 0, 0], [0, 1, 0]], [[-1, 0, 0], [0, -1, 0]]]}, "codebook"),
+    "delta-not-l-by-t": ("measure", {"m": 2, "l": 2, "n": 2, "t": 2, "codebook": "uncoded-bpsk",
+                                     "delta": [[1, 2, 3], [4, 5, 6]]}, "delta"),
     "unitary-t-not-m": ("reproduce", {"m": 3, "l": 1, "n": 2, "t": 2, "codebook": "repetition-bpsk"}, "t"),
     "hadamard-m-3": ("ber", {"m": 3, "l": 1, "n": 2, "t": 3, "codebook": "repetition-bpsk",
                              "query": "hadamard"}, "query"),
@@ -477,6 +482,26 @@ class TestCliCommands:
         assert report["passed"] is True
         assert report["d_fraction"] == 1.0
 
+    def test_verify_lemmas_exits_three_when_rank_prediction_fails(self, tmp_path, capsys):
+        # measure's min(N rank, L*) formula predicts rank(D) = 4 for this delta, but the
+        # columns of D lie in span{e_1, diag(g_1) v, diag(g_2) v}, so rank(D) = 3 on every draw
+        cfg = {
+            "command": "verify-lemmas", "m": 4, "l": 4, "n": 2, "t": 4, "codebook": "uncoded-bpsk",
+            "delta": [[0, 0, 1, 1], [0, 0, 0, 2], [0, 0, 0, 3], [0, 0, 0, 4]],
+        }
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps(cfg))
+        out = tmp_path / "out"
+        status = main(["verify-lemmas", "--config", str(path), "--seed", "3", "--trials", "2000", "--out", str(out)])
+        assert status == 3
+        captured = capsys.readouterr()
+        assert captured.err == "rank predictions NOT met on sampled draws\n"
+        report = json.loads((out / "lemma_check_custom.json").read_text())
+        assert report == json.loads(captured.out)
+        assert report["passed"] is False
+        assert report["d_fraction"] == 0.0
+        assert report["per_slot_fractions"] == [1.0] * 4
+
     def test_usage_error_exits_one(self, capsys):
         with pytest.raises(SystemExit) as exc:
             main(["frobnicate"])
@@ -613,3 +638,24 @@ class TestCliCommands:
              "--max-trials", "2000", "--out", str(tmp_path)]
         )
         assert status == 0
+
+
+class TestExponentSummary:
+    @staticmethod
+    def _curve(values):
+        return [PepEstimate(snr, v, 1e-3 * v, 10_000, "eigen-product") for snr, v in zip(range(25, 50, 5), values)]
+
+    def test_divergent_average_reports_no_exponent(self):
+        # pep falls as gbar^-1, so gbar^2 * pep grows a hundredfold across 25-45 dB
+        summary = _exponent_summary(self._curve(1.0 / snr_gain(np.arange(25.0, 50.0, 5.0))), 2)
+        assert summary["divergent"] is True
+        assert (summary["nominal"], summary["fitted"]) == (2, None)
+        assert "limiting expectation diverges" in summary["diagnostic"]
+
+    def test_unfittable_curve_reports_its_error(self):
+        # a zero endpoint leaves no scaled limit to check
+        summary = _exponent_summary(self._curve([1e-3, 1e-4, 1e-5, 1e-6, 0.0]), 2)
+        assert summary == {
+            "nominal": 2, "fitted": None, "divergent": False,
+            "diagnostic": "scaled-limit check needs positive endpoint values",
+        }

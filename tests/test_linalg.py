@@ -88,12 +88,30 @@ class TestSampling:
         assert rng.bit_generator.state == ref.bit_generator.state
 
     @pytest.mark.parametrize(
+        "rows, cols",
+        [(1, 5), (3000, 7), (linalg._DRAW_PIECE + 1, 2), (2, linalg._DRAW_PIECE + 3), (10_000, 8)],
+    )
+    def test_f_order_out_matches_c_order(self, rows, cols):
+        # an F-contiguous out (the transpose of a cols x rows array) gets the bits
+        # of a C-contiguous one and leaves the generator in the same state: a
+        # single row, a piece of whole rows that does not fill _DRAW_PIECE, draws
+        # of several pieces, and rows longer than one piece
+        rng, ref = make_rng(8, (rows, cols)), make_rng(8, (rows, cols))
+        buf = np.full((cols, rows), np.nan + 1j * np.inf).T
+        assert buf.flags.f_contiguous
+        for _ in range(2):
+            c_order = sample_cn_matrix(rows, cols, ref, out=np.empty((rows, cols), complex))
+            assert sample_cn_matrix(rows, cols, rng, out=buf) is buf
+            assert np.array_equal(np.ascontiguousarray(buf).view(np.uint64), c_order.view(np.uint64))
+        assert rng.bit_generator.state == ref.bit_generator.state
+
+    @pytest.mark.parametrize(
         "out",
-        [np.empty((3, 4)), np.empty((4, 3), complex), np.empty((4, 3), complex).T,
+        [np.empty((3, 4)), np.empty((4, 3), complex), np.empty((3, 8), complex)[:, ::2],
          np.empty((3, 4), np.complex64)],
     )
     def test_bad_out_rejected(self, out):
-        with pytest.raises(ValueError, match="out must be a C-contiguous complex128"):
+        with pytest.raises(ValueError, match="out must be a C- or F-contiguous complex128"):
             sample_cn_matrix(3, 4, make_rng(0), out=out)
 
 

@@ -99,7 +99,7 @@ def _random_codewords(family, rng):
 
 
 def _random_blocks(q, codewords, n, noise_std, rng):
-    """Blocks-last X = Q H, G and R = (X o C_sent) G + W for n blocks."""
+    """Blocks-last X = Q H, G, R = (X o C) G + W and the sent words C for n blocks."""
     Q = query_array(q)
     T, L = codewords.shape[1:]
     N = int(rng.integers(1, 5))
@@ -107,9 +107,23 @@ def _random_blocks(q, codewords, n, noise_std, rng):
     G = rng.standard_normal((L, N, n)) + 1j * rng.standard_normal((L, N, n))
     X = np.einsum("tm,mlk->tlk", Q, H)
     sent = rng.integers(0, len(codewords), n)
-    R = np.einsum("tlk,lnk->tnk", X * np.moveaxis(codewords[sent], 0, -1), G)
+    C = np.moveaxis(codewords[sent], 0, -1)
+    R = np.einsum("tlk,lnk->tnk", X * C, G)
     R = R + noise_std * (rng.standard_normal(R.shape) + 1j * rng.standard_normal(R.shape))
-    return X, G, R
+    return X, G, R, C
+
+
+def _kernel(X, G, W, Cc, weights):
+    """base and noise of simulate._metric for S = (X o C) G with Cc = conj(C) and noise W."""
+    ws = simulate._Workspace()
+    gram, V = simulate._shared_terms(G, W, ws)
+    return simulate._metric(X, gram, V, Cc, weights, ws)
+
+
+def _metric_of(X, G, R, weights):
+    """||R - S_j||^2 - ||R||^2 from simulate._metric, with R the noise on the zero word."""
+    base, noise = _kernel(X, G, R, np.zeros(X.shape), weights)
+    return base + noise
 
 
 class TestMetricKernel:
@@ -125,13 +139,13 @@ class TestMetricKernel:
             M = T if query_kind == "dft" else int(rng.integers(1, 5))
             q = unitary_query(T, "dft") if query_kind == "dft" else uniform_query(T, M)
             noise_std = float(rng.choice([0.1, 1.0, 3.0]))
-            X, G, R = _random_blocks(q, codewords, 16, noise_std, rng)
+            X, G, R, _ = _random_blocks(q, codewords, 16, noise_std, rng)
 
             weights = _metric_weights(codewords)
             # real codebooks take the reduced path without the Im parts
             parts = 2 if family == "complex" else 1
             assert weights.shape == (len(codewords), parts * T * L * (L + 1))
-            d = simulate._metric(X, G, R, weights)
+            d = _metric_of(X, G, R, weights)
             bf = _brute_force(X, G, R, codewords)
             r2 = np.sum(np.abs(R) ** 2, axis=(0, 1))[:, None]
             where = f"case {case}: T={T} L={L} N={G.shape[1]} K={len(codewords)}"
@@ -145,17 +159,43 @@ class TestMetricKernel:
         for case in range(12):
             codewords = _random_codewords(family, rng)
             T, L = codewords.shape[1:]
-            X, G, S = _random_blocks(unitary_query(T, "dft"), codewords, 16, 0.0, rng)
+            X, G, S, C = _random_blocks(unitary_query(T, "dft"), codewords, 16, 0.0, rng)
             W = rng.standard_normal(S.shape) + 1j * rng.standard_normal(S.shape)
             s = float(rng.choice([0.03, 0.3, 3.0]))
             weights = _metric_weights(codewords)
-            split = simulate._metric(X, G, S, weights) + s * simulate._noise_metric(X, G, W, weights)
+            base, noise = _kernel(X, G, W, np.conjugate(C), weights)
+            split = base + s * noise
             R = S + s * W
-            d = simulate._metric(X, G, R, weights)
+            d = _metric_of(X, G, R, weights)
             r2 = np.sum(np.abs(R) ** 2, axis=(0, 1))[:, None]
             bf = _brute_force(X, G, R, codewords)
             where = f"case {case}: T={T} L={L} N={G.shape[1]} K={len(codewords)}"
             assert np.all(np.abs(split - d) <= KERNEL_RTOL * (r2 + bf)), where
+
+    @pytest.mark.parametrize("query_kind", QUERY_KINDS)
+    @pytest.mark.parametrize("family", FAMILIES)
+    def test_cross_features_match_direct_cross(self, query_kind, family):
+        # the S-free cross features sum_l' E[t, l, l'] conj(c_tl') equal X o conj(S G^H)
+        # formed from the noise-free S itself
+        rng = make_rng(46, (QUERY_KINDS.index(query_kind), FAMILIES.index(family)))
+        for case in range(12):
+            codewords = _random_codewords(family, rng)
+            T, L = codewords.shape[1:]
+            M = T if query_kind == "dft" else int(rng.integers(1, 5))
+            q = unitary_query(T, "dft") if query_kind == "dft" else uniform_query(T, M)
+            X, G, _, C = _random_blocks(q, codewords, 16, 0.0, rng)
+            parts = 2 if family == "complex" else 1
+            ws = simulate._Workspace()
+            gram, _ = simulate._shared_terms(G, np.zeros((T,) + G.shape[1:], complex), ws)
+            feats = simulate._base_features(X, gram, np.conjugate(C), parts, ws)
+            cross = feats[parts * T * L * L :].reshape(parts, T, L, -1)
+            S = mix(X, C, G)
+            direct = X * np.einsum("tnk,lnk->tlk", np.conjugate(S), G)
+            # every term of the sums over l' and n, in magnitude
+            terms = np.abs(X) * np.einsum("tbk,tbk,ank,bnk->tak", np.abs(X), np.abs(C), np.abs(G), np.abs(G))
+            where = f"case {case}: T={T} L={L} N={G.shape[1]} K={len(codewords)}"
+            for got, want in zip(cross, (direct.real, direct.imag)):
+                assert np.all(np.abs(got - want) <= 1e-12 * terms), where
 
     def test_weights_built_once_per_codebook(self, monkeypatch):
         cb = uncoded_bpsk(2, 2)
@@ -177,9 +217,9 @@ class TestMetricKernel:
         # R = 0 is equidistant from c and -c in every block
         codewords = np.stack(_antipodal().codewords)
         rng = make_rng(42)
-        X, G, _ = _random_blocks(unitary_query(2, "dft"), codewords, 8, 1.0, rng)
+        X, G, _, _ = _random_blocks(unitary_query(2, "dft"), codewords, 8, 1.0, rng)
         R = np.zeros((2, G.shape[1], 8), dtype=complex)
-        d = simulate._metric(X, G, R, _metric_weights(codewords))
+        d = _metric_of(X, G, R, _metric_weights(codewords))
         assert np.array_equal(d[:, 0], d[:, 1])
         assert np.all(np.argmin(d, axis=1) == 0)
 
@@ -195,9 +235,9 @@ class TestMetricKernel:
         slices = []
         metric = simulate._metric
 
-        def spy(X, G, R, weights, *, out=None, ws=None):
+        def spy(X, *args):
             slices.append(X.shape[-1])
-            return metric(X, G, R, weights, out=out, ws=ws)
+            return metric(X, *args)
 
         monkeypatch.setattr(simulate, "_metric", spy)
         # build the cached weights untraced: real, so T L (L + 1) columns
@@ -216,7 +256,11 @@ class TestMetricKernel:
             finally:
                 tracemalloc.stop()
             assert points[-1].trials == sum(slices) == blocks
-            assert max(slices) * 3 * K <= max(simulate._METRIC_BUDGET, 3 * simulate._MIN_SLICE * K)
+            # one block's scorer arrays (3 x 2^16 float64s) exceed their byte
+            # budget, so the slices are the smallest allowed
+            _, scorer = simulate._slice_bytes(dims, simulate._sent_words(cb), cb.metric_weights)
+            assert scorer > simulate._SCORE_BYTES
+            assert max(slices) == simulate._MIN_SLICE
         assert peaks[1] - peaks[0] < 8 * 2**20
         assert peaks[1] < 96 * 2**20
 
@@ -239,6 +283,47 @@ class TestMetricKernel:
         assert points[0].error_events == np.count_nonzero(wrong) > 0
         bit_errors = int(np.sum(np.bitwise_count(sent[wrong] ^ detected[wrong])))
         assert points[0].ber * 96 * cb.bits_per_block == pytest.approx(bit_errors, abs=1e-6)
+
+
+def _complex_codebook():
+    """8 random complex 3 x 3 words of unit average energy per slot."""
+    words = make_rng(47).standard_normal((8, 3, 3, 2)) @ np.array([1.0, 1.0j])
+    return codes.Codebook(tuple(words * np.sqrt(3 / np.mean(np.sum(np.abs(words) ** 2, axis=(1, 2))))), 3)
+
+
+def _slice_buffer_bytes(ws):
+    """Bytes of a _Workspace's arrays other than the chunk's draws."""
+    return sum(a.nbytes for name, a in ws._flat.items() if name not in ("H", "G", "W"))
+
+
+class TestSliceBudget:
+    @pytest.mark.parametrize(
+        "dims,codebook,query_kinds,n,slices",
+        [
+            # example1 in two slices, where three would take the budget of the draws
+            (SystemDims(2, 2, 2, 2), _antipodal(), ("dft", "uniform"), 10_000, [5_000] * 2),
+            # 256 words: the scorer's arrays set 170-block slices
+            (SystemDims(2, 4, 2, 2), uncoded_bpsk(2, 4), ("dft",), 10_000, [170] * 58 + [140]),
+            # complex words, so complex features and sent words
+            (SystemDims(3, 3, 4, 3), _complex_codebook(), ("dft", "uniform"), 2_500, [1_250] * 2),
+        ],
+    )
+    def test_slices_fit_the_byte_budgets(self, monkeypatch, dims, codebook, query_kinds, n, slices):
+        # _slice_bytes counts every per-slice buffer: the workspace's slice arrays
+        # take exactly the largest slice's blocks times its bytes per block
+        seen = []
+        metric = simulate._metric
+        monkeypatch.setattr(simulate, "_metric", lambda X, *args: seen.append(X.shape[-1]) or metric(X, *args))
+        words = simulate._sent_words(codebook)
+        weights = codebook.metric_weights
+        sweep = SnrSweepConfig(dims=dims, query_kind=query_kinds[0], codebook=codebook, snr_grid_db=(0.0,))
+        schemes = [(query_array(simulate.build_query(k, dims, 0)), np.array([1.0])) for k in query_kinds]
+        ws = simulate._Workspace()
+        simulate._score_chunk(sweep, schemes, words, weights, (1, 0, 0), n, ws)
+        assert seen[:: len(schemes)] == slices
+        per_block, scorer = simulate._slice_bytes(dims, words, weights)
+        assert _slice_buffer_bytes(ws) == max(slices) * per_block <= simulate._SLICE_BYTES
+        assert max(slices) * scorer <= simulate._SCORE_BYTES
 
 
 def _tallies_every_point(base, noise, sent, noise_stds):
@@ -281,10 +366,8 @@ class TestScorePoints:
             G = rng.standard_normal((L, N, n)) + 1j * rng.standard_normal((L, N, n))
             W = rng.standard_normal((T, N, n)) + 1j * rng.standard_normal((T, N, n))
             sent = rng.integers(0, K, n)
-            S = mix(X, np.moveaxis(codewords[sent], 0, -1), G)
             weights = _metric_weights(codewords)
-            base = simulate._metric(X, G, S, weights)
-            noise = simulate._noise_metric(X, G, W, weights)
+            base, noise = _kernel(X, G, W, np.conjugate(np.moveaxis(codewords[sent], 0, -1)), weights)
             # the noisiest scale in [3, 30) has errors to carry over, the rest in [0.01, 3);
             # some cases repeat a scale or end at 0, the noise-free limit
             rest = np.exp(rng.uniform(np.log(0.01), np.log(3.0), int(rng.integers(0, 7))))
@@ -306,8 +389,7 @@ class TestScorePoints:
         W = np.ones((2, 2, 8), dtype=complex)
         sent = np.array([0, 1, 2, 3, 3, 2, 1, 0])
         weights = _metric_weights(codewords)
-        base = simulate._metric(X, G, mix(X, np.moveaxis(codewords[sent], 0, -1), G), weights)
-        noise = simulate._noise_metric(X, G, W, weights)
+        base, noise = _kernel(X, G, W, np.moveaxis(codewords[sent], 0, -1), weights)
         assert not base.any() and not noise.any()
         stds = np.array([4.0, 1.0, 0.25])
         bits = int(np.sum(np.bitwise_count(sent)))
@@ -328,7 +410,7 @@ class TestScorePoints:
         cb = _antipodal()
         sweep = SnrSweepConfig(dims=dims, query_kind="dft", codebook=cb, snr_grid_db=(0.0, 10.0))
         Q = query_array(simulate.build_query("dft", dims, 0))
-        words = np.ascontiguousarray(np.moveaxis(cb.stacked, 0, -1))
+        words = simulate._sent_words(cb)
         stds = np.array([1.0, 0.3])
         ws = simulate._Workspace()
         peaks, tallies = [], []
@@ -479,6 +561,8 @@ def _assert_draws_each_block_once(monkeypatch, kinds, run):
     ]
     curves = run(sweeps)
     assert all(p.trials == 30_000 for c in curves for p in c.points)
+    # H, G and W of each of the three 10k-block chunks, each drawn once
+    assert len(drawn) == 3 * 3
     assert sum(drawn) == 30_000 * (dims.M * dims.L + dims.L * dims.N + dims.T * dims.N)
 
 
