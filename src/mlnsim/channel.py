@@ -9,8 +9,10 @@ of T slots the received matrix is
 
 with o the entrywise product, C the T x L tag coding matrix and W AWGN.
 Fading is quasi-static: one (H, G) realization holds for the whole block.
-Every caller computes it as X = Q H (``query.effective_forward``) and then
-(X o C) G (``mix``); both take a batch of blocks on a trailing axis.
+X = Q H is formed by ``query.effective_forward`` alone and G G^H by ``gram``
+alone, and ``mix`` forms the noiseless block (X o C) G; each takes a batch of
+blocks on a trailing axis. The ML metric of ``simulate`` works from X and
+G G^H without the block, and ``pep._batched_z`` sums its own.
 """
 
 from __future__ import annotations
@@ -102,28 +104,28 @@ def sample_channel(dims: SystemDims, rng: np.random.Generator) -> ChannelRealiza
     )
 
 
-def _blocks_last(A: np.ndarray, *, out: np.ndarray | None = None) -> np.ndarray:
-    moved = A.transpose(tuple(range(1, A.ndim)) + (0,))
-    if out is None:
-        return np.ascontiguousarray(moved)
-    out[...] = moved
-    return out
-
-
-def mix(
-    X: np.ndarray, C: np.ndarray, G: np.ndarray, *, out: np.ndarray | None = None
-) -> np.ndarray:
+def mix(X: np.ndarray, C: np.ndarray, G: np.ndarray) -> np.ndarray:
     """(X o C) G for T x L and L x N inputs, or T x L x n and L x N x n (blocks last).
 
-    A single forward row X (1 x L) broadcasts over the T rows of C. The
-    result goes to out when given.
+    The terms are added over l in order, whatever the shapes, as
+    ``pep._batched_z`` adds them. A single forward row X (1 x L) broadcasts
+    over the T rows of C.
     """
-    return np.sum((X * C)[:, :, None] * G[None], axis=1, out=out)
+    XC = X * C
+    S = XC[:, 0, None] * G[0]
+    for l in range(1, XC.shape[1]):
+        S += XC[:, l, None] * G[l]
+    return S
 
 
-def gram(G: np.ndarray, *, out: np.ndarray | None = None) -> np.ndarray:
-    """G G^H: L x L for an L x N G, or L x L x n for L x N x n (blocks last), into out if given."""
-    return np.sum(G[:, None] * G[None].conj(), axis=2, out=out)
+def gram(G: np.ndarray, *, Gc=None, work=None, out=None) -> np.ndarray:
+    """G G^H: L x L for an L x N G, or L x L x n for L x N x n (blocks last).
+
+    Given conj(G) as Gc, an L x L x N (x n) work array for the entrywise products
+    and out, it allocates nothing; the bits are the same either way.
+    """
+    Gc = G.conj() if Gc is None else Gc
+    return np.sum(np.multiply(G[:, None], Gc[None], out=work), axis=2, out=out)
 
 
 def effective_signal(q, H: np.ndarray, C: np.ndarray, G: np.ndarray) -> np.ndarray:
@@ -141,11 +143,7 @@ def effective_signal(q, H: np.ndarray, C: np.ndarray, G: np.ndarray) -> np.ndarr
 
 
 def backscatter_transmit(
-    q,
-    ch: ChannelRealization,
-    C: np.ndarray,
-    noise_std: float,
-    rng: np.random.Generator,
+    q, ch: ChannelRealization, C: np.ndarray, noise_std: float, rng: np.random.Generator
 ) -> np.ndarray:
     """Send one coded block through the channel: R = S + W.
 

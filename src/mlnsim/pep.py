@@ -21,10 +21,6 @@ Two routes are provided for each scheme:
   per draw of G and scores every point of a curve from it: the points are
   correlated across SNR, while each one's estimate and SE are unchanged.
 
-The Q-function route draws each batch's forward rows and then its G whole,
-and forms Z from them in place in slices of ``_Z_SLICE`` draws, which keeps
-its scratch small and changes no bit of the result.
-
 gbar = 10**(snr_db / 10) (``channel.snr_gain``) at any point below ``channel._SNR_DB_MAX``,
 -inf dB included and NaN not; each estimate carries its Monte Carlo standard error.
 """
@@ -35,7 +31,7 @@ from dataclasses import astuple, dataclass
 
 import numpy as np
 
-from .channel import _SNR_DB_MAX, SystemDims, _blocks_last, checked_snr_grid, gram, mix, snr_gain
+from .channel import _SNR_DB_MAX, SystemDims, checked_snr_grid, gram, mix, snr_gain
 from .codes import DifferenceMatrix, _as_diff
 from .csvio import csv_rows, csv_text
 from .linalg import DimensionMismatchError, psd_eigenvalues, sample_cn_matrix
@@ -68,7 +64,8 @@ METHOD_EIGEN = "eigen-product-mc"
 _IDENTITY_RTOL = 1e-10
 _MC_BATCH = 100_000
 # draws per slice of _batched_z's mixing: for example1 each of its slice-sized
-# scratch buffers is 0.5 MB, where 50 000 draws of X and G take 6.4 MB; slicing changes no bit
+# scratch buffers is 0.5 MB, where 50 000 draws of X and G take 6.4 MB; slicing changes
+# no bit, unless a slice of one draw meets T = N = 1 (numpy rounds that product apart)
 _Z_SLICE = 8192
 
 # A scheme's scaled average gbar**R * pep should flatten out at high SNR;
@@ -260,17 +257,17 @@ def _batched_z(rows: int, d: DifferenceMatrix, N: int, n: int, rng) -> np.ndarra
 
     The unitary scheme draws T rows (one per slot), the uniform one a single static row,
     which broadcasts over the slots. X and then G are drawn for all n at once, blocks
-    first, and read in place through blocks-last views, _Z_SLICE draws at a time: the
-    products X_tl delta_lt G_ln are summed over l in order, as ``channel.mix`` sums, and
-    Z adds up the squares of the real and imaginary parts of the T x N sums. Every
-    buffer is made per call, and none but the draws and Z is larger than one slice.
+    last, and read _Z_SLICE draws at a time. Each T x N sum is that of ``channel.mix``
+    bit for bit (over l, in order), and Z adds up the squares of their real and then
+    imaginary parts. The sums go to slice buffers made once per call, where mix would
+    allocate new arrays per slice, and skip G G^H: this route is the independent check
+    on the eigen-product route.
     """
     # X and G share one block: its free raises glibc's mmap threshold past the block,
     # so the next batch's draws reuse heap pages instead of mapping and faulting fresh ones
-    draws = np.empty(n * (rows + N) * d.L, dtype=complex)
-    x_size = n * rows * d.L
-    X = sample_cn_matrix(n, rows * d.L, rng, out=draws[:x_size].reshape(n, -1)).reshape(n, rows, d.L)
-    G = sample_cn_matrix(n, d.L * N, rng, out=draws[x_size:].reshape(n, -1)).reshape(n, d.L, N)
+    draws = np.empty(((rows + N) * d.L, n), dtype=complex)
+    X = sample_cn_matrix(n, rows * d.L, rng, out=draws[: rows * d.L].T).T.reshape(rows, d.L, n)
+    G = sample_cn_matrix(n, d.L * N, rng, out=draws[rows * d.L :].T).T.reshape(d.L, N, n)
     C = d.delta.T[:, :, None]
     m = min(n, _Z_SLICE)
     XC = np.empty((d.T, d.L, m), dtype=complex)
@@ -279,10 +276,9 @@ def _batched_z(rows: int, d: DifferenceMatrix, N: int, n: int, rng) -> np.ndarra
     squares = np.empty(2 * m)  # per draw, the sums of Re^2 and of Im^2 over the T x N entries
     z = np.empty(n)
     for i in range(0, n, _Z_SLICE):
-        x = X[i : i + _Z_SLICE].transpose(1, 2, 0)  # rows x L x k
-        g = G[i : i + _Z_SLICE].transpose(1, 2, 0)  # L x N x k
         zs = z[i : i + _Z_SLICE]
         k = zs.size
+        x, g = X[..., i : i + k], G[..., i : i + k]
         xc, s = np.multiply(x, C, out=XC[..., :k]), S[..., :k]
         np.multiply(xc[:, 0, None], g[0], out=s)
         for l in range(1, d.L):
@@ -353,10 +349,11 @@ def pep_qfunction_mc(
 
 def _lambda_products(A: np.ndarray, N: int, n: int, gbars: list[float], rng):
     """Yield, per gbar, n draws of prod_w 1/det(I_L + (gbar/4) A_w o G G^H) from one draw of G."""
-    G = sample_cn_matrix(n, A.shape[-1] * N, rng).reshape(n, A.shape[-1], N)
+    L = A.shape[-1]
+    G = sample_cn_matrix(n, L * N, rng, out=np.empty((L * N, n), complex).T).T.reshape(L, N, n)  # blocks last
     try:  # finite weights near 1e308 can still overflow a Gram matrix; name delta, not NaN PEPs
         with np.errstate(over="ignore", invalid="ignore"):
-            lam = psd_eigenvalues(np.moveaxis(A[..., None] * gram(_blocks_last(G)), -1, 0)).reshape(n, -1)
+            lam = psd_eigenvalues(np.moveaxis(A[..., None] * gram(G), -1, 0)).reshape(n, -1)
     except np.linalg.LinAlgError as exc:
         raise ValueError("delta: the Gram matrices A_w o G G^H are not finite; delta is too large") from exc
     # 1 / prod_k (1 + (gbar/4) lam_k) from contiguous columns, multiplied in column

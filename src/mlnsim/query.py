@@ -117,17 +117,20 @@ def effective_forward(q, H: np.ndarray, *, out: np.ndarray | None = None) -> np.
     For the uniform query all rows are identical (the static channel is
     collapsed to rank one); for a unitary query the product is again an
     i.i.d. complex Gaussian matrix when H is, so the effective channel
-    varies from slot to slot inside the coherence block. The product goes
-    to out (C-contiguous) when given.
+    varies from slot to slot inside the coherence block. A batch is one
+    product Q @ H[:, l, :] per tag antenna l, which reads a strided slice of
+    a blocks-last array in place. The product goes to out (a complex array
+    of the result's shape, any strides) when given.
     """
     mat = query_array(q)
     H = np.asarray(H, dtype=complex)
     if H.ndim not in (2, 3) or mat.shape[1] != H.shape[0]:
-        raise DimensionMismatchError(
-            f"query has {mat.shape[1]} columns but channel has {H.shape} shape"
-        )
+        raise DimensionMismatchError(f"query has {mat.shape[1]} columns but channel has {H.shape} shape")
     shape = (mat.shape[0],) + H.shape[1:]
-    if out is not None and not out.flags.c_contiguous:
-        raise ValueError("out must be C-contiguous")
-    flat = None if out is None else out.reshape(mat.shape[0], -1)
-    return np.matmul(mat, H.reshape(H.shape[0], -1), out=flat).reshape(shape)
+    if out is not None and out.shape != shape:
+        raise ValueError(f"out must have the shape {shape} of Q @ H, got {out.shape}")
+    if H.ndim == 2:
+        return np.matmul(mat, H, out=out)
+    out = np.empty(shape, dtype=complex) if out is None else out
+    np.matmul(mat, H.transpose(1, 0, 2), out=out.transpose(1, 0, 2))
+    return out

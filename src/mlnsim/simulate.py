@@ -83,7 +83,7 @@ from dataclasses import astuple, dataclass
 
 import numpy as np
 
-from .channel import ChannelRealization, SystemDims, checked_snr_grid, snr_gain
+from .channel import ChannelRealization, SystemDims, checked_snr_grid, gram, snr_gain
 from .codes import Codebook
 from .csvio import csv_rows, csv_text
 from .linalg import DimensionMismatchError, make_rng, sample_cn_matrix
@@ -207,10 +207,11 @@ class _Workspace(threading.local):
     """The arrays each pool worker reuses for every chunk and slice of one sweep.
 
     A threading.local: every thread that uses it sees its own arrays.
-    view(name, shape) is a C-contiguous view of the first entries of the
-    flat array kept under name, which is allocated (or grown) only when a
-    larger view is asked for, so short chunks and slices reuse its memory.
-    A name's contents are overwritten by the next call that asks for it.
+    view(name, shape, dtype) is a C-contiguous view of the first entries of
+    the flat array kept under name, which is allocated (or grown) only when
+    a larger view is asked for, so short chunks and slices reuse its memory.
+    A name keeps its first dtype (ValueError otherwise), and its contents
+    are overwritten by the next call that asks for it.
     """
 
     def __init__(self):
@@ -219,6 +220,8 @@ class _Workspace(threading.local):
     def view(self, name: str, shape: tuple, dtype=complex) -> np.ndarray:
         size = math.prod(shape)
         flat = self._flat.get(name)
+        if flat is not None and flat.dtype != dtype:
+            raise ValueError(f"workspace buffer {name!r} holds {flat.dtype}, not {np.dtype(dtype)}")
         if flat is None or flat.size < size:
             flat = self._flat[name] = np.empty(size, dtype)
         return flat[:size].reshape(shape)
@@ -236,11 +239,10 @@ def _shared_terms(G: np.ndarray, W: np.ndarray, ws: _Workspace) -> tuple:
     L, N, n = G.shape
     T = W.shape[0]
     Gc = np.conjugate(G, out=ws.view("conj", G.shape))
-    prod = np.multiply(G[:, None], Gc[None], out=ws.view("tmp", (L, L, N, n)))
-    gram = np.sum(prod, axis=2, out=ws.view("gram", (L, L, n)))
+    G_Gh = gram(G, Gc=Gc, work=ws.view("tmp", (L, L, N, n)), out=ws.view("gram", (L, L, n)))
     prod = np.multiply(W[:, None], Gc[None], out=ws.view("tmp", (T, L, N, n)))
     V = np.sum(prod, axis=2, out=ws.view("V", (T, L, n)))
-    return gram, np.conjugate(V, out=V)
+    return G_Gh, np.conjugate(V, out=V)
 
 
 def _base_features(X: np.ndarray, gram: np.ndarray, Cc: np.ndarray, parts: int, ws: _Workspace) -> np.ndarray:
@@ -413,8 +415,7 @@ def _score_chunk(
         for (Q, noise_stds), t in zip(schemes, per_scheme):
             if len(noise_stds) == 0:
                 continue
-            X = ws.view("X", (T, L, k))
-            np.matmul(Q, Hs.transpose(1, 0, 2), out=X.transpose(1, 0, 2))  # Q H, per tag antenna
+            X = effective_forward(Q, Hs, out=ws.view("X", (T, L, k)))
             base, noise = ws.view("base", (k, K), float), ws.view("noise", (k, K), float)
             _metric(X, gram, V, Cc, weights, ws, base, noise)
             _score_points(base, noise, sent_s, noise_stds, t, ws.view("spare", (k, K), float))

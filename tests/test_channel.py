@@ -9,7 +9,6 @@ import pytest
 from mlnsim.channel import (
     ChannelRealization,
     SystemDims,
-    _blocks_last,
     backscatter_transmit,
     checked_snr_grid,
     effective_signal,
@@ -147,27 +146,26 @@ class TestBatchedKernel:
             assert np.max(np.abs(S[..., k] - expected)) <= 1e-12
 
     def test_out_buffers_hold_the_fresh_results(self):
-        # dirty buffers filled through out= hold the bits of calls without it
+        # dirty buffers filled through out= (and gram's work=) hold the bits of calls
+        # without them; H is a strided slice, as a BER slice's is, and out may be strided
         rng = make_rng(14)
         T, M, L, N, n = 3, 2, 2, 4, 50
         q = sample_cn_matrix(T, M, rng)
-        H = sample_cn_matrix(n, M * L, rng).reshape(n, M, L)
-        C = sample_cn_matrix(T * L, n, rng).reshape(T, L, n)
-        G = sample_cn_matrix(n, L * N, rng).reshape(n, L, N)
-        Hb, Gb = (np.full(A.shape[1:] + (n,), np.nan, complex) for A in (H, G))
-        assert _blocks_last(H, out=Hb) is Hb and np.array_equal(Hb, _blocks_last(H))
-        assert _blocks_last(G, out=Gb) is Gb and np.array_equal(Gb, _blocks_last(G))
+        H = sample_cn_matrix(M * L, 2 * n, rng).reshape(M, L, 2 * n)[..., ::2]
+        G = sample_cn_matrix(L * N, n, rng).reshape(L, N, n)
         cases = [
-            (lambda out: effective_forward(q, Hb, out=out), (T, L, n)),
-            (lambda out: mix(effective_forward(q, Hb), C, Gb, out=out), (T, N, n)),
-            (lambda out: gram(Gb, out=out), (L, L, n)),
+            (lambda out: effective_forward(q, H, out=out), (T, L, n), (0, 1, 2)),
+            (lambda out: effective_forward(q, H, out=out), (L, T, n), (1, 0, 2)),
+            (lambda out: gram(G, out=out), (L, L, n), (0, 1, 2)),
+            (lambda out: gram(G, Gc=G.conj(), work=np.full((L, L, N, n), np.nan, complex), out=out),
+             (L, L, n), (0, 1, 2)),
         ]
-        for f, shape in cases:
-            out = np.full(shape, np.nan, complex)
-            assert np.shares_memory(f(out), out)
+        for f, shape, axes in cases:
+            out = np.full(shape, np.nan, complex).transpose(axes)
+            assert f(out) is out
             assert np.array_equal(out.view(np.uint64), f(None).view(np.uint64))
-        with pytest.raises(ValueError, match="C-contiguous"):
-            effective_forward(q, Hb, out=np.empty((L, T, n), complex).transpose(1, 0, 2))
+        with pytest.raises(ValueError, match=r"out must have the shape \(3, 2, 50\)"):
+            effective_forward(q, H, out=np.empty((L, T, n), complex))
 
     def test_effective_signal_rejects_batched_h(self):
         with pytest.raises(DimensionMismatchError, match="matrix"):

@@ -8,8 +8,8 @@ import pytest
 from scipy.integrate import dblquad
 from scipy.special import erfc
 
-from mlnsim.channel import SystemDims
-from mlnsim.codes import EXAMPLE1_DELTA, EXAMPLE3_DELTA
+from mlnsim.channel import SystemDims, mix
+from mlnsim.codes import EXAMPLE1_DELTA, EXAMPLE3_DELTA, difference_matrix
 from mlnsim.linalg import make_rng, psd_eigenvalues, sample_cn_matrix
 from mlnsim.measure import build_D, build_E_t, scheme_weights
 from mlnsim.pep import (
@@ -18,6 +18,7 @@ from mlnsim.pep import (
     RATIO_CSV_HEADER,
     PepEstimate,
     RouteDisagreementError,
+    _batched_z,
     _lambda_products,
     check_scaled_limit,
     decay_exponent,
@@ -31,6 +32,7 @@ from mlnsim.pep import (
     qfunc,
     ratio_curve_from_csv,
     ratio_curve_to_csv,
+    ratio_point,
     squared_distance_uniform,
     squared_distance_unitary,
 )
@@ -267,6 +269,25 @@ class TestQFunctionMc:
             runs.append((est.value, est.std_error))
         assert runs[0] == runs[1]
 
+    def test_z_is_the_squared_norm_of_mix_bit_for_bit(self):
+        # _batched_z keeps its own form of (X o delta^T) G; on the same draws its Z is
+        # sum |mix(X, delta^T, G)|^2 as the squares of the real parts summed over (t, n)
+        # in order, plus those of the imaginary parts, for T forward rows and for one
+        # static row broadcast over the slots (test_slices_change_no_bit covers slicing)
+        rng = make_rng(34)
+        for case in range(60):
+            L, T, N = (int(rng.integers(1, 5)) for _ in range(3))
+            d = difference_matrix(sample_cn_matrix(T, L, rng), sample_cn_matrix(T, L, rng))
+            n = int(rng.integers(1, 40))
+            for rows in (T, 1):
+                z = _batched_z(rows, d, N, n, make_rng(case))
+                redraw = make_rng(case)
+                X = np.moveaxis(sample_cn_matrix(n, rows * L, redraw).reshape(n, rows, L), 0, -1)
+                G = np.moveaxis(sample_cn_matrix(n, L * N, redraw).reshape(n, L, N), 0, -1)
+                S = mix(X, d.delta.T[:, :, None], G)
+                ref = sum(np.square(S.real).reshape(-1, n)) + sum(np.square(S.imag).reshape(-1, n))
+                assert np.array_equal(z.view(np.uint64), ref.view(np.uint64)), (case, rows)
+
     def test_overflowing_delta_is_named(self):
         for kind in ("unitary", "uniform"):
             with pytest.raises(ValueError, match="^delta: "):
@@ -461,9 +482,9 @@ class TestEigenProductCurve:
         monkeypatch.setattr(pep_mod, "_MC_BATCH", 100)
         drawn = []
 
-        def counting(rows, cols, rng):
+        def counting(rows, cols, rng, **kw):
             drawn.append(rows * cols)
-            return sample_cn_matrix(rows, cols, rng)
+            return sample_cn_matrix(rows, cols, rng, **kw)
 
         monkeypatch.setattr(pep_mod, "sample_cn_matrix", counting)
         trials = 250
@@ -541,6 +562,29 @@ class TestDecayExponent:
         with pytest.raises(DivergentAverageError, match="diverges"):
             decay_exponent_checked(ests, 4)
         assert decay_exponent_checked(ests, 3) == pytest.approx(3.0, abs=1e-6)
+
+
+class TestRatioPoint:
+    def test_zero_uniform_estimate_is_censored(self):
+        eu = PepEstimate(30.0, 1e-4, 1e-5, 100, "eigen-product-mc")
+        ef = PepEstimate(30.0, 0.0, 0.0, 100, "eigen-product-mc")
+        p = ratio_point(eu, ef)
+        assert p.censored and p.snr_db == 30.0
+        assert math.isnan(p.ratio) and math.isnan(p.std_error)
+
+    def test_zero_unitary_estimate_gives_ratio_zero(self):
+        # the relative error comes from ef alone (eu's is undefined at 0), so ratio * rel = 0
+        eu = PepEstimate(30.0, 0.0, 0.0, 100, "eigen-product-mc")
+        ef = PepEstimate(30.0, 2e-3, 4e-4, 100, "eigen-product-mc")
+        p = ratio_point(eu, ef)
+        assert (p.snr_db, p.ratio, p.std_error, p.censored) == (30.0, 0.0, 0.0, False)
+
+    def test_both_positive_propagates_both_errors(self):
+        eu = PepEstimate(30.0, 1e-3, 1e-4, 100, "eigen-product-mc")
+        ef = PepEstimate(30.0, 2e-3, 4e-4, 100, "eigen-product-mc")
+        p = ratio_point(eu, ef)
+        assert p.ratio == 0.5 and not p.censored
+        assert p.std_error == pytest.approx(0.5 * math.hypot(0.1, 0.2), rel=1e-15)
 
 
 class TestRatioCurve:

@@ -429,6 +429,15 @@ class TestScorePoints:
         )
         assert np.array_equal(fresh, tallies[1])
 
+    def test_workspace_names_a_buffer_asked_for_another_dtype(self):
+        # a large enough buffer of the wrong dtype must not come back silently
+        ws = simulate._Workspace()
+        assert ws.view("a", (4,)).dtype == complex
+        assert ws.view("a", (2, 2), complex).shape == (2, 2)
+        with pytest.raises(ValueError, match="buffer 'a' holds complex128, not float64"):
+            ws.view("a", (2,), float)
+        assert ws.view("b", (3,), float).dtype == float
+
 
 class TestSimulateBer:
     def test_noise_free_limit(self):
