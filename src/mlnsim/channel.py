@@ -9,10 +9,10 @@ of T slots the received matrix is
 
 with o the entrywise product, C the T x L tag coding matrix and W AWGN.
 Fading is quasi-static: one (H, G) realization holds for the whole block.
-X = Q H is formed by ``query.effective_forward`` alone and G G^H by ``gram``
-alone, and ``mix`` forms the noiseless block (X o C) G; each takes a batch of
-blocks on a trailing axis. The ML metric of ``simulate`` works from X and
-G G^H without the block, and ``pep._batched_z`` sums its own.
+Each product has one kernel, and each takes a batch of blocks on a trailing
+axis: X = Q H is formed only by ``query.effective_forward``, the noiseless
+block (X o C) G only by ``mix`` and G B^H (G G^H included) only by ``gram``.
+The ML metric of ``simulate`` works from X, G G^H and W G^H without the block.
 """
 
 from __future__ import annotations
@@ -107,9 +107,8 @@ def sample_channel(dims: SystemDims, rng: np.random.Generator) -> ChannelRealiza
 def mix(X: np.ndarray, C: np.ndarray, G: np.ndarray) -> np.ndarray:
     """(X o C) G for T x L and L x N inputs, or T x L x n and L x N x n (blocks last).
 
-    The terms are added over l in order, whatever the shapes, as
-    ``pep._batched_z`` adds them. A single forward row X (1 x L) broadcasts
-    over the T rows of C.
+    The terms are added over l in order, whatever the shapes. A single forward
+    row X (1 x L) broadcasts over the T rows of C.
     """
     XC = X * C
     S = XC[:, 0, None] * G[0]
@@ -121,8 +120,9 @@ def mix(X: np.ndarray, C: np.ndarray, G: np.ndarray) -> np.ndarray:
 def gram(G: np.ndarray, *, Gc=None, work=None, out=None) -> np.ndarray:
     """G G^H: L x L for an L x N G, or L x L x n for L x N x n (blocks last).
 
-    Given conj(G) as Gc, an L x L x N (x n) work array for the entrywise products
-    and out, it allocates nothing; the bits are the same either way.
+    Given Gc = conj(B) for a K x N (x n) B, it forms G B^H instead, L x K (x n);
+    Gc defaults to conj(G). Given also an L x K x N (x n) work array for the
+    entrywise products and out, it allocates nothing; the bits are the same either way.
     """
     Gc = G.conj() if Gc is None else Gc
     return np.sum(np.multiply(G[:, None], Gc[None], out=work), axis=2, out=out)

@@ -25,15 +25,11 @@ import sys
 from dataclasses import replace
 
 from .config import (
-    COMMANDS,
-    ConfigError,
-    DEFAULT_EXPONENT_GRID,
-    DEFAULT_PEP_GRID,
-    ExperimentConfig,
-    load_config,
+    COMMANDS, DEFAULT_BER_GRID, DEFAULT_EXPONENT_GRID, DEFAULT_OUT, DEFAULT_PEP_GRID, DEFAULT_PEP_TRIALS, DEFAULT_QUERY,
+    DEFAULT_TRIALS, ConfigError, ExperimentConfig, load_config,
 )
 from .linalg import make_rng
-from .measure import compare_queries, empirical_rank_check
+from .measure import QUERY_SCHEMES, compare_queries, empirical_rank_check
 from .pep import (
     DivergentAverageError,
     decay_exponent_checked,
@@ -43,7 +39,9 @@ from .pep import (
     ratio_point,
 )
 from .query import UNITARY_KINDS
-from .simulate import LevelNotCrossedError, SnrSweepConfig, gain_at_ber, simulate_bers
+from .simulate import (
+    DEFAULT_MAX_TRIALS_PER_POINT, DEFAULT_TARGET_ERROR_EVENTS, LevelNotCrossedError, SnrSweepConfig, gain_at_ber, simulate_bers,
+)
 
 REPRODUCE_BER_GRID = tuple(float(s) for s in range(0, 25, 2))
 
@@ -54,6 +52,11 @@ class _Parser(argparse.ArgumentParser):
     def error(self, message):  # usage errors exit 1, not argparse's 2
         self.print_usage(sys.stderr)
         self.exit(1, f"{self.prog}: error: {message}\n")
+
+
+def _grid_text(grid: tuple) -> str:
+    """An evenly spaced grid as the A:STEP:B text --snr-grid takes."""
+    return f"{grid[0]:g}:{grid[1] - grid[0]:g}:{grid[-1]:g}"
 
 
 def _build_parser() -> _Parser:
@@ -69,25 +72,25 @@ def _build_parser() -> _Parser:
     parser.add_argument("--seed", type=int, default=None, help="root RNG seed (default 0)")
     parser.add_argument(
         "--trials", type=int, default=None,
-        help="Monte Carlo trials for verify-lemmas/pep (defaults 1000 / 100000)",
+        help=f"Monte Carlo trials for verify-lemmas/pep (defaults {DEFAULT_TRIALS} / {DEFAULT_PEP_TRIALS})",
     )
     parser.add_argument(
         "--snr-grid", dest="snr_grid_db", default=None, metavar="A:STEP:B",
-        help="SNR grid in dB (defaults: ber 0:2:40, pep 10:5:45)",
+        help=f"SNR grid in dB (defaults: ber {_grid_text(DEFAULT_BER_GRID)}, pep {_grid_text(DEFAULT_PEP_GRID)})",
     )
     parser.add_argument(
         "--query", default=None, choices=UNITARY_KINDS,
-        help="unitary construction compared against the uniform query (default dft)",
+        help=f"unitary construction compared against the uniform query (default {DEFAULT_QUERY})",
     )
     parser.add_argument(
         "--events", dest="target_error_events", type=int, default=None, metavar="N",
-        help="target error events per BER point (default 200)",
+        help=f"target error events per BER point (default {DEFAULT_TARGET_ERROR_EVENTS})",
     )
     parser.add_argument(
         "--max-trials", dest="max_trials_per_point", type=int, default=None, metavar="N",
-        help="trial cap per BER point (default 2000000)",
+        help=f"trial cap per BER point (default {DEFAULT_MAX_TRIALS_PER_POINT})",
     )
-    parser.add_argument("--out", default=None, metavar="DIR", help="output directory (default mlnsim-out)")
+    parser.add_argument("--out", default=None, metavar="DIR", help=f"output directory (default {DEFAULT_OUT})")
     return parser
 
 
@@ -157,7 +160,7 @@ def _run_pep(cfg: ExperimentConfig, art: _Artifacts) -> int:
     slug = _slug(cfg)
     measures = compare_queries(cfg.delta, cfg.dims.N)
     curves = {}
-    for i, scheme in enumerate(("unitary", "uniform")):
+    for i, scheme in enumerate(QUERY_SCHEMES):
         rng = make_rng(cfg.seed, (20, i))
         curves[scheme] = pep_eigen_product_curve(scheme, cfg.delta, cfg.dims, cfg.snr_grid_db, cfg.trials, rng)
         art.write(f"pep_{slug}_{scheme}.csv", pep_curve_to_csv(curves[scheme]))

@@ -26,6 +26,7 @@ from .channel import SystemDims, checked_snr_grid
 from .codes import Codebook, difference_matrix, repetition_bpsk, uncoded_bpsk, pairwise_codebook_from_delta, EXAMPLE1_DELTA
 from .measure import QUERY_SCHEMES, scheme_weights
 from .query import UNITARY_KINDS, check_query_shape
+from .simulate import DEFAULT_MAX_TRIALS_PER_POINT, DEFAULT_TARGET_ERROR_EVENTS
 
 __all__ = ["ConfigError", "ExperimentConfig", "PRESETS", "PRESET_NAMES", "load_config", "parse_snr_grid"]
 
@@ -34,6 +35,9 @@ COMMANDS = ("measure", "verify-lemmas", "pep", "ber", "reproduce")
 DEFAULT_BER_GRID = tuple(float(s) for s in range(0, 41, 2))
 DEFAULT_PEP_GRID = tuple(float(s) for s in range(10, 46, 5))
 DEFAULT_EXPONENT_GRID = tuple(float(s) for s in range(25, 46, 5))
+DEFAULT_TRIALS, DEFAULT_PEP_TRIALS = 1000, 100_000  # the latter for pep and reproduce
+DEFAULT_QUERY = "dft"
+DEFAULT_OUT = "mlnsim-out"
 _MAX_GRID_POINTS = 10_000
 
 CODEBOOK_BUILDERS = ("example1-pair", "repetition-bpsk", "uncoded-bpsk", "custom")
@@ -212,7 +216,7 @@ def load_config(path: str | None = None, overrides: dict | None = None) -> Exper
         raise ConfigError(f"command: expected one of {COMMANDS}, got {command!r}")
 
     preset_name = merged.get("preset")
-    query = merged.get("query", "dft")
+    query = merged.get("query", DEFAULT_QUERY)
     if query not in UNITARY_KINDS:
         raise ConfigError(
             f"query: comparisons run uniform against a unitary construction; "
@@ -243,12 +247,12 @@ def load_config(path: str | None = None, overrides: dict | None = None) -> Exper
         grid = DEFAULT_BER_GRID if command in ("ber", "reproduce") else DEFAULT_PEP_GRID
 
     seed = _integer("seed", merged.get("seed", 0), 0)
-    default_trials = 100_000 if command in ("pep", "reproduce") else 1000
+    default_trials = DEFAULT_PEP_TRIALS if command in ("pep", "reproduce") else DEFAULT_TRIALS
     trials = _integer("trials", merged.get("trials", default_trials), 1)
-    target_events = _integer("target_error_events", merged.get("target_error_events", 200), 1)
-    max_trials = _integer("max_trials_per_point", merged.get("max_trials_per_point", 2_000_000), 1)
+    target_events = _integer("target_error_events", merged.get("target_error_events", DEFAULT_TARGET_ERROR_EVENTS), 1)
+    max_trials = _integer("max_trials_per_point", merged.get("max_trials_per_point", DEFAULT_MAX_TRIALS_PER_POINT), 1)
 
-    out_dir = merged.get("out", "mlnsim-out")
+    out_dir = merged.get("out", DEFAULT_OUT)
     if not isinstance(out_dir, str) or not out_dir or "\0" in out_dir:
         raise ConfigError(f"out: must be a nonempty directory path, got {out_dir!r:.100}")
     parent = os.path.dirname(os.path.abspath(out_dir))

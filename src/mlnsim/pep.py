@@ -34,7 +34,7 @@ import numpy as np
 from .channel import _SNR_DB_MAX, SystemDims, checked_snr_grid, gram, mix, snr_gain
 from .codes import DifferenceMatrix, _as_diff
 from .csvio import csv_rows, csv_text
-from .linalg import DimensionMismatchError, psd_eigenvalues, sample_cn_matrix
+from .linalg import DimensionMismatchError, frobenius_norm_sq, psd_eigenvalues, sample_cn_matrix
 from .measure import build_D, build_E_t, scheme_weights
 
 __all__ = [
@@ -63,9 +63,8 @@ METHOD_EIGEN = "eigen-product-mc"
 
 _IDENTITY_RTOL = 1e-10
 _MC_BATCH = 100_000
-# draws per slice of _batched_z's mixing: for example1 each of its slice-sized
-# scratch buffers is 0.5 MB, where 50 000 draws of X and G take 6.4 MB; slicing changes
-# no bit, unless a slice of one draw meets T = N = 1 (numpy rounds that product apart)
+# most draws per slice of _batched_z's mixing: for example1 each slice-sized array
+# is 0.5 MB, where 50 000 draws of X and G take 6.4 MB
 _Z_SLICE = 8192
 
 # A scheme's scaled average gbar**R * pep should flatten out at high SNR;
@@ -222,13 +221,8 @@ def squared_distance_unitary(X: np.ndarray, delta, G: np.ndarray) -> float:
         raise DimensionMismatchError(f"X must be {d.T}x{d.L}, got {X.shape}")
     if G.ndim != 2 or G.shape[0] != d.L:
         raise DimensionMismatchError(f"G must have {d.L} rows, got {G.shape}")
-    direct = float(np.sum(np.abs(mix(X, d.delta.T, G)) ** 2))
-    per_slot = float(
-        sum(
-            np.sum(np.abs(X[t][None, :] @ build_E_t(d, G, t + 1)) ** 2)
-            for t in range(d.T)
-        )
-    )
+    direct = frobenius_norm_sq(mix(X, d.delta.T, G))
+    per_slot = sum(frobenius_norm_sq(X[t][None, :] @ build_E_t(d, G, t + 1)) for t in range(d.T))
     return _agreed(direct, per_slot)
 
 
@@ -245,48 +239,36 @@ def squared_distance_uniform(y: np.ndarray, delta, G: np.ndarray) -> float:
         raise DimensionMismatchError(f"y must have {d.L} entries, got {y.shape}")
     if G.ndim != 2 or G.shape[0] != d.L:
         raise DimensionMismatchError(f"G must have {d.L} rows, got {G.shape}")
-    e_form = float(
-        sum(np.sum(np.abs(y @ build_E_t(d, G, t + 1)) ** 2) for t in range(d.T))
-    )
-    d_form = float(np.sum(np.abs(y @ build_D(d, G)) ** 2))
+    e_form = sum(frobenius_norm_sq(y @ build_E_t(d, G, t + 1)) for t in range(d.T))
+    d_form = frobenius_norm_sq(y @ build_D(d, G))
     return _agreed(e_form, d_form)
 
 
 def _batched_z(rows: int, d: DifferenceMatrix, N: int, n: int, rng) -> np.ndarray:
-    """n draws of Z = sum_t sum_n |sum_l X_tl delta_lt G_ln|^2 with `rows` Gaussian forward rows per draw.
+    """n draws of Z = ||(X o delta^T) G||_F^2 with `rows` Gaussian forward rows per draw.
 
     The unitary scheme draws T rows (one per slot), the uniform one a single static row,
     which broadcasts over the slots. X and then G are drawn for all n at once, blocks
-    last, and read _Z_SLICE draws at a time. Each T x N sum is that of ``channel.mix``
-    bit for bit (over l, in order), and Z adds up the squares of their real and then
-    imaginary parts. The sums go to slice buffers made once per call, where mix would
-    allocate new arrays per slice, and skip G G^H: this route is the independent check
-    on the eigen-product route.
+    last, and ``channel.mix`` forms each slice's T x N blocks; Z adds up the squares of
+    their real and then imaginary parts. The slices are as equal as can be, so none
+    holds a single draw unless n is 1: numpy rounds a one-element complex product apart
+    from its vector kernel, so such a slice would change the bits of Z at T = N = 1.
     """
     # X and G share one block: its free raises glibc's mmap threshold past the block,
-    # so the next batch's draws reuse heap pages instead of mapping and faulting fresh ones
+    # so the next batch's draws and the slices' arrays reuse heap pages instead of
+    # mapping and faulting fresh ones
     draws = np.empty(((rows + N) * d.L, n), dtype=complex)
     X = sample_cn_matrix(n, rows * d.L, rng, out=draws[: rows * d.L].T).T.reshape(rows, d.L, n)
     G = sample_cn_matrix(n, d.L * N, rng, out=draws[rows * d.L :].T).T.reshape(d.L, N, n)
     C = d.delta.T[:, :, None]
-    m = min(n, _Z_SLICE)
-    XC = np.empty((d.T, d.L, m), dtype=complex)
-    S = np.empty((d.T, N, m), dtype=complex)
-    term = np.empty_like(S)
-    squares = np.empty(2 * m)  # per draw, the sums of Re^2 and of Im^2 over the T x N entries
     z = np.empty(n)
-    for i in range(0, n, _Z_SLICE):
-        zs = z[i : i + _Z_SLICE]
-        k = zs.size
-        x, g = X[..., i : i + k], G[..., i : i + k]
-        xc, s = np.multiply(x, C, out=XC[..., :k]), S[..., :k]
-        np.multiply(xc[:, 0, None], g[0], out=s)
-        for l in range(1, d.L):
-            s += np.multiply(xc[:, l, None], g[l], out=term[..., :k])
-        parts = s.view(float)
+    slices = -(-n // _Z_SLICE)
+    for j in range(slices):
+        s = slice(j * n // slices, (j + 1) * n // slices)
+        parts = mix(X[..., s], C, G[..., s]).view(float)  # per draw, Re and Im side by side
         np.square(parts, out=parts)
-        np.add.reduce(parts, axis=(0, 1), out=squares[: 2 * k])
-        np.add(squares[: 2 * k : 2], squares[1 : 2 * k : 2], out=zs)
+        squares = np.add.reduce(parts, axis=(0, 1))
+        np.add(squares[::2], squares[1::2], out=z[s])
     return z
 
 
@@ -356,17 +338,14 @@ def _lambda_products(A: np.ndarray, N: int, n: int, gbars: list[float], rng):
             lam = psd_eigenvalues(np.moveaxis(A[..., None] * gram(G), -1, 0)).reshape(n, -1)
     except np.linalg.LinAlgError as exc:
         raise ValueError("delta: the Gram matrices A_w o G G^H are not finite; delta is too large") from exc
-    # 1 / prod_k (1 + (gbar/4) lam_k) from contiguous columns, multiplied in column
-    # order as np.prod multiplies along a row, so the bits are np.prod's
+    # 1 / prod_k (1 + (gbar/4) lam_k), reduced over contiguous columns: numpy multiplies
+    # them in column order, as np.prod multiplies along a row, so the bits are np.prod's
     cols = np.ascontiguousarray(lam.T)
-    factor = np.empty(n)
+    factors = np.empty_like(cols)
     for g in gbars:
-        prod = np.multiply(cols[0], g / 4.0)
-        prod += 1.0
-        for col in cols[1:]:
-            np.multiply(col, g / 4.0, out=factor)
-            factor += 1.0
-            prod *= factor
+        np.multiply(cols, g / 4.0, out=factors)
+        factors += 1.0
+        prod = np.multiply.reduce(factors, axis=0)
         yield np.divide(1.0, prod, out=prod)
 
 

@@ -102,6 +102,9 @@ __all__ = [
 
 # points with fewer error events than this are kept but flagged unresolved
 MIN_RESOLVED_EVENTS = 50
+# a point stops at this many error events, or else at this many trials
+DEFAULT_TARGET_ERROR_EVENTS = 200
+DEFAULT_MAX_TRIALS_PER_POINT = 2_000_000
 
 CSV_HEADER = "snr_db,ber,ci_low,ci_high,error_events,trials"
 
@@ -132,8 +135,8 @@ class SnrSweepConfig:
     query_kind: str  # "uniform" or one of the unitary kinds
     codebook: Codebook
     snr_grid_db: tuple
-    max_trials_per_point: int = 2_000_000
-    target_error_events: int = 200
+    max_trials_per_point: int = DEFAULT_MAX_TRIALS_PER_POINT
+    target_error_events: int = DEFAULT_TARGET_ERROR_EVENTS
     seed: int = 0
 
     def __post_init__(self):
@@ -235,13 +238,12 @@ def _put_parts(z: np.ndarray, rows: np.ndarray, parts: int) -> np.ndarray:
 
 
 def _shared_terms(G: np.ndarray, W: np.ndarray, ws: _Workspace) -> tuple:
-    """gram = G G^H (L x L x n) and V = conj(W) G^T (T x L x n), as views of ws's arrays."""
+    """gram = G G^H (L x L x n) and V = conj(W G^H) = conj(W) G^T (T x L x n), as views of ws's arrays."""
     L, N, n = G.shape
     T = W.shape[0]
     Gc = np.conjugate(G, out=ws.view("conj", G.shape))
     G_Gh = gram(G, Gc=Gc, work=ws.view("tmp", (L, L, N, n)), out=ws.view("gram", (L, L, n)))
-    prod = np.multiply(W[:, None], Gc[None], out=ws.view("tmp", (T, L, N, n)))
-    V = np.sum(prod, axis=2, out=ws.view("V", (T, L, n)))
+    V = gram(W, Gc=Gc, work=ws.view("tmp", (T, L, N, n)), out=ws.view("V", (T, L, n)))  # W G^H
     return G_Gh, np.conjugate(V, out=V)
 
 

@@ -133,6 +133,22 @@ class TestBatchedKernel:
                 expected = effective_signal(q, H[k], C[k], G[k])
                 assert np.max(np.abs(S[..., k] - expected)) <= 1e-12
 
+    def test_mix_adds_the_tag_antennas_in_order(self):
+        # pep's Q-function route and effective_signal take mix's bits: the L terms
+        # X_tl C_tl G_l added in order, for a single block and for tiny trailing sizes too
+        rng = make_rng(15)
+        for _ in range(60):
+            T, L, N, n = (int(rng.integers(1, 5)) for _ in range(4))
+            for blocks in ((), (n,)):
+                k = math.prod(blocks)
+                X, C = (sample_cn_matrix(T * L, k, rng).reshape((T, L) + blocks) for _ in range(2))
+                G = sample_cn_matrix(L * N, k, rng).reshape((L, N) + blocks)
+                XC = X * C
+                expected = XC[:, 0, None] * G[0]
+                for l in range(1, L):
+                    expected = expected + XC[:, l, None] * G[l]
+                assert np.array_equal(mix(X, C, G).view(np.uint64), expected.view(np.uint64))
+
     def test_single_row_broadcasts_over_slots(self):
         # the uniform query's static forward row, as the PEP route draws it
         rng = make_rng(13)
@@ -153,17 +169,26 @@ class TestBatchedKernel:
         q = sample_cn_matrix(T, M, rng)
         H = sample_cn_matrix(M * L, 2 * n, rng).reshape(M, L, 2 * n)[..., ::2]
         G = sample_cn_matrix(L * N, n, rng).reshape(L, N, n)
+        W = sample_cn_matrix(T * N, n, rng).reshape(T, N, n)
         cases = [
             (lambda out: effective_forward(q, H, out=out), (T, L, n), (0, 1, 2)),
             (lambda out: effective_forward(q, H, out=out), (L, T, n), (1, 0, 2)),
             (lambda out: gram(G, out=out), (L, L, n), (0, 1, 2)),
             (lambda out: gram(G, Gc=G.conj(), work=np.full((L, L, N, n), np.nan, complex), out=out),
              (L, L, n), (0, 1, 2)),
+            # the cross form W G^H of simulate's noise terms
+            (lambda out: gram(W, Gc=G.conj(), work=np.full((T, L, N, n), np.nan, complex), out=out),
+             (L, T, n), (1, 0, 2)),
         ]
         for f, shape, axes in cases:
             out = np.full(shape, np.nan, complex).transpose(axes)
             assert f(out) is out
             assert np.array_equal(out.view(np.uint64), f(None).view(np.uint64))
+        WGh = gram(W, Gc=G.conj())
+        inline = np.sum(W[:, None] * G.conj()[None], axis=2)
+        assert np.array_equal(WGh.view(np.uint64), inline.view(np.uint64))
+        for k in range(n):
+            assert np.allclose(WGh[..., k], W[..., k] @ G[..., k].conj().T, rtol=0, atol=1e-12)
         with pytest.raises(ValueError, match=r"out must have the shape \(3, 2, 50\)"):
             effective_forward(q, H, out=np.empty((L, T, n), complex))
 

@@ -9,7 +9,7 @@ from scipy.integrate import dblquad
 from scipy.special import erfc
 
 from mlnsim.channel import SystemDims, mix
-from mlnsim.codes import EXAMPLE1_DELTA, EXAMPLE3_DELTA, difference_matrix
+from mlnsim.codes import EXAMPLE1_DELTA, EXAMPLE3_DELTA, _as_diff, difference_matrix
 from mlnsim.linalg import make_rng, psd_eigenvalues, sample_cn_matrix
 from mlnsim.measure import build_D, build_E_t, scheme_weights
 from mlnsim.pep import (
@@ -48,6 +48,13 @@ DELTA_ZERO_COL = np.array([[1.0, 0.0, -2.0], [2.0 + 1j, 0.0, 1.0]])
 DIMS_ZERO_COL = SystemDims(3, 2, 3, 3)
 _DISTANCE_CASES = [
     (EXAMPLE1_DELTA, DIMS1), (EXAMPLE3_DELTA, DIMS3), (DELTA_333, DIMS_333), (DELTA_ZERO_COL, DIMS_ZERO_COL),
+]
+# T = N = 1 with L = 1, 2, 3: numpy rounds a one-element complex product apart from its
+# vector kernel, so a slice of a single draw would change the bits of Z here
+_SCALAR_SLOT_CASES = [
+    (np.array([[0.8 - 0.3j]]), SystemDims(1, 1, 1, 1)),
+    (np.array([[1.0 + 0.5j], [-0.7j]]), SystemDims(1, 2, 1, 1)),
+    (np.array([[0.3], [1.2 - 1j], [-0.4 + 0.9j]]), SystemDims(1, 3, 1, 1)),
 ]
 
 
@@ -254,24 +261,28 @@ class TestQFunctionMc:
         expected = np.mean(qfunc(np.sqrt(gbar * np.array(z) / 2.0)))
         assert est.value == pytest.approx(expected, rel=1e-12)
 
-    @pytest.mark.parametrize("delta, dims", _DISTANCE_CASES)
+    @pytest.mark.parametrize("delta, dims", _DISTANCE_CASES + _SCALAR_SLOT_CASES)
     @pytest.mark.parametrize("scheme", ["unitary", "uniform"])
     def test_slices_change_no_bit(self, monkeypatch, scheme, delta, dims):
-        # batches of 50 and 30 draws in slices of 7: each batch crosses several
-        # slice boundaries and ends on a ragged slice (50 = 7 * 7 + 1, 30 = 4 * 7 + 2)
+        # batches of 50 and 30 draws in slices of at most 7: each batch crosses several
+        # slice boundaries, 50 = 2 * 7 + 6 * 6 and 30 = 5 * 6; Z itself is compared too,
+        # on 1 to 99 draws, as a changed last bit of one draw seldom moves the estimate
         import mlnsim.pep as pep_mod
 
         monkeypatch.setattr(pep_mod, "_MC_BATCH", 50)
+        d = _as_diff(delta)
+        rows = d.T if scheme == "unitary" else 1
         runs = []
         for z_slice in (7, 50):
             monkeypatch.setattr(pep_mod, "_Z_SLICE", z_slice)
             est = pep_qfunction_mc(scheme, delta, dims, 5.0, 130, make_rng(32))
-            runs.append((est.value, est.std_error))
+            zs = [_batched_z(rows, d, dims.N, n, make_rng(n)).tobytes() for n in range(1, 100)]
+            runs.append((est.value, est.std_error, zs))
         assert runs[0] == runs[1]
 
     def test_z_is_the_squared_norm_of_mix_bit_for_bit(self):
-        # _batched_z keeps its own form of (X o delta^T) G; on the same draws its Z is
-        # sum |mix(X, delta^T, G)|^2 as the squares of the real parts summed over (t, n)
+        # on the same draws, _batched_z's Z is sum |mix(X, delta^T, G)|^2
+        # as the squares of the real parts summed over (t, n)
         # in order, plus those of the imaginary parts, for T forward rows and for one
         # static row broadcast over the slots (test_slices_change_no_bit covers slicing)
         rng = make_rng(34)
