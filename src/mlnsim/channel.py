@@ -73,9 +73,9 @@ class SystemDims:
     T: int
 
     def __post_init__(self):
-        for name in ("M", "L", "N", "T"):
-            if getattr(self, name) < 1:
-                raise ValueError(f"{name} must be >= 1, got {getattr(self, name)}")
+        for name, v in vars(self).items():
+            if isinstance(v, bool) or not isinstance(v, (int, np.integer)) or v < 1:
+                raise ValueError(f"{name} must be an integer >= 1, got {v!r}")
 
 
 @dataclass(frozen=True)

@@ -22,11 +22,10 @@ import argparse
 import json
 import os
 import sys
-from dataclasses import replace
 
 from .config import (
-    COMMANDS, DEFAULT_BER_GRID, DEFAULT_EXPONENT_GRID, DEFAULT_OUT, DEFAULT_PEP_GRID, DEFAULT_PEP_TRIALS, DEFAULT_QUERY,
-    DEFAULT_TRIALS, ConfigError, ExperimentConfig, load_config,
+    DEFAULT_BER_GRID, DEFAULT_OUT, DEFAULT_PEP_GRID, DEFAULT_PEP_TRIALS, DEFAULT_QUERY, DEFAULT_TRIALS,
+    EXPONENT_FIT_FROM_DB, STAGES, ConfigError, ExperimentConfig, load_config,
 )
 from .linalg import make_rng
 from .measure import QUERY_SCHEMES, compare_queries, empirical_rank_check
@@ -42,8 +41,6 @@ from .query import UNITARY_KINDS
 from .simulate import (
     DEFAULT_MAX_TRIALS_PER_POINT, DEFAULT_TARGET_ERROR_EVENTS, LevelNotCrossedError, SnrSweepConfig, gain_at_ber, simulate_bers,
 )
-
-REPRODUCE_BER_GRID = tuple(float(s) for s in range(0, 25, 2))
 
 GAIN_LEVELS = (1e-2, 1e-3)
 
@@ -66,7 +63,7 @@ def _build_parser() -> _Parser:
         epilog=__doc__.split("Commands:")[1],
         formatter_class=argparse.RawDescriptionHelpFormatter,
     )
-    parser.add_argument("command", choices=COMMANDS, help="what to run")
+    parser.add_argument("command", choices=tuple(STAGES), help="what to run")
     parser.add_argument("--preset", default=None, help="example1 | example2 | example3")
     parser.add_argument("--config", default=None, metavar="FILE", help="JSON config file")
     parser.add_argument("--seed", type=int, default=None, help="root RNG seed (default 0)")
@@ -144,7 +141,7 @@ def _run_verify_lemmas(cfg: ExperimentConfig, art: _Artifacts) -> int:
 
 
 def _exponent_summary(estimates, nominal: int) -> dict:
-    window = [e for e in estimates if e.snr_db >= DEFAULT_EXPONENT_GRID[0]]
+    window = [e for e in estimates if e.snr_db >= EXPONENT_FIT_FROM_DB]
     if len(window) < 3 or window[-1].snr_db - window[0].snr_db < 10.0:
         window = estimates
     try:
@@ -158,17 +155,18 @@ def _exponent_summary(estimates, nominal: int) -> dict:
 
 def _run_pep(cfg: ExperimentConfig, art: _Artifacts) -> int:
     slug = _slug(cfg)
+    grid = cfg.snr_grid_db if cfg.snr_grid_explicit else DEFAULT_PEP_GRID  # reproduce's default is ber's
     measures = compare_queries(cfg.delta, cfg.dims.N)
     curves = {}
     for i, scheme in enumerate(QUERY_SCHEMES):
         rng = make_rng(cfg.seed, (20, i))
-        curves[scheme] = pep_eigen_product_curve(scheme, cfg.delta, cfg.dims, cfg.snr_grid_db, cfg.trials, rng)
+        curves[scheme] = pep_eigen_product_curve(scheme, cfg.delta, cfg.dims, grid, cfg.trials, rng)
         art.write(f"pep_{slug}_{scheme}.csv", pep_curve_to_csv(curves[scheme]))
     ratio = [ratio_point(eu, ef) for eu, ef in zip(curves["unitary"], curves["uniform"])]
     art.write(f"pep_{slug}_ratio.csv", ratio_curve_to_csv(ratio))
     summary = {
         "preset": cfg.preset,
-        "snr_grid_db": list(cfg.snr_grid_db),
+        "snr_grid_db": list(grid),
         "trials": cfg.trials,
         "unitary": _exponent_summary(curves["unitary"], measures.r_unitary),
         "uniform": _exponent_summary(curves["uniform"], measures.r_uniform),
@@ -179,16 +177,13 @@ def _run_pep(cfg: ExperimentConfig, art: _Artifacts) -> int:
 
 def _run_ber(cfg: ExperimentConfig, art: _Artifacts) -> int:
     slug = _slug(cfg)
-    grid = cfg.snr_grid_db
-    if cfg.command == "reproduce" and not cfg.snr_grid_explicit:
-        grid = REPRODUCE_BER_GRID
     kinds = (cfg.query, "uniform")
     sweeps = [
         SnrSweepConfig(
             dims=cfg.dims,
             query_kind=kind,
             codebook=cfg.codebook,
-            snr_grid_db=grid,
+            snr_grid_db=cfg.snr_grid_db,
             max_trials_per_point=cfg.max_trials_per_point,
             target_error_events=cfg.target_error_events,
             seed=cfg.seed,
@@ -198,7 +193,7 @@ def _run_ber(cfg: ExperimentConfig, art: _Artifacts) -> int:
     curves = dict(zip(kinds, simulate_bers(sweeps)))
     for kind, curve in curves.items():
         art.write(f"ber_{slug}_{kind}.csv", curve.to_csv())
-    summary = {"preset": cfg.preset, "query": cfg.query, "snr_grid_db": list(grid)}
+    summary = {"preset": cfg.preset, "query": cfg.query, "snr_grid_db": list(cfg.snr_grid_db)}
     for level in GAIN_LEVELS:
         key = f"gain_db_at_{level:g}"
         try:
@@ -210,22 +205,7 @@ def _run_ber(cfg: ExperimentConfig, art: _Artifacts) -> int:
     return 0
 
 
-def _run_reproduce(cfg: ExperimentConfig, art: _Artifacts) -> int:
-    status = _run_measure(cfg, art)
-    status = max(status, _run_verify_lemmas(cfg, art))
-    pep_cfg = cfg if cfg.snr_grid_explicit else replace(cfg, snr_grid_db=DEFAULT_PEP_GRID)
-    status = max(status, _run_pep(pep_cfg, art))
-    status = max(status, _run_ber(cfg, art))
-    return status
-
-
-_RUNNERS = {
-    "measure": _run_measure,
-    "verify-lemmas": _run_verify_lemmas,
-    "pep": _run_pep,
-    "ber": _run_ber,
-    "reproduce": _run_reproduce,
-}
+_RUNNERS = {"measure": _run_measure, "verify-lemmas": _run_verify_lemmas, "pep": _run_pep, "ber": _run_ber}
 
 
 def main(argv: list[str] | None = None) -> int:
@@ -237,8 +217,8 @@ def main(argv: list[str] | None = None) -> int:
         print(f"mlnsim {args.command}: {exc}", file=sys.stderr)
         return 2
     art = _Artifacts(cfg.output_dir)
-    try:
-        return _RUNNERS[cfg.command](cfg, art)
+    try:  # every stage runs, and the command exits with the highest status
+        return max(_RUNNERS[stage](cfg, art) for stage in STAGES[cfg.command])
     except Exception as exc:
         art.discard_all()
         print(f"mlnsim {cfg.command}: {type(exc).__name__}: {exc}", file=sys.stderr)

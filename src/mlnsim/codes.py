@@ -122,13 +122,12 @@ class DifferenceMatrix:
 
     column_supports[t] counts the tag antennas whose symbols differ at
     slot t; nonzero_rows counts the antennas that differ anywhere in the
-    block.
+    block. rank is computed on first use.
     """
 
     delta: np.ndarray  # L x T
     column_supports: tuple = field(init=False)
     nonzero_rows: int = field(init=False)
-    rank: int = field(init=False)
 
     def __post_init__(self):
         d = np.asarray(self.delta, dtype=complex)
@@ -138,7 +137,10 @@ class DifferenceMatrix:
         nz = np.abs(d) > SUPPORT_TOL
         object.__setattr__(self, "column_supports", tuple(int(c) for c in nz.sum(axis=0)))
         object.__setattr__(self, "nonzero_rows", int(np.any(nz, axis=1).sum()))
-        object.__setattr__(self, "rank", 0 if not nz.any() else numeric_rank(d))
+
+    @cached_property
+    def rank(self) -> int:
+        return 0 if self.nonzero_rows == 0 else numeric_rank(self.delta)
 
     @property
     def L(self) -> int:

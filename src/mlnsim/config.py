@@ -30,12 +30,16 @@ from .simulate import DEFAULT_MAX_TRIALS_PER_POINT, DEFAULT_TARGET_ERROR_EVENTS
 
 __all__ = ["ConfigError", "ExperimentConfig", "PRESETS", "PRESET_NAMES", "load_config", "parse_snr_grid"]
 
-COMMANDS = ("measure", "verify-lemmas", "pep", "ber", "reproduce")
+# the stages each command runs, in order: each stage is a command, and reproduce runs all four
+STAGES = {stage: (stage,) for stage in ("measure", "verify-lemmas", "pep", "ber")}
+STAGES["reproduce"] = tuple(STAGES)
 
 DEFAULT_BER_GRID = tuple(float(s) for s in range(0, 41, 2))
 DEFAULT_PEP_GRID = tuple(float(s) for s in range(10, 46, 5))
-DEFAULT_EXPONENT_GRID = tuple(float(s) for s in range(25, 46, 5))
-DEFAULT_TRIALS, DEFAULT_PEP_TRIALS = 1000, 100_000  # the latter for pep and reproduce
+# default snr_grid_db of each command not on DEFAULT_PEP_GRID; reproduce's is its ber stage's
+DEFAULT_GRIDS = {"ber": DEFAULT_BER_GRID, "reproduce": tuple(float(s) for s in range(0, 25, 2))}
+EXPONENT_FIT_FROM_DB = 25.0  # decay exponents are fitted from this SNR up when the window allows
+DEFAULT_TRIALS, DEFAULT_PEP_TRIALS = 1000, 100_000  # the latter for commands with a pep stage
 DEFAULT_QUERY = "dft"
 DEFAULT_OUT = "mlnsim-out"
 _MAX_GRID_POINTS = 10_000
@@ -212,8 +216,8 @@ def load_config(path: str | None = None, overrides: dict | None = None) -> Exper
             merged[k] = v
 
     command = merged.get("command")
-    if command not in COMMANDS:
-        raise ConfigError(f"command: expected one of {COMMANDS}, got {command!r}")
+    if command not in STAGES:
+        raise ConfigError(f"command: expected one of {tuple(STAGES)}, got {command!r}")
 
     preset_name = merged.get("preset")
     query = merged.get("query", DEFAULT_QUERY)
@@ -231,23 +235,22 @@ def load_config(path: str | None = None, overrides: dict | None = None) -> Exper
             raise ConfigError(f"preset: {preset_name} fixes dims and codebook; remove {conflicts}")
         merged.update(PRESETS[preset_name])
     dims, codebook, delta = _setting(merged)
-    if command in ("ber", "reproduce"):  # the BER stage runs the unitary query (SnrSweepConfig)
+    if "ber" in STAGES[command]:  # the BER stage runs the unitary query (SnrSweepConfig)
         try:
             check_query_shape(query, dims.T, dims.M)
         except ValueError as exc:  # t is at fault when it differs from m, else the kind is
             raise ConfigError(f"{'t' if dims.T != dims.M else 'query'}: {exc}") from None
 
     grid_value = merged.get("snr_grid_db")
-    explicit_grid = grid_value is not None
     if isinstance(grid_value, str):
         grid = parse_snr_grid(grid_value)
     elif grid_value is not None:
         grid = _checked_grid(grid_value)
     else:
-        grid = DEFAULT_BER_GRID if command in ("ber", "reproduce") else DEFAULT_PEP_GRID
+        grid = DEFAULT_GRIDS.get(command, DEFAULT_PEP_GRID)
 
     seed = _integer("seed", merged.get("seed", 0), 0)
-    default_trials = DEFAULT_PEP_TRIALS if command in ("pep", "reproduce") else DEFAULT_TRIALS
+    default_trials = DEFAULT_PEP_TRIALS if "pep" in STAGES[command] else DEFAULT_TRIALS
     trials = _integer("trials", merged.get("trials", default_trials), 1)
     target_events = _integer("target_error_events", merged.get("target_error_events", DEFAULT_TARGET_ERROR_EVENTS), 1)
     max_trials = _integer("max_trials_per_point", merged.get("max_trials_per_point", DEFAULT_MAX_TRIALS_PER_POINT), 1)
@@ -273,5 +276,5 @@ def load_config(path: str | None = None, overrides: dict | None = None) -> Exper
         target_error_events=target_events,
         max_trials_per_point=max_trials,
         output_dir=out_dir,
-        snr_grid_explicit=explicit_grid,
+        snr_grid_explicit=grid_value is not None,
     )

@@ -13,6 +13,8 @@ __all__ = [
     "DimensionMismatchError",
     "make_rng",
     "sample_cn_matrix",
+    "sample_blocks",
+    "even_slices",
     "matmul",
     "hadamard",
     "frobenius_norm_sq",
@@ -99,6 +101,34 @@ def sample_cn_matrix(
     return out
 
 
+def sample_blocks(shape: tuple, n: int, rng: np.random.Generator, *, out: np.ndarray | None = None) -> np.ndarray:
+    """n blocks of i.i.d. CN(0, 1) entries laid out last, as a C-contiguous shape + (n,) array.
+
+    Block k holds row k of sample_cn_matrix(n, prod(shape), rng), with the same bits and the
+    same generator state afterwards; a given out (such an array of complex128) is filled and returned.
+    """
+    size = tuple(shape) + (n,)
+    if out is None:
+        out = np.empty(size, dtype=complex)
+    elif out.shape != size or out.dtype != complex or not out.flags.c_contiguous:
+        raise ValueError(f"out must be a C-contiguous complex128 array of shape {size}, got {out.dtype} {out.shape}")
+    sample_cn_matrix(n, int(np.prod(shape)), rng, out=out.reshape(-1, n).T)  # row k to column k
+    return out
+
+
+def even_slices(n: int, most: int) -> list[slice]:
+    """ceil(n / most) consecutive slices that cover range(n), with sizes that differ by at most 1.
+
+    The larger slices come first, so a buffer sized for the first fits every later one.
+    """
+    if n < 0 or most < 1:
+        raise ValueError(f"need n >= 0 and most >= 1, got n={n}, most={most}")
+    count = -(-n // most)
+    size, extra = divmod(n, max(count, 1))
+    ends = [k * size + min(k, extra) for k in range(count + 1)]
+    return [slice(a, b) for a, b in zip(ends, ends[1:])]
+
+
 def matmul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """Complex matrix product A @ B with an explicit shape check."""
     a = _as_matrix(a, "A")
@@ -156,7 +186,7 @@ def singular_values(a: np.ndarray) -> np.ndarray:
     if min(a.shape[-2:]) > 2:
         return np.linalg.svd(a, compute_uv=False)
     if a.ndim > 2 and a.shape[0] > _SV_SLICE:  # slice the stack so every temporary stays small
-        return np.concatenate([singular_values(a[i : i + _SV_SLICE]) for i in range(0, a.shape[0], _SV_SLICE)])
+        return np.concatenate([singular_values(a[s]) for s in even_slices(a.shape[0], _SV_SLICE)])
     if a.shape[-2] > a.shape[-1]:
         a = a.swapaxes(-1, -2)  # same singular values, with the short side as rows
     scale = 1.0

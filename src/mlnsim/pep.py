@@ -34,7 +34,7 @@ import numpy as np
 from .channel import _SNR_DB_MAX, SystemDims, checked_snr_grid, gram, mix, snr_gain
 from .codes import DifferenceMatrix, _as_diff
 from .csvio import csv_rows, csv_text
-from .linalg import DimensionMismatchError, frobenius_norm_sq, psd_eigenvalues, sample_cn_matrix
+from .linalg import DimensionMismatchError, even_slices, frobenius_norm_sq, psd_eigenvalues, sample_blocks
 from .measure import build_D, build_E_t, scheme_weights
 
 __all__ = [
@@ -249,22 +249,20 @@ def _batched_z(rows: int, d: DifferenceMatrix, N: int, n: int, rng) -> np.ndarra
 
     The unitary scheme draws T rows (one per slot), the uniform one a single static row,
     which broadcasts over the slots. X and then G are drawn for all n at once, blocks
-    last, and ``channel.mix`` forms each slice's T x N blocks; Z adds up the squares of
-    their real and then imaginary parts. The slices are as equal as can be, so none
-    holds a single draw unless n is 1: numpy rounds a one-element complex product apart
-    from its vector kernel, so such a slice would change the bits of Z at T = N = 1.
+    last (``sample_blocks``), and ``channel.mix`` forms each slice's T x N blocks; Z adds
+    up the squares of their real and then imaginary parts. ``even_slices`` gives no slice
+    a single draw unless n is 1: numpy rounds a one-element complex product apart from
+    its vector kernel, so such a slice would change the bits of Z at T = N = 1.
     """
     # X and G share one block: its free raises glibc's mmap threshold past the block,
     # so the next batch's draws and the slices' arrays reuse heap pages instead of
     # mapping and faulting fresh ones
     draws = np.empty(((rows + N) * d.L, n), dtype=complex)
-    X = sample_cn_matrix(n, rows * d.L, rng, out=draws[: rows * d.L].T).T.reshape(rows, d.L, n)
-    G = sample_cn_matrix(n, d.L * N, rng, out=draws[rows * d.L :].T).T.reshape(d.L, N, n)
+    X = sample_blocks((rows, d.L), n, rng, out=draws[: rows * d.L].reshape(rows, d.L, n))
+    G = sample_blocks((d.L, N), n, rng, out=draws[rows * d.L :].reshape(d.L, N, n))
     C = d.delta.T[:, :, None]
     z = np.empty(n)
-    slices = -(-n // _Z_SLICE)
-    for j in range(slices):
-        s = slice(j * n // slices, (j + 1) * n // slices)
+    for s in even_slices(n, _Z_SLICE):
         parts = mix(X[..., s], C, G[..., s]).view(float)  # per draw, Re and Im side by side
         np.square(parts, out=parts)
         squares = np.add.reduce(parts, axis=(0, 1))
@@ -331,8 +329,7 @@ def pep_qfunction_mc(
 
 def _lambda_products(A: np.ndarray, N: int, n: int, gbars: list[float], rng):
     """Yield, per gbar, n draws of prod_w 1/det(I_L + (gbar/4) A_w o G G^H) from one draw of G."""
-    L = A.shape[-1]
-    G = sample_cn_matrix(n, L * N, rng, out=np.empty((L * N, n), complex).T).T.reshape(L, N, n)  # blocks last
+    G = sample_blocks((A.shape[-1], N), n, rng)
     try:  # finite weights near 1e308 can still overflow a Gram matrix; name delta, not NaN PEPs
         with np.errstate(over="ignore", invalid="ignore"):
             lam = psd_eigenvalues(np.moveaxis(A[..., None] * gram(G), -1, 0)).reshape(n, -1)

@@ -43,12 +43,14 @@ depend on the query, so each slice forms them once for every sweep.
 ml_detect runs the same kernel, with R as the noise on the zero word.
 
 Blocks are laid out last (L x N x n), so G G^H and V are products of
-length-n vectors; a chunk's draws go straight into blocks-last arrays, of
-which a slice is a view. A chunk is scored in as few equal slices as keep
-every per-slice buffer (_slice_bytes) within _SLICE_BYTES and the scorer's
-arrays within _SCORE_BYTES, at least _MIN_SLICE blocks each, so those of a
-2^16-word codebook take 3 x 32 x 2^16 float64s (48 MiB) at most. The
-number of numpy calls per slice does not grow with L, N or T.
+length-n vectors; a chunk's draws go straight into blocks-last arrays
+(linalg.sample_blocks), of which a slice is a view. A chunk is scored in as
+few even slices (linalg.even_slices, the larger first, so the first sizes
+every buffer) as keep every per-slice buffer (_slice_bytes) within
+_SLICE_BYTES and the scorer's arrays within _SCORE_BYTES, at least
+_MIN_SLICE blocks each, so those of a 2^16-word codebook take 3 x 32 x 2^16
+float64s (48 MiB) at most. The number of numpy calls per slice does not
+grow with L, N or T.
 
 The points of a slice are scored from the noisiest down, the first on
 every block and each later one only on the blocks in error at the point
@@ -86,7 +88,7 @@ import numpy as np
 from .channel import ChannelRealization, SystemDims, checked_snr_grid, gram, snr_gain
 from .codes import Codebook
 from .csvio import csv_rows, csv_text
-from .linalg import DimensionMismatchError, make_rng, sample_cn_matrix
+from .linalg import DimensionMismatchError, even_slices, make_rng, sample_blocks
 from .query import QUERY_KINDS, check_query_shape, effective_forward, query_array, uniform_query, unitary_query
 
 __all__ = [
@@ -112,10 +114,8 @@ _BATCH_SCHEDULE = (20_000, 80_000, 200_000)
 # a batch is drawn in chunks of this many blocks, each from its own substream;
 # it divides every scheduled batch size, so the first batch splits in two
 _CHUNK = 10_000
-# a chunk is scored in as few equal slices of blocks as keep all per-slice buffers
-# within _SLICE_BYTES and the scorer's three blocks x K arrays within _SCORE_BYTES,
-# but of at least _MIN_SLICE blocks, so a large codebook's weights are read once per
-# _MIN_SLICE blocks
+# _score_chunk's slice budgets (see the module docstring); a slice holds at least
+# _MIN_SLICE blocks, so a large codebook's weights are read once per _MIN_SLICE blocks
 _SLICE_BYTES = 3 * 2**20
 _SCORE_BYTES = 2**20
 _MIN_SLICE = 32
@@ -143,8 +143,10 @@ class SnrSweepConfig:
         object.__setattr__(self, "snr_grid_db", checked_snr_grid(self.snr_grid_db))
         if self.query_kind not in QUERY_KINDS:
             raise ValueError(f"query_kind must be one of {QUERY_KINDS}, got {self.query_kind!r}")
-        if self.target_error_events < 1 or self.max_trials_per_point < 1:
-            raise ValueError("target_error_events and max_trials_per_point must be >= 1")
+        for name, least in (("max_trials_per_point", 1), ("target_error_events", 1), ("seed", 0)):
+            v = getattr(self, name)
+            if isinstance(v, bool) or not isinstance(v, (int, np.integer)) or v < least:
+                raise ValueError(f"{name} must be an integer >= {least}, got {v!r}")
         d, cb = self.dims, self.codebook
         if (cb.T, cb.L) != (d.T, d.L):
             raise DimensionMismatchError(
@@ -395,29 +397,25 @@ def _score_chunk(
     M, L, N, T = config.dims.M, config.dims.L, config.dims.N, config.dims.T
     K = words.shape[-1]
     rng = make_rng(config.seed, key)
-    # each draw's rows (blocks) go to the columns of a blocks-last array
-    H = sample_cn_matrix(n, M * L, rng, out=ws.view("H", (M * L, n)).T).T.reshape(M, L, n)
-    G = sample_cn_matrix(n, L * N, rng, out=ws.view("G", (L * N, n)).T).T.reshape(L, N, n)
+    H = sample_blocks((M, L), n, rng, out=ws.view("H", (M, L, n)))
+    G = sample_blocks((L, N), n, rng, out=ws.view("G", (L, N, n)))
     sent = rng.integers(0, K, n)
-    W = sample_cn_matrix(n, T * N, rng, out=ws.view("W", (T * N, n)).T).T.reshape(T, N, n)
+    W = sample_blocks((T, N), n, rng, out=ws.view("W", (T, N, n)))
 
-    # as few equal slices as keep to _SLICE_BYTES and _SCORE_BYTES
     per_block, scorer = _slice_bytes(config.dims, words, weights)
     most = max(_MIN_SLICE, min(_SLICE_BYTES // per_block, _SCORE_BYTES // scorer))
-    step = -(-n // -(-n // most))
     scales = [len(noise_stds) for _, noise_stds in schemes]
     tallies = np.zeros((2, sum(scales)), dtype=np.int64)
     per_scheme = np.split(tallies, np.cumsum(scales)[:-1], axis=1)
-    for a in range(0, n, step):
-        sent_s = sent[a : a + step]
+    for s in even_slices(n, most):
+        sent_s = sent[s]
         k = len(sent_s)
-        Hs, Gs, Ws = H[..., a : a + k], G[..., a : a + k], W[..., a : a + k]
-        gram, V = _shared_terms(Gs, Ws, ws)
+        gram, V = _shared_terms(G[..., s], W[..., s], ws)
         Cc = np.take(words, sent_s, axis=2, out=ws.view("C", (T, L, k), words.dtype), mode="clip")
         for (Q, noise_stds), t in zip(schemes, per_scheme):
             if len(noise_stds) == 0:
                 continue
-            X = effective_forward(Q, Hs, out=ws.view("X", (T, L, k)))
+            X = effective_forward(Q, H[..., s], out=ws.view("X", (T, L, k)))
             base, noise = ws.view("base", (k, K), float), ws.view("noise", (k, K), float)
             _metric(X, gram, V, Cc, weights, ws, base, noise)
             _score_points(base, noise, sent_s, noise_stds, t, ws.view("spare", (k, K), float))

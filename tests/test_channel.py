@@ -26,6 +26,11 @@ class TestSystemDims:
         with pytest.raises(ValueError):
             SystemDims(2, 0, 2, 2)
 
+    @pytest.mark.parametrize("dims, field", [((2.5, 1, 2, 2), "M"), ((True, 1, 2, 2), "M"), ((2, 1, "2", 2), "N")])
+    def test_rejects_non_integers_by_name(self, dims, field):
+        with pytest.raises(ValueError, match=f"^{field} must be an integer >= 1, got"):
+            SystemDims(*dims)
+
     def test_channel_shape_consistency(self):
         with pytest.raises(DimensionMismatchError):
             ChannelRealization(H=np.ones((2, 3)), G=np.ones((2, 2)))

@@ -13,7 +13,7 @@ from hypothesis import strategies as st
 
 from mlnsim.channel import snr_gain
 from mlnsim.cli import _exponent_summary, main
-from mlnsim.config import DEFAULT_PEP_GRID, PRESET_NAMES, ConfigError, load_config, parse_snr_grid
+from mlnsim.config import DEFAULT_BER_GRID, DEFAULT_PEP_GRID, PRESET_NAMES, ConfigError, load_config, parse_snr_grid
 from mlnsim.pep import PepEstimate, pep_curve_from_csv, ratio_curve_from_csv, ratio_curve_to_csv, ratio_point
 from mlnsim.presets import get_preset
 from mlnsim.simulate import BerCurve
@@ -310,6 +310,9 @@ _FAULTS = {
     "unitary-t-not-m": ("reproduce", {"m": 3, "l": 1, "n": 2, "t": 2, "codebook": "repetition-bpsk"}, "t"),
     "hadamard-m-3": ("ber", {"m": 3, "l": 1, "n": 2, "t": 3, "codebook": "repetition-bpsk",
                              "query": "hadamard"}, "query"),
+    "unknown-codebook": ("measure", {"m": 2, "l": 1, "n": 2, "t": 2, "codebook": "golay"}, "codebook"),
+    "uniform-query": ("measure", {"preset": "example1", "query": "uniform"}, "query"),
+    "unknown-preset": ("pep", {"preset": "example9"}, "preset"),
     # the gain 10**(snr/10) overflows past about 3082.5 dB, its inverse below about -3082.5 dB
     "pep-grid-past-gain-range": ("pep", {"preset": "example1", "snr_grid_db": "3000:50:3100"}, "snr_grid_db"),
     "ber-grid-past-noise-range": ("ber", {"preset": "example1", "snr_grid_db": "-3100:3100:3100"}, "snr_grid_db"),
@@ -327,6 +330,19 @@ def test_cli_fault_is_named_before_any_stage(tmp_path, capsys, case):
     assert captured.err.startswith(f"mlnsim {command}: {field}:"), captured.err
     assert "Traceback" not in captured.err and captured.out == ""
     assert not out.exists()
+
+
+@pytest.mark.parametrize("text", [None, "[]", '"measure"'])
+def test_cli_config_file_fault_is_named(tmp_path, capsys, text):
+    # None leaves the file unwritten, so it cannot be read; the others are not JSON objects
+    path = tmp_path / "cfg.json"
+    if text is not None:
+        path.write_text(text)
+    assert main(["measure", "--config", str(path), "--out", str(tmp_path / "o")]) == 2
+    captured = capsys.readouterr()
+    assert captured.err.startswith("mlnsim measure: config:"), captured.err
+    assert "Traceback" not in captured.err and captured.out == ""
+    assert not (tmp_path / "o").exists()
 
 
 @pytest.mark.parametrize("doc_out, flag_out", [(["x", 1], None), (None, "")])
@@ -349,6 +365,18 @@ def test_cli_names_integer_literal_past_digit_limit(tmp_path, capsys):
     assert main(["measure", "--config", str(path), "--out", str(tmp_path / "o")]) == 2
     err = capsys.readouterr().err
     assert err.startswith("mlnsim measure: config:") and "Traceback" not in err
+
+
+@pytest.mark.parametrize(
+    "command, grid, trials",
+    [("measure", DEFAULT_PEP_GRID, 1000), ("verify-lemmas", DEFAULT_PEP_GRID, 1000),
+     ("pep", DEFAULT_PEP_GRID, 100_000), ("ber", DEFAULT_BER_GRID, 1000),
+     ("reproduce", tuple(float(s) for s in range(0, 25, 2)), 100_000)],
+)
+def test_command_defaults_follow_its_stages(command, grid, trials):
+    # a command with a pep stage defaults to pep's trials; reproduce's grid is its ber stage's
+    cfg = load_config(overrides={"command": command, "preset": "example1"})
+    assert (cfg.snr_grid_db, cfg.trials, cfg.snr_grid_explicit) == (grid, trials, False)
 
 
 @pytest.mark.parametrize("command", ["measure", "pep", "verify-lemmas"])
@@ -600,6 +628,17 @@ class TestCliCommands:
         assert (measure["r_unitary"], measure["r_uniform"]) == (2, 1)
         pep = pep_curve_from_csv((tmp_path / "pep_example3_unitary.csv").read_text())
         assert tuple(e.snr_db for e in pep) == DEFAULT_PEP_GRID
+        ber = json.loads((tmp_path / "ber_example3_summary.json").read_text())
+        assert ber["snr_grid_db"] == [float(s) for s in range(0, 25, 2)]
+
+    def test_reproduce_runs_an_explicit_grid_in_pep_and_ber(self, tmp_path, capsys):
+        status = main(
+            ["reproduce", "--preset", "example3", "--seed", "5", "--trials", "500", "--snr-grid", "10:10:30",
+             "--events", "20", "--max-trials", "2000", "--out", str(tmp_path)]
+        )
+        assert status == 0
+        for name in ("pep_example3_summary.json", "ber_example3_summary.json"):
+            assert json.loads((tmp_path / name).read_text())["snr_grid_db"] == [10.0, 20.0, 30.0]
 
     def test_custom_codebook_from_file(self, tmp_path, capsys):
         cfg = {

@@ -1,11 +1,16 @@
 """Unit tests for the complex-matrix primitives."""
 
+import math
+
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from mlnsim import linalg
 from mlnsim.linalg import (
     DimensionMismatchError,
+    even_slices,
     frobenius_norm_sq,
     hadamard,
     make_rng,
@@ -14,6 +19,7 @@ from mlnsim.linalg import (
     psd_eigenvalues,
     random_unitary,
     rank_from_singulars,
+    sample_blocks,
     sample_cn_matrix,
     singular_values,
 )
@@ -113,6 +119,59 @@ class TestSampling:
     def test_bad_out_rejected(self, out):
         with pytest.raises(ValueError, match="out must be a C- or F-contiguous complex128"):
             sample_cn_matrix(3, 4, make_rng(0), out=out)
+
+
+class TestSampleBlocks:
+    @pytest.mark.parametrize(
+        "shape, n",
+        [((), 5), ((1,), 1), ((2, 3), 7), ((2, 2), linalg._DRAW_PIECE + 1), ((3, 1, 2), 500)],
+    )
+    @pytest.mark.parametrize("with_out", [False, True])
+    def test_block_k_is_row_k_of_the_matrix_draw(self, shape, n, with_out):
+        # the bits and the generator state of sample_cn_matrix(n, prod(shape)), with
+        # row k in block k; a dirty out is filled twice, each time like a fresh draw
+        rng, ref = make_rng(31, (n,)), make_rng(31, (n,))
+        buf = np.full(shape + (n,), np.nan + 1j * np.inf)
+        for _ in range(2):
+            rows = sample_cn_matrix(n, math.prod(shape), ref)
+            blocks = sample_blocks(shape, n, rng, out=buf if with_out else None)
+            assert blocks.shape == shape + (n,) and blocks.flags.c_contiguous
+            assert blocks is buf if with_out else blocks is not buf
+            expected = np.ascontiguousarray(rows.T).reshape(shape + (n,))
+            assert np.array_equal(blocks.view(np.uint64), expected.view(np.uint64))
+        assert rng.bit_generator.state == ref.bit_generator.state
+
+    @pytest.mark.parametrize(
+        "out",
+        [np.empty((2, 3, 4)), np.empty((3, 2, 4), complex), np.empty((4, 3, 2), complex).T,
+         np.empty((2, 3, 8), complex)[..., ::2]],
+    )
+    def test_bad_out_rejected(self, out):
+        with pytest.raises(ValueError, match=r"out must be a C-contiguous complex128 array of shape \(2, 3, 4\)"):
+            sample_blocks((2, 3), 4, make_rng(0), out=out)
+
+
+class TestEvenSlices:
+    @given(st.integers(0, 5000), st.integers(1, 600))
+    def test_fewest_near_equal_slices_larger_first(self, n, most):
+        slices = even_slices(n, most)
+        assert len(slices) == -(-n // most)
+        assert [i for s in slices for i in range(n)[s]] == list(range(n))
+        sizes = [s.stop - s.start for s in slices]
+        assert all(a >= b for a, b in zip(sizes, sizes[1:]))
+        assert not sizes or (max(sizes) <= most and max(sizes) - min(sizes) <= 1)
+        if most >= 3 and n != 1:
+            assert 1 not in sizes
+
+    def test_examples(self):
+        assert [s.stop - s.start for s in even_slices(10_000, 170)] == [170] * 29 + [169] * 30
+        assert even_slices(7, 3) == [slice(0, 3), slice(3, 5), slice(5, 7)]
+        assert even_slices(0, 4) == []
+
+    @pytest.mark.parametrize("n, most", [(-1, 3), (5, 0)])
+    def test_bad_arguments_rejected(self, n, most):
+        with pytest.raises(ValueError, match="need n >= 0 and most >= 1"):
+            even_slices(n, most)
 
 
 class TestMatmul:

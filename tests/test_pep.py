@@ -488,6 +488,7 @@ class TestEigenProductCurve:
                     )
 
     def test_draws_do_not_grow_with_grid(self, monkeypatch):
+        import mlnsim.linalg as linalg_mod
         import mlnsim.pep as pep_mod
 
         monkeypatch.setattr(pep_mod, "_MC_BATCH", 100)
@@ -497,7 +498,7 @@ class TestEigenProductCurve:
             drawn.append(rows * cols)
             return sample_cn_matrix(rows, cols, rng, **kw)
 
-        monkeypatch.setattr(pep_mod, "sample_cn_matrix", counting)
+        monkeypatch.setattr(linalg_mod, "sample_cn_matrix", counting)
         trials = 250
         for points in (1, 2, 12):
             drawn.clear()

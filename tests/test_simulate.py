@@ -5,7 +5,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from mlnsim import codes, simulate
+from mlnsim import codes, linalg, simulate
 from mlnsim.channel import SystemDims, mix, sample_channel
 from mlnsim.codes import (
     EXAMPLE1_DELTA,
@@ -302,8 +302,8 @@ class TestSliceBudget:
         [
             # example1 in two slices, where three would take the budget of the draws
             (SystemDims(2, 2, 2, 2), _antipodal(), ("dft", "uniform"), 10_000, [5_000] * 2),
-            # 256 words: the scorer's arrays set 170-block slices
-            (SystemDims(2, 4, 2, 2), uncoded_bpsk(2, 4), ("dft",), 10_000, [170] * 58 + [140]),
+            # 256 words: the scorer's arrays cap slices at 170 blocks, so 59 even slices
+            (SystemDims(2, 4, 2, 2), uncoded_bpsk(2, 4), ("dft",), 10_000, [170] * 29 + [169] * 30),
             # complex words, so complex features and sent words
             (SystemDims(3, 3, 4, 3), _complex_codebook(), ("dft", "uniform"), 2_500, [1_250] * 2),
         ],
@@ -460,6 +460,19 @@ class TestSimulateBer:
                     snr_grid_db=grid,
                 )
 
+    @pytest.mark.parametrize(
+        "field, least, value",
+        [("seed", 0, -1), ("seed", 0, 1.5), ("seed", 0, True), ("max_trials_per_point", 1, 15_000.5),
+         ("max_trials_per_point", 1, 0), ("target_error_events", 1, 2.5), ("target_error_events", 1, True)],
+    )
+    def test_bad_count_or_seed_is_named(self, field, least, value):
+        # a negative seed or a fractional cap would otherwise fail inside the sweep, without its name
+        with pytest.raises(ValueError, match=f"^{field} must be an integer >= {least}, got"):
+            SnrSweepConfig(
+                dims=SystemDims(2, 2, 2, 2), query_kind="dft", codebook=uncoded_bpsk(2, 2),
+                snr_grid_db=(0.0,), **{field: value},
+            )
+
     def test_reproducible_bit_for_bit(self):
         sweep = SnrSweepConfig(
             dims=SystemDims(2, 2, 2, 2), query_kind="dft", codebook=_antipodal(),
@@ -552,13 +565,13 @@ class TestSimulateBer:
 def _assert_draws_each_block_once(monkeypatch, kinds, run):
     """run(sweeps), one sweep per query kind, samples max_trials blocks of H, G and W in all."""
     drawn = []
-    sample = simulate.sample_cn_matrix
+    sample = linalg.sample_cn_matrix
 
     def counting(rows, cols, rng, *, out=None):
         drawn.append(rows * cols)
         return sample(rows, cols, rng, out=out)
 
-    monkeypatch.setattr(simulate, "sample_cn_matrix", counting)
+    monkeypatch.setattr(linalg, "sample_cn_matrix", counting)
     dims = SystemDims(2, 2, 3, 2)
     sweeps = [
         SnrSweepConfig(
@@ -694,6 +707,12 @@ class TestGainAtBer:
         )
         with pytest.raises(LevelNotCrossedError, match="curve_b"):
             gain_at_ber(good, flat, 1e-2)
+
+    def test_level_met_by_two_points_crosses_at_the_first(self):
+        # interpolating between two points at the level itself would divide 0 by 0
+        pts = [(0.0, 1e-2), (2.0, 1e-2), (4.0, 1e-3)]
+        flat = BerCurve(tuple(BerPoint(s, b, b, b, 1000, 100_000) for s, b in pts))
+        assert gain_at_ber(flat, self._synthetic(0.0), 1e-2) == pytest.approx(20.0)
 
     def test_unresolved_points_excluded(self):
         pts = list(self._synthetic(0.0).points)
