@@ -3,12 +3,15 @@
 For a codeword difference matrix delta, performance under the unitary
 query is driven by the per-slot matrices E_t = diag(delta[:, t]) G and
 under the uniform query by D = (G_1 delta | ... | G_N delta). Their ranks
-are deterministic functions of delta's support with probability one, and
+are deterministic functions of delta with probability one over G, and
 the resulting scalar measures order the schemes at high SNR:
 
-    r_unitary = sum_t min(N, L*_t)        r_uniform = min(N rank(delta), L*)
+    r_unitary = sum_t min(N, L*_t)        r_uniform = rank(D)
 
-with L*_t the nonzero count of column t and L* the count of nonzero rows.
+with L*_t the nonzero count of column t. rank(D) is at most
+min(N rank(delta), L*), L* the count of nonzero rows, but can fall below
+it, so it is taken numerically on one fixed draw of G. D's columns are
+those of (E_1 | ... | E_T), regrouped, so r_uniform <= r_unitary.
 """
 
 import json

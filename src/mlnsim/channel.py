@@ -36,6 +36,7 @@ __all__ = [
     "backscatter_transmit",
     "snr_gain",
     "checked_snr_grid",
+    "checked_integer",
 ]
 
 # below this |snr_db| (about 3082.5 dB), gbar and 1 / gbar are finite nonzero floats
@@ -45,6 +46,13 @@ _SNR_DB_MAX = 10.0 * math.log10(sys.float_info.max)
 def snr_gain(snr_db):
     """The SNR gbar = 10**(snr_db / 10); unit-energy signals get noise variance 1 / gbar per entry."""
     return 10.0 ** (snr_db / 10.0)
+
+
+def checked_integer(name: str, value, least: int = 1) -> int:
+    """value as a Python int; ValueError naming name for a bool, a non-integer or a value below least."""
+    if isinstance(value, bool) or not isinstance(value, (int, np.integer)) or value < least:
+        raise ValueError(f"{name} must be an integer >= {least}, got {value!r}")
+    return int(value)
 
 
 def checked_snr_grid(values) -> tuple:
@@ -74,8 +82,7 @@ class SystemDims:
 
     def __post_init__(self):
         for name, v in vars(self).items():
-            if isinstance(v, bool) or not isinstance(v, (int, np.integer)) or v < 1:
-                raise ValueError(f"{name} must be an integer >= 1, got {v!r}")
+            object.__setattr__(self, name, checked_integer(name, v))
 
 
 @dataclass(frozen=True)

@@ -3,7 +3,9 @@
 Codewords are T x L complex matrices (slot-major, one column per tag
 antenna). A codebook is normalized so the average codeword energy equals
 T, i.e. unit average energy per slot summed over tag antennas; this keeps
-SNR definitions comparable across codes.
+SNR definitions comparable across codes. A Codebook copies its K = 2**b
+codewords (a K x T x L array, or any sequence of equal-shape T x L
+matrices) into one read-only K x T x L array; word k carries the b bits of k.
 
 The difference matrix of a codeword pair is stored L x T (antenna-major,
 transposed from codeword orientation) so that entry (l, t) is the symbol
@@ -15,7 +17,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from functools import cached_property
-from itertools import product
 
 import numpy as np
 
@@ -46,51 +47,46 @@ EXAMPLE3_DELTA = np.array([[2.0, 2.0]])
 
 @dataclass(frozen=True)
 class Codebook:
-    """An ordered set of 2**bits_per_block space-time codewords, all T x L."""
+    """K = 2**bits_per_block T x L codewords, copied into one read-only complex K x T x L array."""
 
-    codewords: tuple
-    bits_per_block: int
+    codewords: np.ndarray
 
     def __post_init__(self):
-        cws = tuple(np.asarray(c, dtype=complex) for c in self.codewords)
+        try:
+            words = np.asarray(self.codewords)
+        except ValueError as exc:  # numpy refuses words of different shapes
+            raise DimensionMismatchError("codewords must share one shape") from exc
+        cws = np.array(words, dtype=complex)
+        K = len(cws)
+        if K < 2 or K & (K - 1):
+            raise ValueError(f"a codebook needs a power of 2 (>= 2) codewords, got {K}")
+        if cws.ndim != 3 or 0 in cws.shape:
+            raise DimensionMismatchError(f"codewords must be T x L matrices, got shape {cws.shape[1:]}")
+        avg_energy, T = np.sum(np.abs(cws) ** 2) / K, cws.shape[1]
+        if not abs(avg_energy - T) <= ENERGY_TOL:  # NaN fails too
+            raise ValueError(f"average codeword energy {avg_energy:.12g} != block length {T}")
+        cws.flags.writeable = False
         object.__setattr__(self, "codewords", cws)
-        if len(cws) < 2:
-            raise ValueError("a codebook needs at least 2 codewords")
-        shape = cws[0].shape
-        if any(c.shape != shape for c in cws):
-            raise DimensionMismatchError("codewords must share one shape")
-        if len(cws) != 2**self.bits_per_block:
-            raise ValueError(
-                f"{len(cws)} codewords cannot carry {self.bits_per_block} bits per block"
-            )
-        avg_energy = np.mean([np.sum(np.abs(c) ** 2) for c in cws])
-        if abs(avg_energy - self.T) > ENERGY_TOL:
-            raise ValueError(
-                f"average codeword energy {avg_energy:.12g} != block length {self.T}"
-            )
 
     @property
     def T(self) -> int:
-        return self.codewords[0].shape[0]
+        return self.codewords.shape[1]
 
     @property
     def L(self) -> int:
-        return self.codewords[0].shape[1]
+        return self.codewords.shape[2]
+
+    @property
+    def bits_per_block(self) -> int:
+        return len(self).bit_length() - 1
 
     def __len__(self) -> int:
         return len(self.codewords)
 
     @cached_property
-    def stacked(self) -> np.ndarray:
-        """The codewords as one read-only K x T x L array."""
-        a = np.stack(self.codewords)
-        a.flags.writeable = False
-        return a
-
-    @cached_property
     def metric_weights(self) -> np.ndarray:
         """The read-only K x F codeword weights of the ML metric, built once."""
-        w = _metric_weights(self.stacked)
+        w = _metric_weights(self.codewords)
         w.flags.writeable = False
         return w
 
@@ -182,7 +178,7 @@ def pairwise_codebook_from_delta(delta) -> tuple[Codebook, float]:
     T = d.shape[1]
     scale = float(np.sqrt(T / (energy / 4.0)))
     c0 = (scale / 2.0) * d.T
-    return Codebook((c0, -c0), bits_per_block=1), scale
+    return Codebook((c0, -c0)), scale
 
 
 def repetition_bpsk(T: int) -> Codebook:
@@ -190,7 +186,7 @@ def repetition_bpsk(T: int) -> Codebook:
     if T < 1:
         raise ValueError(f"T must be >= 1, got {T}")
     ones = np.ones((T, 1), dtype=complex)
-    return Codebook((ones, -ones), bits_per_block=1)
+    return Codebook((ones, -ones))
 
 
 def uncoded_bpsk(T: int, L: int) -> Codebook:
@@ -206,9 +202,5 @@ def uncoded_bpsk(T: int, L: int) -> Codebook:
     n = T * L
     if n > 16:
         raise ValueError(f"uncoded codebook with T*L = {n} > 16 entries is not enumerable")
-    amp = 1.0 / np.sqrt(L)
-    words = []
-    for bits in product((0, 1), repeat=n):
-        symbols = amp * (1.0 - 2.0 * np.asarray(bits, dtype=float))
-        words.append(symbols.reshape(T, L).astype(complex))
-    return Codebook(tuple(words), bits_per_block=n)
+    bits = (np.arange(2**n)[:, None] >> np.arange(n - 1, -1, -1)) & 1  # word k: the bits of k, MSB first
+    return Codebook((1.0 / np.sqrt(L)) * (1.0 - 2.0 * bits).reshape(-1, T, L))

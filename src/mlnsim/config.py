@@ -154,9 +154,7 @@ def _build_codebook(name, values, dims: SystemDims) -> Codebook:
     if name == "custom":
         if not isinstance(values, list) or len(values) < 2:
             raise ConfigError("codewords: custom codebook needs a list of >= 2 codewords")
-        words = tuple(_parse_matrix(w, "codewords") for w in values)
-        # a count that is not a power of 2 fails Codebook's own bits check
-        return Codebook(words, bits_per_block=len(words).bit_length() - 1)
+        return Codebook([_parse_matrix(w, "codewords") for w in values])
     raise ConfigError(f"codebook: unknown name {name!r}; choose from {CODEBOOK_BUILDERS}")
 
 

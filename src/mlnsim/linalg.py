@@ -261,25 +261,17 @@ def _norm_sq(x: np.ndarray) -> np.ndarray:
     return np.einsum("...i,...i->...", x.real, x.real) + np.einsum("...i,...i->...", x.imag, x.imag)
 
 
-def numeric_rank(a: np.ndarray) -> int:
+def numeric_rank(a: np.ndarray) -> int | np.ndarray:
     """Count singular values above RANK_REL_TOL * sigma_max * max(rows, cols).
 
-    The zero matrix has rank 0.
+    Takes a matrix, or a stack (..., m, n), whose singular values
+    ``singular_values`` computes in one pass; returns an int for a matrix and
+    an int array of the leading shape for a stack. The zero matrix has rank 0.
     """
-    a = _as_matrix(a)
-    return int(rank_from_singulars(singular_values(a), max(a.shape)))
-
-
-def rank_from_singulars(s: np.ndarray, max_dim: int) -> np.ndarray:
-    """Rank rule of ``numeric_rank`` applied to singular values of one matrix or a stack.
-
-    ``s`` holds singular values along the last axis (descending), as
-    ``singular_values`` returns them; a value counts when it exceeds
-    RANK_REL_TOL * s[..., 0] * max_dim. Returns integer ranks with the
-    leading stack shape.
-    """
-    thresh = RANK_REL_TOL * s[..., 0] * max_dim
-    return np.sum(s > thresh[..., None], axis=-1).astype(int)
+    a = np.asarray(a)
+    s = singular_values(a)
+    ranks = np.sum(s > RANK_REL_TOL * s[..., :1] * max(a.shape[-2:]), axis=-1)
+    return int(ranks) if a.ndim == 2 else ranks
 
 
 def random_unitary(n: int, rng: np.random.Generator) -> np.ndarray:

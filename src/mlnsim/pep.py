@@ -31,7 +31,7 @@ from dataclasses import astuple, dataclass
 
 import numpy as np
 
-from .channel import _SNR_DB_MAX, SystemDims, checked_snr_grid, gram, mix, snr_gain
+from .channel import _SNR_DB_MAX, SystemDims, checked_integer, checked_snr_grid, gram, mix, snr_gain
 from .codes import DifferenceMatrix, _as_diff
 from .csvio import csv_rows, csv_text
 from .linalg import DimensionMismatchError, even_slices, frobenius_norm_sq, psd_eigenvalues, sample_blocks
@@ -271,18 +271,17 @@ def _batched_z(rows: int, d: DifferenceMatrix, N: int, n: int, rng) -> np.ndarra
 
 
 def _checked_args(query_kind: str, delta, dims: SystemDims, trials: int, snrs: list[float]):
-    """Validate the estimators' shared arguments; return delta, its scheme weights and the gains of snrs."""
+    """Validate the estimators' shared arguments; return delta, its scheme weights, the gains of snrs and trials."""
     d = _as_diff(delta)
     A = scheme_weights(d, query_kind)  # rejects an unknown query_kind and overflowing weights
-    if trials < 1:
-        raise ValueError(f"trials must be >= 1, got {trials}")
+    trials = checked_integer("trials", trials)
     if (dims.L, dims.T) != (d.L, d.T):
         raise DimensionMismatchError(
             f"delta is {d.L}x{d.T} but dims expect L={dims.L}, T={dims.T}"
         )
     if not all(s < _SNR_DB_MAX for s in snrs):  # NaN fails too; -inf (gbar = 0) passes
         raise ValueError(f"snr_db: need points below {_SNR_DB_MAX:.4f} dB and no NaN, got {snrs!r:.100}")
-    return d, A, [snr_gain(s) for s in snrs]
+    return d, A, [snr_gain(s) for s in snrs], trials
 
 
 def _mc_mean(draw, trials: int, points: int = 1) -> tuple[np.ndarray, np.ndarray]:
@@ -315,7 +314,7 @@ def pep_qfunction_mc(
     as i.i.d. Gaussian slots (unitary) or one Gaussian row repeated over
     slots (uniform).
     """
-    d, A, (gbar,) = _checked_args(query_kind, delta, dims, trials, [float(snr_db)])
+    d, A, (gbar,), trials = _checked_args(query_kind, delta, dims, trials, [float(snr_db)])
 
     def draw(n):
         z = _batched_z(A.shape[0], d, dims.N, n, rng)
@@ -351,7 +350,7 @@ def pep_eigen_product_curve(
 ) -> list[PepEstimate]:
     """``pep_eigen_product_mc`` at every point of snr_grid, all from one set of G draws."""
     snrs = [float(s) for s in snr_grid]
-    _, A, gbars = _checked_args(query_kind, delta, dims, trials, snrs)
+    _, A, gbars, trials = _checked_args(query_kind, delta, dims, trials, snrs)
     mean, se = _mc_mean(lambda n: _lambda_products(A, dims.N, n, gbars, rng), trials, len(snrs))
     return [PepEstimate(s, float(m), float(e), trials, METHOD_EIGEN) for s, m, e in zip(snrs, mean, se)]
 

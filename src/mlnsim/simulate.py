@@ -85,7 +85,7 @@ from dataclasses import astuple, dataclass
 
 import numpy as np
 
-from .channel import ChannelRealization, SystemDims, checked_snr_grid, gram, snr_gain
+from .channel import ChannelRealization, SystemDims, checked_integer, checked_snr_grid, gram, snr_gain
 from .codes import Codebook
 from .csvio import csv_rows, csv_text
 from .linalg import DimensionMismatchError, even_slices, make_rng, sample_blocks
@@ -144,9 +144,7 @@ class SnrSweepConfig:
         if self.query_kind not in QUERY_KINDS:
             raise ValueError(f"query_kind must be one of {QUERY_KINDS}, got {self.query_kind!r}")
         for name, least in (("max_trials_per_point", 1), ("target_error_events", 1), ("seed", 0)):
-            v = getattr(self, name)
-            if isinstance(v, bool) or not isinstance(v, (int, np.integer)) or v < least:
-                raise ValueError(f"{name} must be an integer >= {least}, got {v!r}")
+            object.__setattr__(self, name, checked_integer(name, getattr(self, name), least))
         d, cb = self.dims, self.codebook
         if (cb.T, cb.L) != (d.T, d.L):
             raise DimensionMismatchError(
@@ -360,7 +358,7 @@ def _score_points(
 
 def _sent_words(codebook: Codebook) -> np.ndarray:
     """The conjugated codewords blocks-last (T x L x K), real for a real codebook."""
-    words = codebook.stacked
+    words = codebook.codewords
     return np.ascontiguousarray(np.moveaxis(np.conjugate(words if np.any(words.imag) else words.real), 0, -1))
 
 
@@ -447,7 +445,7 @@ def _shared_layout(configs: tuple) -> SnrSweepConfig:
     for other in configs[1:]:
         for name in _SHARED_FIELDS:
             a, b = getattr(first, name), getattr(other, name)
-            same = np.array_equal(a.stacked, b.stacked) if name == "codebook" else a == b
+            same = np.array_equal(a.codewords, b.codewords) if name == "codebook" else a == b
             if not same:
                 raise ValueError(
                     f"{name}: the configs of one sweep must share {', '.join(_SHARED_FIELDS)}"

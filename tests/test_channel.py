@@ -31,6 +31,11 @@ class TestSystemDims:
         with pytest.raises(ValueError, match=f"^{field} must be an integer >= 1, got"):
             SystemDims(*dims)
 
+    def test_numpy_integers_kept_as_int(self):
+        dims = SystemDims(*np.arange(1, 5))
+        assert dims == SystemDims(1, 2, 3, 4)
+        assert all(type(v) is int for v in vars(dims).values())
+
     def test_channel_shape_consistency(self):
         with pytest.raises(DimensionMismatchError):
             ChannelRealization(H=np.ones((2, 3)), G=np.ones((2, 2)))

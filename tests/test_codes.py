@@ -1,5 +1,7 @@
 """Unit tests for codebooks and difference matrices."""
 
+from itertools import product
+
 import numpy as np
 import pytest
 
@@ -125,15 +127,51 @@ class TestUncodedBpsk:
         with pytest.raises(ValueError):
             uncoded_bpsk(5, 4)
 
+    @pytest.mark.parametrize("T,L", [(T, L) for T in range(1, 9) for L in range(1, 9) if T * L <= 8])
+    def test_matches_itertools_enumeration(self, T, L):
+        # bit 0 -> +, most significant bit first, entries in row-major order
+        want = np.array(
+            [(1.0 / np.sqrt(L)) * (1.0 - 2.0 * np.array(b, dtype=float)).reshape(T, L) for b in product((0, 1), repeat=T * L)],
+            dtype=complex,
+        )
+        got = uncoded_bpsk(T, L).codewords
+        assert got.dtype == want.dtype and got.shape == want.shape
+        assert got.tobytes() == want.tobytes()
+
 
 class TestCodebookInvariants:
     def test_energy_validation(self):
         with pytest.raises(ValueError):
-            Codebook((np.ones((2, 1)) * 2, -np.ones((2, 1)) * 2), bits_per_block=1)
+            Codebook((np.ones((2, 1)) * 2, -np.ones((2, 1)) * 2))
+        with pytest.raises(ValueError, match="energy"):
+            Codebook((np.full((1, 1), np.nan), -np.ones((1, 1))))
 
-    def test_word_count_must_match_bits(self):
+    @pytest.mark.parametrize("count", [1, 3, 6])
+    def test_word_count_must_be_a_power_of_two(self, count):
+        words = np.exp(2j * np.pi * np.arange(count) / count).reshape(count, 1, 1)
+        with pytest.raises(ValueError, match=f"power of 2 .* got {count}"):
+            Codebook(words)
+
+    def test_one_read_only_array(self):
+        words = np.array([[[1.0, 1.0]], [[-1.0, -1.0]]]) / np.sqrt(2)
+        cb = Codebook(words)
+        assert cb.codewords.shape == (2, 1, 2) and cb.codewords.dtype == complex
+        assert (len(cb), cb.T, cb.L, cb.bits_per_block) == (2, 1, 2, 1)
         with pytest.raises(ValueError):
-            Codebook((np.ones((1, 1)), -np.ones((1, 1))), bits_per_block=2)
+            cb.codewords[0, 0, 0] = 0.0
+        with pytest.raises(AttributeError):
+            cb.bits_per_block = 2
+        words[0] = 0.0  # the codebook holds its own copy
+        assert cb.codewords[0, 0, 0] == 1 / np.sqrt(2)
+        with pytest.raises(TypeError):
+            Codebook(words, 1)
+
+    def test_words_must_share_one_shape(self):
+        with pytest.raises(DimensionMismatchError, match="codewords must share one shape"):
+            Codebook((np.ones((2, 1)), -np.ones((1, 2))))
+        for words in ((np.ones(2), -np.ones(2)), np.zeros((2, 0, 1))):
+            with pytest.raises(DimensionMismatchError, match="T x L matrices"):
+                Codebook(words)
 
     def test_support_sum_bound_and_rank_bound(self):
         for cb in (repetition_bpsk(2), uncoded_bpsk(2, 2), pairwise_codebook_from_delta(EXAMPLE1_DELTA)[0]):

@@ -188,14 +188,14 @@ class TestDocumentProperties:
         cfg = _loads_or_names({**self._CUSTOM, "codewords": words}, "codewords")
         assert (cfg is not None) == ok
         if cfg is not None:
-            assert np.all(np.isfinite(cfg.codebook.stacked)) and np.all(np.isfinite(cfg.delta))
+            assert np.all(np.isfinite(cfg.codebook.codewords)) and np.all(np.isfinite(cfg.delta))
 
     @settings(max_examples=200, deadline=None)
     @given(_JSON)
     def test_codewords_any_json(self, value):
         cfg = _loads_or_names({**self._CUSTOM, "codewords": value}, "codewords", "codebook")
         if cfg is not None:
-            assert np.all(np.isfinite(cfg.codebook.stacked))
+            assert np.all(np.isfinite(cfg.codebook.codewords))
 
     @settings(max_examples=300, deadline=None)
     @given(st.lists(_ENTRY, min_size=2, max_size=2))
@@ -287,7 +287,7 @@ def test_get_preset_matches_load_config(name):
     assert p.dims == cfg.dims and p.codebook_name == cfg.codebook_name
     assert np.array_equal(p.delta, cfg.delta)
     assert len(p.codebook) == len(cfg.codebook)
-    assert np.array_equal(p.codebook.stacked, cfg.codebook.stacked)
+    assert np.array_equal(p.codebook.codewords, cfg.codebook.codewords)
 
 
 _CUSTOM_PAIR = {"m": 2, "l": 1, "n": 2, "t": 2, "codebook": "custom"}
@@ -295,6 +295,8 @@ _FAULTS = {
     "nan-codeword": ("measure", {**_CUSTOM_PAIR, "codewords": [[[math.nan], [1]], [[-1], [-1]]]}, "codewords"),
     "huge-int-codeword": ("measure", {**_CUSTOM_PAIR, "codewords": [[[10**400], [1]], [[-1], [-1]]]}, "codewords"),
     "bool-codeword": ("measure", {**_CUSTOM_PAIR, "codewords": [[[True], [1]], [[-1], [-1]]]}, "codewords"),
+    "three-codewords": ("measure", {**_CUSTOM_PAIR, "codewords": [[[1], [1]], [[-1], [-1]], [[1], [-1]]]}, "codewords"),
+    "ragged-codewords": ("measure", {**_CUSTOM_PAIR, "codewords": [[[1], [1]], [[-1]]]}, "codewords"),
     "inf-delta": ("measure", {"m": 2, "l": 1, "n": 2, "t": 2, "codebook": "repetition-bpsk",
                               "delta": [[1, math.inf]]}, "delta"),
     "string-delta": ("measure", {"m": 2, "l": 1, "n": 2, "t": 2, "codebook": "repetition-bpsk",
@@ -511,11 +513,11 @@ class TestCliCommands:
         assert report["d_fraction"] == 1.0
 
     def test_verify_lemmas_exits_three_when_rank_prediction_fails(self, tmp_path, capsys):
-        # measure's min(N rank, L*) formula predicts rank(D) = 4 for this delta, but the
-        # columns of D lie in span{e_1, diag(g_1) v, diag(g_2) v}, so rank(D) = 3 on every draw
+        # 1e-11 is above the support tolerance, so slot 1 is predicted rank min(N, 2) = 2, but
+        # diag(1, 1e-11) G has sigma2 / sigma1 near 1e-11, below the rank threshold, on every draw
         cfg = {
-            "command": "verify-lemmas", "m": 4, "l": 4, "n": 2, "t": 4, "codebook": "uncoded-bpsk",
-            "delta": [[0, 0, 1, 1], [0, 0, 0, 2], [0, 0, 0, 3], [0, 0, 0, 4]],
+            "command": "verify-lemmas", "m": 2, "l": 2, "n": 2, "t": 2, "codebook": "uncoded-bpsk",
+            "delta": [[1, 1], [1e-11, 1]],
         }
         path = tmp_path / "cfg.json"
         path.write_text(json.dumps(cfg))
@@ -527,8 +529,25 @@ class TestCliCommands:
         report = json.loads((out / "lemma_check_custom.json").read_text())
         assert report == json.loads(captured.out)
         assert report["passed"] is False
-        assert report["d_fraction"] == 0.0
-        assert report["per_slot_fractions"] == [1.0] * 4
+        assert report["per_slot_fractions"] == [0.0, 1.0]
+        assert report["d_fraction"] == 1.0
+
+    def test_uniform_rank_below_the_support_formula(self, tmp_path, capsys):
+        # min(N rank delta, L*) = 4 for this delta, but the columns of D lie in
+        # span{e_1, diag(g_1) v, diag(g_2) v}, so rank(D) = 3 on every draw
+        cfg = {
+            "m": 4, "l": 4, "n": 2, "t": 4, "codebook": "uncoded-bpsk",
+            "delta": [[0, 0, 1, 1], [0, 0, 0, 2], [0, 0, 0, 3], [0, 0, 0, 4]],
+        }
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps(cfg))
+        assert main(["measure", "--config", str(path), "--out", str(tmp_path / "m")]) == 0
+        report = json.loads(capsys.readouterr().out)
+        assert (report["r_unitary"], report["r_uniform"], report["verdict"]) == (3, 3, "comparable")
+        status = main(["verify-lemmas", "--config", str(path), "--seed", "3", "--trials", "2000", "--out", str(tmp_path / "v")])
+        assert status == 0
+        report = json.loads(capsys.readouterr().out)
+        assert report["passed"] is True and report["d_fraction"] == 1.0
 
     def test_usage_error_exits_one(self, capsys):
         with pytest.raises(SystemExit) as exc:

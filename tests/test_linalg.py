@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 
 from mlnsim import linalg
 from mlnsim.linalg import (
+    RANK_REL_TOL,
     DimensionMismatchError,
     even_slices,
     frobenius_norm_sq,
@@ -18,7 +19,6 @@ from mlnsim.linalg import (
     numeric_rank,
     psd_eigenvalues,
     random_unitary,
-    rank_from_singulars,
     sample_blocks,
     sample_cn_matrix,
     singular_values,
@@ -301,8 +301,9 @@ class TestSingularValueStacks:
     @pytest.mark.parametrize("shape", [(2, 2), (2, 4), (4, 2), (3, 2)])
     def test_rank_decisions_match_lapack_near_threshold(self, shape):
         a = _near_threshold(*shape, 25_000, make_rng(21, shape))
-        ref = rank_from_singulars(_lapack(a), max(shape))
-        got = rank_from_singulars(singular_values(a), max(shape))
+        s = _lapack(a)
+        ref = np.sum(s > RANK_REL_TOL * s[:, :1] * max(shape), axis=-1)
+        got = numeric_rank(a)
         assert 0.3 < np.mean(ref == 1) < 0.7  # the band straddles the threshold
         assert np.array_equal(got, ref)
 
@@ -423,6 +424,21 @@ class TestNumericRank:
             pr = rng.permutation(3)
             pc = rng.permutation(4)
             assert numeric_rank(a[pr][:, pc]) == r
+
+    @pytest.mark.parametrize("shape", [(2, 3), (3, 2), (4, 4)])
+    def test_stack_matches_each_matrix(self, shape):
+        a = sample_cn_matrix(30 * shape[0], shape[1], make_rng(24, shape)).reshape(5, 6, *shape)
+        a[:, ::2, -1] = 0.0  # a rank-deficient matrix at every other stack position
+        a[0, 1] = 0.0
+        ranks = numeric_rank(a)
+        assert isinstance(ranks, np.ndarray) and ranks.shape == (5, 6)
+        assert ranks.tolist() == [[numeric_rank(m) for m in row] for row in a]
+        assert type(numeric_rank(a[0, 0])) is int
+
+    @pytest.mark.parametrize("shape", [(3,), (0, 2), (4, 2, 0)])
+    def test_bad_shapes(self, shape):
+        with pytest.raises(DimensionMismatchError):
+            numeric_rank(np.ones(shape))
 
 
 class TestRandomUnitary:

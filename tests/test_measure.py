@@ -1,7 +1,13 @@
 """Unit tests for the rank-based performance measures."""
 
+import json
+import re
+from itertools import combinations
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from mlnsim.codes import EXAMPLE1_DELTA, EXAMPLE3_DELTA, DifferenceMatrix
 from mlnsim.linalg import make_rng, numeric_rank, sample_cn_matrix
@@ -167,6 +173,50 @@ class TestMeasures:
             assert all(b >= a for a, b in zip(ru, ru[1:]))
             assert all(b >= a for a, b in zip(rf, rf[1:]))
 
+    @staticmethod
+    def _matroid_union_rank(delta, N):
+        """min over row sets S of (L* - |S| + N rank(delta_S)), the generic rank of D (Edmonds)."""
+        rows = [r for r in np.asarray(delta) if np.any(r != 0)]
+        return min(
+            len(rows) - len(S) + N * (numeric_rank(np.array([rows[i] for i in S])) if S else 0)
+            for k in range(len(rows) + 1)
+            for S in combinations(range(len(rows)), k)
+        )
+
+    def test_uniform_rank_is_the_matroid_union_rank(self):
+        rng = make_rng(16)
+        below = 0
+        for _ in range(300):
+            L, T = (int(rng.integers(1, 5)) for _ in range(2))
+            # small integers with many zeros, so that rows and supports are often dependent
+            delta = rng.choice([0, 0, 0, 1, -1, 2], size=(L, T)).astype(float)
+            for n in (1, 2, 3):
+                want = self._matroid_union_rank(delta, n)
+                assert r_uniform(delta, n) == want
+                d = DifferenceMatrix(delta)
+                below += want < min(n * d.rank, d.nonzero_rows)
+        assert below > 0  # the sample holds deltas where the support formula overestimates
+
+    def test_found_delta_is_comparable(self):
+        delta = np.array([[0, 0, 1, 1], [0, 0, 0, 2], [0, 0, 0, 3], [0, 0, 0, 4]])
+        rep = compare_queries(delta, 2)
+        assert (rep.r_unitary, rep.r_uniform, rep.verdict) == (3, 3, "comparable")
+        assert rep.r_uniform == self._matroid_union_rank(delta, 2) < min(2 * rep.rank_delta, rep.nonzero_rows)
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        st.integers(1, 4).flatmap(
+            lambda L: st.lists(st.lists(st.sampled_from([0.0, 1.0, -1.0, 2.0, 0.5j]), min_size=L, max_size=L), min_size=1, max_size=4)
+        ),
+        st.integers(1, 4),
+    )
+    def test_uniform_never_exceeds_unitary(self, columns, n):
+        delta = np.array(columns).T  # L x T
+        rep = compare_queries(delta, n)
+        assert rep.r_uniform <= rep.r_unitary
+        assert rep.r_uniform <= min(n * rep.rank_delta, rep.nonzero_rows)
+        assert rep.verdict == ("unitary-dominates" if rep.r_uniform < rep.r_unitary else "comparable")
+
     def test_bound_chain(self):
         rng = make_rng(11)
         for _ in range(50):
@@ -198,6 +248,16 @@ class TestEmpiricalRankCheck:
         delta = 2.0 * np.ones((3, 2))
         rep = empirical_rank_check(delta, 1, 1000, make_rng(14))
         assert rep.passed  # rank(E_t) == min(N=1, 3) == 1 every time
+
+    @pytest.mark.parametrize("trials", [True, 2.5, 0, np.int64(0)])
+    def test_bad_trials_is_named(self, trials):
+        with pytest.raises(ValueError, match=f"^{re.escape(f'trials must be an integer >= 1, got {trials!r}')}$"):
+            empirical_rank_check(EXAMPLE1_DELTA, 2, trials, make_rng(12))
+
+    def test_numpy_trials_recorded_as_int(self):
+        rep = empirical_rank_check(EXAMPLE1_DELTA, 2, np.int64(50), make_rng(12))
+        assert type(rep.trials) is int and rep == empirical_rank_check(EXAMPLE1_DELTA, 2, 50, make_rng(12))
+        json.dumps(rep.to_dict())
 
     def test_matches_per_matrix_rank_rule(self):
         # the batched rank rule must agree with numeric_rank draw by draw

@@ -1,6 +1,8 @@
 """Unit tests for the pairwise error probability estimators."""
 
+import json
 import math
+import re
 import tracemalloc
 
 import numpy as np
@@ -130,6 +132,28 @@ def test_pep_routes_name_an_snr_past_the_gain_range(route, snr):
     # 10**(snr/10) overflows a float past about 3082.5 dB; NaN would give a NaN estimate
     with pytest.raises(ValueError, match="^snr_db: "):
         _PEP_ROUTES[route](snr)
+
+
+_TRIALS_ROUTES = {
+    "qfunction": lambda n: [pep_qfunction_mc("unitary", EXAMPLE1_DELTA, DIMS1, 10.0, n, make_rng(40))],
+    "eigen-mc": lambda n: [pep_eigen_product_mc("uniform", EXAMPLE1_DELTA, DIMS1, 10.0, n, make_rng(40))],
+    "eigen-curve": lambda n: pep_eigen_product_curve("unitary", EXAMPLE1_DELTA, DIMS1, [0.0, 10.0], n, make_rng(40)),
+}
+
+
+@pytest.mark.parametrize("route", sorted(_TRIALS_ROUTES))
+@pytest.mark.parametrize("trials", [True, 2.5, 0, np.int64(0)])
+def test_pep_routes_name_a_bad_trials_count(route, trials):
+    with pytest.raises(ValueError, match=f"^{re.escape(f'trials must be an integer >= 1, got {trials!r}')}$"):
+        _TRIALS_ROUTES[route](trials)
+
+
+@pytest.mark.parametrize("route", sorted(_TRIALS_ROUTES))
+def test_pep_routes_record_a_numpy_count_as_an_int(route):
+    estimates = _TRIALS_ROUTES[route](np.int64(7))
+    assert estimates == _TRIALS_ROUTES[route](7)
+    assert all(type(e.trials) is int for e in estimates)
+    json.dumps([e.trials for e in estimates])
 
 
 class TestSquaredDistanceUnitary:

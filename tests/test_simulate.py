@@ -272,9 +272,9 @@ class TestMetricKernel:
         W = sample_cn_matrix(96, dims.T * dims.N, rng).reshape(96, dims.T, dims.N)
         Q = query_array(simulate.build_query("dft", dims, 8))
         XG = np.einsum("tm,kml,kln->ktln", Q, H, G)  # ((X o C) G)[t] = C[t] @ XG[t]
-        R = np.einsum("ktl,ktln->ktn", cb.stacked[sent], XG)
+        R = np.einsum("ktl,ktln->ktn", cb.codewords[sent], XG)
         R = R + np.sqrt(1.0 / 10.0 ** (6.0 / 10.0)) * W
-        words = np.ascontiguousarray(cb.stacked.transpose(1, 0, 2))  # T x K x L
+        words = np.ascontiguousarray(cb.codewords.transpose(1, 0, 2))  # T x K x L
         detected = np.empty(96, dtype=np.int64)
         for k in range(96):  # ||R - S_j||^2 for every word j, one block at a time
             diff = R[k][:, None] - words @ XG[k]
@@ -288,7 +288,7 @@ class TestMetricKernel:
 def _complex_codebook():
     """8 random complex 3 x 3 words of unit average energy per slot."""
     words = make_rng(47).standard_normal((8, 3, 3, 2)) @ np.array([1.0, 1.0j])
-    return codes.Codebook(tuple(words * np.sqrt(3 / np.mean(np.sum(np.abs(words) ** 2, axis=(1, 2))))), 3)
+    return codes.Codebook(tuple(words * np.sqrt(3 / np.mean(np.sum(np.abs(words) ** 2, axis=(1, 2))))))
 
 
 def _slice_buffer_bytes(ws):
@@ -630,7 +630,7 @@ class TestSimulateBers:
         [
             ("dims", {"dims": SystemDims(2, 2, 3, 2)}),
             # the same words in another order
-            ("codebook", {"codebook": codes.Codebook(tuple(-c for c in uncoded_bpsk(2, 2).codewords), 4)}),
+            ("codebook", {"codebook": codes.Codebook(tuple(-c for c in uncoded_bpsk(2, 2).codewords))}),
             ("seed", {"seed": 14}),
             ("max_trials_per_point", {"max_trials_per_point": 60_000}),
             # the first field that differs is named
