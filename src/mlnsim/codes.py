@@ -9,8 +9,9 @@ matrices) into one read-only K x T x L array; word k carries the b bits of k.
 
 The difference matrix of a codeword pair is stored L x T (antenna-major,
 transposed from codeword orientation) so that entry (l, t) is the symbol
-difference of antenna l at slot t. Its per-column support counts and its
-rank are what the performance measures consume.
+difference of antenna l at slot t. Its support counts and its rank describe
+it; the performance measures (``measure.compare_queries``) take their ranks
+from the matrices it builds with G, so they do not depend on its scale.
 """
 
 from __future__ import annotations
@@ -47,7 +48,10 @@ EXAMPLE3_DELTA = np.array([[2.0, 2.0]])
 
 @dataclass(frozen=True)
 class Codebook:
-    """K = 2**bits_per_block T x L codewords, copied into one read-only complex K x T x L array."""
+    """K = 2**bits_per_block T x L codewords, copied into one read-only complex K x T x L array.
+
+    Two codebooks are equal, and hash equal, when their codewords have the same shape and bytes.
+    """
 
     codewords: np.ndarray
 
@@ -82,6 +86,19 @@ class Codebook:
 
     def __len__(self) -> int:
         return len(self.codewords)
+
+    def __eq__(self, other) -> bool:
+        if not isinstance(other, Codebook):
+            return NotImplemented
+        return self._key == other._key
+
+    def __hash__(self) -> int:
+        return hash(self._key)
+
+    @property
+    def _key(self) -> tuple:
+        """What equality and the hash compare: the shape and the bytes of codewords."""
+        return self.codewords.shape, self.codewords.tobytes()
 
     @cached_property
     def metric_weights(self) -> np.ndarray:

@@ -29,9 +29,10 @@ __all__ = [
 # singular values sit many orders of magnitude below sigma_max.
 RANK_REL_TOL = 1e-10
 
-# matrices per slice of singular_values' closed form: a 2 x 4 slice's
-# temporaries are about 1 MB, where a whole 100k-draw stack's reach tens of MB
-_SV_SLICE = 16384
+# most matrices or draws per slice of a stack kernel (even_slices' default): for
+# example1 each slice-sized array is 0.5 MB, where a whole 100k-draw stack's
+# temporaries reach tens of MB
+_SLICE = 8192
 
 _INV_SQRT2 = 1.0 / np.sqrt(2.0)
 
@@ -116,11 +117,13 @@ def sample_blocks(shape: tuple, n: int, rng: np.random.Generator, *, out: np.nda
     return out
 
 
-def even_slices(n: int, most: int) -> list[slice]:
+def even_slices(n: int, most: int | None = None) -> list[slice]:
     """ceil(n / most) consecutive slices that cover range(n), with sizes that differ by at most 1.
 
-    The larger slices come first, so a buffer sized for the first fits every later one.
+    most defaults to _SLICE, the slice size of every stack kernel. The larger slices
+    come first, so a buffer sized for the first fits every later one.
     """
+    most = _SLICE if most is None else most
     if n < 0 or most < 1:
         raise ValueError(f"need n >= 0 and most >= 1, got n={n}, most={most}")
     count = -(-n // most)
@@ -185,8 +188,8 @@ def singular_values(a: np.ndarray) -> np.ndarray:
         raise DimensionMismatchError(f"matrix must be (..., m, n) with m, n >= 1, got shape {a.shape}")
     if min(a.shape[-2:]) > 2:
         return np.linalg.svd(a, compute_uv=False)
-    if a.ndim > 2 and a.shape[0] > _SV_SLICE:  # slice the stack so every temporary stays small
-        return np.concatenate([singular_values(a[s]) for s in even_slices(a.shape[0], _SV_SLICE)])
+    if a.ndim > 2 and a.shape[0] > _SLICE:  # slice the stack so every temporary stays small
+        return np.concatenate([singular_values(a[s]) for s in even_slices(a.shape[0])])
     if a.shape[-2] > a.shape[-1]:
         a = a.swapaxes(-1, -2)  # same singular values, with the short side as rows
     scale = 1.0
@@ -217,7 +220,12 @@ def singular_values(a: np.ndarray) -> np.ndarray:
 
 
 def psd_eigenvalues(m: np.ndarray) -> np.ndarray:
-    """Eigenvalues of a Hermitian PSD k x k matrix, or of every one in a stack (..., k, k), ascending.
+    """Eigenvalues of every Hermitian PSD k x k matrix in a blocks-last stack (..., k, k, n), ascending.
+
+    Matrix j is m[..., :, :, j], as ``channel.gram`` lays out G G^H, and the
+    eigenvalues come back as (..., k, n): each entry the closed form reads and each
+    eigenvalue it writes is a row of n, contiguous when m is C-contiguous. The bits
+    do not depend on the memory layout.
 
     For k >= 3 this is numpy's LAPACK ``eigvalsh``. For k <= 2 a closed form
     is evaluated elementwise over the stack, which skips LAPACK's fixed cost
@@ -237,20 +245,20 @@ def psd_eigenvalues(m: np.ndarray) -> np.ndarray:
     or if LAPACK fails to converge.
     """
     m = np.asarray(m)
-    if m.ndim < 2 or m.shape[-1] != m.shape[-2] or m.shape[-1] < 1:
-        raise DimensionMismatchError(f"matrix must be (..., k, k) with k >= 1, got shape {m.shape}")
-    k = m.shape[-1]
+    if m.ndim < 3 or m.shape[-2] != m.shape[-3] or m.shape[-2] < 1:
+        raise DimensionMismatchError(f"matrices must be (..., k, k, n) with k >= 1, got shape {m.shape}")
+    k = m.shape[-2]
     if k > 2:
-        lam = np.linalg.eigvalsh(m)
+        lam = np.moveaxis(np.linalg.eigvalsh(np.moveaxis(m, -1, -3)), -1, -2)
     elif k == 1:
-        lam = m[..., 0, :].real.copy()
+        lam = m[..., 0, :, :].real.copy()
     else:
-        a, c, b = m[..., 0, 0].real, m[..., 1, 1].real, np.abs(m[..., 0, 1])
+        a, c, b = m[..., 0, 0, :].real, m[..., 1, 1, :].real, np.abs(m[..., 0, 1, :])
         hi = (a + c) / 2 + np.hypot((a - c) / 2, b)
         nz = hi > 0
         lo = np.divide(np.maximum(a, c), hi, out=np.zeros_like(hi), where=nz) * np.minimum(a, c)
         lo -= np.divide(b, hi, out=np.zeros_like(hi), where=nz) * b
-        lam = np.stack([lo, hi], axis=-1)
+        lam = np.stack([lo, hi], axis=-2)
     if not np.all(np.isfinite(lam)):
         raise np.linalg.LinAlgError("eigenvalues are not finite")
     return lam

@@ -14,9 +14,11 @@ rank(E_t) = min(N, L*_t), where L*_t is the nonzero count of delta's t-th
 column. rank(D) has no such closed form in the ranks and supports alone:
 min(N * rank(delta), L*), with L* the number of nonzero rows, can exceed
 it (Edmonds' matroid-union rank, a minimum over row sets S of
-L* - |S| + N rank(delta_S), is exact but exponential in L). So rank(D) is
-taken numerically on one draw of G from a fixed stream, which gives the
-almost-sure rank with probability one. D's columns are those of
+L* - |S| + N rank(delta_S), is exact but exponential in L). So every rank
+is taken numerically on one draw G0 of G from a fixed stream, which gives
+the almost-sure rank with probability one. ``numeric_rank``'s threshold is
+relative to each matrix's largest singular value, so both measures are the
+same for delta and for any nonzero multiple of it. D's columns are those of
 (E_1 | ... | E_T), regrouped, so rank(D) <= sum_t rank(E_t): the uniform
 measure never exceeds the unitary one.
 """
@@ -29,7 +31,7 @@ import numpy as np
 
 from .codes import _as_diff
 from .channel import checked_integer
-from .linalg import DimensionMismatchError, make_rng, numeric_rank, sample_cn_matrix
+from .linalg import DimensionMismatchError, even_slices, make_rng, numeric_rank, sample_cn_matrix
 
 __all__ = [
     "MeasureReport",
@@ -48,7 +50,8 @@ VERDICT_UNITARY = "unitary-dominates"
 VERDICT_COMPARABLE = "comparable"
 QUERY_SCHEMES = ("unitary", "uniform")
 
-# spawn key of the fixed stream whose one draw of G gives rank(D); seed 0, whatever the caller's seed
+# spawn key of the fixed stream whose one draw G0 of G gives the ranks of every E_t and of D;
+# seed 0, whatever the caller's seed
 _RANK_PROBE_KEY = (7,)
 
 
@@ -100,7 +103,7 @@ def scheme_weights(delta, query_kind: str) -> np.ndarray:
 
 
 def r_unitary(delta, N: int) -> int:
-    """Unitary-query measure: sum over slots of min(N, L*_t)."""
+    """Unitary-query measure: the sum over slots of the almost-sure rank of E_t, min(N, L*_t)."""
     return compare_queries(delta, N).r_unitary
 
 
@@ -141,16 +144,15 @@ def report_from_dict(d: dict) -> MeasureReport:
 def compare_queries(delta, N: int) -> MeasureReport:
     """Both measures for delta and N receive antennas; the only place the almost-sure ranks are formed.
 
-    r_unitary = sum_t min(N, L*_t); r_uniform = rank(D) on one draw of G from
-    a fixed stream. r_uniform <= r_unitary, so the verdict is unitary-dominates
-    or comparable.
+    r_unitary is the sum over slots of rank(E_t) and r_uniform is rank(D), each the
+    numeric rank on one draw G0 of G from a fixed stream. r_uniform <= r_unitary, so
+    the verdict is unitary-dominates or comparable.
     """
     d = _as_diff(delta)
-    per_slot = tuple(min(N, s) for s in d.column_supports)
-    ru = int(sum(per_slot))
-    rf = 0
-    if d.nonzero_rows:
-        rf = numeric_rank(build_D(d, sample_cn_matrix(d.L, N, make_rng(0, _RANK_PROBE_KEY))))
+    G0 = sample_cn_matrix(d.L, N, make_rng(0, _RANK_PROBE_KEY))
+    per_slot = tuple(numeric_rank(build_E_t(d, G0, t + 1)) for t in range(d.T))
+    ru = sum(per_slot)
+    rf = numeric_rank(build_D(d, G0))
     return MeasureReport(
         r_unitary=ru,
         r_uniform=rf,
@@ -180,25 +182,30 @@ def empirical_rank_check(delta, N: int, trials: int, rng: np.random.Generator) -
     """Validate the almost-sure rank predictions on sampled G.
 
     Draws `trials` independent G matrices and records, for every slot t, the
-    fraction of draws with rank(E_t) == min(N, L*_t), and the fraction with
-    rank(D) == r_uniform, ranks ``compare_queries`` gives. The report passes
-    iff every fraction equals 1. Ranks are ``numeric_rank``'s, taken on each
-    stack of E_t or D matrices at once.
+    fraction of draws with rank(E_t) as ``compare_queries`` predicts it, and the
+    fraction with rank(D) == r_uniform. The report passes iff every fraction
+    equals 1. Ranks are ``numeric_rank``'s. The draws are made at once, one
+    ``sample_cn_matrix`` call whose stream holds every real part before any
+    imaginary part; each slice of them (``even_slices``) then builds its E_t and D
+    stacks and counts the ranks as predicted, so that apart from the draw only one
+    slice of matrices is alive at a time. Each fraction is a hit count over trials.
     Raises ``ValueError`` naming trials unless it is an integer >= 1.
     """
     trials = checked_integer("trials", trials)
     d = _as_diff(delta)
     G = sample_cn_matrix(d.L, N * trials, rng).reshape(d.L, trials, N).transpose(1, 0, 2)
     predicted = compare_queries(d, N)
-    slot_fractions = [
-        float(np.mean(numeric_rank(build_E_t(d, G, t + 1)) == r)) for t, r in enumerate(predicted.per_slot_ranks)
-    ]
-    d_fraction = float(np.mean(numeric_rank(build_D(d, G)) == predicted.r_uniform))
-
-    passed = d_fraction == 1.0 and all(f == 1.0 for f in slot_fractions)
+    ranks = (*predicted.per_slot_ranks, predicted.r_uniform)  # E_1, ..., E_T, then D
+    hits = [0] * len(ranks)
+    for s in even_slices(trials):
+        g = G[s]
+        for i, r in enumerate(ranks):
+            mats = build_E_t(d, g, i + 1) if i < d.T else build_D(d, g)
+            hits[i] += int(np.count_nonzero(numeric_rank(mats) == r))
+    *slot_fractions, d_fraction = (h / trials for h in hits)
     return RankCheckReport(
         trials=trials,
         per_slot_fractions=tuple(slot_fractions),
         d_fraction=d_fraction,
-        passed=passed,
+        passed=all(h == trials for h in hits),
     )

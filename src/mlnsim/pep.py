@@ -20,6 +20,12 @@ Two routes are provided for each scheme:
   Only gbar depends on SNR, so ``pep_eigen_product_curve`` takes lam once
   per draw of G and scores every point of a curve from it: the points are
   correlated across SNR, while each one's estimate and SE are unchanged.
+  ``_gram_eigenvalues`` forms the Gram matrices blocks last and takes their
+  eigenvalues from contiguous entries.
+
+Both routes draw each batch of up to ``_MC_BATCH`` draws whole and then work
+through it in slices (``linalg.even_slices``), so that beyond the draw only the
+per-draw results and one slice of temporaries are alive; slicing changes no bit.
 
 gbar = 10**(snr_db / 10) (``channel.snr_gain``) at any point below ``channel._SNR_DB_MAX``,
 -inf dB included and NaN not; each estimate carries its Monte Carlo standard error.
@@ -63,9 +69,6 @@ METHOD_EIGEN = "eigen-product-mc"
 
 _IDENTITY_RTOL = 1e-10
 _MC_BATCH = 100_000
-# most draws per slice of _batched_z's mixing: for example1 each slice-sized array
-# is 0.5 MB, where 50 000 draws of X and G take 6.4 MB
-_Z_SLICE = 8192
 
 # A scheme's scaled average gbar**R * pep should flatten out at high SNR;
 # growth beyond this factor across the fit window (and beyond 3 sigma)
@@ -262,7 +265,7 @@ def _batched_z(rows: int, d: DifferenceMatrix, N: int, n: int, rng) -> np.ndarra
     G = sample_blocks((d.L, N), n, rng, out=draws[rows * d.L :].reshape(d.L, N, n))
     C = d.delta.T[:, :, None]
     z = np.empty(n)
-    for s in even_slices(n, _Z_SLICE):
+    for s in even_slices(n):
         parts = mix(X[..., s], C, G[..., s]).view(float)  # per draw, Re and Im side by side
         np.square(parts, out=parts)
         squares = np.add.reduce(parts, axis=(0, 1))
@@ -326,20 +329,36 @@ def pep_qfunction_mc(
     return PepEstimate(float(snr_db), float(mean[0]), float(se[0]), trials, METHOD_QFUNC)
 
 
-def _lambda_products(A: np.ndarray, N: int, n: int, gbars: list[float], rng):
-    """Yield, per gbar, n draws of prod_w 1/det(I_L + (gbar/4) A_w o G G^H) from one draw of G."""
-    G = sample_blocks((A.shape[-1], N), n, rng)
+def _gram_eigenvalues(G: np.ndarray, A: np.ndarray) -> np.ndarray:
+    """Eigenvalues of A_w o G G^H for a blocks-last L x N x n G and W x L x L weights A.
+
+    Returns a C-contiguous (W L) x n array whose row w L + k holds eigenvalue k
+    (ascending) of A_w o G G^H for every draw. Each slice of the draws
+    (``even_slices``) forms its Gram matrices blocks last and takes their eigenvalues
+    from contiguous entries, so no temporary spans the whole batch. The weights of
+    several deltas may be stacked on W; they then share the draws of G.
+    """
+    W, L, _ = A.shape
+    n = G.shape[-1]
+    lam = np.empty((W, L, n))
+    weights = A[..., None]
     try:  # finite weights near 1e308 can still overflow a Gram matrix; name delta, not NaN PEPs
         with np.errstate(over="ignore", invalid="ignore"):
-            lam = psd_eigenvalues(np.moveaxis(A[..., None] * gram(G), -1, 0)).reshape(n, -1)
+            for s in even_slices(n):
+                lam[..., s] = psd_eigenvalues(weights * gram(G[..., s]))
     except np.linalg.LinAlgError as exc:
         raise ValueError("delta: the Gram matrices A_w o G G^H are not finite; delta is too large") from exc
-    # 1 / prod_k (1 + (gbar/4) lam_k), reduced over contiguous columns: numpy multiplies
-    # them in column order, as np.prod multiplies along a row, so the bits are np.prod's
-    cols = np.ascontiguousarray(lam.T)
-    factors = np.empty_like(cols)
+    return lam.reshape(W * L, n)
+
+
+def _lambda_products(A: np.ndarray, N: int, n: int, gbars: list[float], rng):
+    """Yield, per gbar, n draws of prod_w 1/det(I_L + (gbar/4) A_w o G G^H) from one draw of G."""
+    lam = _gram_eigenvalues(sample_blocks((A.shape[-1], N), n, rng), A)  # G is freed here
+    # 1 / prod_k (1 + (gbar/4) lam_k), reduced over the rows of lam: numpy multiplies them
+    # in row order, as np.prod multiplies along a draw's eigenvalues, so the bits are np.prod's
+    factors = np.empty_like(lam)
     for g in gbars:
-        np.multiply(cols, g / 4.0, out=factors)
+        np.multiply(lam, g / 4.0, out=factors)
         factors += 1.0
         prod = np.multiply.reduce(factors, axis=0)
         yield np.divide(1.0, prod, out=prod)

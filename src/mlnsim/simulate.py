@@ -444,9 +444,7 @@ def _shared_layout(configs: tuple) -> SnrSweepConfig:
     first = configs[0]
     for other in configs[1:]:
         for name in _SHARED_FIELDS:
-            a, b = getattr(first, name), getattr(other, name)
-            same = np.array_equal(a.codewords, b.codewords) if name == "codebook" else a == b
-            if not same:
+            if getattr(first, name) != getattr(other, name):
                 raise ValueError(
                     f"{name}: the configs of one sweep must share {', '.join(_SHARED_FIELDS)}"
                 )

@@ -166,6 +166,14 @@ class TestCodebookInvariants:
         with pytest.raises(TypeError):
             Codebook(words, 1)
 
+    def test_equal_and_hash_equal_on_shape_and_bytes(self):
+        a, b = uncoded_bpsk(1, 2), uncoded_bpsk(1, 2)
+        assert a is not b and a == b and hash(a) == hash(b)
+        assert {a: "word"}[b] == "word"
+        assert a != Codebook(a.codewords[::-1])  # the same words in another order
+        assert a != Codebook(a.codewords.reshape(2, 2, 2))  # the same bytes in another shape
+        assert a != repetition_bpsk(2) and (a == "word") is False
+
     def test_words_must_share_one_shape(self):
         with pytest.raises(DimensionMismatchError, match="codewords must share one shape"):
             Codebook((np.ones((2, 1)), -np.ones((1, 2))))

@@ -1,6 +1,7 @@
 """Unit tests for the complex-matrix primitives."""
 
 import math
+import re
 
 import numpy as np
 import pytest
@@ -312,7 +313,7 @@ class TestSingularValueStacks:
         whole = singular_values(a)
         assert whole.shape == (3, 5, 2)
         assert np.all(np.abs(whole - _lapack(a)) <= 1e-12 * _lapack(a)[..., :1])
-        monkeypatch.setattr(linalg, "_SV_SLICE", 2)
+        monkeypatch.setattr(linalg, "_SLICE", 2)
         assert np.array_equal(singular_values(a), whole)
 
     @pytest.mark.parametrize("scale", [1e-300, 1e-200, 1e200, 1e300])
@@ -344,12 +345,17 @@ def _psd_stack(k, rank, count, rng):
     return b @ b.conj().swapaxes(-1, -2)
 
 
+def _eig(m):
+    """psd_eigenvalues of a stack (..., k, k) of matrices, in and out laid out as for eigvalsh."""
+    return np.moveaxis(psd_eigenvalues(np.moveaxis(m, -3, -1)), -1, -2)
+
+
 class TestPsdEigenvalues:
     """The closed form for k <= 2 against numpy's LAPACK eigvalsh, taken here."""
 
     @staticmethod
     def _assert_matches_lapack(m):
-        got, ref = psd_eigenvalues(m), np.linalg.eigvalsh(m)
+        got, ref = _eig(m), np.linalg.eigvalsh(m)
         assert got.shape == ref.shape
         hi = np.abs(ref).max(axis=-1, keepdims=True)
         assert np.all(np.abs(got - ref) <= 8 * np.finfo(float).eps * hi)
@@ -372,7 +378,7 @@ class TestPsdEigenvalues:
         got = self._assert_matches_lapack(m)
         assert np.all(got[:, 0] == 0.0)
         assert np.all(got[:, 1] == m[:, 1 - row, 1 - row].real)
-        assert np.array_equal(psd_eigenvalues(np.zeros((3, 2, 2))), np.zeros((3, 2)))
+        assert np.array_equal(psd_eigenvalues(np.zeros((2, 2, 3))), np.zeros((2, 3)))
 
     def test_equal_eigenvalues(self):
         c = 10.0 ** make_rng(33).uniform(-3, 3, 200)
@@ -389,7 +395,7 @@ class TestPsdEigenvalues:
     def test_leading_axes_and_real_input(self):
         m = _psd_stack(2, 2, 3 * 4, make_rng(36)).reshape(3, 4, 2, 2)
         assert self._assert_matches_lapack(m).shape == (3, 4, 2)
-        assert np.array_equal(psd_eigenvalues(np.array([[2.0, 0.0], [0.0, 3.0]])), [2.0, 3.0])
+        assert np.array_equal(psd_eigenvalues(np.array([[[2.0], [0.0]], [[0.0], [3.0]]])), [[2.0], [3.0]])
         assert np.array_equal(psd_eigenvalues(np.array([[[4.0]]])), [[4.0]])
 
     @pytest.mark.parametrize("k", [1, 2, 3])
@@ -399,12 +405,20 @@ class TestPsdEigenvalues:
         m[2, 0, k - 1] = bad
         m[2, k - 1, 0] = bad
         with pytest.raises(np.linalg.LinAlgError), np.errstate(invalid="ignore"):
-            psd_eigenvalues(m)
+            _eig(m)
 
-    @pytest.mark.parametrize("shape", [(2,), (2, 3), (4, 1, 2), (0, 0)])
+    @pytest.mark.parametrize("shape", [(2,), (2, 3), (4, 1, 2), (0, 0), (2, 2), (4, 1, 2, 5), (0, 0, 5)])
     def test_bad_shapes(self, shape):
-        with pytest.raises(DimensionMismatchError):
+        with pytest.raises(DimensionMismatchError, match=re.escape("(..., k, k, n)")):
             psd_eigenvalues(np.ones(shape))
+
+    @pytest.mark.parametrize("k", [1, 2, 3])
+    def test_memory_layout_changes_no_bit(self, k):
+        # the blocks-last stack as a strided view and as a C-contiguous copy
+        m = np.moveaxis(_psd_stack(k, 2, 3 * 50, make_rng(37, (k,))).reshape(3, 50, k, k), 1, -1)
+        got = psd_eigenvalues(np.ascontiguousarray(m))
+        assert got.shape == (3, k, 50)
+        assert np.array_equal(got, psd_eigenvalues(m))
 
 
 class TestNumericRank:

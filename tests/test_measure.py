@@ -2,6 +2,7 @@
 
 import json
 import re
+import tracemalloc
 from itertools import combinations
 
 import numpy as np
@@ -9,6 +10,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from mlnsim import linalg
 from mlnsim.codes import EXAMPLE1_DELTA, EXAMPLE3_DELTA, DifferenceMatrix
 from mlnsim.linalg import make_rng, numeric_rank, sample_cn_matrix
 from mlnsim.measure import (
@@ -166,6 +168,13 @@ class TestMeasures:
                 assert r_unitary(delta, n) == r_unitary(a * delta, n)
                 assert r_uniform(delta, n) == r_uniform(a * delta, n)
 
+    @pytest.mark.parametrize("scale", [1e-150, 1e-13, 1.0, 1e150])
+    def test_measures_hold_at_any_scale_of_delta(self, scale):
+        # 1e-13 puts every entry below the support tolerance, yet each E_t and D keeps its rank
+        rep = compare_queries(scale * EXAMPLE1_DELTA, 2)
+        assert (rep.r_unitary, rep.r_uniform, rep.per_slot_ranks) == (4, 2, (2, 2))
+        assert rep.verdict == "unitary-dominates"
+
     def test_monotone_in_receive_antennas(self):
         for delta in (EXAMPLE1_DELTA, EXAMPLE3_DELTA, np.array([[1.0, 0.0], [1.0, 0.0]])):
             ru = [r_unitary(delta, n) for n in range(1, 5)]
@@ -258,6 +267,41 @@ class TestEmpiricalRankCheck:
         rep = empirical_rank_check(EXAMPLE1_DELTA, 2, np.int64(50), make_rng(12))
         assert type(rep.trials) is int and rep == empirical_rank_check(EXAMPLE1_DELTA, 2, 50, make_rng(12))
         json.dumps(rep.to_dict())
+
+    def test_slices_change_no_count(self, monkeypatch):
+        # slices of at most 7 draws against the whole batch at once, on batches that cross
+        # several slice boundaries; the 3e-10 entry straddles the rank threshold, so that
+        # slot's fraction lies between 0 and 1 and a changed rank would show
+        rng = make_rng(17)
+        cases = [
+            (EXAMPLE1_DELTA, 2), (np.array([[1.0, 1.0], [3e-10, 1.0]]), 2),
+            (np.array([[1.0, 0.0], [1.0, 0.0]]), 2), (2.0 * np.ones((3, 2)), 1),
+        ] + [(sample_cn_matrix(L, T, rng), N) for L, T, N in ((3, 2, 3), (1, 3, 2), (2, 4, 1))]
+        for delta, N in cases:
+            for trials in (1, 50, 131):
+                reports = []
+                for most in (7, 10**9):
+                    monkeypatch.setattr(linalg, "_SLICE", most)
+                    reports.append(empirical_rank_check(delta, N, trials, make_rng(18, (trials,))))
+                assert reports[0] == reports[1]
+        straddling = empirical_rank_check(cases[1][0], 2, 131, make_rng(18, (131,)))
+        assert 0.0 < straddling.per_slot_fractions[0] < 1.0
+
+    def test_memory_beyond_the_draw_does_not_grow_with_trials(self):
+        # apart from the draw of G (L N 16 B per trial) only one slice of matrices is
+        # alive; a whole-batch stack of D alone would add L N T 16 B = 128 B per trial,
+        # 7.7 MB more at 80k trials than at 20k
+        L = N = 2
+        empirical_rank_check(EXAMPLE1_DELTA, N, 1000, make_rng(19))  # warm-up
+        beyond_draw = []
+        for trials in (20_000, 80_000):
+            tracemalloc.start()
+            try:
+                empirical_rank_check(EXAMPLE1_DELTA, N, trials, make_rng(19))
+                beyond_draw.append(tracemalloc.get_traced_memory()[1] - L * N * 16 * trials)
+            finally:
+                tracemalloc.stop()
+        assert beyond_draw[1] - beyond_draw[0] < 2**20
 
     def test_matches_per_matrix_rank_rule(self):
         # the batched rank rule must agree with numeric_rank draw by draw

@@ -12,7 +12,7 @@ from scipy.special import erfc
 
 from mlnsim.channel import SystemDims, mix
 from mlnsim.codes import EXAMPLE1_DELTA, EXAMPLE3_DELTA, _as_diff, difference_matrix
-from mlnsim.linalg import make_rng, psd_eigenvalues, sample_cn_matrix
+from mlnsim.linalg import make_rng, psd_eigenvalues, sample_blocks, sample_cn_matrix
 from mlnsim.measure import build_D, build_E_t, scheme_weights
 from mlnsim.pep import (
     DivergentAverageError,
@@ -21,6 +21,7 @@ from mlnsim.pep import (
     PepEstimate,
     RouteDisagreementError,
     _batched_z,
+    _gram_eigenvalues,
     _lambda_products,
     check_scaled_limit,
     decay_exponent,
@@ -291,6 +292,7 @@ class TestQFunctionMc:
         # batches of 50 and 30 draws in slices of at most 7: each batch crosses several
         # slice boundaries, 50 = 2 * 7 + 6 * 6 and 30 = 5 * 6; Z itself is compared too,
         # on 1 to 99 draws, as a changed last bit of one draw seldom moves the estimate
+        import mlnsim.linalg as linalg_mod
         import mlnsim.pep as pep_mod
 
         monkeypatch.setattr(pep_mod, "_MC_BATCH", 50)
@@ -298,7 +300,7 @@ class TestQFunctionMc:
         rows = d.T if scheme == "unitary" else 1
         runs = []
         for z_slice in (7, 50):
-            monkeypatch.setattr(pep_mod, "_Z_SLICE", z_slice)
+            monkeypatch.setattr(linalg_mod, "_SLICE", z_slice)
             est = pep_qfunction_mc(scheme, delta, dims, 5.0, 130, make_rng(32))
             zs = [_batched_z(rows, d, dims.N, n, make_rng(n)).tobytes() for n in range(1, 100)]
             runs.append((est.value, est.std_error, zs))
@@ -433,7 +435,7 @@ class TestGramDeterminant:
                 assert calls == ([L] if L >= 3 else [])
                 G = sample_cn_matrix(self.DRAWS, L * N, make_rng(trial)).reshape(self.DRAWS, L, N)
                 grams = scheme_weights(delta, kind) * (G @ G.conj().swapaxes(1, 2))[:, None]
-                lam, ref_lam = psd_eigenvalues(grams), eigvalsh(grams)
+                lam, ref_lam = np.moveaxis(psd_eigenvalues(np.moveaxis(grams, 0, -1)), -1, 0), eigvalsh(grams)
                 assert np.all(np.abs(lam - ref_lam) <= 8 * np.finfo(float).eps * ref_lam[..., -1:])
 
     def test_zero_delta_is_exactly_one(self):
@@ -449,8 +451,8 @@ def test_lambda_products_keep_every_bit_of_the_row_product(monkeypatch):
     import mlnsim.pep as pep_mod
 
     seen = []
-    real = pep_mod.psd_eigenvalues
-    monkeypatch.setattr(pep_mod, "psd_eigenvalues", lambda m: seen.append(real(m)) or seen[-1])
+    real = pep_mod._gram_eigenvalues
+    monkeypatch.setattr(pep_mod, "_gram_eigenvalues", lambda G, A: seen.append(real(G, A)) or seen[-1])
     rng = make_rng(70)
     gbars = [0.0, 10.0, 10.0**4.5]
     draws = 200
@@ -464,10 +466,29 @@ def test_lambda_products_keep_every_bit_of_the_row_product(monkeypatch):
                 delta[:, int(rng.integers(T))] = 0.0
             seen.clear()
             got = list(_lambda_products(scheme_weights(delta, kind), int(rng.integers(1, 4)), draws, gbars, rng))
-            lam = seen[0].reshape(draws, -1)
+            lam = seen[0].T
             assert lam.shape[1] == wl
             for g, v in zip(gbars, got):
                 assert np.array_equal(v, 1.0 / np.prod(1.0 + (g / 4.0) * lam, axis=1))
+
+
+def test_lambda_products_hold_no_whole_batch_gram_temporary():
+    # example1 unitary (W = T = 2, L = N = 2) at 100k draws: the draw of G takes L N 16 B
+    # per draw, the eigenvalues and the factors W L 8 B each; one whole-batch L x L x N x n
+    # complex array, as G G^H formed at once needs, would add 128 B per draw to G's bytes
+    L = N = 2
+    n = 100_000
+    A = scheme_weights(EXAMPLE1_DELTA, "unitary")
+    for _ in _lambda_products(A, N, 1000, [10.0], make_rng(58)):  # warm-up
+        pass
+    tracemalloc.start()
+    try:
+        for _ in _lambda_products(A, N, n, [10.0, 30.0], make_rng(58)):
+            pass
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < (L * N + L * L * N) * 16 * n
 
 
 class TestEigenProductCurve:
@@ -548,6 +569,45 @@ class TestEigenProductCurve:
             assert curve[1].value < 1.0
             zero = pep_eigen_product_curve(kind, np.zeros((2, 2)), DIMS1, [-np.inf, 0.0, 45.0], 500, make_rng(54))
             assert all((e.value, e.std_error) == (1.0, 0.0) for e in zero)
+
+    def test_slices_change_no_bit(self, monkeypatch):
+        # slices of at most 7 draws against each batch at once: batches of 50, 50 and 30
+        # draws cross several slice boundaries, for L = 1 to 3 (L = 3 takes LAPACK's
+        # eigvalsh); the eigenvalues of 1 to 40 draws are compared too, as a changed
+        # last bit of one draw seldom moves an estimate
+        import mlnsim.linalg as linalg_mod
+        import mlnsim.pep as pep_mod
+
+        monkeypatch.setattr(pep_mod, "_MC_BATCH", 50)
+        rng = make_rng(56)
+        grid = [0.0, 15.0, 30.0, 45.0]
+        for case in range(12):
+            L, T, N = (int(rng.integers(1, 4)) for _ in range(3))
+            delta = sample_cn_matrix(L, T, rng)
+            if case % 2:
+                delta[:, int(rng.integers(T))] = 0.0
+            dims = SystemDims(2, L, N, T)
+            for kind in ("unitary", "uniform"):
+                runs = []
+                for most in (7, 10**9):
+                    monkeypatch.setattr(linalg_mod, "_SLICE", most)
+                    curve = pep_eigen_product_curve(kind, delta, dims, grid, 130, make_rng(57, (case,)))
+                    A = scheme_weights(delta, kind)
+                    lams = [_gram_eigenvalues(sample_blocks((L, N), n, make_rng(n)), A).tobytes() for n in range(1, 41)]
+                    runs.append((curve, lams))
+                assert runs[0] == runs[1]
+
+    def test_gram_eigenvalues_layout(self):
+        # row w L + k of the C-contiguous (W L) x n result is eigenvalue k of A_w o G G^H
+        rng = make_rng(59)
+        delta = sample_cn_matrix(3, 2, rng)
+        G = sample_blocks((3, 2), 30, rng)
+        A = scheme_weights(delta, "unitary")
+        lam = _gram_eigenvalues(G, A)
+        assert lam.shape == (2 * 3, 30) and lam.flags.c_contiguous
+        grams = A[:, None] * np.einsum("lnk,mnk->klm", G, G.conj())[None]
+        ref = np.linalg.eigvalsh(grams)  # W x n x L
+        assert np.allclose(lam, ref.transpose(0, 2, 1).reshape(6, 30), rtol=0.0, atol=1e-12 * ref.max())
 
     def test_memory_does_not_grow_with_grid(self):
         # stacking one length-`trials` sample per point would add 56 x 4000 x 8 B (1.8 MB)

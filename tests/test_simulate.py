@@ -618,6 +618,12 @@ class TestSimulateBers:
         # not once per query scheme
         _assert_draws_each_block_once(monkeypatch, ("dft", "uniform"), lambda s: simulate_bers(s, max_workers=2))
 
+    def test_equal_configs_compare_and_hash_equal(self):
+        # every field of a config, its codebook included, compares by value
+        first, second = _joint_sweeps(), _joint_sweeps()
+        assert first == second and hash(first) == hash(second)
+        assert first[0] != first[1]
+
     def test_equal_codebooks_share_a_sweep(self):
         # the same codewords in two Codebook objects fix the same blocks
         sweeps = _joint_sweeps(codebook=uncoded_bpsk(2, 2))
