@@ -29,8 +29,8 @@ print("backscatter stage G:\n", np.round(ch.G, 3))
 
 uniform = uniform_query(dims.T, dims.M)
 dft = unitary_query(dims.M, "dft")
-print("\nuniform query (all antennas send the same constant):\n", np.round(uniform.matrix, 3))
-print("DFT unitary query (orthonormal rows):\n", np.round(dft.matrix, 3))
+print("\nuniform query (all antennas send the same constant):\n", np.round(uniform, 3))
+print("DFT unitary query (orthonormal rows):\n", np.round(dft, 3))
 
 print("\nEffective forward process Q @ H seen by the tag:")
 yu = effective_forward(uniform, ch.H)

@@ -59,7 +59,7 @@ from .pep import (
     squared_distance_unitary,
 )
 from .presets import PRESET_NAMES, Preset, get_preset
-from .query import QueryMatrix, effective_forward, uniform_query, unitary_query, verify_unitary
+from .query import effective_forward, uniform_query, unitary_query, verify_unitary
 from .simulate import (
     BerCurve,
     BerPoint,

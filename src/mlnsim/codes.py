@@ -9,9 +9,11 @@ matrices) into one read-only K x T x L array; word k carries the b bits of k.
 
 The difference matrix of a codeword pair is stored L x T (antenna-major,
 transposed from codeword orientation) so that entry (l, t) is the symbol
-difference of antenna l at slot t. Its support counts and its rank describe
-it; the performance measures (``measure.compare_queries``) take their ranks
-from the matrices it builds with G, so they do not depend on its scale.
+difference of antenna l at slot t. Its nonzero-row count and its rank
+describe it. Both follow ``linalg.numeric_rank``'s one relative rule, which
+measures everything against delta's own largest entry or singular value, so
+they are the same for delta and for any nonzero multiple of it, as are the
+performance measures (``measure.compare_queries``).
 """
 
 from __future__ import annotations
@@ -21,7 +23,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .linalg import DimensionMismatchError, numeric_rank
+from .linalg import RANK_REL_TOL, DimensionMismatchError, numeric_rank
 
 __all__ = [
     "Codebook",
@@ -33,10 +35,6 @@ __all__ = [
     "EXAMPLE1_DELTA",
     "EXAMPLE3_DELTA",
 ]
-
-# entries whose magnitude exceeds this count as "nonzero" in support /
-# row-occupancy statistics; codebooks here are exact small rationals
-SUPPORT_TOL = 1e-12
 
 ENERGY_TOL = 1e-9
 
@@ -131,15 +129,14 @@ def _metric_weights(codewords: np.ndarray) -> np.ndarray:
 
 @dataclass(frozen=True)
 class DifferenceMatrix:
-    """C - C' stored antenna-major, with support counts and numeric rank.
+    """C - C' stored antenna-major, with its nonzero-row count and numeric rank.
 
-    column_supports[t] counts the tag antennas whose symbols differ at
-    slot t; nonzero_rows counts the antennas that differ anywhere in the
-    block. rank is computed on first use.
+    nonzero_rows counts the antennas whose largest entry exceeds RANK_REL_TOL
+    times delta's largest entry magnitude, those that differ anywhere in the
+    block. rank is ``numeric_rank(delta)``, computed on first use.
     """
 
     delta: np.ndarray  # L x T
-    column_supports: tuple = field(init=False)
     nonzero_rows: int = field(init=False)
 
     def __post_init__(self):
@@ -147,13 +144,13 @@ class DifferenceMatrix:
         if d.ndim != 2:
             raise DimensionMismatchError(f"delta must be 2-D, got shape {d.shape}")
         object.__setattr__(self, "delta", d)
-        nz = np.abs(d) > SUPPORT_TOL
-        object.__setattr__(self, "column_supports", tuple(int(c) for c in nz.sum(axis=0)))
-        object.__setattr__(self, "nonzero_rows", int(np.any(nz, axis=1).sum()))
+        row_max = np.abs(d).max(axis=1, initial=0.0)
+        nonzero = row_max > RANK_REL_TOL * row_max.max(initial=0.0)
+        object.__setattr__(self, "nonzero_rows", int(np.count_nonzero(nonzero)))
 
     @cached_property
     def rank(self) -> int:
-        return 0 if self.nonzero_rows == 0 else numeric_rank(self.delta)
+        return numeric_rank(self.delta)
 
     @property
     def L(self) -> int:
@@ -190,7 +187,7 @@ def pairwise_codebook_from_delta(delta) -> tuple[Codebook, float]:
     """
     d = _as_diff(delta).delta
     energy = np.sum(np.abs(d) ** 2)
-    if energy <= SUPPORT_TOL**2:
+    if energy == 0:
         raise ValueError("delta has no nonzero entries")
     T = d.shape[1]
     scale = float(np.sqrt(T / (energy / 4.0)))

@@ -1,15 +1,13 @@
 """Reader-side query matrices: the uniform scheme and unitary schemes.
 
-A query matrix Q (T x M) is what the M reader transmit antennas emit over
-the T slots of one block. The uniform scheme repeats one constant row; the
-unitary schemes (DFT, Sylvester-Hadamard, random) use orthonormal rows and
-require T == M. Every construction has unit row norm, so per-slot query
+A query matrix Q, a plain complex T x M array, is what the M reader
+transmit antennas emit over the T slots of one block. The uniform scheme
+repeats one constant row; the unitary schemes (DFT, Sylvester-Hadamard,
+random) use orthonormal rows and require T == M. Every construction has unit row norm, so per-slot query
 power is identical across schemes and performance comparisons are fair.
 """
 
 from __future__ import annotations
-
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -20,7 +18,6 @@ from .linalg import (
 )
 
 __all__ = [
-    "QueryMatrix",
     "UNITARY_KINDS",
     "QUERY_KINDS",
     "uniform_query",
@@ -35,28 +32,15 @@ QUERY_KINDS = ("uniform",) + UNITARY_KINDS
 UNITARY_TOL = 1e-10
 
 
-@dataclass(frozen=True)
-class QueryMatrix:
-    """A T x M query matrix tagged with the construction that produced it."""
-
-    matrix: np.ndarray
-    kind: str
-
-
-def query_array(q) -> np.ndarray:
-    """Accept a QueryMatrix or a bare array and return the array."""
-    return np.asarray(getattr(q, "matrix", q), dtype=complex)
-
-
-def uniform_query(T: int, M: int) -> QueryMatrix:
-    """All M antennas send the same constant signal for T slots.
+def uniform_query(T: int, M: int) -> np.ndarray:
+    """The complex T x M query in which all M antennas send the same constant signal for T slots.
 
     Every entry is 1/sqrt(M); rows have unit norm and the matrix has
     rank one.
     """
     if T < 1 or M < 1:
         raise DimensionMismatchError(f"T and M must be >= 1, got ({T}, {M})")
-    return QueryMatrix(np.full((T, M), 1.0 / np.sqrt(M), dtype=complex), "uniform")
+    return np.full((T, M), 1.0 / np.sqrt(M), dtype=complex)
 
 
 def _dft_matrix(M: int) -> np.ndarray:
@@ -80,8 +64,8 @@ def _sylvester_hadamard(M: int) -> np.ndarray:
     return h.astype(complex) / np.sqrt(M)
 
 
-def unitary_query(M: int, kind: str = "dft", rng: np.random.Generator | None = None) -> QueryMatrix:
-    """Build an M x M query with orthonormal rows (block length T = M).
+def unitary_query(M: int, kind: str = "dft", rng: np.random.Generator | None = None) -> np.ndarray:
+    """Build a complex M x M query with orthonormal rows (block length T = M).
 
     kind is one of "dft", "hadamard" (M a power of 2) or
     "random-unitary" (requires rng).
@@ -99,12 +83,12 @@ def unitary_query(M: int, kind: str = "dft", rng: np.random.Generator | None = N
         q = random_unitary(M, rng)
     else:
         raise ValueError(f"unknown unitary query kind {kind!r}; choose from {UNITARY_KINDS}")
-    return QueryMatrix(q, kind)
+    return q
 
 
 def verify_unitary(q, tol: float = UNITARY_TOL) -> bool:
     """True iff Q Q^H equals the identity within tol (Frobenius norm)."""
-    mat = query_array(q)
+    mat = np.asarray(q, dtype=complex)
     if mat.shape[0] != mat.shape[1]:
         raise DimensionMismatchError(f"unitarity needs a square matrix, got {mat.shape}")
     resid = mat @ mat.conj().T - np.eye(mat.shape[0])
@@ -122,7 +106,7 @@ def effective_forward(q, H: np.ndarray, *, out: np.ndarray | None = None) -> np.
     a blocks-last array in place. The product goes to out (a complex array
     of the result's shape, any strides) when given.
     """
-    mat = query_array(q)
+    mat = np.asarray(q, dtype=complex)
     H = np.asarray(H, dtype=complex)
     if H.ndim not in (2, 3) or mat.shape[1] != H.shape[0]:
         raise DimensionMismatchError(f"query has {mat.shape[1]} columns but channel has {H.shape} shape")

@@ -89,7 +89,7 @@ from .channel import ChannelRealization, SystemDims, checked_integer, checked_sn
 from .codes import Codebook
 from .csvio import csv_rows, csv_text
 from .linalg import DimensionMismatchError, even_slices, make_rng, sample_blocks
-from .query import QUERY_KINDS, check_query_shape, effective_forward, query_array, uniform_query, unitary_query
+from .query import QUERY_KINDS, check_query_shape, effective_forward, uniform_query, unitary_query
 
 __all__ = [
     "SnrSweepConfig",
@@ -420,21 +420,18 @@ def _score_chunk(
     return tallies
 
 
-def _worker_count(n_tasks: int, max_workers: int | None) -> int:
-    if max_workers is None:
-        max_workers = os.cpu_count() or 1
-        env = os.environ.get("MLNSIM_THREADS")
-        if env:
-            try:
-                threads = int(env)
-            except ValueError:
-                threads = 0
-            if threads < 1:
-                raise ValueError(f"MLNSIM_THREADS must be an integer >= 1, got {env!r}")
-            max_workers = min(max_workers, threads)
-    elif max_workers < 1:
-        raise ValueError(f"max_workers must be >= 1, got {max_workers!r}")
-    return min(max_workers, n_tasks)
+def _worker_count(n_tasks: int) -> int:
+    workers = os.cpu_count() or 1
+    env = os.environ.get("MLNSIM_THREADS")
+    if env:
+        try:
+            threads = int(env)
+        except ValueError:
+            threads = 0
+        if threads < 1:
+            raise ValueError(f"MLNSIM_THREADS must be an integer >= 1, got {env!r}")
+        workers = min(workers, threads)
+    return min(workers, n_tasks)
 
 
 def _shared_layout(configs: tuple) -> SnrSweepConfig:
@@ -451,7 +448,7 @@ def _shared_layout(configs: tuple) -> SnrSweepConfig:
     return first
 
 
-def simulate_bers(configs, max_workers: int | None = None) -> tuple[BerCurve, ...]:
+def simulate_bers(configs) -> tuple[BerCurve, ...]:
     """Run several SNR sweeps on the same blocks and return their BER curves, in order.
 
     The configs may differ in query_kind, snr_grid_db and target_error_events
@@ -460,19 +457,21 @@ def simulate_bers(configs, max_workers: int | None = None) -> tuple[BerCurve, ..
     differs. Every batch of blocks is drawn once and scored at every SNR
     point of every config that is still below its event target, so the
     curves share their channel, codeword and noise draws (common random
-    numbers). Chunks of a batch run in one thread pool for the whole call
-    (capped by the MLNSIM_THREADS environment variable when max_workers is
-    not given), each on its own substream of the seed, so the result does
-    not depend on scheduling, and each curve equals that of its config swept
-    alone. Under-resolved points (too few error events at the trial cap) are
-    kept and flagged via BerPoint.resolved rather than failing the sweep.
+    numbers). Chunks of a batch run in one thread pool for the whole call,
+    of os.cpu_count() workers capped by the MLNSIM_THREADS environment
+    variable (a ValueError names it unless it is an integer >= 1), each
+    chunk on its own substream of the seed, so the result does not depend
+    on scheduling or on the worker count, and each curve equals that of its
+    config swept alone. Under-resolved points (too few error events at the
+    trial cap) are kept and flagged via BerPoint.resolved rather than failing
+    the sweep.
     """
     configs = tuple(configs)
     layout = _shared_layout(configs)
     cap = layout.max_trials_per_point
     largest_batch_chunks = -(-min(max(_BATCH_SCHEDULE), cap) // _CHUNK)
-    workers = _worker_count(largest_batch_chunks, max_workers)
-    queries = [query_array(build_query(c.query_kind, c.dims, c.seed)) for c in configs]
+    workers = _worker_count(largest_batch_chunks)
+    queries = [build_query(c.query_kind, c.dims, c.seed) for c in configs]
     # the points of every config in one array, config by config
     sizes = [len(c.snr_grid_db) for c in configs]
     owner = np.repeat(np.arange(len(configs)), sizes)
@@ -486,7 +485,7 @@ def simulate_bers(configs, max_workers: int | None = None) -> tuple[BerCurve, ..
     words = _sent_words(layout.codebook)
     weights = layout.codebook.metric_weights
     ws = _Workspace()
-    with ThreadPoolExecutor(max_workers=workers) as pool:
+    with ThreadPoolExecutor(workers) as pool:
         while active.any():
             n = min(_BATCH_SCHEDULE[min(batch, len(_BATCH_SCHEDULE) - 1)], cap - drawn)
             idx = np.flatnonzero(active)
@@ -515,9 +514,9 @@ def simulate_bers(configs, max_workers: int | None = None) -> tuple[BerCurve, ..
     return tuple(curves)
 
 
-def simulate_ber(config: SnrSweepConfig, max_workers: int | None = None) -> BerCurve:
+def simulate_ber(config: SnrSweepConfig) -> BerCurve:
     """Run the full SNR sweep of one config and return its BER curve (see simulate_bers)."""
-    return simulate_bers([config], max_workers)[0]
+    return simulate_bers([config])[0]
 
 
 def _crossing_snr(curve: BerCurve, ber_level: float, label: str) -> float:

@@ -493,14 +493,21 @@ class TestLoadConfig:
 
 
 class TestCliCommands:
-    def test_measure_example1(self, tmp_path, capsys):
-        status = main(["measure", "--preset", "example1", "--out", str(tmp_path)])
+    # r_unitary, r_uniform, per_slot_ranks, rank_delta, nonzero_rows and verdict of each preset
+    MEASURE_REPORTS = {
+        "example1": (4, 2, [2, 2], 2, 2, "unitary-dominates"),
+        "example2": (2, 2, [1, 1], 2, 2, "comparable"),
+        "example3": (2, 1, [1, 1], 1, 1, "unitary-dominates"),
+    }
+
+    @pytest.mark.parametrize("preset", sorted(MEASURE_REPORTS))
+    def test_measure_preset(self, tmp_path, capsys, preset):
+        status = main(["measure", "--preset", preset, "--out", str(tmp_path)])
         assert status == 0
         out = json.loads(capsys.readouterr().out)
-        assert out["r_unitary"] == 4
-        assert out["r_uniform"] == 2
-        assert out["verdict"] == "unitary-dominates"
-        on_disk = json.loads((tmp_path / "measure_example1.json").read_text())
+        fields = ("r_unitary", "r_uniform", "per_slot_ranks", "rank_delta", "nonzero_rows", "verdict")
+        assert out == dict(zip(fields, self.MEASURE_REPORTS[preset]))
+        on_disk = json.loads((tmp_path / f"measure_{preset}.json").read_text())
         assert on_disk == out
 
     def test_verify_lemmas_example2(self, tmp_path):

@@ -14,6 +14,7 @@ from mlnsim import linalg
 from mlnsim.codes import EXAMPLE1_DELTA, EXAMPLE3_DELTA, DifferenceMatrix
 from mlnsim.linalg import make_rng, numeric_rank, sample_cn_matrix
 from mlnsim.measure import (
+    MeasureReport,
     build_D,
     build_E_t,
     compare_queries,
@@ -168,12 +169,11 @@ class TestMeasures:
                 assert r_unitary(delta, n) == r_unitary(a * delta, n)
                 assert r_uniform(delta, n) == r_uniform(a * delta, n)
 
-    @pytest.mark.parametrize("scale", [1e-150, 1e-13, 1.0, 1e150])
+    @pytest.mark.parametrize("scale", [1e-150, 1e-13, 1.0, 1e150, -3e-13 + 4e-13j])
     def test_measures_hold_at_any_scale_of_delta(self, scale):
-        # 1e-13 puts every entry below the support tolerance, yet each E_t and D keeps its rank
         rep = compare_queries(scale * EXAMPLE1_DELTA, 2)
-        assert (rep.r_unitary, rep.r_uniform, rep.per_slot_ranks) == (4, 2, (2, 2))
-        assert rep.verdict == "unitary-dominates"
+        assert rep == compare_queries(EXAMPLE1_DELTA, 2)
+        assert rep == MeasureReport(4, 2, (2, 2), 2, 2, "unitary-dominates")
 
     def test_monotone_in_receive_antennas(self):
         for delta in (EXAMPLE1_DELTA, EXAMPLE3_DELTA, np.array([[1.0, 0.0], [1.0, 0.0]])):

@@ -15,15 +15,15 @@ from mlnsim.query import (
 
 class TestUniformQuery:
     def test_scalar(self):
-        assert np.array_equal(uniform_query(1, 1).matrix, [[1.0]])
+        assert np.array_equal(uniform_query(1, 1), [[1.0]])
 
     def test_two_by_two(self):
-        q = uniform_query(2, 2).matrix
+        q = uniform_query(2, 2)
         assert np.allclose(q, np.full((2, 2), 1 / np.sqrt(2)))
         assert np.allclose(np.sum(np.abs(q) ** 2, axis=1), 1.0)
 
     def test_rank_one(self):
-        q = uniform_query(3, 4).matrix
+        q = uniform_query(3, 4)
         assert np.allclose(q, 0.5)
         assert numeric_rank(q) == 1
 
@@ -32,18 +32,18 @@ class TestUnitaryQuery:
     def test_m1_coincides_with_uniform(self):
         for kind in UNITARY_KINDS:
             q = unitary_query(1, kind, make_rng(0))
-            assert q.matrix.shape == (1, 1)
-            assert abs(abs(q.matrix[0, 0]) - 1.0) < 1e-12
-        assert np.allclose(unitary_query(1, "dft").matrix, uniform_query(1, 1).matrix)
+            assert q.shape == (1, 1)
+            assert abs(abs(q[0, 0]) - 1.0) < 1e-12
+        assert np.allclose(unitary_query(1, "dft"), uniform_query(1, 1))
 
     def test_hadamard_base_case(self):
-        q = unitary_query(2, "hadamard").matrix
+        q = unitary_query(2, "hadamard")
         assert np.allclose(q, np.array([[1, 1], [1, -1]]) / np.sqrt(2))
 
     def test_dft_four(self):
         q = unitary_query(4, "dft")
         assert verify_unitary(q, 1e-10)
-        assert np.allclose(np.abs(q.matrix), 0.25**0.5)
+        assert np.allclose(np.abs(q), 0.25**0.5)
 
     def test_hadamard_needs_power_of_two(self):
         with pytest.raises(ValueError):
@@ -57,8 +57,9 @@ class TestUnitaryQuery:
         for kind in UNITARY_KINDS:
             for m in (1, 2, 4, 8):
                 q = unitary_query(m, kind, make_rng(3, (m,)))
+                assert type(q) is np.ndarray and q.dtype == complex and q.shape == (m, m)
                 assert verify_unitary(q, 1e-10)
-                assert np.max(np.abs(np.sum(np.abs(q.matrix) ** 2, axis=1) - 1.0)) < 1e-12
+                assert np.max(np.abs(np.sum(np.abs(q) ** 2, axis=1) - 1.0)) < 1e-12
 
 
 class TestVerifyUnitary:
@@ -86,7 +87,7 @@ class TestEffectiveForward:
         rng = make_rng(6)
         q = unitary_query(2, "dft")
         h = sample_cn_matrix(2 * 100_000, 1, rng).reshape(100_000, 2, 1)
-        x = np.einsum("tm,kml->ktl", q.matrix, h)
+        x = np.einsum("tm,kml->ktl", q, h)
         a, b = x[:, 0, 0], x[:, 1, 0]
         corr = np.mean(a * np.conj(b)) / np.sqrt(np.mean(np.abs(a) ** 2) * np.mean(np.abs(b) ** 2))
         assert abs(corr) < 0.02
@@ -114,7 +115,7 @@ class TestEffectiveForward:
 def test_query_block_energy_matches_across_schemes():
     # same total query energy per block: fair comparison between schemes
     for m in (1, 2, 4):
-        uni = uniform_query(m, m).matrix
+        uni = uniform_query(m, m)
         for kind in UNITARY_KINDS:
-            unit = unitary_query(m, kind, make_rng(9, (m,))).matrix
+            unit = unitary_query(m, kind, make_rng(9, (m,)))
             assert np.sum(np.abs(uni) ** 2) == pytest.approx(np.sum(np.abs(unit) ** 2), abs=1e-12)

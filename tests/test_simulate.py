@@ -16,7 +16,7 @@ from mlnsim.codes import (
 )
 from mlnsim.linalg import make_rng, sample_cn_matrix
 from mlnsim.pep import pep_qfunction_mc
-from mlnsim.query import query_array, uniform_query, unitary_query
+from mlnsim.query import uniform_query, unitary_query
 from mlnsim.simulate import (
     BerCurve,
     BerPoint,
@@ -32,6 +32,12 @@ from mlnsim.channel import backscatter_transmit
 
 def _antipodal():
     return pairwise_codebook_from_delta(EXAMPLE1_DELTA)[0]
+
+
+def _threads(monkeypatch, workers):
+    """Run the next sweeps on `workers` pool threads, the MLNSIM_THREADS cap, whatever the core count."""
+    monkeypatch.setattr(simulate.os, "cpu_count", lambda: 64)
+    monkeypatch.setenv("MLNSIM_THREADS", str(workers))
 
 
 class TestMlDetect:
@@ -98,9 +104,8 @@ def _random_codewords(family, rng):
     return rng.standard_normal((K, T, L)) + 1j * rng.standard_normal((K, T, L))
 
 
-def _random_blocks(q, codewords, n, noise_std, rng):
+def _random_blocks(Q, codewords, n, noise_std, rng):
     """Blocks-last X = Q H, G, R = (X o C) G + W and the sent words C for n blocks."""
-    Q = query_array(q)
     T, L = codewords.shape[1:]
     N = int(rng.integers(1, 5))
     H = rng.standard_normal((Q.shape[1], L, n)) + 1j * rng.standard_normal((Q.shape[1], L, n))
@@ -242,6 +247,7 @@ class TestMetricKernel:
         monkeypatch.setattr(simulate, "_metric", spy)
         # build the cached weights untraced: real, so T L (L + 1) columns
         assert cb.metric_weights.shape == (K, 80)
+        _threads(monkeypatch, 1)
         peaks, points = [], []
         for blocks in (96, 384):
             sweep = SnrSweepConfig(
@@ -251,7 +257,7 @@ class TestMetricKernel:
             slices.clear()
             tracemalloc.start()
             try:
-                points.append(simulate_ber(sweep, max_workers=1).points[0])
+                points.append(simulate_ber(sweep).points[0])
                 peaks.append(tracemalloc.get_traced_memory()[1])
             finally:
                 tracemalloc.stop()
@@ -270,7 +276,7 @@ class TestMetricKernel:
         G = sample_cn_matrix(96, dims.L * dims.N, rng).reshape(96, dims.L, dims.N)
         sent = rng.integers(0, K, 96)
         W = sample_cn_matrix(96, dims.T * dims.N, rng).reshape(96, dims.T, dims.N)
-        Q = query_array(simulate.build_query("dft", dims, 8))
+        Q = simulate.build_query("dft", dims, 8)
         XG = np.einsum("tm,kml,kln->ktln", Q, H, G)  # ((X o C) G)[t] = C[t] @ XG[t]
         R = np.einsum("ktl,ktln->ktn", cb.codewords[sent], XG)
         R = R + np.sqrt(1.0 / 10.0 ** (6.0 / 10.0)) * W
@@ -317,7 +323,7 @@ class TestSliceBudget:
         words = simulate._sent_words(codebook)
         weights = codebook.metric_weights
         sweep = SnrSweepConfig(dims=dims, query_kind=query_kinds[0], codebook=codebook, snr_grid_db=(0.0,))
-        schemes = [(query_array(simulate.build_query(k, dims, 0)), np.array([1.0])) for k in query_kinds]
+        schemes = [(simulate.build_query(k, dims, 0), np.array([1.0])) for k in query_kinds]
         ws = simulate._Workspace()
         simulate._score_chunk(sweep, schemes, words, weights, (1, 0, 0), n, ws)
         assert seen[:: len(schemes)] == slices
@@ -359,7 +365,7 @@ class TestScorePoints:
             else:
                 codewords = rng.standard_normal((K, T, L)) + 1j * rng.standard_normal((K, T, L))
             n = 300
-            X = query_array(unitary_query(T, "dft")) @ (
+            X = unitary_query(T, "dft") @ (
                 rng.standard_normal((T, L * n)) + 1j * rng.standard_normal((T, L * n))
             )
             X = X.reshape(T, L, n)
@@ -409,7 +415,7 @@ class TestScorePoints:
         dims = SystemDims(2, 2, 2, 2)
         cb = _antipodal()
         sweep = SnrSweepConfig(dims=dims, query_kind="dft", codebook=cb, snr_grid_db=(0.0, 10.0))
-        Q = query_array(simulate.build_query("dft", dims, 0))
+        Q = simulate.build_query("dft", dims, 0)
         words = simulate._sent_words(cb)
         stds = np.array([1.0, 0.3])
         ws = simulate._Workspace()
@@ -473,7 +479,7 @@ class TestSimulateBer:
                 snr_grid_db=(0.0,), **{field: value},
             )
 
-    def test_reproducible_bit_for_bit(self):
+    def test_reproducible_bit_for_bit(self, monkeypatch):
         sweep = SnrSweepConfig(
             dims=SystemDims(2, 2, 2, 2), query_kind="dft", codebook=_antipodal(),
             snr_grid_db=(0.0, 4.0, 8.0), max_trials_per_point=30_000,
@@ -483,21 +489,26 @@ class TestSimulateBer:
         b = simulate_ber(sweep)
         assert a.to_csv() == b.to_csv()
         # and independent of worker count
-        c = simulate_ber(sweep, max_workers=1)
+        _threads(monkeypatch, 1)
+        c = simulate_ber(sweep)
         assert a.to_csv() == c.to_csv()
 
     def test_sweep_draws_each_block_once(self, monkeypatch):
         # one draw stream per sweep: max_trials blocks of H, G and W, not one per point
-        _assert_draws_each_block_once(monkeypatch, ("uniform",), lambda s: [simulate_ber(s[0], max_workers=2)])
+        _threads(monkeypatch, 2)
+        _assert_draws_each_block_once(monkeypatch, ("uniform",), lambda s: [simulate_ber(s[0])])
 
-    def test_byte_identical_across_worker_counts(self):
+    def test_byte_identical_across_worker_counts(self, monkeypatch):
         # batches of 20k and 50k blocks span two and five chunks
         sweep = SnrSweepConfig(
             dims=SystemDims(2, 1, 2, 2), query_kind="dft", codebook=uncoded_bpsk(2, 1),
             snr_grid_db=(4.0, 10.0, 16.0), max_trials_per_point=70_000,
             target_error_events=2_000, seed=10,
         )
-        csvs = [simulate_ber(sweep, max_workers=w).to_csv() for w in (1, 2, 3)]
+        csvs = []
+        for w in (1, 2, 3):
+            _threads(monkeypatch, w)
+            csvs.append(simulate_ber(sweep).to_csv())
         assert csvs[0] == csvs[1] == csvs[2]
         assert [p.trials for p in BerCurve.from_csv(csvs[0]).points] == [20_000, 70_000, 70_000]
 
@@ -507,7 +518,7 @@ class TestSimulateBer:
             snr_grid_db=(0.0, 40.0), max_trials_per_point=100_000,
             target_error_events=300, seed=11,
         )
-        low, high = simulate_ber(sweep, max_workers=1).points
+        low, high = simulate_ber(sweep).points
         assert (low.trials, high.trials) == (20_000, 100_000)
         assert low.error_events >= 300 and high.error_events < 300
 
@@ -515,9 +526,9 @@ class TestSimulateBer:
         for env in ("abc", "0", "-2"):
             monkeypatch.setenv("MLNSIM_THREADS", env)
             with pytest.raises(ValueError, match=f"MLNSIM_THREADS must be an integer >= 1, got '{env}'"):
-                simulate._worker_count(3, None)
+                simulate._worker_count(3)
 
-    def test_short_last_chunk_byte_identical_across_worker_counts(self):
+    def test_short_last_chunk_byte_identical_across_worker_counts(self, monkeypatch):
         # a 25k cap draws chunks of 10k, 10k and then 5k blocks, so a worker's
         # arrays are reused for a shorter chunk than they were made for
         sweep = SnrSweepConfig(
@@ -525,7 +536,10 @@ class TestSimulateBer:
             snr_grid_db=(0.0, 8.0, 16.0, 24.0), max_trials_per_point=25_000,
             target_error_events=10**6, seed=12,
         )
-        csvs = [simulate_ber(sweep, max_workers=w).to_csv() for w in (1, 2, 3)]
+        csvs = []
+        for w in (1, 2, 3):
+            _threads(monkeypatch, w)
+            csvs.append(simulate_ber(sweep).to_csv())
         assert csvs[0] == csvs[1] == csvs[2]
         assert all(p.trials == 25_000 for p in BerCurve.from_csv(csvs[0]).points)
 
@@ -602,13 +616,15 @@ def _joint_sweeps(**changes):
 
 
 class TestSimulateBers:
-    def test_equals_separate_sweeps_for_any_worker_count(self):
+    def test_equals_separate_sweeps_for_any_worker_count(self, monkeypatch):
         # the dft sweep stops after the first batch of 20k blocks, while the
         # uniform one runs on to the 70k cap (batches of two and five chunks)
         sweeps = _joint_sweeps()
-        separate = [simulate_ber(s, max_workers=1).to_csv() for s in sweeps]
+        _threads(monkeypatch, 1)
+        separate = [simulate_ber(s).to_csv() for s in sweeps]
         for workers in (1, 2, 3):
-            joint = [c.to_csv() for c in simulate_bers(sweeps, max_workers=workers)]
+            _threads(monkeypatch, workers)
+            joint = [c.to_csv() for c in simulate_bers(sweeps)]
             assert joint == separate, workers
         first, second = (BerCurve.from_csv(c).points for c in separate)
         assert [p.trials for p in first] == [20_000, 20_000]
@@ -616,7 +632,8 @@ class TestSimulateBers:
 
     def test_pair_draws_each_block_once(self, monkeypatch):
         # not once per query scheme
-        _assert_draws_each_block_once(monkeypatch, ("dft", "uniform"), lambda s: simulate_bers(s, max_workers=2))
+        _threads(monkeypatch, 2)
+        _assert_draws_each_block_once(monkeypatch, ("dft", "uniform"), simulate_bers)
 
     def test_equal_configs_compare_and_hash_equal(self):
         # every field of a config, its codebook included, compares by value
@@ -628,8 +645,8 @@ class TestSimulateBers:
         # the same codewords in two Codebook objects fix the same blocks
         sweeps = _joint_sweeps(codebook=uncoded_bpsk(2, 2))
         assert sweeps[0].codebook is not sweeps[1].codebook
-        joint = simulate_bers(sweeps, max_workers=1)
-        assert [c.to_csv() for c in joint] == [simulate_ber(s, max_workers=1).to_csv() for s in sweeps]
+        joint = simulate_bers(sweeps)
+        assert [c.to_csv() for c in joint] == [simulate_ber(s).to_csv() for s in sweeps]
 
     @pytest.mark.parametrize(
         "field,changes",
@@ -650,14 +667,6 @@ class TestSimulateBers:
     def test_no_configs_rejected(self):
         with pytest.raises(ValueError, match="^configs:"):
             simulate_bers([])
-
-    @pytest.mark.parametrize("workers", [0, -5])
-    def test_max_workers_below_one_rejected(self, workers):
-        sweeps = _joint_sweeps()
-        with pytest.raises(ValueError, match=f"max_workers must be >= 1, got {workers}"):
-            simulate_bers(sweeps, max_workers=workers)
-        with pytest.raises(ValueError, match=f"max_workers must be >= 1, got {workers}"):
-            simulate_ber(sweeps[0], max_workers=workers)
 
 
 class TestBerCurveCsv:
