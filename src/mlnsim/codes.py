@@ -18,7 +18,7 @@ performance measures (``measure.compare_queries``).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from functools import cached_property
 
 import numpy as np
@@ -44,12 +44,23 @@ EXAMPLE1_DELTA = np.array([[1.0, -2.0], [1.5, 2.5]])
 EXAMPLE3_DELTA = np.array([[2.0, 2.0]])
 
 
-@dataclass(frozen=True)
-class Codebook:
-    """K = 2**bits_per_block T x L codewords, copied into one read-only complex K x T x L array.
+class ByValue:
+    """Equality and hash of a frozen dataclass(eq=False): its fields, a read-only array by shape and bytes."""
 
-    Two codebooks are equal, and hash equal, when their codewords have the same shape and bytes.
-    """
+    def _key(self) -> tuple:
+        values = (getattr(self, f.name) for f in fields(self) if f.compare)
+        return tuple((v.shape, v.tobytes()) if isinstance(v, np.ndarray) else v for v in values)
+
+    def __eq__(self, other) -> bool:
+        return self._key() == other._key() if type(other) is type(self) else NotImplemented
+
+    def __hash__(self) -> int:
+        return hash(self._key())
+
+
+@dataclass(frozen=True, eq=False)
+class Codebook(ByValue):
+    """K = 2**bits_per_block T x L codewords, copied into one read-only complex K x T x L array."""
 
     codewords: np.ndarray
 
@@ -84,19 +95,6 @@ class Codebook:
 
     def __len__(self) -> int:
         return len(self.codewords)
-
-    def __eq__(self, other) -> bool:
-        if not isinstance(other, Codebook):
-            return NotImplemented
-        return self._key == other._key
-
-    def __hash__(self) -> int:
-        return hash(self._key)
-
-    @property
-    def _key(self) -> tuple:
-        """What equality and the hash compare: the shape and the bytes of codewords."""
-        return self.codewords.shape, self.codewords.tobytes()
 
     @cached_property
     def metric_weights(self) -> np.ndarray:

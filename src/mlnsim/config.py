@@ -23,7 +23,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .channel import SystemDims, checked_snr_grid
-from .codes import Codebook, difference_matrix, repetition_bpsk, uncoded_bpsk, pairwise_codebook_from_delta, EXAMPLE1_DELTA
+from .codes import ByValue, Codebook, difference_matrix, repetition_bpsk, uncoded_bpsk, pairwise_codebook_from_delta, EXAMPLE1_DELTA
 from .measure import QUERY_SCHEMES, scheme_weights
 from .query import UNITARY_KINDS, check_query_shape
 from .simulate import DEFAULT_MAX_TRIALS_PER_POINT, DEFAULT_TARGET_ERROR_EVENTS
@@ -124,9 +124,9 @@ def _parse_matrix(rows, what: str) -> np.ndarray:
     return np.array([[_parse_entry(v, what) for v in r] for r in rows], dtype=complex)
 
 
-@dataclass(frozen=True)
-class ExperimentConfig:
-    """A fully validated experiment description."""
+@dataclass(frozen=True, eq=False)
+class ExperimentConfig(ByValue):
+    """A fully validated experiment description; equal configs compare and hash equal."""
 
     command: str
     preset: str | None
@@ -134,7 +134,7 @@ class ExperimentConfig:
     query: str  # unitary construction used against the uniform query
     codebook_name: str
     codebook: Codebook
-    delta: np.ndarray  # L x T
+    delta: np.ndarray  # read-only complex L x T
     snr_grid_db: tuple
     seed: int
     trials: int  # Monte Carlo trials for measure/lemma/pep work
@@ -159,7 +159,7 @@ def _build_codebook(name, values, dims: SystemDims) -> Codebook:
 
 
 def _setting(doc: dict) -> tuple[SystemDims, Codebook, np.ndarray]:
-    """Dims, codebook and L x T difference matrix of a document or preset fragment."""
+    """Dims, codebook and read-only complex L x T difference matrix of a document or preset fragment."""
     name = doc.get("codebook")
     if name is None:
         raise ConfigError("codebook: required when no preset is given")
@@ -175,9 +175,10 @@ def _setting(doc: dict) -> tuple[SystemDims, Codebook, np.ndarray]:
     if "delta" in doc:
         delta = _parse_matrix(doc["delta"], "delta")
     elif name == "example1-pair":
-        delta = EXAMPLE1_DELTA.copy()
+        delta = EXAMPLE1_DELTA.astype(complex)
     else:
         delta = difference_matrix(codebook.codewords[0], codebook.codewords[1]).delta
+    delta.flags.writeable = False
     if delta.shape != (dims.L, dims.T):
         raise ConfigError(f"delta: must be L x T = {dims.L}x{dims.T}, got {delta.shape}")
     try:
@@ -267,7 +268,7 @@ def load_config(path: str | None = None, overrides: dict | None = None) -> Exper
         query=query,
         codebook_name=merged["codebook"],
         codebook=codebook,
-        delta=np.asarray(delta, dtype=complex),
+        delta=delta,
         snr_grid_db=grid,
         seed=seed,
         trials=trials,

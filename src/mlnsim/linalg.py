@@ -1,8 +1,10 @@
 """Complex-matrix primitives: sampling, products, norms, singular values, PSD eigenvalues, rank.
 
-Matrices are plain 2-D ``numpy`` arrays of ``complex128``. Every operation
-is a pure function of its inputs; randomness always comes in through an
-explicit ``numpy.random.Generator`` so results are reproducible per seed.
+Arrays are ``complex128``, and stacks are blocks last: matrix j of an (..., m, n, B) stack
+is a[..., :, :, j], as ``sample_blocks`` draws them. Stack kernels work elementwise over B
+and do not slice; a caller with a large stack slices it (``even_slices``). Every operation
+is a pure function of its inputs; randomness always comes in through an explicit
+``numpy.random.Generator`` so results are reproducible per seed.
 """
 
 from __future__ import annotations
@@ -28,10 +30,10 @@ __all__ = [
 # are tiny (at most a few rows/columns) with O(1) entries, so true zero
 # singular values sit many orders of magnitude below sigma_max.
 RANK_REL_TOL = 1e-10
+UNITARY_TOL = 1e-10  # on the Frobenius norm of Q Q^H - I of a unitary Q
 
-# most matrices or draws per slice of a stack kernel (even_slices' default): for
-# example1 each slice-sized array is 0.5 MB, where a whole 100k-draw stack's
-# temporaries reach tens of MB
+# most matrices or draws per slice of a stack (even_slices' default): for example1
+# each slice-sized array is 0.5 MB, where a whole 100k-draw stack's temporaries reach tens of MB
 _SLICE = 8192
 
 _INV_SQRT2 = 1.0 / np.sqrt(2.0)
@@ -120,7 +122,7 @@ def sample_blocks(shape: tuple, n: int, rng: np.random.Generator, *, out: np.nda
 def even_slices(n: int, most: int | None = None) -> list[slice]:
     """ceil(n / most) consecutive slices that cover range(n), with sizes that differ by at most 1.
 
-    most defaults to _SLICE, the slice size of every stack kernel. The larger slices
+    most defaults to _SLICE, the slice size of every sliced stack. The larger slices
     come first, so a buffer sized for the first fits every later one.
     """
     most = _SLICE if most is None else most
@@ -158,11 +160,12 @@ def frobenius_norm_sq(a: np.ndarray) -> float:
 
 
 def singular_values(a: np.ndarray) -> np.ndarray:
-    """Singular values of A, or of every matrix in a stack (..., m, n), descending.
+    """Singular values of a matrix (m, n), or of every matrix in a blocks-last stack (..., m, n, B), descending.
 
-    For k = min(m, n) >= 3 this is numpy's LAPACK SVD. For k <= 2 a closed
-    form is evaluated elementwise over the stack, which skips LAPACK's fixed
-    cost of about 2 us per tiny matrix. k = 1 gives the row or column norm.
+    Matrix j's k = min(m, n) values are s[..., :, j] of a (..., k, B) result. For
+    k >= 3 this is numpy's LAPACK SVD. For k <= 2 a closed form is evaluated
+    elementwise over the stack, which skips LAPACK's fixed cost of about 2 us
+    per tiny matrix. k = 1 gives the row or column norm.
     For k = 2, with a, b the two rows (or columns), one Gram-Schmidt step
     gives R = [[f, g], [0, h]] with f = ||a||, g = |a^H b| / f and
     h = ||b - (a^H b / f^2) a||. Then P = sigma1 sigma2 = |det R| = f h (the
@@ -175,44 +178,47 @@ def singular_values(a: np.ndarray) -> np.ndarray:
     appears, so the absolute error stays a small multiple of eps * sigma1,
     as LAPACK's does (below 1e-15 sigma1 against LAPACK on random stacks).
     Gram eigenvalues would square the condition number and leave an error
-    near 1.5e-8 sigma1 on a zero sigma2, above the rank threshold. A stack
+    near 1.5e-8 sigma1 on a zero sigma2, above the rank threshold. A matrix
     with a row whose squared norm lies outside (1e-290, 1e290), a zero row
-    included, is first scaled matrix by matrix by its largest entry
-    magnitude, so that no product over- or underflows.
+    included, is first scaled by its largest entry magnitude, so that no
+    product over- or underflows. No other matrix is, so the values of each
+    matrix, to the bit, do not depend on the rest of its stack.
 
     Raises ``numpy.linalg.LinAlgError`` if an entry is NaN or infinite, or
     if LAPACK fails to converge.
     """
     a = np.asarray(a, dtype=complex)
-    if a.ndim < 2 or a.shape[-2] < 1 or a.shape[-1] < 1:
-        raise DimensionMismatchError(f"matrix must be (..., m, n) with m, n >= 1, got shape {a.shape}")
-    if min(a.shape[-2:]) > 2:
-        return np.linalg.svd(a, compute_uv=False)
-    if a.ndim > 2 and a.shape[0] > _SLICE:  # slice the stack so every temporary stays small
-        return np.concatenate([singular_values(a[s]) for s in even_slices(a.shape[0])])
-    if a.shape[-2] > a.shape[-1]:
-        a = a.swapaxes(-1, -2)  # same singular values, with the short side as rows
+    if a.ndim == 2 and 0 not in a.shape:
+        return singular_values(a[..., None])[..., 0]
+    if a.ndim < 3 or a.shape[-3] < 1 or a.shape[-2] < 1:
+        raise DimensionMismatchError(f"need (m, n) or a stack (..., m, n, B) with m, n >= 1, got shape {a.shape}")
+    if min(a.shape[-3:-1]) > 2:
+        return np.moveaxis(np.linalg.svd(np.moveaxis(a, -1, -3), compute_uv=False), -1, -2)
+    if a.shape[-3] > a.shape[-2]:
+        a = a.swapaxes(-3, -2)  # same singular values, with the short side as rows
     scale = 1.0
     nsq = _norm_sq(a)
-    if not np.all((nsq > 1e-290) & (nsq < 1e290)):  # a zero row, or products that may over- or underflow
-        scale = np.abs(a).max(axis=-1).max(axis=-1, keepdims=True)
+    # a zero row, or products that may over- or underflow: scale that matrix
+    extreme = ~((nsq > 1e-290) & (nsq < 1e290)).all(axis=-2, keepdims=True)
+    if extreme.any():
+        scale = np.where(extreme, np.abs(a).max(axis=-2).max(axis=-2, keepdims=True), 1.0)
         scale[~(scale > 0)] = 1.0  # zero or NaN: a NaN entry still reaches the check below
-        a = a / scale[..., None]
+        a = a / scale[..., None, :]
         nsq = _norm_sq(a)
-    if a.shape[-2] == 1:
+    if a.shape[-3] == 1:
         s = np.sqrt(nsq)
     else:
-        u, v, ff = a[..., 0, :], a[..., 1, :], nsq[..., 0]
-        uv = np.einsum("...i,...i->...", u.conj(), v)
+        u, v, ff = a[..., 0, :, :], a[..., 1, :, :], nsq[..., 0, :]
+        uv = np.einsum("...ij,...ij->...j", u.conj(), v)
         f = np.sqrt(ff)
         nz = f > 0
-        r = np.divide(uv, ff, out=np.zeros_like(uv), where=nz)[..., None] * u
+        r = np.divide(uv, ff, out=np.zeros_like(uv), where=nz)[..., None, :] * u
         np.subtract(v, r, out=r)
         h = np.sqrt(_norm_sq(r))
         g = np.divide(np.abs(uv), f, out=np.zeros_like(f), where=nz)
         s1 = (np.hypot(f + h, g) + np.hypot(f - h, g)) / 2
         s2 = np.divide(f * h, s1, out=np.zeros_like(s1), where=s1 > 0)
-        s = np.stack([s1, s2], axis=-1)
+        s = np.stack([s1, s2], axis=-2)
     s *= scale
     if not np.all(np.isfinite(s)):
         raise np.linalg.LinAlgError("singular values are not finite")
@@ -222,10 +228,8 @@ def singular_values(a: np.ndarray) -> np.ndarray:
 def psd_eigenvalues(m: np.ndarray) -> np.ndarray:
     """Eigenvalues of every Hermitian PSD k x k matrix in a blocks-last stack (..., k, k, n), ascending.
 
-    Matrix j is m[..., :, :, j], as ``channel.gram`` lays out G G^H, and the
-    eigenvalues come back as (..., k, n): each entry the closed form reads and each
-    eigenvalue it writes is a row of n, contiguous when m is C-contiguous. The bits
-    do not depend on the memory layout.
+    Matrix j is m[..., :, :, j], as ``channel.gram`` lays out G G^H, and its
+    eigenvalues are [..., :, j] of the (..., k, n) result, whatever the memory layout.
 
     For k >= 3 this is numpy's LAPACK ``eigvalsh``. For k <= 2 a closed form
     is evaluated elementwise over the stack, which skips LAPACK's fixed cost
@@ -265,21 +269,22 @@ def psd_eigenvalues(m: np.ndarray) -> np.ndarray:
 
 
 def _norm_sq(x: np.ndarray) -> np.ndarray:
-    """Squared 2-norm along the last axis of a complex array."""
-    return np.einsum("...i,...i->...", x.real, x.real) + np.einsum("...i,...i->...", x.imag, x.imag)
+    """Squared 2-norm along the next-to-last axis of a blocks-last complex array."""
+    return np.einsum("...ij,...ij->...j", x.real, x.real) + np.einsum("...ij,...ij->...j", x.imag, x.imag)
 
 
 def numeric_rank(a: np.ndarray) -> int | np.ndarray:
     """Count singular values above RANK_REL_TOL * sigma_max * max(rows, cols).
 
-    Takes a matrix, or a stack (..., m, n), whose singular values
-    ``singular_values`` computes in one pass; returns an int for a matrix and
-    an int array of the leading shape for a stack. The zero matrix has rank 0.
+    Takes a matrix (m, n), or a blocks-last stack (..., m, n, B), whose
+    singular values ``singular_values`` computes in one pass; returns an int
+    for a matrix and an int array (..., B) for a stack. The zero matrix has rank 0.
     """
     a = np.asarray(a)
+    if a.ndim == 2 and 0 not in a.shape:  # a matrix, ranked as a stack of one
+        return int(numeric_rank(a[..., None])[0])
     s = singular_values(a)
-    ranks = np.sum(s > RANK_REL_TOL * s[..., :1] * max(a.shape[-2:]), axis=-1)
-    return int(ranks) if a.ndim == 2 else ranks
+    return np.sum(s > RANK_REL_TOL * s[..., :1, :] * max(a.shape[-3:-1]), axis=-2)
 
 
 def random_unitary(n: int, rng: np.random.Generator) -> np.ndarray:
@@ -303,6 +308,6 @@ def random_unitary(n: int, rng: np.random.Generator) -> np.ndarray:
             k = int(np.argmax(np.abs(col) > 0))
             phase = col[k] / np.abs(col[k])
             q[:, j] = col / phase
-        if frobenius_norm_sq(q @ q.conj().T - np.eye(n)) < 1e-20:
+        if frobenius_norm_sq(q @ q.conj().T - np.eye(n)) < UNITARY_TOL**2:
             return q
     raise np.linalg.LinAlgError("orthonormalization degenerated after 3 retries")

@@ -24,6 +24,8 @@ columns are those of (E_1 | ... | E_T), regrouped, so rank(D) <=
 sum_t rank(E_t): the uniform measure never exceeds the unitary one. One
 stack kernel forms the ranks of every E_t and of D, for G0 in
 ``compare_queries`` and for the sampled draws in ``empirical_rank_check``.
+Batches are blocks last, as in ``linalg``: an L x N x n stack of G gives
+T x L x N x n E_t and L x NT x n D stacks, ranked as they are.
 """
 
 from __future__ import annotations
@@ -61,29 +63,29 @@ _RANK_PROBE_KEY = (7,)
 def build_E_t(delta, G: np.ndarray, t: int) -> np.ndarray:
     """Per-slot matrix E_t = diag(delta[:, t]) @ G for 1-based slot t.
 
-    Exactly L - L*_t of its rows are identically zero. G may be batched (... x L x N).
+    Exactly L - L*_t of its rows are identically zero. G may be batched blocks last (L x N x n).
     """
     d = _as_diff(delta)
     G = np.asarray(G, dtype=complex)
     if not 1 <= t <= d.T:
         raise IndexError(f"slot index t={t} outside 1..{d.T}")
-    if G.ndim < 2 or G.shape[-2] != d.L:
+    if G.ndim < 2 or G.shape[0] != d.L:
         raise DimensionMismatchError(f"G must have {d.L} rows, got shape {G.shape}")
-    return d.delta[:, t - 1][:, None] * G
+    return d.delta[:, t - 1].reshape((d.L,) + (1,) * (G.ndim - 1)) * G
 
 
 def build_D(delta, G: np.ndarray) -> np.ndarray:
     """Uniform-query matrix D = (G_1 delta | ... | G_N delta), L x (N*T).
 
     G_n = diag(G[:, n]) scales row l of delta by g_{l,n}, so D regroups
-    the columns of (E_1 | ... | E_T) by receive antenna. G may be batched (... x L x N).
+    the columns of (E_1 | ... | E_T) by receive antenna. G may be batched blocks last (L x N x n).
     """
     d = _as_diff(delta)
     G = np.asarray(G, dtype=complex)
-    if G.ndim < 2 or G.shape[-2] != d.L:
+    if G.ndim < 2 or G.shape[0] != d.L:
         raise DimensionMismatchError(f"G must have {d.L} rows, got shape {G.shape}")
-    D = G[..., :, :, None] * d.delta[:, None, :]  # ... x L x N x T
-    return D.reshape(G.shape[:-1] + (G.shape[-1] * d.T,))
+    D = G[:, :, None] * d.delta.reshape((d.L, 1, d.T) + (1,) * (G.ndim - 2))  # L x N x T x ...
+    return D.reshape((d.L, -1) + G.shape[2:])
 
 
 def scheme_weights(delta, query_kind: str) -> np.ndarray:
@@ -145,10 +147,9 @@ def report_from_dict(d: dict) -> MeasureReport:
 
 
 def _ranks(d, G: np.ndarray) -> np.ndarray:
-    """The ranks of E_1, ..., E_T and then of D for each G of an n x L x N stack, as a (T + 1) x n array."""
-    E = d.delta.T[:, None, :, None] * G  # T x n x L x N; E[t - 1] is build_E_t(d, G, t)
-    slots = numeric_rank(E.reshape((-1,) + G.shape[1:])).reshape(d.T, -1)  # a 3-D stack ranks faster than a 4-D one
-    return np.vstack([slots, numeric_rank(build_D(d, G))])
+    """The ranks of E_1, ..., E_T and then of D for each G of an L x N x n stack, as a (T + 1) x n array."""
+    E = d.delta.T[:, :, None, None] * G  # T x L x N x n; E[t - 1] is build_E_t(d, G, t)
+    return np.vstack([numeric_rank(E), numeric_rank(build_D(d, G))])
 
 
 def compare_queries(delta, N: int) -> MeasureReport:
@@ -161,7 +162,7 @@ def compare_queries(delta, N: int) -> MeasureReport:
     """
     d = _as_diff(delta)
     G0 = sample_cn_matrix(d.L, N, make_rng(0, _RANK_PROBE_KEY))
-    *per_slot, rf = (int(r) for r in _ranks(d, G0[None])[:, 0])
+    *per_slot, rf = (int(r) for r in _ranks(d, G0[..., None])[:, 0])
     ru = sum(per_slot)
     return MeasureReport(
         r_unitary=ru,
@@ -196,20 +197,20 @@ def empirical_rank_check(delta, N: int, trials: int, rng: np.random.Generator) -
     fraction with rank(D) == r_uniform. The report passes iff every fraction
     equals 1. Ranks are ``numeric_rank``'s. The draws are made at once, one
     ``sample_cn_matrix`` call whose stream holds every real part before any
-    imaginary part; each slice of them (``even_slices``) then has the ranks of its
-    E_t and D taken by the kernel ``compare_queries`` uses and counts those as
-    predicted, so that apart from the draw only one slice of matrices is alive at a
-    time. Each fraction is a hit count over trials.
+    imaginary part, viewed as L x N x trials; each slice of them (``even_slices``)
+    then has the ranks of its E_t and D taken by the kernel ``compare_queries`` uses
+    and counts those as predicted, so that apart from the draw only one slice of
+    matrices is alive at a time. Each fraction is a hit count over trials.
     Raises ``ValueError`` naming trials unless it is an integer >= 1.
     """
     trials = checked_integer("trials", trials)
     d = _as_diff(delta)
-    G = sample_cn_matrix(d.L, N * trials, rng).reshape(d.L, trials, N).transpose(1, 0, 2)
+    G = sample_cn_matrix(d.L, N * trials, rng).reshape(d.L, trials, N).transpose(0, 2, 1)
     predicted = compare_queries(d, N)
     ranks = np.array([*predicted.per_slot_ranks, predicted.r_uniform])[:, None]  # E_1, ..., E_T, then D
     hits = np.zeros(len(ranks), dtype=np.int64)
     for s in even_slices(trials):
-        hits += np.count_nonzero(_ranks(d, G[s]) == ranks, axis=1)
+        hits += np.count_nonzero(_ranks(d, G[..., s]) == ranks, axis=1)
     *slot_fractions, d_fraction = (int(h) / trials for h in hits)
     return RankCheckReport(
         trials=trials,

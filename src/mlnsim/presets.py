@@ -22,17 +22,17 @@ from dataclasses import dataclass
 import numpy as np
 
 from .channel import SystemDims
-from .codes import Codebook
+from .codes import ByValue, Codebook
 from .config import PRESET_NAMES, PRESETS, _setting
 
 __all__ = ["Preset", "PRESETS", "PRESET_NAMES", "get_preset"]
 
 
-@dataclass(frozen=True)
-class Preset:
+@dataclass(frozen=True, eq=False)
+class Preset(ByValue):
     name: str
     dims: SystemDims
-    delta: np.ndarray  # L x T difference matrix used by the analyses
+    delta: np.ndarray  # read-only complex L x T difference matrix used by the analyses
     codebook: Codebook
     codebook_name: str
 

@@ -11,11 +11,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .linalg import (
-    DimensionMismatchError,
-    frobenius_norm_sq,
-    random_unitary,
-)
+from .linalg import UNITARY_TOL, DimensionMismatchError, frobenius_norm_sq, random_unitary
 
 __all__ = [
     "UNITARY_KINDS",
@@ -28,8 +24,6 @@ __all__ = [
 
 UNITARY_KINDS = ("dft", "hadamard", "random-unitary")
 QUERY_KINDS = ("uniform",) + UNITARY_KINDS
-
-UNITARY_TOL = 1e-10
 
 
 def uniform_query(T: int, M: int) -> np.ndarray:

@@ -290,6 +290,30 @@ def test_get_preset_matches_load_config(name):
     assert np.array_equal(p.codebook.codewords, cfg.codebook.codewords)
 
 
+class TestValueEquality:
+    """Presets and configs compare and hash by value, their delta by shape and bytes."""
+
+    def test_equal_presets(self):
+        a, b = get_preset("example1"), get_preset("example1")
+        assert a is not b and a == b and hash(a) == hash(b)
+        assert a != get_preset("example2")
+        with pytest.raises(ValueError, match="read-only"):
+            a.delta[0, 0] = 0.0
+
+    def test_equal_configs(self, tmp_path):
+        doc = {"command": "measure", "preset": "example1", "out": str(tmp_path / "out")}
+        a, b = load_config(overrides=doc), load_config(overrides=doc)
+        assert a is not b and a == b and hash(a) == hash(b)
+        assert a != load_config(overrides={**doc, "preset": "example2"})
+
+    def test_configs_differing_only_in_delta(self, tmp_path):
+        doc = {"command": "measure", "m": 2, "l": 1, "n": 2, "t": 2, "codebook": "repetition-bpsk",
+               "out": str(tmp_path / "out")}
+        a, b = (load_config(overrides={**doc, "delta": delta}) for delta in ([[1, 2]], [[1, 3]]))
+        assert a != b and a.delta.shape == b.delta.shape
+        assert a == load_config(overrides={**doc, "delta": [[1, [2, 0]]]})
+
+
 _CUSTOM_PAIR = {"m": 2, "l": 1, "n": 2, "t": 2, "codebook": "custom"}
 _FAULTS = {
     "nan-codeword": ("measure", {**_CUSTOM_PAIR, "codewords": [[[math.nan], [1]], [[-1], [-1]]]}, "codewords"),

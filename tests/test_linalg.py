@@ -262,6 +262,16 @@ def _lapack(a):
     return np.linalg.svd(a, compute_uv=False)
 
 
+def _sv(a):
+    """singular_values of a stack (..., m, n) of matrices, in and out laid out as for numpy's svd."""
+    return np.moveaxis(singular_values(np.moveaxis(a, -3, -1)), -1, -2)
+
+
+def _rank(a):
+    """numeric_rank of a stack (..., m, n) of matrices laid out as for numpy's svd."""
+    return numeric_rank(np.moveaxis(a, -3, -1))
+
+
 def _stack(m, n, rng, count=300):
     """Random m x n matrices over six decades of scale, led by the degenerate kinds."""
     a = sample_cn_matrix(count * m, n, rng).reshape(count, m, n) * 10.0 ** rng.uniform(-3, 3, (count, 1, 1))
@@ -294,7 +304,7 @@ class TestSingularValueStacks:
     @pytest.mark.parametrize("n", [1, 2, 3, 4])
     def test_every_shape_matches_lapack(self, m, n):
         a = _stack(m, n, make_rng(20, (m, n)))
-        got, ref = singular_values(a), _lapack(a)
+        got, ref = _sv(a), _lapack(a)
         assert got.shape == ref.shape == (len(a), min(m, n))
         assert np.all(np.abs(got - ref) <= 1e-12 * ref[:, :1])
         assert np.all(got[0] == 0)
@@ -304,22 +314,30 @@ class TestSingularValueStacks:
         a = _near_threshold(*shape, 25_000, make_rng(21, shape))
         s = _lapack(a)
         ref = np.sum(s > RANK_REL_TOL * s[:, :1] * max(shape), axis=-1)
-        got = numeric_rank(a)
+        got = _rank(a)
         assert 0.3 < np.mean(ref == 1) < 0.7  # the band straddles the threshold
         assert np.array_equal(got, ref)
 
-    def test_leading_axes_and_slices(self, monkeypatch):
-        a = sample_cn_matrix(3 * 5 * 2, 3, make_rng(22)).reshape(3, 5, 2, 3)
+    @pytest.mark.parametrize("m", [1, 2, 3, 4])
+    @pytest.mark.parametrize("n", [1, 2, 3, 4])
+    def test_leading_axes_and_caller_slices(self, m, n):
+        # a (2, 3, m, n, B) stack against LAPACK, and sliced along B by the caller; the
+        # zero matrices and the zero row, all in the first slice, are scaled alone
+        B = 5
+        a = sample_blocks((2, 3, m, n), B, make_rng(22, (m, n)))
+        a[..., 0] = 0
+        a[0, 0, 0, :, 1] = 0
         whole = singular_values(a)
-        assert whole.shape == (3, 5, 2)
-        assert np.all(np.abs(whole - _lapack(a)) <= 1e-12 * _lapack(a)[..., :1])
-        monkeypatch.setattr(linalg, "_SLICE", 2)
-        assert np.array_equal(singular_values(a), whole)
+        assert whole.shape == (2, 3, min(m, n), B)
+        ref = np.moveaxis(_lapack(np.moveaxis(a, -1, -3)), -1, -2)
+        assert np.all(np.abs(whole - ref) <= 1e-12 * ref[..., :1, :])
+        sliced = np.concatenate([singular_values(a[..., s]) for s in even_slices(B, 2)], -1)
+        assert np.array_equal(sliced, whole)
 
     @pytest.mark.parametrize("scale", [1e-300, 1e-200, 1e200, 1e300])
     def test_extreme_scales(self, scale):
         a = _stack(2, 3, make_rng(23), count=20) * scale
-        got, ref = singular_values(a), _lapack(a)
+        got, ref = _sv(a), _lapack(a)
         assert np.all(np.abs(got - ref) <= 1e-12 * ref[:, :1])
 
     @pytest.mark.parametrize("bad", [np.nan, np.inf])
@@ -327,7 +345,7 @@ class TestSingularValueStacks:
         a = np.ones((4, 2, 3))
         a[2, 1, 0] = bad
         with pytest.raises(np.linalg.LinAlgError), np.errstate(invalid="ignore"):
-            singular_values(a)
+            _sv(a)
 
     def test_rank_check_makes_no_lapack_call(self, monkeypatch):
         calls = []
@@ -335,8 +353,8 @@ class TestSingularValueStacks:
         monkeypatch.setattr(np.linalg, "svd", lambda a, *args, **kw: calls.append(np.shape(a)) or svd(a, *args, **kw))
         report = empirical_rank_check(EXAMPLE1_DELTA, 2, 2000, make_rng(24))
         assert report.passed and calls == []
-        singular_values(np.eye(3))  # the spy does see the k >= 3 route
-        assert calls == [(3, 3)]
+        singular_values(np.eye(3))  # the spy does see the k >= 3 route, a stack of one
+        assert calls == [(1, 3, 3)]
 
 
 def _psd_stack(k, rank, count, rng):
@@ -444,12 +462,12 @@ class TestNumericRank:
         a = sample_cn_matrix(30 * shape[0], shape[1], make_rng(24, shape)).reshape(5, 6, *shape)
         a[:, ::2, -1] = 0.0  # a rank-deficient matrix at every other stack position
         a[0, 1] = 0.0
-        ranks = numeric_rank(a)
+        ranks = _rank(a)
         assert isinstance(ranks, np.ndarray) and ranks.shape == (5, 6)
         assert ranks.tolist() == [[numeric_rank(m) for m in row] for row in a]
         assert type(numeric_rank(a[0, 0])) is int
 
-    @pytest.mark.parametrize("shape", [(3,), (0, 2), (4, 2, 0)])
+    @pytest.mark.parametrize("shape", [(3,), (0, 2), (2, 0, 4)])
     def test_bad_shapes(self, shape):
         with pytest.raises(DimensionMismatchError):
             numeric_rank(np.ones(shape))

@@ -96,6 +96,11 @@ class TestBuildD:
         assert cols_d == sorted(cols_e)
 
 
+def _last(a):
+    """A stack led by its draws, laid out blocks last as the builders batch it."""
+    return np.moveaxis(a, 0, -1)
+
+
 class TestBatchedBuilders:
     def test_batched_equals_stacked_per_draw(self):
         rng = make_rng(30)
@@ -105,13 +110,13 @@ class TestBatchedBuilders:
             G = sample_cn_matrix(5 * L, N, rng).reshape(5, L, N)
             for t in range(1, T + 1):
                 stacked = np.stack([build_E_t(delta, g, t) for g in G])
-                assert np.array_equal(build_E_t(delta, G, t), stacked)
+                assert np.array_equal(build_E_t(delta, _last(G), t), _last(stacked))
             stacked = np.stack([build_D(delta, g) for g in G])
-            assert np.array_equal(build_D(delta, G), stacked)
+            assert np.array_equal(build_D(delta, _last(G)), _last(stacked))
 
     def test_batch_row_count_checked(self):
         with pytest.raises(ValueError, match="rows"):
-            build_D(EXAMPLE1_DELTA, np.ones((4, 3, 2)))
+            build_D(EXAMPLE1_DELTA, _last(np.ones((4, 3, 2))))
 
 
 class TestSchemeWeights:

@@ -401,10 +401,11 @@ class TestGramDeterminant:
     @staticmethod
     def _svd_eigen_product(kind, delta, G, gbar):
         T = delta.shape[1]
-        mats = [build_E_t(delta, G, t + 1) for t in range(T)] if kind == "unitary" else [build_D(delta, G)]
+        Gl = np.moveaxis(G, 0, -1)  # the builders batch blocks last
+        mats = [build_E_t(delta, Gl, t + 1) for t in range(T)] if kind == "unitary" else [build_D(delta, Gl)]
         out = np.ones(G.shape[0])
         for M in mats:
-            lam = np.linalg.svd(M, compute_uv=False) ** 2
+            lam = np.linalg.svd(np.moveaxis(M, -1, 0), compute_uv=False) ** 2
             out *= np.prod(1.0 / (1.0 + lam * gbar / 4.0), axis=1)
         return out
 

@@ -1,11 +1,38 @@
-"""Smoke test for the report scripts under tools/."""
+"""Smoke tests for the scripts under tools/."""
 
+import importlib.util
 import os
 import subprocess
 import sys
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parents[1]
+
+
+def _mutants():
+    spec = importlib.util.spec_from_file_location("mutants", ROOT / "tools" / "mutants.py")
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def test_every_mutant_still_applies_once():
+    # the catalogue must follow the source: each old text occurs exactly once in its module
+    mutants = _mutants()
+    catalogue = mutants.CATALOGUE
+    assert len({m.name for m in catalogue}) == len(catalogue)
+    assert [(m.name, mutants.drift(m)) for m in catalogue if mutants.drift(m)] == []
+    for m in catalogue:
+        assert m.new != m.old and m.tests
+        assert all((ROOT / t.split("::")[0]).is_file() for t in m.tests)
+
+
+def test_a_drifted_mutant_fails_before_any_run(monkeypatch, capsys):
+    mutants = _mutants()
+    gone = mutants.Mutant("gone", "linalg.py", "text that is not in linalg", "", ("tests/test_linalg.py",))
+    monkeypatch.setattr(mutants, "CATALOGUE", (gone,))
+    assert mutants.main([]) == 1
+    assert capsys.readouterr().out == "DRIFTED   gone: old text occurs 0 times in linalg.py, not once\n"
 
 
 def test_peakmem_reports_every_stage_and_writes_nothing(tmp_path):
