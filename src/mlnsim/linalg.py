@@ -281,10 +281,10 @@ def numeric_rank(a: np.ndarray) -> int | np.ndarray:
     for a matrix and an int array (..., B) for a stack. The zero matrix has rank 0.
     """
     a = np.asarray(a)
-    if a.ndim == 2 and 0 not in a.shape:  # a matrix, ranked as a stack of one
-        return int(numeric_rank(a[..., None])[0])
-    s = singular_values(a)
-    return np.sum(s > RANK_REL_TOL * s[..., :1, :] * max(a.shape[-3:-1]), axis=-2)
+    stack = a[..., None] if a.ndim == 2 else a  # a matrix is ranked as a stack of one
+    s = singular_values(stack)
+    r = np.sum(s > RANK_REL_TOL * s[..., :1, :] * max(stack.shape[-3:-1]), axis=-2)
+    return int(r[0]) if a.ndim == 2 else r
 
 
 def random_unitary(n: int, rng: np.random.Generator) -> np.ndarray:

@@ -31,7 +31,7 @@ def test_a_drifted_mutant_fails_before_any_run(monkeypatch, capsys):
     mutants = _mutants()
     gone = mutants.Mutant("gone", "linalg.py", "text that is not in linalg", "", ("tests/test_linalg.py",))
     monkeypatch.setattr(mutants, "CATALOGUE", (gone,))
-    assert mutants.main([]) == 1
+    assert mutants.main() == 1
     assert capsys.readouterr().out == "DRIFTED   gone: old text occurs 0 times in linalg.py, not once\n"
 
 

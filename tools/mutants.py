@@ -1,14 +1,14 @@
 """A committed mutant catalogue for src/mlnsim, run with the standard library alone.
 
-    python tools/mutants.py [NAME ...]
+    python tools/mutants.py
 
 Each mutant in ``CATALOGUE`` replaces one exact text in one module of
 src/mlnsim with another, and names the tests that must fail under it. The
 script copies src/, tests/ and pyproject.toml to a temporary directory, runs
 every named test there once unmutated (they must pass), and then, for each
-mutant (all of them, or those named), applies it to the copy, runs only its
-tests and restores the module. A mutant is killed when pytest reports a failed
-test (exit status 1) or its run exceeds the timeout.
+mutant, applies it to the copy, runs only its tests and restores the module.
+A mutant is killed when pytest reports a failed test (exit status 1) or its
+run exceeds ``_TIMEOUT`` seconds.
 
 The exit status is 0 when every mutant is killed and 1 otherwise: when one
 survives, when pytest cannot run its tests (another exit status), or when its
@@ -19,7 +19,6 @@ at once instead of mutating nothing. The checkout is never written.
 
 from __future__ import annotations
 
-import argparse
 import os
 import shutil
 import subprocess
@@ -31,6 +30,7 @@ from typing import NamedTuple
 
 ROOT = Path(__file__).resolve().parent.parent
 PACKAGE = Path("src") / "mlnsim"
+_TIMEOUT = 300.0  # seconds per pytest run
 
 
 class Mutant(NamedTuple):
@@ -97,29 +97,19 @@ def drift(m: Mutant, root: Path = ROOT) -> str | None:
     return None if count == 1 else f"old text occurs {count} times in {m.module}, not once"
 
 
-def _pytest(copy: Path, tests, timeout: float) -> int | None:
-    """pytest's exit status on tests in copy, or None past timeout; no bytecode is written,
+def _pytest(copy: Path, tests) -> int | None:
+    """pytest's exit status on tests in copy, or None past _TIMEOUT; no bytecode is written,
     so a restored module is never read from a mutant's cache."""
     env = dict(os.environ, PYTHONPATH=str(copy / "src"), PYTHONDONTWRITEBYTECODE="1", OPENBLAS_NUM_THREADS="1")
     argv = [sys.executable, "-m", "pytest", "-q", "-x", "-p", "no:cacheprovider", *tests]
     try:
-        return subprocess.run(argv, cwd=copy, env=env, capture_output=True, timeout=timeout).returncode
+        return subprocess.run(argv, cwd=copy, env=env, capture_output=True, timeout=_TIMEOUT).returncode
     except subprocess.TimeoutExpired:
         return None
 
 
-def main(argv: list[str] | None = None) -> int:
-    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    parser.add_argument("names", nargs="*", help="mutants to run (default: all)")
-    parser.add_argument("--timeout", type=float, default=300.0, help="seconds per pytest run")
-    args = parser.parse_args(argv)
-    known = {m.name: m for m in CATALOGUE}
-    unknown = [n for n in args.names if n not in known]
-    if unknown:
-        parser.error(f"unknown mutants {unknown}; choose from {sorted(known)}")
-    chosen = [known[n] for n in args.names] or list(CATALOGUE)
-
-    drifted = [(m.name, why) for m in chosen if (why := drift(m))]
+def main() -> int:
+    drifted = [(m.name, why) for m in CATALOGUE if (why := drift(m))]
     for name, why in drifted:
         print(f"DRIFTED   {name}: {why}")
     if drifted:
@@ -131,18 +121,18 @@ def main(argv: list[str] | None = None) -> int:
         for part in ("src", "tests"):
             shutil.copytree(ROOT / part, copy / part, ignore=skip)
         shutil.copy2(ROOT / "pyproject.toml", copy)
-        named = sorted({t for m in chosen for t in m.tests})
-        if _pytest(copy, named, args.timeout) != 0:
+        named = sorted({t for m in CATALOGUE for t in m.tests})
+        if _pytest(copy, named) != 0:
             print("the named tests do not pass on the unmutated source")
             return 1
         bad = 0
-        for m in chosen:
+        for m in CATALOGUE:
             path = copy / PACKAGE / m.module
             source = path.read_text(encoding="utf-8")
             path.write_text(source.replace(m.old, m.new), encoding="utf-8")
             start = time.perf_counter()
             try:
-                status = _pytest(copy, m.tests, args.timeout)
+                status = _pytest(copy, m.tests)
             finally:
                 path.write_text(source, encoding="utf-8")
             verdict = {None: "killed (timeout)", 1: "killed"}.get(status, f"ERROR (pytest status {status})")
@@ -150,7 +140,7 @@ def main(argv: list[str] | None = None) -> int:
                 verdict = "SURVIVED"
             bad += not verdict.startswith("killed")
             print(f"{verdict:<17} {m.name} ({time.perf_counter() - start:.1f} s)")
-    print(f"{len(chosen) - bad} of {len(chosen)} mutants killed")
+    print(f"{len(CATALOGUE) - bad} of {len(CATALOGUE)} mutants killed")
     return 1 if bad else 0
 
 
