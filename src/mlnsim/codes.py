@@ -181,16 +181,24 @@ def pairwise_codebook_from_delta(delta) -> tuple[Codebook, float]:
     actual difference is s * delta. Returns (codebook, s). Pairwise error
     behavior under ML detection of a two-word codebook depends on the
     difference matrix alone, so this is the minimal code exhibiting a
-    target delta.
+    target delta. Beyond about 1e+-154 delta's energy or s leaves the
+    normal float range; only then is delta first divided by its largest
+    entry magnitude (and s by the same), and every other delta is
+    normalised as given.
     """
     d = _as_diff(delta).delta
-    energy = np.sum(np.abs(d) ** 2)
-    if energy == 0:
-        raise ValueError("delta has no nonzero entries")
-    T = d.shape[1]
-    scale = float(np.sqrt(T / (energy / 4.0)))
+    T, peak = d.shape[1], 1.0
+    with np.errstate(over="ignore", divide="ignore"):
+        energy = np.sum(np.abs(d) ** 2)
+        scale = float(np.sqrt(T / (energy / 4.0)))
+    if not (np.finfo(float).tiny <= energy < np.inf and np.isfinite(scale)):
+        peak = float(np.abs(d).max())
+        if not 0 < peak < np.inf:  # NaN fails too
+            raise ValueError(f"delta must be finite with a nonzero entry, got largest magnitude {peak}")
+        d = d / peak
+        scale = float(np.sqrt(T / (np.sum(np.abs(d) ** 2) / 4.0)))
     c0 = (scale / 2.0) * d.T
-    return Codebook((c0, -c0)), scale
+    return Codebook((c0, -c0)), scale / peak
 
 
 def repetition_bpsk(T: int) -> Codebook:

@@ -1,4 +1,4 @@
-"""Complex-matrix primitives: sampling, products, norms, singular values, PSD eigenvalues, rank.
+"""Complex-matrix primitives: sampling, products, norms, singular values, PSD eigenvalues, rank, unitarity.
 
 Arrays are ``complex128``, and stacks are blocks last: matrix j of an (..., m, n, B) stack
 is a[..., :, :, j], as ``sample_blocks`` draws them. Stack kernels work elementwise over B
@@ -23,6 +23,7 @@ __all__ = [
     "singular_values",
     "psd_eigenvalues",
     "numeric_rank",
+    "verify_unitary",
     "random_unitary",
 ]
 
@@ -287,6 +288,15 @@ def numeric_rank(a: np.ndarray) -> int | np.ndarray:
     return int(r[0]) if a.ndim == 2 else r
 
 
+def verify_unitary(q, tol: float = UNITARY_TOL) -> bool:
+    """True iff Q Q^H equals the identity within tol (Frobenius norm)."""
+    mat = np.asarray(q, dtype=complex)
+    if mat.shape[0] != mat.shape[1]:
+        raise DimensionMismatchError(f"unitarity needs a square matrix, got {mat.shape}")
+    resid = mat @ mat.conj().T - np.eye(mat.shape[0])
+    return frobenius_norm_sq(resid) < tol**2
+
+
 def random_unitary(n: int, rng: np.random.Generator) -> np.ndarray:
     """Random n x n unitary via QR of a complex Gaussian draw.
 
@@ -308,6 +318,6 @@ def random_unitary(n: int, rng: np.random.Generator) -> np.ndarray:
             k = int(np.argmax(np.abs(col) > 0))
             phase = col[k] / np.abs(col[k])
             q[:, j] = col / phase
-        if frobenius_norm_sq(q @ q.conj().T - np.eye(n)) < UNITARY_TOL**2:
+        if verify_unitary(q):
             return q
     raise np.linalg.LinAlgError("orthonormalization degenerated after 3 retries")

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .linalg import UNITARY_TOL, DimensionMismatchError, frobenius_norm_sq, random_unitary
+from .linalg import DimensionMismatchError, random_unitary, verify_unitary
 
 __all__ = [
     "UNITARY_KINDS",
@@ -78,15 +78,6 @@ def unitary_query(M: int, kind: str = "dft", rng: np.random.Generator | None = N
     else:
         raise ValueError(f"unknown unitary query kind {kind!r}; choose from {UNITARY_KINDS}")
     return q
-
-
-def verify_unitary(q, tol: float = UNITARY_TOL) -> bool:
-    """True iff Q Q^H equals the identity within tol (Frobenius norm)."""
-    mat = np.asarray(q, dtype=complex)
-    if mat.shape[0] != mat.shape[1]:
-        raise DimensionMismatchError(f"unitarity needs a square matrix, got {mat.shape}")
-    resid = mat @ mat.conj().T - np.eye(mat.shape[0])
-    return frobenius_norm_sq(resid) < tol**2
 
 
 def effective_forward(q, H: np.ndarray, *, out: np.ndarray | None = None) -> np.ndarray:

@@ -46,17 +46,14 @@ Blocks are laid out last (L x N x n), so G G^H and V are products of
 length-n vectors; a chunk's draws go straight into blocks-last arrays
 (linalg.sample_blocks), of which a slice is a view. A chunk is scored in as
 few even slices (linalg.even_slices, the larger first, so the first sizes
-every buffer) as keep every per-slice buffer (_slice_bytes) within
-_SLICE_BYTES and the scorer's arrays within _SCORE_BYTES, at least
-_MIN_SLICE blocks each, so those of a 2^16-word codebook take 3 x 32 x 2^16
-float64s (48 MiB) at most. The number of numpy calls per slice does not
-grow with L, N or T.
+every buffer) as keep every per-slice buffer (_slice_bytes) within the one
+budget _SLICE_BYTES, at least _MIN_SLICE blocks each, so the scorer's arrays
+of a 2^16-word codebook take 3 x 32 x 2^16 float64s (48 MiB) at most. The
+number of numpy calls per slice does not grow with L, N or T.
 
 The points of a slice are scored from the noisiest down, the first on
 every block and each later one only on the blocks in error at the point
-before (while more than half of the blocks scored at a point are in
-error, the next point scores the same blocks again, which costs less than
-gathering the rows in error). That gives the tallies of scoring every block at every point: with
+before. That gives the tallies of scoring every block at every point: with
 R = S_sent at s = 0, the sent word's metric is the lowest there, and each
 word's metric is linear in s, so f_sent - f_j is a line that is <= 0 at
 s = 0. A block detected correctly at scale s' has that line <= 0 at s'
@@ -114,10 +111,9 @@ _BATCH_SCHEDULE = (20_000, 80_000, 200_000)
 # a batch is drawn in chunks of this many blocks, each from its own substream;
 # it divides every scheduled batch size, so the first batch splits in two
 _CHUNK = 10_000
-# _score_chunk's slice budgets (see the module docstring); a slice holds at least
+# _score_chunk's slice budget (see the module docstring); a slice holds at least
 # _MIN_SLICE blocks, so a large codebook's weights are read once per _MIN_SLICE blocks
 _SLICE_BYTES = 3 * 2**20
-_SCORE_BYTES = 2**20
 _MIN_SLICE = 32
 # the config fields that fix which blocks a sweep draws, so sweeps run together share them
 _SHARED_FIELDS = ("dims", "codebook", "seed", "max_trials_per_point")
@@ -324,11 +320,10 @@ def _score_points(
     sent word indices and spare is an n x K array to work in; base, noise and
     spare are overwritten. noise_stds must be descending: the first scale
     scores every block in place and each later one only the blocks in error
-    at the scale before (or, while those are more than half of the blocks
-    scored, the same blocks again), which gives the tallies of scoring every
-    block at every scale (see the module docstring). Equal scales give equal
-    metrics and are allowed; scales must be finite, as those of a checked
-    SNR grid are.
+    at the scale before, whose rows are gathered into the leading rows of
+    the three arrays. That gives the tallies of scoring every block at every
+    scale (see the module docstring). Equal scales give equal metrics and
+    are allowed; scales must be finite, as those of a checked SNR grid are.
     """
     if not (np.all(noise_stds[1:] <= noise_stds[:-1]) and np.all(np.isfinite(noise_stds))):
         raise ValueError(f"noise scales must be descending and finite, got {noise_stds}")
@@ -342,10 +337,6 @@ def _score_points(
         tallies[1, i] += np.sum(np.bitwise_count(sent[wrong] ^ detected[wrong]))
         if wrong.size == 0 or i == len(noise_stds) - 1:
             break
-        if 2 * wrong.size > len(sent):
-            # gathering most rows costs more than scoring them all again, and the
-            # rows scored in excess are correct at every later scale
-            continue
         # keep the rows in error: their noise moves to the spare rows, their base
         # to the noise rows, and the base rows become the spare
         noise, base, spare = (
@@ -357,19 +348,17 @@ def _score_points(
 
 
 def _sent_words(codebook: Codebook) -> np.ndarray:
-    """The conjugated codewords blocks-last (T x L x K), real for a real codebook."""
-    words = codebook.codewords
-    return np.ascontiguousarray(np.moveaxis(np.conjugate(words if np.any(words.imag) else words.real), 0, -1))
+    """The conjugated codewords blocks-last (T x L x K), complex; a real codebook's features read their Re parts."""
+    return np.ascontiguousarray(np.moveaxis(np.conjugate(codebook.codewords), 0, -1))
 
 
-def _slice_bytes(dims: SystemDims, words: np.ndarray, weights: np.ndarray) -> tuple:
-    """Bytes per block of every per-slice buffer of _score_chunk, and of the scorer's alone."""
+def _slice_bytes(dims: SystemDims, weights: np.ndarray) -> int:
+    """Bytes per block of every per-slice buffer of _score_chunk."""
     L, N, T = dims.L, dims.N, dims.T
     K, F = weights.shape
-    scorer = 8 * 3 * K  # base, noise and the scorer's spare
-    # conj, gram, V, X and tmp are complex, C holds words and feats is real
-    complex_entries = L * N + L * L + 2 * T * L + max(L * L * N, T * L * N, T * L * L)
-    return 16 * complex_entries + words.itemsize * T * L + 8 * F + scorer, scorer
+    # conj, gram, V, X, C and tmp are complex; feats and the scorer's base, noise and spare are real
+    complex_entries = L * N + L * L + 3 * T * L + max(L * L * N, T * L * N, T * L * L)
+    return 16 * complex_entries + 8 * F + 8 * 3 * K
 
 
 def _score_chunk(
@@ -400,8 +389,7 @@ def _score_chunk(
     sent = rng.integers(0, K, n)
     W = sample_blocks((T, N), n, rng, out=ws.view("W", (T, N, n)))
 
-    per_block, scorer = _slice_bytes(config.dims, words, weights)
-    most = max(_MIN_SLICE, min(_SLICE_BYTES // per_block, _SCORE_BYTES // scorer))
+    most = max(_MIN_SLICE, _SLICE_BYTES // _slice_bytes(config.dims, weights))
     scales = [len(noise_stds) for _, noise_stds in schemes]
     tallies = np.zeros((2, sum(scales)), dtype=np.int64)
     per_scheme = np.split(tallies, np.cumsum(scales)[:-1], axis=1)
@@ -409,7 +397,7 @@ def _score_chunk(
         sent_s = sent[s]
         k = len(sent_s)
         gram, V = _shared_terms(G[..., s], W[..., s], ws)
-        Cc = np.take(words, sent_s, axis=2, out=ws.view("C", (T, L, k), words.dtype), mode="clip")
+        Cc = np.take(words, sent_s, axis=2, out=ws.view("C", (T, L, k)), mode="clip")
         for (Q, noise_stds), t in zip(schemes, per_scheme):
             if len(noise_stds) == 0:
                 continue

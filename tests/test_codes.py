@@ -1,5 +1,6 @@
 """Unit tests for codebooks and difference matrices."""
 
+import hashlib
 from itertools import product
 
 import numpy as np
@@ -76,8 +77,30 @@ class TestPairwiseCodebook:
             assert got.nonzero_rows == want.nonzero_rows
 
     def test_zero_delta_rejected(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="finite with a nonzero entry, got largest magnitude 0.0"):
             pairwise_codebook_from_delta(np.zeros((2, 2)))
+
+    @pytest.mark.parametrize("bad", [np.inf, np.nan])
+    def test_non_finite_delta_named(self, bad):
+        with pytest.raises(ValueError, match="^delta must be finite with a nonzero entry"):
+            pairwise_codebook_from_delta([[bad, 1.0], [1.0, 1.0]])
+
+    @pytest.mark.parametrize("factor", [1e-158, 1e-165, 1e160])
+    def test_delta_beyond_the_normal_energy_range(self, factor):
+        # the energy of these deltas under- or overflows: the codebook is still
+        # normalised, its difference is still s * delta, and it is example1's
+        delta = factor * EXAMPLE1_DELTA
+        cb, scale = pairwise_codebook_from_delta(delta)
+        assert np.mean(np.sum(np.abs(cb.codewords) ** 2, axis=(1, 2))) == pytest.approx(cb.T, rel=1e-12)
+        assert np.allclose(cb.codewords[0] - cb.codewords[1], scale * delta.T, rtol=1e-12, atol=0)
+        assert np.allclose(cb.codewords, pairwise_codebook_from_delta(EXAMPLE1_DELTA)[0].codewords, rtol=1e-12)
+
+    def test_example1_keeps_its_bits(self):
+        # a delta in range is normalised as given: the built-in pair's bits are pinned
+        cb, scale = pairwise_codebook_from_delta(EXAMPLE1_DELTA)
+        assert scale == 0.769800358919501
+        digest = hashlib.sha256(cb.codewords.tobytes()).hexdigest()
+        assert digest == "dbf6851040f6727a3e3f4bb5b7969bf0039f811aa63cdc970a88a8c8791b7973"
 
 
 class TestRepetitionBpsk:

@@ -7,7 +7,6 @@ from mlnsim import linalg
 from mlnsim.linalg import DimensionMismatchError, make_rng, numeric_rank, sample_cn_matrix
 from mlnsim.query import (
     UNITARY_KINDS,
-    UNITARY_TOL,
     effective_forward,
     uniform_query,
     unitary_query,
@@ -75,8 +74,9 @@ class TestVerifyUnitary:
         assert verify_unitary(unitary_query(3, "random-unitary", make_rng(4)), 1e-9)
 
     def test_one_tolerance(self):
-        # random_unitary's own check and verify_unitary's default read the same constant
-        assert UNITARY_TOL is linalg.UNITARY_TOL == 1e-10
+        # random_unitary checks its result with the one verify_unitary and its default tolerance
+        assert verify_unitary is linalg.verify_unitary
+        assert linalg.UNITARY_TOL == 1e-10
         assert verify_unitary(linalg.random_unitary(4, make_rng(5)))
 
     def test_non_square_rejected(self):

@@ -262,10 +262,9 @@ class TestMetricKernel:
             finally:
                 tracemalloc.stop()
             assert points[-1].trials == sum(slices) == blocks
-            # one block's scorer arrays (3 x 2^16 float64s) exceed their byte
-            # budget, so the slices are the smallest allowed
-            _, scorer = simulate._slice_bytes(dims, simulate._sent_words(cb), cb.metric_weights)
-            assert scorer > simulate._SCORE_BYTES
+            # fewer than _MIN_SLICE blocks' buffers (3 x 2^16 float64s a block for
+            # the scorer alone) fit the byte budget, so the slices are the smallest allowed
+            assert simulate._SLICE_BYTES // simulate._slice_bytes(dims, cb.metric_weights) < simulate._MIN_SLICE
             assert max(slices) == simulate._MIN_SLICE
         assert peaks[1] - peaks[0] < 8 * 2**20
         assert peaks[1] < 96 * 2**20
@@ -308,9 +307,9 @@ class TestSliceBudget:
         [
             # example1 in two slices, where three would take the budget of the draws
             (SystemDims(2, 2, 2, 2), _antipodal(), ("dft", "uniform"), 10_000, [5_000] * 2),
-            # 256 words: the scorer's arrays cap slices at 170 blocks, so 59 even slices
-            (SystemDims(2, 4, 2, 2), uncoded_bpsk(2, 4), ("dft",), 10_000, [170] * 29 + [169] * 30),
-            # complex words, so complex features and sent words
+            # 256 words: the scorer's arrays take most of the budget, so 25 even slices
+            (SystemDims(2, 4, 2, 2), uncoded_bpsk(2, 4), ("dft",), 10_000, [400] * 25),
+            # complex words, so complex features
             (SystemDims(3, 3, 4, 3), _complex_codebook(), ("dft", "uniform"), 2_500, [1_250] * 2),
         ],
     )
@@ -320,16 +319,14 @@ class TestSliceBudget:
         seen = []
         metric = simulate._metric
         monkeypatch.setattr(simulate, "_metric", lambda X, *args: seen.append(X.shape[-1]) or metric(X, *args))
-        words = simulate._sent_words(codebook)
         weights = codebook.metric_weights
         sweep = SnrSweepConfig(dims=dims, query_kind=query_kinds[0], codebook=codebook, snr_grid_db=(0.0,))
         schemes = [(simulate.build_query(k, dims, 0), np.array([1.0])) for k in query_kinds]
         ws = simulate._Workspace()
-        simulate._score_chunk(sweep, schemes, words, weights, (1, 0, 0), n, ws)
+        simulate._score_chunk(sweep, schemes, simulate._sent_words(codebook), weights, (1, 0, 0), n, ws)
         assert seen[:: len(schemes)] == slices
-        per_block, scorer = simulate._slice_bytes(dims, words, weights)
+        per_block = simulate._slice_bytes(dims, weights)
         assert _slice_buffer_bytes(ws) == max(slices) * per_block <= simulate._SLICE_BYTES
-        assert max(slices) * scorer <= simulate._SCORE_BYTES
 
 
 def _tallies_every_point(base, noise, sent, noise_stds):
@@ -358,6 +355,7 @@ class TestScorePoints:
     @pytest.mark.parametrize("kind", ["real", "complex"])
     def test_matches_every_point_brute_force(self, K, kind):
         rng = make_rng(45, (K, kind == "complex"))
+        mostly_wrong_twice = False
         for case in range(8):
             T, L, N = (int(v) for v in rng.integers(1, 4, 3))
             if kind == "real":  # few distinct words when T L is small, so exact ties too
@@ -386,6 +384,11 @@ class TestScorePoints:
             where = f"case {case}: T={T} L={L} N={N} scales={stds}"
             assert np.array_equal(_score(base, noise, sent, stds), expected), where
             assert expected[0, 0] > 0, where
+            mostly_wrong = 2 * expected[0] > n
+            mostly_wrong_twice |= bool(np.any(mostly_wrong[1:] & mostly_wrong[:-1]))
+        # some point scores the blocks in error at the point before while most
+        # blocks are in error at both; ML between two words errs with probability <= 1/2
+        assert mostly_wrong_twice or K == 2
 
     def test_all_tie_block_detected_as_word_zero(self):
         # G = 0 makes every word's metric 0 at every scale: each block is word 0

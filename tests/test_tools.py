@@ -36,14 +36,22 @@ def test_a_drifted_mutant_fails_before_any_run(monkeypatch, capsys):
 
 
 def test_peakmem_reports_every_stage_and_writes_nothing(tmp_path):
-    argv = ["--preset", "example3", "--trials", "200", "--max-trials", "2000", "--snr-grid", "0:6:12"]
-    run = subprocess.run(
-        [sys.executable, str(ROOT / "tools" / "peakmem.py"), *argv], cwd=tmp_path,
-        env=dict(os.environ, OPENBLAS_NUM_THREADS="1"), capture_output=True, text=True, timeout=300,
-    )
-    assert run.returncode == 0, run.stderr
-    header, *rows = (line.split() for line in run.stdout.splitlines())
-    assert header == ["stage", "peak_rss_mb", "wall_s", "exit"]
-    assert [r[0] for r in rows] == ["(import)", "measure", "verify-lemmas", "pep", "ber"]
-    assert all(float(r[1]) > 0 and r[3] == "0" for r in rows)
-    assert list(tmp_path.iterdir()) == []  # every stage wrote to a temporary directory
+    # for a preset, or a config file in its place but not both
+    config = tmp_path / "setting.json"
+    config.write_text('{"m": 2, "l": 4, "n": 2, "t": 2, "codebook": "uncoded-bpsk"}')
+    cwd = tmp_path / "run"
+    cwd.mkdir()
+    tool = [sys.executable, str(ROOT / "tools" / "peakmem.py")]
+    env = dict(os.environ, OPENBLAS_NUM_THREADS="1")
+    for setting in (["--preset", "example3"], ["--config", str(config)]):
+        argv = [*setting, "--trials", "200", "--max-trials", "2000", "--snr-grid", "0:6:12"]
+        run = subprocess.run(tool + argv, cwd=cwd, env=env, capture_output=True, text=True, timeout=300)
+        assert run.returncode == 0, run.stderr
+        header, *rows = (line.split() for line in run.stdout.splitlines())
+        assert header == ["stage", "peak_rss_mb", "wall_s", "exit"]
+        assert [r[0] for r in rows] == ["(import)", "measure", "verify-lemmas", "pep", "ber"]
+        assert all(float(r[1]) > 0 and r[3] == "0" for r in rows)
+        assert list(cwd.iterdir()) == []  # every stage wrote to a temporary directory
+    both = subprocess.run(tool + ["--preset", "example3", "--config", str(config)], cwd=cwd, env=env,
+                          capture_output=True, text=True, timeout=60)
+    assert both.returncode == 2 and "not allowed with argument --preset" in both.stderr

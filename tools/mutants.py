@@ -43,6 +43,9 @@ class Mutant(NamedTuple):
 
 _SV = "tests/test_linalg.py::TestSingularValueStacks"
 _RANK = "tests/test_linalg.py::TestNumericRank"
+_KERNEL = "tests/test_simulate.py::TestMetricKernel"
+_SCORE = "tests/test_simulate.py::TestScorePoints"
+_BUDGET = "tests/test_simulate.py::TestSliceBudget"
 
 CATALOGUE = (
     # the blocks-last rank kernels, the rank check's slicing and value equality
@@ -88,6 +91,27 @@ CATALOGUE = (
            ("tests/test_codes.py::TestUncodedBpsk",)),
     Mutant("pep-without-trials-guard", "pep.py", '    trials = checked_integer("trials", trials)\n', "",
            ("tests/test_pep.py::test_pep_routes_name_a_bad_trials_count",)),
+    # the BER chunk kernel's one scoring path and one slice budget, and kernels beside it
+    # (swapping only the two out= arrays is an equivalent mutant: wrong ascends, so a take
+    # into its own leading rows reads every row before it overwrites it)
+    Mutant("score-take-targets-swapped", "simulate.py",
+           "np.take(noise, wrong, axis=0, out=spare[: wrong.size], mode=\"clip\"),\n            np.take(base,",
+           "np.take(base, wrong, axis=0, out=spare[: wrong.size], mode=\"clip\"),\n            np.take(noise,",
+           (f"{_SCORE}::test_matches_every_point_brute_force",)),
+    Mutant("slice-bytes-scorer-two-arrays", "simulate.py", "8 * 3 * K", "8 * 2 * K", (_BUDGET,)),
+    Mutant("slice-without-floor", "simulate.py",
+           "most = max(_MIN_SLICE, _SLICE_BYTES // _slice_bytes(config.dims, weights))",
+           "most = _SLICE_BYTES // _slice_bytes(config.dims, weights)",
+           (f"{_KERNEL}::test_large_codebook_sweep_in_bounded_memory",)),
+    Mutant("shared-v-unconjugated", "simulate.py", "return G_Gh, np.conjugate(V, out=V)", "return G_Gh, V",
+           (f"{_KERNEL}::test_matches_brute_force",)),
+    Mutant("cross-weight-sign", "codes.py", "cross = -2.0 * codewords", "cross = 2.0 * codewords",
+           (f"{_KERNEL}::test_matches_brute_force",)),
+    Mutant("z-adds-re-twice", "pep.py", "np.add(squares[::2], squares[1::2], out=z[s])",
+           "np.add(squares[::2], squares[::2], out=z[s])",
+           ("tests/test_pep.py::TestQFunctionMc::test_z_is_the_squared_norm_of_mix_bit_for_bit",)),
+    Mutant("integer-message-wrong-field", "config.py", 'trials = _integer("trials",', 'trials = _integer("seed",',
+           ("tests/test_config_cli.py::TestDocumentProperties::test_seed_and_trials",)),
 )
 
 

@@ -1,16 +1,17 @@
-"""Peak memory of each CLI stage of a preset, from the standard library alone.
+"""Peak memory of each CLI stage of a preset or config file, from the standard library alone.
 
-    python tools/peakmem.py [--preset NAME] [CLI arguments ...]
+    python tools/peakmem.py [--preset NAME | --config FILE] [CLI arguments ...]
 
-Runs ``mlnsim <stage> --preset NAME`` for each stage of ``reproduce`` (in
-``mlnsim.config.STAGES``), each in a fresh interpreter on the source tree, and
-prints the stage's peak resident set size: its ``ru_maxrss`` as ``os.wait4``
-reports it for that child alone. Further arguments go to every stage (for
-example ``--trials 2000 --max-trials 20000``). The first row is an interpreter
-that only imports the package, the floor under every stage. Each stage writes
-its output to a temporary directory of its own, deleted when it exits, so the
-tree stays clean. It is a report, not a gate: the exit status is 1 only when a
-stage exits with a status other than 0.
+Runs ``mlnsim <stage> --preset NAME`` (example1 by default) or ``mlnsim <stage>
+--config FILE`` for each stage of ``reproduce`` (in ``mlnsim.config.STAGES``),
+each in a fresh interpreter on the source tree, and prints the stage's peak
+resident set size: its ``ru_maxrss`` as ``os.wait4`` reports it for that child
+alone. Further arguments go to every stage (for example ``--trials 2000
+--max-trials 20000``). The first row is an interpreter that only imports the
+package, the floor under every stage. Each stage writes its output to a
+temporary directory of its own, deleted when it exits, so the tree stays clean.
+It is a report, not a gate: the exit status is 1 only when a stage exits with a
+status other than 0.
 """
 
 from __future__ import annotations
@@ -45,8 +46,11 @@ def run(argv: list[str]) -> tuple[int, float, float, str]:
 
 def main(argv: list[str]) -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
-    parser.add_argument("--preset", default="example1")
+    setting = parser.add_mutually_exclusive_group()
+    setting.add_argument("--preset", default="example1")
+    setting.add_argument("--config", metavar="FILE")
     args, extra = parser.parse_known_args(argv)
+    chosen = ["--config", args.config] if args.config else ["--preset", args.preset]
 
     code, rss, wall, text = run(["-c", "import mlnsim.cli; print(*mlnsim.config.STAGES['reproduce'])"])
     if code != 0:
@@ -57,7 +61,7 @@ def main(argv: list[str]) -> int:
     failed = False
     for stage in text.split():
         with tempfile.TemporaryDirectory() as out:
-            code, rss, wall, _ = run(["-m", "mlnsim.cli", stage, "--preset", args.preset, "--out", out, *extra])
+            code, rss, wall, _ = run(["-m", "mlnsim.cli", stage, *chosen, "--out", out, *extra])
         failed |= code != 0
         print(f"{stage:<14} {rss:11.1f} {wall:7.2f} {code:4d}", flush=True)
     return int(failed)
