@@ -181,24 +181,25 @@ def pairwise_codebook_from_delta(delta) -> tuple[Codebook, float]:
     actual difference is s * delta. Returns (codebook, s). Pairwise error
     behavior under ML detection of a two-word codebook depends on the
     difference matrix alone, so this is the minimal code exhibiting a
-    target delta. Beyond about 1e+-154 delta's energy or s leaves the
-    normal float range; only then is delta first divided by its largest
-    entry magnitude (and s by the same), and every other delta is
-    normalised as given.
+    target delta. delta is first scaled by the power of two 2^-e that
+    brings its largest entry magnitude into [1/2, 1), and s by the same.
+    That scaling is exact, so a delta's codebook is that of any power-of-two
+    multiple of it, and a delta far beyond 1e+-154 is normalised without
+    its energy under- or overflowing.
     """
     d = _as_diff(delta).delta
-    T, peak = d.shape[1], 1.0
-    with np.errstate(over="ignore", divide="ignore"):
-        energy = np.sum(np.abs(d) ** 2)
-        scale = float(np.sqrt(T / (energy / 4.0)))
-    if not (np.finfo(float).tiny <= energy < np.inf and np.isfinite(scale)):
-        peak = float(np.abs(d).max())
-        if not 0 < peak < np.inf:  # NaN fails too
-            raise ValueError(f"delta must be finite with a nonzero entry, got largest magnitude {peak}")
-        d = d / peak
-        scale = float(np.sqrt(T / (np.sum(np.abs(d) ** 2) / 4.0)))
+    peak = float(np.abs(d).max())
+    if not 0 < peak < np.inf:  # NaN fails too
+        raise ValueError(f"delta must be finite with a nonzero entry, got largest magnitude {peak}")
+    e = int(np.frexp(peak)[1])
+    d = np.ldexp(np.ascontiguousarray(d).view(float), -e).view(complex)
+    scale = float(np.sqrt(d.shape[1] / (np.sum(np.abs(d) ** 2) / 4.0)))
+    with np.errstate(over="ignore"):
+        s = float(np.ldexp(scale, -e))
+    if not np.isfinite(s):
+        raise ValueError(f"delta's largest magnitude {peak} is too small: its scale s overflows")
     c0 = (scale / 2.0) * d.T
-    return Codebook((c0, -c0)), scale / peak
+    return Codebook((c0, -c0)), s
 
 
 def repetition_bpsk(T: int) -> Codebook:

@@ -85,6 +85,11 @@ class TestPairwiseCodebook:
         with pytest.raises(ValueError, match="^delta must be finite with a nonzero entry"):
             pairwise_codebook_from_delta([[bad, 1.0], [1.0, 1.0]])
 
+    def test_subnormal_delta_named(self):
+        # s would be about 3e319, past the float range, so c0 - c1 = s * delta cannot hold
+        with pytest.raises(ValueError, match="too small: its scale s overflows"):
+            pairwise_codebook_from_delta(1e-320 * EXAMPLE1_DELTA)
+
     @pytest.mark.parametrize("factor", [1e-158, 1e-165, 1e160])
     def test_delta_beyond_the_normal_energy_range(self, factor):
         # the energy of these deltas under- or overflows: the codebook is still
@@ -95,8 +100,16 @@ class TestPairwiseCodebook:
         assert np.allclose(cb.codewords[0] - cb.codewords[1], scale * delta.T, rtol=1e-12, atol=0)
         assert np.allclose(cb.codewords, pairwise_codebook_from_delta(EXAMPLE1_DELTA)[0].codewords, rtol=1e-12)
 
+    @pytest.mark.parametrize("power", [-1000, -600, 600, 1000])
+    def test_power_of_two_scaling_is_exact(self, power):
+        # delta is normalised after an exact power-of-two scaling, so these keep example1's bits
+        cb, scale = pairwise_codebook_from_delta(np.ldexp(EXAMPLE1_DELTA, power))
+        want, want_scale = pairwise_codebook_from_delta(EXAMPLE1_DELTA)
+        assert np.array_equal(cb.codewords, want.codewords)
+        assert scale == np.ldexp(want_scale, -power)
+
     def test_example1_keeps_its_bits(self):
-        # a delta in range is normalised as given: the built-in pair's bits are pinned
+        # the built-in pair's bits and s are pinned
         cb, scale = pairwise_codebook_from_delta(EXAMPLE1_DELTA)
         assert scale == 0.769800358919501
         digest = hashlib.sha256(cb.codewords.tobytes()).hexdigest()
