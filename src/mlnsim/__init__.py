@@ -10,7 +10,16 @@ performance measures with empirical validators, pairwise-error-probability
 estimators, and a seeded Monte Carlo BER link simulator. Its
 simulate_bers sweeps both query schemes on the same blocks (common random
 numbers), drawing each block once; simulate_ber is its one-sweep call.
+
+Importing the package sets two process-wide glibc malloc thresholds
+(mallopt(3)): arrays below 32 MiB come from the heap rather than from
+their own mappings, and up to 256 MiB of freed heap stays mapped. The
+kernels allocate their arrays afresh for every chunk and slice, so without
+this glibc would unmap each freed array and the next one would fault in
+fresh pages. Where the C library has no mallopt, the import sets nothing.
 """
+
+import ctypes
 
 from .channel import ChannelRealization, SystemDims, backscatter_transmit, effective_signal, sample_channel
 from .codes import (
@@ -72,3 +81,16 @@ from .simulate import (
 )
 
 __version__ = "0.1.0"
+
+
+def _keep_freed_arrays_mapped() -> None:
+    try:
+        mallopt = ctypes.CDLL(None).mallopt
+    except (AttributeError, OSError, TypeError):  # no mallopt, or no C library to load
+        return
+    mallopt.argtypes, mallopt.restype = (ctypes.c_int, ctypes.c_int), ctypes.c_int
+    mallopt(-3, 32 * 2**20)  # M_MMAP_THRESHOLD
+    mallopt(-1, 256 * 2**20)  # M_TRIM_THRESHOLD
+
+
+_keep_freed_arrays_mapped()

@@ -124,15 +124,14 @@ def mix(X: np.ndarray, C: np.ndarray, G: np.ndarray) -> np.ndarray:
     return S
 
 
-def gram(G: np.ndarray, *, Gc=None, work=None, out=None) -> np.ndarray:
+def gram(G: np.ndarray, *, Gc=None) -> np.ndarray:
     """G G^H: L x L for an L x N G, or L x L x n for L x N x n (blocks last).
 
     Given Gc = conj(B) for a K x N (x n) B, it forms G B^H instead, L x K (x n);
-    Gc defaults to conj(G). Given also an L x K x N (x n) work array for the
-    entrywise products and out, it allocates nothing; the bits are the same either way.
+    Gc defaults to conj(G).
     """
     Gc = G.conj() if Gc is None else Gc
-    return np.sum(np.multiply(G[:, None], Gc[None], out=work), axis=2, out=out)
+    return np.sum(G[:, None] * Gc[None], axis=2)
 
 
 def effective_signal(q, H: np.ndarray, C: np.ndarray, G: np.ndarray) -> np.ndarray:

@@ -155,18 +155,17 @@ def _exponent_summary(estimates, nominal: int) -> dict:
 
 def _run_pep(cfg: ExperimentConfig, art: _Artifacts) -> int:
     slug = _slug(cfg)
-    grid = cfg.snr_grid_db if cfg.snr_grid_explicit else DEFAULT_PEP_GRID  # reproduce's default is ber's
     measures = compare_queries(cfg.delta, cfg.dims.N)
     curves = {}
     for i, scheme in enumerate(QUERY_SCHEMES):
         rng = make_rng(cfg.seed, (20, i))
-        curves[scheme] = pep_eigen_product_curve(scheme, cfg.delta, cfg.dims, grid, cfg.trials, rng)
+        curves[scheme] = pep_eigen_product_curve(scheme, cfg.delta, cfg.dims, cfg.pep_grid_db, cfg.trials, rng)
         art.write(f"pep_{slug}_{scheme}.csv", pep_curve_to_csv(curves[scheme]))
     ratio = [ratio_point(eu, ef) for eu, ef in zip(curves["unitary"], curves["uniform"])]
     art.write(f"pep_{slug}_ratio.csv", ratio_curve_to_csv(ratio))
     summary = {
         "preset": cfg.preset,
-        "snr_grid_db": list(grid),
+        "snr_grid_db": list(cfg.pep_grid_db),
         "trials": cfg.trials,
         "unitary": _exponent_summary(curves["unitary"], measures.r_unitary),
         "uniform": _exponent_summary(curves["uniform"], measures.r_uniform),

@@ -18,7 +18,7 @@ from __future__ import annotations
 import json
 import math
 import os
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -141,7 +141,7 @@ class ExperimentConfig(ByValue):
     target_error_events: int
     max_trials_per_point: int
     output_dir: str
-    snr_grid_explicit: bool = field(default=False, compare=False)
+    pep_grid_db: tuple  # the pep stage's grid: snr_grid_db when given, else DEFAULT_PEP_GRID
 
 
 def _build_codebook(name, values, dims: SystemDims) -> Codebook:
@@ -275,5 +275,5 @@ def load_config(path: str | None = None, overrides: dict | None = None) -> Exper
         target_error_events=target_events,
         max_trials_per_point=max_trials,
         output_dir=out_dir,
-        snr_grid_explicit=grid_value is not None,
+        pep_grid_db=DEFAULT_PEP_GRID if grid_value is None else grid,
     )

@@ -105,17 +105,13 @@ def sample_cn_matrix(
     return out
 
 
-def sample_blocks(shape: tuple, n: int, rng: np.random.Generator, *, out: np.ndarray | None = None) -> np.ndarray:
+def sample_blocks(shape: tuple, n: int, rng: np.random.Generator) -> np.ndarray:
     """n blocks of i.i.d. CN(0, 1) entries laid out last, as a C-contiguous shape + (n,) array.
 
     Block k holds row k of sample_cn_matrix(n, prod(shape), rng), with the same bits and the
-    same generator state afterwards; a given out (such an array of complex128) is filled and returned.
+    same generator state afterwards.
     """
-    size = tuple(shape) + (n,)
-    if out is None:
-        out = np.empty(size, dtype=complex)
-    elif out.shape != size or out.dtype != complex or not out.flags.c_contiguous:
-        raise ValueError(f"out must be a C-contiguous complex128 array of shape {size}, got {out.dtype} {out.shape}")
+    out = np.empty(tuple(shape) + (n,), dtype=complex)
     sample_cn_matrix(n, int(np.prod(shape)), rng, out=out.reshape(-1, n).T)  # row k to column k
     return out
 
@@ -124,7 +120,7 @@ def even_slices(n: int, most: int | None = None) -> list[slice]:
     """ceil(n / most) consecutive slices that cover range(n), with sizes that differ by at most 1.
 
     most defaults to _SLICE, the slice size of every sliced stack. The larger slices
-    come first, so a buffer sized for the first fits every later one.
+    come first, so the heap memory the first slice's arrays free fits every later slice's.
     """
     most = _SLICE if most is None else most
     if n < 0 or most < 1:

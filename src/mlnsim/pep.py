@@ -257,12 +257,8 @@ def _batched_z(rows: int, d: DifferenceMatrix, N: int, n: int, rng) -> np.ndarra
     a single draw unless n is 1: numpy rounds a one-element complex product apart from
     its vector kernel, so such a slice would change the bits of Z at T = N = 1.
     """
-    # X and G share one block: its free raises glibc's mmap threshold past the block,
-    # so the next batch's draws and the slices' arrays reuse heap pages instead of
-    # mapping and faulting fresh ones
-    draws = np.empty(((rows + N) * d.L, n), dtype=complex)
-    X = sample_blocks((rows, d.L), n, rng, out=draws[: rows * d.L].reshape(rows, d.L, n))
-    G = sample_blocks((d.L, N), n, rng, out=draws[rows * d.L :].reshape(d.L, N, n))
+    X = sample_blocks((rows, d.L), n, rng)
+    G = sample_blocks((d.L, N), n, rng)
     C = d.delta.T[:, :, None]
     z = np.empty(n)
     for s in even_slices(n):

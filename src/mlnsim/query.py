@@ -80,7 +80,7 @@ def unitary_query(M: int, kind: str = "dft", rng: np.random.Generator | None = N
     return q
 
 
-def effective_forward(q, H: np.ndarray, *, out: np.ndarray | None = None) -> np.ndarray:
+def effective_forward(q, H: np.ndarray) -> np.ndarray:
     """The forward process seen by the tag: Q @ H, T x L (T x L x n for M x L x n H).
 
     For the uniform query all rows are identical (the static channel is
@@ -88,18 +88,14 @@ def effective_forward(q, H: np.ndarray, *, out: np.ndarray | None = None) -> np.
     i.i.d. complex Gaussian matrix when H is, so the effective channel
     varies from slot to slot inside the coherence block. A batch is one
     product Q @ H[:, l, :] per tag antenna l, which reads a strided slice of
-    a blocks-last array in place. The product goes to out (a complex array
-    of the result's shape, any strides) when given.
+    a blocks-last array in place.
     """
     mat = np.asarray(q, dtype=complex)
     H = np.asarray(H, dtype=complex)
     if H.ndim not in (2, 3) or mat.shape[1] != H.shape[0]:
         raise DimensionMismatchError(f"query has {mat.shape[1]} columns but channel has {H.shape} shape")
-    shape = (mat.shape[0],) + H.shape[1:]
-    if out is not None and out.shape != shape:
-        raise ValueError(f"out must have the shape {shape} of Q @ H, got {out.shape}")
     if H.ndim == 2:
-        return np.matmul(mat, H, out=out)
-    out = np.empty(shape, dtype=complex) if out is None else out
+        return mat @ H
+    out = np.empty((mat.shape[0],) + H.shape[1:], dtype=complex)
     np.matmul(mat, H.transpose(1, 0, 2), out=out.transpose(1, 0, 2))
     return out

@@ -45,11 +45,11 @@ ml_detect runs the same kernel, with R as the noise on the zero word.
 Blocks are laid out last (L x N x n), so G G^H and V are products of
 length-n vectors; a chunk's draws go straight into blocks-last arrays
 (linalg.sample_blocks), of which a slice is a view. A chunk is scored in as
-few even slices (linalg.even_slices, the larger first, so the first sizes
-every buffer) as keep every per-slice buffer (_slice_bytes) within the one
-budget _SLICE_BYTES, at least _MIN_SLICE blocks each, so the scorer's arrays
-of a 2^16-word codebook take 3 x 32 x 2^16 float64s (48 MiB) at most. The
-number of numpy calls per slice does not grow with L, N or T.
+few even slices (linalg.even_slices) as keep every per-slice array
+(_slice_bytes) within the one budget _SLICE_BYTES, at least _MIN_SLICE
+blocks each, so the scorer's arrays of a 2^16-word codebook take
+3 x 32 x 2^16 float64s (48 MiB) at most. The number of numpy calls per
+slice does not grow with L, N or T.
 
 The points of a slice are scored from the noisiest down, the first on
 every block and each later one only on the blocks in error at the point
@@ -63,20 +63,15 @@ correct at one point is correct at every less noisy one (exactly so in real
 arithmetic; in floating point only a block within rounding of a tie could
 differ).
 
-A call has one thread pool, and each pool worker keeps one _Workspace for
-all the sweeps of the call. The chunk's H, G and W, every slice buffer and
-the metric's temporaries are views of arrays it allocates on first use and
-enlarges only for a larger chunk or slice than any before, so later chunks
-allocate no large array and do not fault in fresh pages when malloc has
-returned freed memory to the system. The workspace goes with the pool at
-the end of the call.
+A call has one thread pool for all its sweeps. Every chunk and slice
+allocates its arrays afresh; importing mlnsim raises glibc's mmap and trim
+thresholds (see the package docstring), so freed arrays stay in the heap
+and later chunks reuse their pages instead of faulting in fresh ones.
 """
 
 from __future__ import annotations
 
-import math
 import os
-import threading
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import astuple, dataclass
 
@@ -202,89 +197,47 @@ def build_query(kind: str, dims: SystemDims, seed: int):
     return unitary_query(dims.M, kind, make_rng(seed, (0,)))
 
 
-class _Workspace(threading.local):
-    """The arrays each pool worker reuses for every chunk and slice of one sweep.
-
-    A threading.local: every thread that uses it sees its own arrays.
-    view(name, shape, dtype) is a C-contiguous view of the first entries of
-    the flat array kept under name, which is allocated (or grown) only when
-    a larger view is asked for, so short chunks and slices reuse its memory.
-    A name keeps its first dtype (ValueError otherwise), and its contents
-    are overwritten by the next call that asks for it.
-    """
-
-    def __init__(self):
-        self._flat = {}
-
-    def view(self, name: str, shape: tuple, dtype=complex) -> np.ndarray:
-        size = math.prod(shape)
-        flat = self._flat.get(name)
-        if flat is not None and flat.dtype != dtype:
-            raise ValueError(f"workspace buffer {name!r} holds {flat.dtype}, not {np.dtype(dtype)}")
-        if flat is None or flat.size < size:
-            flat = self._flat[name] = np.empty(size, dtype)
-        return flat[:size].reshape(shape)
+def _rows(arrays, parts: int) -> np.ndarray:
+    """The Re and then Im parts (Re alone when parts == 1) of each blocks-last array in turn, as rows of n."""
+    return np.concatenate([p.reshape(-1, p.shape[-1]) for z in arrays for p in (z.real, z.imag)[:parts]])
 
 
-def _put_parts(z: np.ndarray, rows: np.ndarray, parts: int) -> np.ndarray:
-    """Copy z's Re and then Im parts (Re alone when parts == 1) into rows, (parts z.size / n) x n."""
-    for part, block in zip((z.real, z.imag)[:parts], rows.reshape((parts,) + z.shape)):
-        block[...] = part
-    return rows
+def _shared_terms(G: np.ndarray, W: np.ndarray) -> tuple:
+    """gram = G G^H (L x L x n) and V = conj(W G^H) = conj(W) G^T (T x L x n)."""
+    Gc = np.conjugate(G)
+    return gram(G, Gc=Gc), np.conjugate(gram(W, Gc=Gc))
 
 
-def _shared_terms(G: np.ndarray, W: np.ndarray, ws: _Workspace) -> tuple:
-    """gram = G G^H (L x L x n) and V = conj(W G^H) = conj(W) G^T (T x L x n), as views of ws's arrays."""
-    L, N, n = G.shape
-    T = W.shape[0]
-    Gc = np.conjugate(G, out=ws.view("conj", G.shape))
-    G_Gh = gram(G, Gc=Gc, work=ws.view("tmp", (L, L, N, n)), out=ws.view("gram", (L, L, n)))
-    V = gram(W, Gc=Gc, work=ws.view("tmp", (T, L, N, n)), out=ws.view("V", (T, L, n)))  # W G^H
-    return G_Gh, np.conjugate(V, out=V)
-
-
-def _base_features(X: np.ndarray, gram: np.ndarray, Cc: np.ndarray, parts: int, ws: _Workspace) -> np.ndarray:
-    """F x n features of the noise-free metric, F = parts T L (L + 1), as a view of ws's arrays.
+def _base_features(X: np.ndarray, gram: np.ndarray, Cc: np.ndarray, parts: int) -> np.ndarray:
+    """F x n features of the noise-free metric, F = parts T L (L + 1).
 
     The energy features E[t, l, l'] = X_tl conj(X_tl') gram_ll' come first,
     then the cross features sum_l' E[t, l, l'] Cc[t, l'], which equal
     X o conj(S G^H) for S = (X o C) G and Cc = conj(C). Each gives its Re rows
     and then its Im rows (Re rows alone when parts == 1).
     """
-    T, L, n = X.shape
-    E = ws.view("tmp", (T, L, L, n))
-    np.multiply(X[:, None], gram.transpose(1, 0, 2), out=E)  # X_tl' gram_l'l
-    np.conjugate(E, out=E)  # conj(X_tl') gram_ll', as gram is Hermitian
+    # conj(X_tl') gram_ll', as gram is Hermitian; C-contiguous, so that _rows reads Re and Im rows in place
+    E = np.conjugate(np.multiply(X[:, None], gram.transpose(1, 0, 2), order="C"))
     E *= X[:, :, None]
-    feats = ws.view("feats", (parts * T * L * (L + 1), n), float)
-    _put_parts(E, feats[: parts * T * L * L], parts)
     # real words need Re(E Cc) = Re(E) Re(Cc) alone
-    prod, c = (E, Cc) if parts == 2 else (E.real, Cc.real)
-    np.multiply(prod, c[:, None], out=prod)
-    for part, rows in zip((E.real, E.imag)[:parts], feats[parts * T * L * L :].reshape(parts, T, L, n)):
-        np.sum(part, axis=2, out=rows)
-    return feats
+    cross = np.sum(E * Cc[:, None] if parts == 2 else E.real * Cc.real[:, None], axis=2)
+    return _rows((E, cross), parts)
 
 
-def _metric(
-    X: np.ndarray, gram: np.ndarray, V: np.ndarray, Cc: np.ndarray, weights: np.ndarray,
-    ws: _Workspace, base: np.ndarray | None = None, noise: np.ndarray | None = None,
-) -> tuple:
+def _metric(X: np.ndarray, gram: np.ndarray, V: np.ndarray, Cc: np.ndarray, weights: np.ndarray) -> tuple:
     """base and noise (n x K each): the metric ||R - S_j||^2 - ||R||^2 of R = S + s W is base + s noise.
 
     Arrays are blocks-last: X = Q H is T x L x n, gram and V are the
     _shared_terms of G and W, and Cc holds the conjugated sent words C of
     S = (X o C) G. base = ||S_j||^2 - 2 Re<S, S_j> and noise = -2 Re<W, S_j>.
     weights are Codebook.metric_weights, whose width tells whether they carry
-    Im parts. The results go to base and noise when given, the temporaries to ws.
+    Im parts.
     """
     T, L, n = X.shape
     parts = weights.shape[1] // (T * L * (L + 1))
-    feats = _base_features(X, gram, Cc, parts, ws)
-    base = np.matmul(feats.T, weights.T, out=base)
+    base = _base_features(X, gram, Cc, parts).T @ weights.T
     # -2 Re<W, S_j> pairs the cross features X o V of W with c_j, as base's pair those of S
-    rows = _put_parts(np.multiply(X, V, out=ws.view("tmp", X.shape)), feats[: parts * T * L], parts)
-    noise = np.matmul(rows.T, weights[:, parts * T * L * L :].T, out=noise)
+    noise = _rows((X * V,), parts).T @ weights[:, parts * T * L * L :].T
     return base, noise
 
 
@@ -300,9 +253,8 @@ def ml_detect(R: np.ndarray, q, ch: ChannelRealization, codebook: Codebook) -> i
         raise DimensionMismatchError(
             f"R must be {X.shape[0]}x{ch.G.shape[1]}, got {R.shape}"
         )
-    ws = _Workspace()
-    gram, V = _shared_terms(ch.G[..., None], R[..., None], ws)  # R is the noise on the zero word
-    base, noise = _metric(X[..., None], gram, V, np.zeros(X.shape + (1,)), codebook.metric_weights, ws)
+    gram, V = _shared_terms(ch.G[..., None], R[..., None])  # R is the noise on the zero word
+    base, noise = _metric(X[..., None], gram, V, np.zeros(X.shape + (1,)), codebook.metric_weights)
     return int(np.argmin(base[0] + noise[0]))
 
 
@@ -312,13 +264,12 @@ def _score_points(
     sent: np.ndarray,
     noise_stds: np.ndarray,
     tallies: np.ndarray,
-    spare: np.ndarray,
 ) -> None:
     """Add the error events and bit errors of n blocks at each noise scale to tallies.
 
-    base + s noise (both n x K) is the metric at noise scale s, sent holds the
-    sent word indices and spare is an n x K array to work in; base, noise and
-    spare are overwritten. noise_stds must be descending: the first scale
+    base + s noise (both n x K) is the metric at noise scale s and sent holds
+    the sent word indices; base and noise are overwritten, and one more n x K
+    array is all the scoring allocates. noise_stds must be descending: the first scale
     scores every block in place and each later one only the blocks in error
     at the scale before, whose rows are gathered into the leading rows of
     the three arrays. That gives the tallies of scoring every block at every
@@ -327,6 +278,7 @@ def _score_points(
     """
     if not (np.all(noise_stds[1:] <= noise_stds[:-1]) and np.all(np.isfinite(noise_stds))):
         raise ValueError(f"noise scales must be descending and finite, got {noise_stds}")
+    spare = np.empty_like(base)
     for i, noise_std in enumerate(noise_stds):
         metric = spare[: len(sent)]
         np.multiply(noise, noise_std, out=metric)
@@ -353,10 +305,11 @@ def _sent_words(codebook: Codebook) -> np.ndarray:
 
 
 def _slice_bytes(dims: SystemDims, weights: np.ndarray) -> int:
-    """Bytes per block of every per-slice buffer of _score_chunk."""
+    """Bytes per block of every per-slice array of _score_chunk."""
     L, N, T = dims.L, dims.N, dims.T
     K, F = weights.shape
-    # conj, gram, V, X, C and tmp are complex; feats and the scorer's base, noise and spare are real
+    # conj(G), gram, V, X, C and the largest product are complex; feats and the scorer's base,
+    # noise and spare are real
     complex_entries = L * N + L * L + 3 * T * L + max(L * L * N, T * L * N, T * L * L)
     return 16 * complex_entries + 8 * F + 8 * 3 * K
 
@@ -368,7 +321,6 @@ def _score_chunk(
     weights: np.ndarray,
     key: tuple,
     n: int,
-    ws: _Workspace,
 ) -> np.ndarray:
     """Error events and bit errors at each noise scale of each scheme on one chunk of n blocks.
 
@@ -376,35 +328,30 @@ def _score_chunk(
     (Q, noise_stds) pair per query scheme, words are the codebook's
     conjugated codewords blocks-last (T x L x K) and weights its metric
     weights. The chunk draws H, G, sent and unit-variance W from its own
-    substream key once for all schemes, and works in the calling thread's
-    arrays of ws. Returns a 2 x P integer array (events, then bit errors) of
-    the P noise scales of all schemes in order; a scheme without noise
-    scales is not scored.
+    substream key once for all schemes. Returns a 2 x P integer array
+    (events, then bit errors) of the P noise scales of all schemes in order;
+    a scheme without noise scales is not scored.
     """
     M, L, N, T = config.dims.M, config.dims.L, config.dims.N, config.dims.T
     K = words.shape[-1]
     rng = make_rng(config.seed, key)
-    H = sample_blocks((M, L), n, rng, out=ws.view("H", (M, L, n)))
-    G = sample_blocks((L, N), n, rng, out=ws.view("G", (L, N, n)))
+    H = sample_blocks((M, L), n, rng)
+    G = sample_blocks((L, N), n, rng)
     sent = rng.integers(0, K, n)
-    W = sample_blocks((T, N), n, rng, out=ws.view("W", (T, N, n)))
+    W = sample_blocks((T, N), n, rng)
 
     most = max(_MIN_SLICE, _SLICE_BYTES // _slice_bytes(config.dims, weights))
     scales = [len(noise_stds) for _, noise_stds in schemes]
     tallies = np.zeros((2, sum(scales)), dtype=np.int64)
     per_scheme = np.split(tallies, np.cumsum(scales)[:-1], axis=1)
     for s in even_slices(n, most):
-        sent_s = sent[s]
-        k = len(sent_s)
-        gram, V = _shared_terms(G[..., s], W[..., s], ws)
-        Cc = np.take(words, sent_s, axis=2, out=ws.view("C", (T, L, k)), mode="clip")
+        gram, V = _shared_terms(G[..., s], W[..., s])
+        Cc = np.take(words, sent[s], axis=2)
         for (Q, noise_stds), t in zip(schemes, per_scheme):
-            if len(noise_stds) == 0:
-                continue
-            X = effective_forward(Q, H[..., s], out=ws.view("X", (T, L, k)))
-            base, noise = ws.view("base", (k, K), float), ws.view("noise", (k, K), float)
-            _metric(X, gram, V, Cc, weights, ws, base, noise)
-            _score_points(base, noise, sent_s, noise_stds, t, ws.view("spare", (k, K), float))
+            if len(noise_stds):  # no name holds X, base or noise past the scorer, so slices stay in budget
+                _score_points(
+                    *_metric(effective_forward(Q, H[..., s]), gram, V, Cc, weights), sent[s], noise_stds, t
+                )
     return tallies
 
 
@@ -472,16 +419,13 @@ def simulate_bers(configs) -> tuple[BerCurve, ...]:
     # read the cached codebook arrays once, before any worker can race to build them
     words = _sent_words(layout.codebook)
     weights = layout.codebook.metric_weights
-    ws = _Workspace()
     with ThreadPoolExecutor(workers) as pool:
         while active.any():
             n = min(_BATCH_SCHEDULE[min(batch, len(_BATCH_SCHEDULE) - 1)], cap - drawn)
             idx = np.flatnonzero(active)
             schemes = [(Q, noise_stds[idx[owner[idx] == j]]) for j, Q in enumerate(queries)]
             tallies = pool.map(
-                lambda c: _score_chunk(
-                    layout, schemes, words, weights, (1, batch, c), min(_CHUNK, n - c * _CHUNK), ws
-                ),
+                lambda c: _score_chunk(layout, schemes, words, weights, (1, batch, c), min(_CHUNK, n - c * _CHUNK)),
                 range(-(-n // _CHUNK)),
             )
             for t in tallies:  # in chunk order

@@ -313,6 +313,14 @@ class TestValueEquality:
         assert a != b and a.delta.shape == b.delta.shape
         assert a == load_config(overrides={**doc, "delta": [[1, [2, 0]]]})
 
+    def test_configs_running_different_pep_grids_differ(self, tmp_path):
+        # reproduce defaults to its ber stage's grid, but its pep stage then runs DEFAULT_PEP_GRID
+        doc = {"command": "reproduce", "preset": "example1", "out": str(tmp_path / "out")}
+        default, explicit = load_config(overrides=doc), load_config(overrides={**doc, "snr_grid_db": "0:2:24"})
+        assert default.snr_grid_db == explicit.snr_grid_db
+        assert (default.pep_grid_db, explicit.pep_grid_db) == (DEFAULT_PEP_GRID, explicit.snr_grid_db)
+        assert default != explicit and hash(default) != hash(explicit)
+
 
 _CUSTOM_PAIR = {"m": 2, "l": 1, "n": 2, "t": 2, "codebook": "custom"}
 _FAULTS = {
@@ -402,7 +410,7 @@ def test_cli_names_integer_literal_past_digit_limit(tmp_path, capsys):
 def test_command_defaults_follow_its_stages(command, grid, trials):
     # a command with a pep stage defaults to pep's trials; reproduce's grid is its ber stage's
     cfg = load_config(overrides={"command": command, "preset": "example1"})
-    assert (cfg.snr_grid_db, cfg.trials, cfg.snr_grid_explicit) == (grid, trials, False)
+    assert (cfg.snr_grid_db, cfg.trials, cfg.pep_grid_db) == (grid, trials, DEFAULT_PEP_GRID)
 
 
 @pytest.mark.parametrize("command", ["measure", "pep", "verify-lemmas"])

@@ -127,29 +127,17 @@ class TestSampleBlocks:
         "shape, n",
         [((), 5), ((1,), 1), ((2, 3), 7), ((2, 2), linalg._DRAW_PIECE + 1), ((3, 1, 2), 500)],
     )
-    @pytest.mark.parametrize("with_out", [False, True])
-    def test_block_k_is_row_k_of_the_matrix_draw(self, shape, n, with_out):
+    def test_block_k_is_row_k_of_the_matrix_draw(self, shape, n):
         # the bits and the generator state of sample_cn_matrix(n, prod(shape)), with
-        # row k in block k; a dirty out is filled twice, each time like a fresh draw
+        # row k in block k, on two draws in a row
         rng, ref = make_rng(31, (n,)), make_rng(31, (n,))
-        buf = np.full(shape + (n,), np.nan + 1j * np.inf)
         for _ in range(2):
             rows = sample_cn_matrix(n, math.prod(shape), ref)
-            blocks = sample_blocks(shape, n, rng, out=buf if with_out else None)
+            blocks = sample_blocks(shape, n, rng)
             assert blocks.shape == shape + (n,) and blocks.flags.c_contiguous
-            assert blocks is buf if with_out else blocks is not buf
             expected = np.ascontiguousarray(rows.T).reshape(shape + (n,))
             assert np.array_equal(blocks.view(np.uint64), expected.view(np.uint64))
         assert rng.bit_generator.state == ref.bit_generator.state
-
-    @pytest.mark.parametrize(
-        "out",
-        [np.empty((2, 3, 4)), np.empty((3, 2, 4), complex), np.empty((4, 3, 2), complex).T,
-         np.empty((2, 3, 8), complex)[..., ::2]],
-    )
-    def test_bad_out_rejected(self, out):
-        with pytest.raises(ValueError, match=r"out must be a C-contiguous complex128 array of shape \(2, 3, 4\)"):
-            sample_blocks((2, 3), 4, make_rng(0), out=out)
 
 
 class TestEvenSlices:

@@ -10,9 +10,9 @@ import pytest
 from scipy.integrate import dblquad
 from scipy.special import erfc
 
-from mlnsim.channel import SystemDims, mix
-from mlnsim.codes import EXAMPLE1_DELTA, EXAMPLE3_DELTA, _as_diff, difference_matrix
-from mlnsim.linalg import make_rng, psd_eigenvalues, sample_blocks, sample_cn_matrix
+from mlnsim.channel import SystemDims, effective_signal, mix, sample_channel
+from mlnsim.codes import EXAMPLE1_DELTA, EXAMPLE3_DELTA, _as_diff, difference_matrix, pairwise_codebook_from_delta
+from mlnsim.linalg import DimensionMismatchError, make_rng, psd_eigenvalues, sample_blocks, sample_cn_matrix
 from mlnsim.measure import build_D, build_E_t, scheme_weights
 from mlnsim.pep import (
     DivergentAverageError,
@@ -39,6 +39,8 @@ from mlnsim.pep import (
     squared_distance_uniform,
     squared_distance_unitary,
 )
+from mlnsim.query import unitary_query
+from mlnsim.simulate import SnrSweepConfig, ml_detect
 
 DIMS1 = SystemDims(2, 2, 2, 2)
 DIMS3 = SystemDims(2, 1, 2, 2)
@@ -729,3 +731,36 @@ def test_pep_csv_roundtrip():
     ests = [pep_eigen_product_mc("unitary", EXAMPLE3_DELTA, DIMS3, s, 1000, rng) for s in (10.0, 20.0)]
     again = pep_curve_from_csv(pep_curve_to_csv(ests))
     assert again == ests
+
+
+# a guard on an operand's shape in each public entry point, for example1's 2 x 2 delta:
+# (call, the operand its message must start with); G3 has three rows where L = 2
+_G3 = np.ones((3, 2))
+_SHAPE_GUARDS = {
+    "estimator-dims": (lambda: pep_qfunction_mc("unitary", EXAMPLE1_DELTA, DIMS3, 10.0, 10, make_rng(0)), "delta"),
+    "unitary-X": (lambda: squared_distance_unitary(np.ones((3, 2)), EXAMPLE1_DELTA, np.ones((2, 2))), "X"),
+    "unitary-G": (lambda: squared_distance_unitary(np.ones((2, 2)), EXAMPLE1_DELTA, _G3), "G"),
+    "uniform-y": (lambda: squared_distance_uniform(np.ones(3), EXAMPLE1_DELTA, np.ones((2, 2))), "y"),
+    "uniform-G": (lambda: squared_distance_uniform(np.ones(2), EXAMPLE1_DELTA, _G3), "G"),
+    "sweep-codebook": (
+        lambda: SnrSweepConfig(dims=DIMS3, query_kind="dft", codebook=pairwise_codebook_from_delta(EXAMPLE1_DELTA)[0],
+                               snr_grid_db=(0.0,)),
+        "codebook",
+    ),
+    "ml-detect-R": (
+        lambda: ml_detect(np.ones((3, 2)), unitary_query(2, "dft"), sample_channel(DIMS1, make_rng(0)),
+                          pairwise_codebook_from_delta(EXAMPLE1_DELTA)[0]),
+        "R",
+    ),
+    "effective-signal-G": (
+        lambda: effective_signal(unitary_query(2, "dft"), np.ones((2, 2)), np.ones((2, 2)), _G3), "G"
+    ),
+    "build-E-t-G": (lambda: build_E_t(EXAMPLE1_DELTA, _G3, 1), "G"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(_SHAPE_GUARDS))
+def test_shape_guards_name_the_operand(case):
+    call, operand = _SHAPE_GUARDS[case]
+    with pytest.raises(DimensionMismatchError, match=rf"^{operand} (is|must) "):
+        call()

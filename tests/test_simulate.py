@@ -1,10 +1,16 @@
 """Unit tests for the BER link simulator."""
 
+import os
+import platform
+import subprocess
+import sys
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import mlnsim
 from mlnsim import codes, linalg, simulate
 from mlnsim.channel import SystemDims, mix, sample_channel
 from mlnsim.codes import (
@@ -120,9 +126,8 @@ def _random_blocks(Q, codewords, n, noise_std, rng):
 
 def _kernel(X, G, W, Cc, weights):
     """base and noise of simulate._metric for S = (X o C) G with Cc = conj(C) and noise W."""
-    ws = simulate._Workspace()
-    gram, V = simulate._shared_terms(G, W, ws)
-    return simulate._metric(X, gram, V, Cc, weights, ws)
+    gram, V = simulate._shared_terms(G, W)
+    return simulate._metric(X, gram, V, Cc, weights)
 
 
 def _metric_of(X, G, R, weights):
@@ -190,9 +195,8 @@ class TestMetricKernel:
             q = unitary_query(T, "dft") if query_kind == "dft" else uniform_query(T, M)
             X, G, _, C = _random_blocks(q, codewords, 16, 0.0, rng)
             parts = 2 if family == "complex" else 1
-            ws = simulate._Workspace()
-            gram, _ = simulate._shared_terms(G, np.zeros((T,) + G.shape[1:], complex), ws)
-            feats = simulate._base_features(X, gram, np.conjugate(C), parts, ws)
+            gram, _ = simulate._shared_terms(G, np.zeros((T,) + G.shape[1:], complex))
+            feats = simulate._base_features(X, gram, np.conjugate(C), parts)
             cross = feats[parts * T * L * L :].reshape(parts, T, L, -1)
             S = mix(X, C, G)
             direct = X * np.einsum("tnk,lnk->tlk", np.conjugate(S), G)
@@ -296,11 +300,6 @@ def _complex_codebook():
     return codes.Codebook(tuple(words * np.sqrt(3 / np.mean(np.sum(np.abs(words) ** 2, axis=(1, 2))))))
 
 
-def _slice_buffer_bytes(ws):
-    """Bytes of a _Workspace's arrays other than the chunk's draws."""
-    return sum(a.nbytes for name, a in ws._flat.items() if name not in ("H", "G", "W"))
-
-
 class TestSliceBudget:
     @pytest.mark.parametrize(
         "dims,codebook,query_kinds,n,slices",
@@ -314,19 +313,33 @@ class TestSliceBudget:
         ],
     )
     def test_slices_fit_the_byte_budgets(self, monkeypatch, dims, codebook, query_kinds, n, slices):
-        # _slice_bytes counts every per-slice buffer: the workspace's slice arrays
-        # take exactly the largest slice's blocks times its bytes per block
-        seen = []
-        metric = simulate._metric
+        # _slice_bytes counts every per-slice array: above the chunk's draws, the traced
+        # peak of each slice stays within the largest slice's blocks times its bytes per block
+        seen, peaks = [], []
+        metric, shared_terms = simulate._metric, simulate._shared_terms
+
+        def slice_start(G, W):  # the peak since the last call is that of the slice before
+            peaks.append(tracemalloc.get_traced_memory()[1])
+            tracemalloc.reset_peak()
+            return shared_terms(G, W)
+
+        monkeypatch.setattr(simulate, "_shared_terms", slice_start)
         monkeypatch.setattr(simulate, "_metric", lambda X, *args: seen.append(X.shape[-1]) or metric(X, *args))
         weights = codebook.metric_weights
         sweep = SnrSweepConfig(dims=dims, query_kind=query_kinds[0], codebook=codebook, snr_grid_db=(0.0,))
         schemes = [(simulate.build_query(k, dims, 0), np.array([1.0])) for k in query_kinds]
-        ws = simulate._Workspace()
-        simulate._score_chunk(sweep, schemes, simulate._sent_words(codebook), weights, (1, 0, 0), n, ws)
+        words = simulate._sent_words(codebook)
+        tracemalloc.start()
+        try:
+            simulate._score_chunk(sweep, schemes, words, weights, (1, 0, 0), n)
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
         assert seen[:: len(schemes)] == slices
+        draws = n * (16 * (dims.M * dims.L + dims.L * dims.N + dims.T * dims.N) + 8)  # H, G, W and sent
         per_block = simulate._slice_bytes(dims, weights)
-        assert _slice_buffer_bytes(ws) == max(slices) * per_block <= simulate._SLICE_BYTES
+        assert len(peaks) == len(slices) + 1  # the first is the draws'
+        assert max(peaks[1:]) - draws <= max(slices) * per_block <= simulate._SLICE_BYTES
 
 
 def _tallies_every_point(base, noise, sent, noise_stds):
@@ -344,7 +357,7 @@ def _tallies_every_point(base, noise, sent, noise_stds):
 
 def _score(base, noise, sent, noise_stds):
     tallies = np.zeros((2, len(noise_stds)), dtype=np.int64)
-    simulate._score_points(base.copy(), noise.copy(), sent, noise_stds, tallies, np.empty_like(base))
+    simulate._score_points(base.copy(), noise.copy(), sent, noise_stds, tallies)
     return tallies
 
 
@@ -413,39 +426,63 @@ class TestScorePoints:
         with pytest.raises(ValueError, match="must be descending"):
             _score(base, noise, np.zeros(4, dtype=np.int64), np.array(stds))
 
-    def test_chunk_reuses_its_workspace(self):
-        # after its first chunk a worker allocates a small fraction of what that chunk did
-        dims = SystemDims(2, 2, 2, 2)
-        cb = _antipodal()
-        sweep = SnrSweepConfig(dims=dims, query_kind="dft", codebook=cb, snr_grid_db=(0.0, 10.0))
-        Q = simulate.build_query("dft", dims, 0)
-        words = simulate._sent_words(cb)
-        stds = np.array([1.0, 0.3])
-        ws = simulate._Workspace()
-        peaks, tallies = [], []
-        for chunk in range(2):
-            tracemalloc.start()
-            try:
-                t = simulate._score_chunk(sweep, [(Q, stds)], words, cb.metric_weights, (1, 0, chunk), 10_000, ws)
-                peaks.append(tracemalloc.get_traced_memory()[1])
-            finally:
-                tracemalloc.stop()
-            tallies.append(t)
-        assert peaks[1] < peaks[0] / 4
-        # and a fresh workspace gives the second chunk the same tallies
-        fresh = simulate._score_chunk(
-            sweep, [(Q, stds)], words, cb.metric_weights, (1, 0, 1), 10_000, simulate._Workspace()
-        )
-        assert np.array_equal(fresh, tallies[1])
 
-    def test_workspace_names_a_buffer_asked_for_another_dtype(self):
-        # a large enough buffer of the wrong dtype must not come back silently
-        ws = simulate._Workspace()
-        assert ws.view("a", (4,)).dtype == complex
-        assert ws.view("a", (2, 2), complex).shape == (2, 2)
-        with pytest.raises(ValueError, match="buffer 'a' holds complex128, not float64"):
-            ws.view("a", (2,), float)
-        assert ws.view("b", (3,), float).dtype == float
+# a repeated BER sweep on 2 workers and a repeated Q-function PEP curve, each after a first
+# call that sizes the heap; prints the minor page faults of each repeat. A pool thread gives
+# its malloc arena back only after join() returns, so the script waits for that before the
+# repeat, whose threads would otherwise grow new arenas
+_REPEATED_KERNELS = """
+import resource
+import time
+from mlnsim import (
+    EXAMPLE1_DELTA, SnrSweepConfig, SystemDims, make_rng, pairwise_codebook_from_delta, pep_qfunction_mc, simulate_bers,
+)
+
+dims = SystemDims(2, 2, 2, 2)
+codebook = pairwise_codebook_from_delta(EXAMPLE1_DELTA)[0]
+sweeps = [
+    SnrSweepConfig(dims=dims, query_kind=kind, codebook=codebook, snr_grid_db=(0.0, 6.0, 12.0),
+                   max_trials_per_point=40_000)
+    for kind in ("dft", "uniform")
+]
+
+def pep_curves():
+    for scheme in ("unitary", "uniform"):
+        rng = make_rng(1, (30,))
+        for snr in (10.0, 20.0, 30.0):
+            pep_qfunction_mc(scheme, EXAMPLE1_DELTA, dims, snr, 50_000, rng)
+
+for run in (lambda: simulate_bers(sweeps), pep_curves):
+    run()
+    time.sleep(0.1)
+    before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+    run()
+    print(resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before)
+"""
+
+
+@pytest.mark.skipif(platform.libc_ver()[0] != "glibc", reason="the allocator setting is glibc's mallopt")
+def test_repeated_kernels_reuse_their_pages():
+    # importing mlnsim keeps freed arrays in the heap, so the kernels, which allocate
+    # afresh for every chunk and slice, fault in almost no page on a repeated call;
+    # glibc's default thresholds would fault in thousands
+    env = dict(os.environ, PYTHONPATH=str(Path(__file__).resolve().parents[1] / "src"),
+               MLNSIM_THREADS="2", OPENBLAS_NUM_THREADS="1")
+    run = subprocess.run([sys.executable, "-c", _REPEATED_KERNELS], env=env, capture_output=True,
+                         text=True, timeout=120)
+    assert run.returncode == 0, run.stderr
+    ber, pep = (int(v) for v in run.stdout.split())
+    assert ber < 500 and pep < 500, f"minor faults of a repeated call: BER sweep {ber}, PEP curve {pep}"
+
+
+def _no_c_library(name):
+    raise OSError("no C library")
+
+
+@pytest.mark.parametrize("library", [lambda name: object(), _no_c_library], ids=["no-mallopt", "no-library"])
+def test_allocator_setting_skipped_without_mallopt(monkeypatch, library):
+    monkeypatch.setattr(mlnsim.ctypes, "CDLL", library)
+    assert mlnsim._keep_freed_arrays_mapped() is None
 
 
 class TestSimulateBer:

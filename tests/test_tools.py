@@ -48,9 +48,9 @@ def test_peakmem_reports_every_stage_and_writes_nothing(tmp_path):
         run = subprocess.run(tool + argv, cwd=cwd, env=env, capture_output=True, text=True, timeout=300)
         assert run.returncode == 0, run.stderr
         header, *rows = (line.split() for line in run.stdout.splitlines())
-        assert header == ["stage", "peak_rss_mb", "wall_s", "exit"]
+        assert header == ["stage", "peak_rss_mb", "minflt", "wall_s", "exit"]
         assert [r[0] for r in rows] == ["(import)", "measure", "verify-lemmas", "pep", "ber"]
-        assert all(float(r[1]) > 0 and r[3] == "0" for r in rows)
+        assert all(float(r[1]) > 0 and int(r[2]) > 0 and r[4] == "0" for r in rows)
         assert list(cwd.iterdir()) == []  # every stage wrote to a temporary directory
     both = subprocess.run(tool + ["--preset", "example3", "--config", str(config)], cwd=cwd, env=env,
                           capture_output=True, text=True, timeout=60)

@@ -84,7 +84,7 @@ CATALOGUE = (
            "    S = XC[:, -1, None] * G[-1]\n    for l in range(XC.shape[1] - 2, -1, -1):",
            ("tests/test_channel.py::TestBatchedKernel::test_mix_adds_the_tag_antennas_in_order",)),
     Mutant("gram-ignores-gc", "channel.py", "Gc = G.conj() if Gc is None else Gc", "Gc = G.conj()",
-           ("tests/test_channel.py::TestBatchedKernel::test_out_buffers_hold_the_fresh_results",)),
+           ("tests/test_channel.py::TestBatchedKernel::test_cross_gram_is_w_g_h",)),
     Mutant("uniform-rank-closed-form", "measure.py", "r_uniform=rf,", "r_uniform=min(N * d.rank, d.nonzero_rows),",
            ("tests/test_measure.py::TestMeasures::test_uniform_rank_is_the_matroid_union_rank",)),
     Mutant("uncoded-bpsk-bits-reversed", "codes.py", "np.arange(n - 1, -1, -1)", "np.arange(n)",
@@ -103,7 +103,8 @@ CATALOGUE = (
            "most = max(_MIN_SLICE, _SLICE_BYTES // _slice_bytes(config.dims, weights))",
            "most = _SLICE_BYTES // _slice_bytes(config.dims, weights)",
            (f"{_KERNEL}::test_large_codebook_sweep_in_bounded_memory",)),
-    Mutant("shared-v-unconjugated", "simulate.py", "return G_Gh, np.conjugate(V, out=V)", "return G_Gh, V",
+    Mutant("shared-v-unconjugated", "simulate.py",
+           "return gram(G, Gc=Gc), np.conjugate(gram(W, Gc=Gc))", "return gram(G, Gc=Gc), gram(W, Gc=Gc)",
            (f"{_KERNEL}::test_matches_brute_force",)),
     Mutant("cross-weight-sign", "codes.py", "cross = -2.0 * codewords", "cross = 2.0 * codewords",
            (f"{_KERNEL}::test_matches_brute_force",)),
@@ -112,6 +113,12 @@ CATALOGUE = (
            ("tests/test_pep.py::TestQFunctionMc::test_z_is_the_squared_norm_of_mix_bit_for_bit",)),
     Mutant("integer-message-wrong-field", "config.py", 'trials = _integer("trials",', 'trials = _integer("seed",',
            ("tests/test_config_cli.py::TestDocumentProperties::test_seed_and_trials",)),
+    # the import-time allocator setting, and the pep stage's grid as a compared config field
+    Mutant("allocator-policy-off", "__init__.py", "\n_keep_freed_arrays_mapped()\n", "\n",
+           ("tests/test_simulate.py::test_repeated_kernels_reuse_their_pages",)),
+    Mutant("pep-grid-not-compared", "config.py", "    pep_grid_db: tuple  #",
+           '    pep_grid_db: tuple = __import__("dataclasses").field(compare=False)  #',
+           ("tests/test_config_cli.py::TestValueEquality::test_configs_running_different_pep_grids_differ",)),
 )
 
 
