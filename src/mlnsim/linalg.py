@@ -39,7 +39,7 @@ _SLICE = 8192
 
 _INV_SQRT2 = 1.0 / np.sqrt(2.0)
 
-# sample_cn_matrix draws whole rows, at most this many float64s (64 KiB) at a
+# _fill draws whole rows, at most this many float64s (64 KiB) at a
 # time unless one row is longer, a size malloc reuses without fresh pages: a
 # larger matrix goes piece by piece
 _DRAW_PIECE = 8192
@@ -66,34 +66,28 @@ def _as_matrix(a, name: str = "matrix") -> np.ndarray:
     return a
 
 
-def sample_cn_matrix(
-    rows: int, cols: int, rng: np.random.Generator, *, out: np.ndarray | None = None
-) -> np.ndarray:
+def sample_cn_matrix(rows: int, cols: int, rng: np.random.Generator) -> np.ndarray:
     """Sample a rows x cols matrix of i.i.d. CN(0, 1) entries.
 
     Circularly-symmetric complex Gaussian with unit total variance: real
-    and imaginary parts are independent N(0, 1/2). Given out (a C- or
-    F-contiguous complex128 rows x cols array), the draw is written there
-    and out is returned, with the same bits and the same generator state
-    afterwards as a call without it. An F-contiguous out (the transpose of a
-    C-contiguous cols x rows array) puts each drawn row in a column.
+    and imaginary parts are independent N(0, 1/2).
     """
     if rows < 1 or cols < 1:
         raise DimensionMismatchError(f"dimensions must be >= 1, got ({rows}, {cols})")
-    if out is None:
-        out = np.empty((rows, cols), dtype=complex)
-    elif out.shape != (rows, cols) or out.dtype != complex or not out.flags.forc:
-        raise ValueError(
-            f"out must be a C- or F-contiguous complex128 array of shape ({rows}, {cols}), "
-            f"got {out.dtype} {out.shape}"
-        )
+    return _fill(np.empty((rows, cols), dtype=complex), rng)
+
+
+def _fill(out: np.ndarray, rng: np.random.Generator) -> np.ndarray:
+    """Fill out (complex rows x cols, C- or F-contiguous) with a CN(0, 1) draw and return it."""
     # the stream holds every real part and then every imaginary part, as one
     # (2, rows, cols) draw would. numpy divides a complex by a real as a product
     # with its reciprocal, so scaling each part by 1/sqrt(2) gives the bits of
     # (a + 1j b) / sqrt(2) (a / sqrt(2) would not). A Generator's normal stream
     # carries no state between calls, so a draw made piece by piece (whole rows,
     # at least one) into a small scratch gives the same values and leaves the
-    # same state, without a temporary the size of the draw
+    # same state, without a temporary the size of the draw. An F-contiguous out (the
+    # transpose of a C-contiguous cols x rows array) gets each drawn row in a column
+    rows, cols = out.shape
     step = min(rows, max(1, _DRAW_PIECE // cols))
     scratch = np.empty((step, cols))
     for part in (out.real, out.imag):
@@ -112,7 +106,7 @@ def sample_blocks(shape: tuple, n: int, rng: np.random.Generator) -> np.ndarray:
     same generator state afterwards.
     """
     out = np.empty(tuple(shape) + (n,), dtype=complex)
-    sample_cn_matrix(n, int(np.prod(shape)), rng, out=out.reshape(-1, n).T)  # row k to column k
+    _fill(out.reshape(-1, n).T, rng)  # row k to column k
     return out
 
 
@@ -284,13 +278,13 @@ def numeric_rank(a: np.ndarray) -> int | np.ndarray:
     return int(r[0]) if a.ndim == 2 else r
 
 
-def verify_unitary(q, tol: float = UNITARY_TOL) -> bool:
-    """True iff Q Q^H equals the identity within tol (Frobenius norm)."""
+def verify_unitary(q) -> bool:
+    """True iff Q Q^H equals the identity within UNITARY_TOL (Frobenius norm)."""
     mat = np.asarray(q, dtype=complex)
     if mat.shape[0] != mat.shape[1]:
         raise DimensionMismatchError(f"unitarity needs a square matrix, got {mat.shape}")
     resid = mat @ mat.conj().T - np.eye(mat.shape[0])
-    return frobenius_norm_sq(resid) < tol**2
+    return frobenius_norm_sq(resid) < UNITARY_TOL**2
 
 
 def random_unitary(n: int, rng: np.random.Generator) -> np.ndarray:
@@ -298,22 +292,15 @@ def random_unitary(n: int, rng: np.random.Generator) -> np.ndarray:
 
     Phase convention: the first nonzero element of each column is made
     real-positive, so the output is a deterministic function of the draw.
-    Retries on (probability-zero) degenerate draws, then raises.
+    Householder QR of a finite draw gives a unitary Q to rounding; a Q that
+    fails verify_unitary raises ``numpy.linalg.LinAlgError``.
     """
     if n < 1:
         raise DimensionMismatchError(f"n must be >= 1, got {n}")
-    for _ in range(4):
-        z = sample_cn_matrix(n, n, rng)
-        try:
-            q, _ = np.linalg.qr(z)
-        except np.linalg.LinAlgError:
-            continue
-        # rotate each column so its first nonzero entry is real-positive
-        for j in range(n):
-            col = q[:, j]
-            k = int(np.argmax(np.abs(col) > 0))
-            phase = col[k] / np.abs(col[k])
-            q[:, j] = col / phase
-        if verify_unitary(q):
-            return q
-    raise np.linalg.LinAlgError("orthonormalization degenerated after 3 retries")
+    q, _ = np.linalg.qr(sample_cn_matrix(n, n, rng))
+    # rotate each column so its first nonzero entry is real-positive
+    first = q[np.argmax(np.abs(q) > 0, axis=0), np.arange(n)]
+    q /= first / np.abs(first)
+    if not verify_unitary(q):
+        raise np.linalg.LinAlgError("QR of the Gaussian draw did not give a unitary Q")
+    return q

@@ -63,14 +63,18 @@ correct at one point is correct at every less noisy one (exactly so in real
 arithmetic; in floating point only a block within rounding of a tie could
 differ).
 
-A call has one thread pool for all its sweeps. Every chunk and slice
-allocates its arrays afresh; importing mlnsim raises glibc's mmap and trim
-thresholds (see the package docstring), so freed arrays stay in the heap
-and later chunks reuse their pages instead of faulting in fresh ones.
+The process keeps one thread pool per worker count, made on first use, so
+back-to-back sweeps run on the same threads and their malloc arenas; a
+forked child drops the pools it inherits (their threads do not exist there)
+and makes its own. Every chunk and slice allocates its arrays afresh;
+importing mlnsim raises glibc's mmap and trim thresholds (see the package
+docstring), so freed arrays stay in the heap and later chunks and sweeps
+reuse their pages instead of faulting in fresh ones.
 """
 
 from __future__ import annotations
 
+import functools
 import os
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import astuple, dataclass
@@ -355,7 +359,7 @@ def _score_chunk(
     return tallies
 
 
-def _worker_count(n_tasks: int) -> int:
+def _worker_count() -> int:
     workers = os.cpu_count() or 1
     env = os.environ.get("MLNSIM_THREADS")
     if env:
@@ -366,7 +370,14 @@ def _worker_count(n_tasks: int) -> int:
         if threads < 1:
             raise ValueError(f"MLNSIM_THREADS must be an integer >= 1, got {env!r}")
         workers = min(workers, threads)
-    return min(workers, n_tasks)
+    return workers
+
+
+# the pool of each worker count, kept for the process; a forked child inherits
+# pools whose threads it does not have, so it starts without any
+_pool = functools.cache(ThreadPoolExecutor)
+if hasattr(os, "register_at_fork"):
+    os.register_at_fork(after_in_child=_pool.cache_clear)
 
 
 def _shared_layout(configs: tuple) -> SnrSweepConfig:
@@ -392,20 +403,19 @@ def simulate_bers(configs) -> tuple[BerCurve, ...]:
     differs. Every batch of blocks is drawn once and scored at every SNR
     point of every config that is still below its event target, so the
     curves share their channel, codeword and noise draws (common random
-    numbers). Chunks of a batch run in one thread pool for the whole call,
-    of os.cpu_count() workers capped by the MLNSIM_THREADS environment
-    variable (a ValueError names it unless it is an integer >= 1), each
-    chunk on its own substream of the seed, so the result does not depend
-    on scheduling or on the worker count, and each curve equals that of its
-    config swept alone. Under-resolved points (too few error events at the
-    trial cap) are kept and flagged via BerPoint.resolved rather than failing
-    the sweep.
+    numbers). Chunks run on a thread pool of os.cpu_count() workers capped
+    by the MLNSIM_THREADS environment variable (a ValueError names it unless
+    it is an integer >= 1). The process keeps that pool for every later
+    call, and a forked child makes its own. Each chunk draws from its own
+    substream of the seed, so the result does not depend on scheduling or
+    on the worker count, and each curve equals that of its config swept
+    alone. Under-resolved points (too few error events at the trial cap)
+    are kept and flagged via BerPoint.resolved rather than failing the sweep.
     """
     configs = tuple(configs)
     layout = _shared_layout(configs)
     cap = layout.max_trials_per_point
-    largest_batch_chunks = -(-min(max(_BATCH_SCHEDULE), cap) // _CHUNK)
-    workers = _worker_count(largest_batch_chunks)
+    pool = _pool(_worker_count())
     queries = [build_query(c.query_kind, c.dims, c.seed) for c in configs]
     # the points of every config in one array, config by config
     sizes = [len(c.snr_grid_db) for c in configs]
@@ -419,21 +429,20 @@ def simulate_bers(configs) -> tuple[BerCurve, ...]:
     # read the cached codebook arrays once, before any worker can race to build them
     words = _sent_words(layout.codebook)
     weights = layout.codebook.metric_weights
-    with ThreadPoolExecutor(workers) as pool:
-        while active.any():
-            n = min(_BATCH_SCHEDULE[min(batch, len(_BATCH_SCHEDULE) - 1)], cap - drawn)
-            idx = np.flatnonzero(active)
-            schemes = [(Q, noise_stds[idx[owner[idx] == j]]) for j, Q in enumerate(queries)]
-            tallies = pool.map(
-                lambda c: _score_chunk(layout, schemes, words, weights, (1, batch, c), min(_CHUNK, n - c * _CHUNK)),
-                range(-(-n // _CHUNK)),
-            )
-            for t in tallies:  # in chunk order
-                counts[:2, idx] += t
-            counts[2, idx] += n
-            drawn += n
-            batch += 1
-            active &= (counts[0] < targets) & (drawn < cap)
+    while active.any():
+        n = min(_BATCH_SCHEDULE[min(batch, len(_BATCH_SCHEDULE) - 1)], cap - drawn)
+        idx = np.flatnonzero(active)
+        schemes = [(Q, noise_stds[idx[owner[idx] == j]]) for j, Q in enumerate(queries)]
+        tallies = pool.map(
+            lambda c: _score_chunk(layout, schemes, words, weights, (1, batch, c), min(_CHUNK, n - c * _CHUNK)),
+            range(-(-n // _CHUNK)),
+        )
+        for t in tallies:  # in chunk order
+            counts[:2, idx] += t
+        counts[2, idx] += n
+        drawn += n
+        batch += 1
+        active &= (counts[0] < targets) & (drawn < cap)
 
     curves = []
     for config, count in zip(configs, np.split(counts, np.cumsum(sizes)[:-1], axis=1)):

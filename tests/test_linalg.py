@@ -59,13 +59,16 @@ class TestSampling:
 
     def test_bits_match_combine_then_divide(self):
         # the same bits as the two-pass reference from the same generator state;
-        # 3000 x 7 is drawn in three pieces per part
-        for seed, rows in [(0, 500), (1, 500), (2, 500), (0, 3000), (1, 3000)]:
+        # 3000 x 7 is drawn in three pieces per part, the next two sizes sit either
+        # side of the largest one-piece draw, and the last has rows longer than one piece
+        piece = linalg._DRAW_PIECE
+        for seed, rows, cols in [(0, 500, 7), (1, 500, 7), (2, 500, 7), (0, 3000, 7), (1, 3000, 7),
+                                 (3, piece // 2, 1), (4, piece // 2 + 1, 1), (5, 2, piece + 3)]:
             rng = make_rng(seed, (9,))
             ref = make_rng(seed, (9,))
-            a = ref.standard_normal((rows, 7))
-            b = ref.standard_normal((rows, 7))
-            z = sample_cn_matrix(rows, 7, rng)
+            a = ref.standard_normal((rows, cols))
+            b = ref.standard_normal((rows, cols))
+            z = sample_cn_matrix(rows, cols, rng)
             assert np.array_equal(z.view(np.uint64), ((a + 1j * b) / np.sqrt(2)).view(np.uint64))
             assert rng.standard_normal() == ref.standard_normal()
 
@@ -82,15 +85,15 @@ class TestSampling:
         [(1, 1), (500, 7), (3000, 7), (linalg._DRAW_PIECE // 2, 1), (linalg._DRAW_PIECE // 2 + 1, 1)],
     )
     def test_out_buffer_reused_matches_fresh_draws(self, rows, cols):
-        # a dirty buffer filled twice holds each time the bits of a fresh call, and
-        # the generator ends where two fresh calls leave it; 3000 x 7 is drawn in
-        # three pieces per part, and the last two sizes sit either side of the
-        # largest one-piece draw
+        # a dirty buffer filled twice by the samplers' one fill holds each time the bits
+        # of a fresh call, and the generator ends where two fresh calls leave it; 3000 x 7
+        # is drawn in three pieces per part, and the last two sizes sit either side of
+        # the largest one-piece draw
         rng, ref = make_rng(6, (9,)), make_rng(6, (9,))
         buf = np.full((rows, cols), np.nan + 1j * np.inf)
         for _ in range(2):
             fresh = sample_cn_matrix(rows, cols, ref)
-            assert sample_cn_matrix(rows, cols, rng, out=buf) is buf
+            assert linalg._fill(buf, rng) is buf
             assert np.array_equal(buf.view(np.uint64), fresh.view(np.uint64))
         assert rng.bit_generator.state == ref.bit_generator.state
 
@@ -99,37 +102,29 @@ class TestSampling:
         [(1, 5), (3000, 7), (linalg._DRAW_PIECE + 1, 2), (2, linalg._DRAW_PIECE + 3), (10_000, 8)],
     )
     def test_f_order_out_matches_c_order(self, rows, cols):
-        # an F-contiguous out (the transpose of a cols x rows array) gets the bits
-        # of a C-contiguous one and leaves the generator in the same state: a
-        # single row, a piece of whole rows that does not fill _DRAW_PIECE, draws
-        # of several pieces, and rows longer than one piece
+        # an F-contiguous out (the transpose of a cols x rows array, as sample_blocks
+        # fills) gets the bits of a C-contiguous one and leaves the generator in the
+        # same state: a single row, a piece of whole rows that does not fill
+        # _DRAW_PIECE, draws of several pieces, and rows longer than one piece
         rng, ref = make_rng(8, (rows, cols)), make_rng(8, (rows, cols))
         buf = np.full((cols, rows), np.nan + 1j * np.inf).T
         assert buf.flags.f_contiguous
         for _ in range(2):
-            c_order = sample_cn_matrix(rows, cols, ref, out=np.empty((rows, cols), complex))
-            assert sample_cn_matrix(rows, cols, rng, out=buf) is buf
+            c_order = sample_cn_matrix(rows, cols, ref)
+            assert linalg._fill(buf, rng) is buf
             assert np.array_equal(np.ascontiguousarray(buf).view(np.uint64), c_order.view(np.uint64))
         assert rng.bit_generator.state == ref.bit_generator.state
-
-    @pytest.mark.parametrize(
-        "out",
-        [np.empty((3, 4)), np.empty((4, 3), complex), np.empty((3, 8), complex)[:, ::2],
-         np.empty((3, 4), np.complex64)],
-    )
-    def test_bad_out_rejected(self, out):
-        with pytest.raises(ValueError, match="out must be a C- or F-contiguous complex128"):
-            sample_cn_matrix(3, 4, make_rng(0), out=out)
 
 
 class TestSampleBlocks:
     @pytest.mark.parametrize(
         "shape, n",
-        [((), 5), ((1,), 1), ((2, 3), 7), ((2, 2), linalg._DRAW_PIECE + 1), ((3, 1, 2), 500)],
+        [((), 5), ((1,), 1), ((2, 3), 7), ((2, 2), linalg._DRAW_PIECE + 1), ((3, 1, 2), 500),
+         ((linalg._DRAW_PIECE + 3,), 2)],
     )
     def test_block_k_is_row_k_of_the_matrix_draw(self, shape, n):
         # the bits and the generator state of sample_cn_matrix(n, prod(shape)), with
-        # row k in block k, on two draws in a row
+        # row k in block k, on two draws in a row; the last blocks are larger than one piece
         rng, ref = make_rng(31, (n,)), make_rng(31, (n,))
         for _ in range(2):
             rows = sample_cn_matrix(n, math.prod(shape), ref)
@@ -480,6 +475,11 @@ class TestRandomUnitary:
             first = u[np.argmax(np.abs(u[:, j]) > 0), j]
             assert first.imag == pytest.approx(0.0, abs=1e-12)
             assert first.real > 0
+
+    def test_non_unitary_q_named(self, monkeypatch):
+        monkeypatch.setattr(np.linalg, "qr", lambda z: (2.0 * z, None))
+        with pytest.raises(np.linalg.LinAlgError, match="QR of the Gaussian draw did not give a unitary Q"):
+            random_unitary(3, make_rng(15))
 
     def test_unitary_invariance_of_singulars(self):
         rng = make_rng(13)

@@ -541,12 +541,13 @@ class TestEigenProductCurve:
 
         monkeypatch.setattr(pep_mod, "_MC_BATCH", 100)
         drawn = []
+        fill = linalg_mod._fill
 
-        def counting(rows, cols, rng, **kw):
-            drawn.append(rows * cols)
-            return sample_cn_matrix(rows, cols, rng, **kw)
+        def counting(out, rng):
+            drawn.append(out.size)
+            return fill(out, rng)
 
-        monkeypatch.setattr(linalg_mod, "sample_cn_matrix", counting)
+        monkeypatch.setattr(linalg_mod, "_fill", counting)
         trials = 250
         for points in (1, 2, 12):
             drawn.clear()

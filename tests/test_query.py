@@ -43,7 +43,7 @@ class TestUnitaryQuery:
 
     def test_dft_four(self):
         q = unitary_query(4, "dft")
-        assert verify_unitary(q, 1e-10)
+        assert verify_unitary(q)
         assert np.allclose(np.abs(q), 0.25**0.5)
 
     def test_hadamard_needs_power_of_two(self):
@@ -59,29 +59,31 @@ class TestUnitaryQuery:
             for m in (1, 2, 4, 8):
                 q = unitary_query(m, kind, make_rng(3, (m,)))
                 assert type(q) is np.ndarray and q.dtype == complex and q.shape == (m, m)
-                assert verify_unitary(q, 1e-10)
+                assert verify_unitary(q)
                 assert np.max(np.abs(np.sum(np.abs(q) ** 2, axis=1) - 1.0)) < 1e-12
 
 
 class TestVerifyUnitary:
     def test_identity(self):
-        assert verify_unitary(np.eye(3), 1e-12)
+        assert verify_unitary(np.eye(3))
 
     def test_uniform_is_not_unitary(self):
-        assert not verify_unitary(uniform_query(2, 2), 1e-6)
+        assert not verify_unitary(uniform_query(2, 2))
 
     def test_random_unitary_kind(self):
-        assert verify_unitary(unitary_query(3, "random-unitary", make_rng(4)), 1e-9)
+        assert verify_unitary(unitary_query(3, "random-unitary", make_rng(4)))
 
     def test_one_tolerance(self):
-        # random_unitary checks its result with the one verify_unitary and its default tolerance
+        # random_unitary checks its result with the one verify_unitary, against UNITARY_TOL
         assert verify_unitary is linalg.verify_unitary
         assert linalg.UNITARY_TOL == 1e-10
+        # Q Q^H - I has the one nonzero entry (1 + e)^2 - 1, about 2e
+        assert verify_unitary(np.diag([1 + 0.4e-10, 1])) and not verify_unitary(np.diag([1 + 0.6e-10, 1]))
         assert verify_unitary(linalg.random_unitary(4, make_rng(5)))
 
     def test_non_square_rejected(self):
         with pytest.raises(DimensionMismatchError):
-            verify_unitary(np.ones((2, 3)), 1e-6)
+            verify_unitary(np.ones((2, 3)))
 
 
 class TestEffectiveForward:

@@ -4,6 +4,7 @@ import os
 import platform
 import subprocess
 import sys
+import threading
 import tracemalloc
 from pathlib import Path
 
@@ -427,13 +428,11 @@ class TestScorePoints:
             _score(base, noise, np.zeros(4, dtype=np.int64), np.array(stds))
 
 
-# a repeated BER sweep on 2 workers and a repeated Q-function PEP curve, each after a first
-# call that sizes the heap; prints the minor page faults of each repeat. A pool thread gives
-# its malloc arena back only after join() returns, so the script waits for that before the
-# repeat, whose threads would otherwise grow new arenas
+# a repeated BER sweep on 2 workers and a repeated Q-function PEP curve, each right after a
+# first call that sizes the heap; prints the minor page faults of each repeat. The repeated
+# sweep runs on the first one's pool threads, whose malloc arenas hold its freed pages
 _REPEATED_KERNELS = """
 import resource
-import time
 from mlnsim import (
     EXAMPLE1_DELTA, SnrSweepConfig, SystemDims, make_rng, pairwise_codebook_from_delta, pep_qfunction_mc, simulate_bers,
 )
@@ -454,7 +453,6 @@ def pep_curves():
 
 for run in (lambda: simulate_bers(sweeps), pep_curves):
     run()
-    time.sleep(0.1)
     before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
     run()
     print(resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before)
@@ -483,6 +481,58 @@ def _no_c_library(name):
 def test_allocator_setting_skipped_without_mallopt(monkeypatch, library):
     monkeypatch.setattr(mlnsim.ctypes, "CDLL", library)
     assert mlnsim._keep_freed_arrays_mapped() is None
+
+
+def test_consecutive_sweeps_run_on_one_pool(monkeypatch):
+    # an executor names its threads "ThreadPoolExecutor-<k>_<i>" with its own k, so the
+    # chunks of two calls share one prefix only when both calls run on the same pool
+    _threads(monkeypatch, 2)
+    names = []
+    score = simulate._score_chunk
+
+    def spy(*args):
+        names.append(threading.current_thread().name)
+        return score(*args)
+
+    monkeypatch.setattr(simulate, "_score_chunk", spy)
+    sweep = SnrSweepConfig(
+        dims=SystemDims(2, 2, 2, 2), query_kind="dft", codebook=_antipodal(), snr_grid_db=(0.0,),
+        max_trials_per_point=20_000, target_error_events=10**6,
+    )
+    for _ in range(2):
+        simulate_ber(sweep)
+    assert len(names) == 4
+    assert len({name.rpartition("_")[0] for name in names}) == 1, names
+
+
+# a sweep, then a second one in a forked child, which a 20 s alarm ends if the sweep hangs;
+# prints the child's exit code
+_SWEEP_IN_FORKED_CHILD = """
+import os
+import signal
+from mlnsim import EXAMPLE1_DELTA, SnrSweepConfig, SystemDims, pairwise_codebook_from_delta, simulate_ber
+
+sweep = SnrSweepConfig(dims=SystemDims(2, 2, 2, 2), query_kind="dft",
+                       codebook=pairwise_codebook_from_delta(EXAMPLE1_DELTA)[0], snr_grid_db=(0.0, 6.0),
+                       max_trials_per_point=20_000)
+first = simulate_ber(sweep).to_csv()
+pid = os.fork()
+if pid == 0:
+    signal.alarm(20)
+    os._exit(0 if simulate_ber(sweep).to_csv() == first else 1)
+print(os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1]))
+"""
+
+
+@pytest.mark.skipif(not hasattr(os, "fork"), reason="needs os.fork")
+def test_forked_child_sweeps_on_its_own_pool():
+    # the child inherits the parent's pool but not its threads; a submit to it would never run
+    env = dict(os.environ, PYTHONPATH=str(Path(__file__).resolve().parents[1] / "src"),
+               MLNSIM_THREADS="2", OPENBLAS_NUM_THREADS="1")
+    run = subprocess.run([sys.executable, "-c", _SWEEP_IN_FORKED_CHILD], env=env, capture_output=True,
+                         text=True, timeout=120)
+    assert run.returncode == 0, run.stderr
+    assert run.stdout.split() == ["0"], f"the forked child's exit code: {run.stdout} {run.stderr}"
 
 
 class TestSimulateBer:
@@ -566,7 +616,7 @@ class TestSimulateBer:
         for env in ("abc", "0", "-2"):
             monkeypatch.setenv("MLNSIM_THREADS", env)
             with pytest.raises(ValueError, match=f"MLNSIM_THREADS must be an integer >= 1, got '{env}'"):
-                simulate._worker_count(3)
+                simulate._worker_count()
 
     def test_short_last_chunk_byte_identical_across_worker_counts(self, monkeypatch):
         # a 25k cap draws chunks of 10k, 10k and then 5k blocks, so a worker's
@@ -619,13 +669,13 @@ class TestSimulateBer:
 def _assert_draws_each_block_once(monkeypatch, kinds, run):
     """run(sweeps), one sweep per query kind, samples max_trials blocks of H, G and W in all."""
     drawn = []
-    sample = linalg.sample_cn_matrix
+    fill = linalg._fill
 
-    def counting(rows, cols, rng, *, out=None):
-        drawn.append(rows * cols)
-        return sample(rows, cols, rng, out=out)
+    def counting(out, rng):
+        drawn.append(out.size)
+        return fill(out, rng)
 
-    monkeypatch.setattr(linalg, "sample_cn_matrix", counting)
+    monkeypatch.setattr(linalg, "_fill", counting)
     dims = SystemDims(2, 2, 3, 2)
     sweeps = [
         SnrSweepConfig(

@@ -75,9 +75,7 @@ CATALOGUE = (
            "ends = [k * size + min(k, extra) for k in range(count + 1)]",
            "ends = [k * size + max(0, k - count + extra) for k in range(count + 1)]",
            ("tests/test_linalg.py::TestEvenSlices",)),
-    Mutant("sample-blocks-first", "linalg.py",
-           "sample_cn_matrix(n, int(np.prod(shape)), rng, out=out.reshape(-1, n).T)",
-           "sample_cn_matrix(int(np.prod(shape)), n, rng, out=out.reshape(-1, n))",
+    Mutant("sample-blocks-first", "linalg.py", "_fill(out.reshape(-1, n).T, rng)", "_fill(out.reshape(-1, n), rng)",
            ("tests/test_linalg.py::TestSampleBlocks",)),
     Mutant("mix-adds-l-in-reverse", "channel.py",
            "    S = XC[:, 0, None] * G[0]\n    for l in range(1, XC.shape[1]):",
@@ -119,6 +117,14 @@ CATALOGUE = (
     Mutant("pep-grid-not-compared", "config.py", "    pep_grid_db: tuple  #",
            '    pep_grid_db: tuple = __import__("dataclasses").field(compare=False)  #',
            ("tests/test_config_cli.py::TestValueEquality::test_configs_running_different_pep_grids_differ",)),
+    # one worker pool per process, dropped in a forked child, and random_unitary's phase fix
+    Mutant("pool-per-call", "simulate.py", "_pool = functools.cache(ThreadPoolExecutor)",
+           "_pool = functools.lru_cache(maxsize=0)(ThreadPoolExecutor)",
+           ("tests/test_simulate.py::test_consecutive_sweeps_run_on_one_pool",)),
+    Mutant("pool-kept-across-fork", "simulate.py", "after_in_child=_pool.cache_clear", "after_in_child=lambda: None",
+           ("tests/test_simulate.py::test_forked_child_sweeps_on_its_own_pool",)),
+    Mutant("unitary-phase-conjugated", "linalg.py", "q /= first / np.abs(first)", "q /= np.conj(first) / np.abs(first)",
+           ("tests/test_linalg.py::TestRandomUnitary::test_phase_convention",)),
 )
 
 
