@@ -39,9 +39,8 @@ _SLICE = 8192
 
 _INV_SQRT2 = 1.0 / np.sqrt(2.0)
 
-# _fill draws whole rows, at most this many float64s (64 KiB) at a
-# time unless one row is longer, a size malloc reuses without fresh pages: a
-# larger matrix goes piece by piece
+# _fill draws at most this many float64s (64 KiB) at a time, a size malloc
+# reuses without fresh pages: a larger matrix goes piece by piece
 _DRAW_PIECE = 8192
 
 
@@ -83,19 +82,21 @@ def _fill(out: np.ndarray, rng: np.random.Generator) -> np.ndarray:
     # (2, rows, cols) draw would. numpy divides a complex by a real as a product
     # with its reciprocal, so scaling each part by 1/sqrt(2) gives the bits of
     # (a + 1j b) / sqrt(2) (a / sqrt(2) would not). A Generator's normal stream
-    # carries no state between calls, so a draw made piece by piece (whole rows,
-    # at least one) into a small scratch gives the same values and leaves the
-    # same state, without a temporary the size of the draw. An F-contiguous out (the
-    # transpose of a C-contiguous cols x rows array) gets each drawn row in a column
+    # carries no state between calls, so a draw made in stream order piece by piece,
+    # none longer than _DRAW_PIECE, gives the same values and leaves the same state
+    # with no larger scratch: whole rows per piece, or pieces of one row when a row
+    # is longer. An F-contiguous out (the transpose of a C-contiguous cols x rows
+    # array) gets each drawn row in a column
     rows, cols = out.shape
-    step = min(rows, max(1, _DRAW_PIECE // cols))
-    scratch = np.empty((step, cols))
+    step, width = min(rows, max(1, _DRAW_PIECE // cols)), min(cols, _DRAW_PIECE)
+    scratch = np.empty((step, width))
     for part in (out.real, out.imag):
         for a in range(0, rows, step):
-            piece = scratch[: rows - a]
-            rng.standard_normal(out=piece)
-            piece *= _INV_SQRT2
-            part[a : a + len(piece)] = piece
+            for b in range(0, cols, width):
+                piece = scratch[: rows - a, : cols - b]
+                rng.standard_normal(out=piece)
+                piece *= _INV_SQRT2
+                part[a : a + step, b : b + width] = piece
     return out
 
 
@@ -103,8 +104,11 @@ def sample_blocks(shape: tuple, n: int, rng: np.random.Generator) -> np.ndarray:
     """n blocks of i.i.d. CN(0, 1) entries laid out last, as a C-contiguous shape + (n,) array.
 
     Block k holds row k of sample_cn_matrix(n, prod(shape), rng), with the same bits and the
-    same generator state afterwards.
+    same generator state afterwards. Raises DimensionMismatchError unless n and every
+    entry of shape are >= 1; shape () gives n scalars.
     """
+    if n < 1 or min(shape, default=1) < 1:
+        raise DimensionMismatchError(f"need shape entries and n >= 1, got shape {tuple(shape)} and n={n}")
     out = np.empty(tuple(shape) + (n,), dtype=complex)
     _fill(out.reshape(-1, n).T, rng)  # row k to column k
     return out

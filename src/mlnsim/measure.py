@@ -196,8 +196,7 @@ def empirical_rank_check(delta, N: int, trials: int, rng: np.random.Generator) -
     fraction of draws with rank(E_t) as ``compare_queries`` predicts it, and the
     fraction with rank(D) == r_uniform. The report passes iff every fraction
     equals 1. Ranks are ``numeric_rank``'s. The draws are made at once, one
-    ``sample_cn_matrix`` call whose stream holds every real part before any
-    imaginary part, viewed as L x N x trials; each slice of them (``even_slices``)
+    ``sample_cn_matrix`` call viewed as L x N x trials; each slice of them (``even_slices``)
     then has the ranks of its E_t and D taken by the kernel ``compare_queries`` uses
     and counts those as predicted, so that apart from the draw only one slice of
     matrices is alive at a time. Each fraction is a hit count over trials.

@@ -24,8 +24,10 @@ Two routes are provided for each scheme:
   eigenvalues from contiguous entries.
 
 Both routes draw each batch of up to ``_MC_BATCH`` draws whole and then work
-through it in slices (``linalg.even_slices``), so that beyond the draw only the
-per-draw results and one slice of temporaries are alive; slicing changes no bit.
+through it in slices (``linalg.even_slices``), so that beyond the draw only
+per-draw-sized arrays (the per-draw results, ``qfunc``'s temporaries and
+``_lambda_products``' ``factors``) and one slice of temporaries are alive.
+Slicing changes no bit.
 
 gbar = 10**(snr_db / 10) (``channel.snr_gain``) at any point below ``channel._SNR_DB_MAX``,
 -inf dB included and NaN not; each estimate carries its Monte Carlo standard error.

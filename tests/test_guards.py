@@ -6,7 +6,7 @@ import pytest
 from mlnsim import cli
 from mlnsim.channel import SystemDims
 from mlnsim.codes import DifferenceMatrix, repetition_bpsk, uncoded_bpsk
-from mlnsim.linalg import DimensionMismatchError, make_rng, matmul, random_unitary
+from mlnsim.linalg import DimensionMismatchError, make_rng, matmul, random_unitary, sample_blocks
 from mlnsim.pep import PepEstimate, check_scaled_limit
 from mlnsim.presets import get_preset
 from mlnsim.query import uniform_query, unitary_query
@@ -19,6 +19,10 @@ _GUARDS = {
     "uncoded-no-slot": (lambda: uncoded_bpsk(0, 1), ValueError, r"T and L must be >= 1, got \(0, 1\)"),
     "matmul-vector": (lambda: matmul(np.ones(2), np.eye(2)), DimensionMismatchError, "A must be a 2-D matrix"),
     "unitary-size-zero": (lambda: random_unitary(0, make_rng(0)), DimensionMismatchError, "n must be >= 1"),
+    "blocks-shape-zero": (lambda: sample_blocks((0,), 3, make_rng(0)), DimensionMismatchError,
+                          r"need shape entries and n >= 1, got shape \(0,\) and n=3"),
+    "blocks-no-block": (lambda: sample_blocks((2, 2), 0, make_rng(0)), DimensionMismatchError,
+                        r"need shape entries and n >= 1, got shape \(2, 2\) and n=0"),
     "scaled-limit-one-estimate": (
         lambda: check_scaled_limit([PepEstimate(10.0, 0.1, 0.01, 100, "eigen-product")], 2),
         ValueError,

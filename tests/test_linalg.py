@@ -60,10 +60,12 @@ class TestSampling:
     def test_bits_match_combine_then_divide(self):
         # the same bits as the two-pass reference from the same generator state;
         # 3000 x 7 is drawn in three pieces per part, the next two sizes sit either
-        # side of the largest one-piece draw, and the last has rows longer than one piece
+        # side of the largest one-piece draw, and the last three have rows longer than
+        # one piece, drawn in column pieces (four per row, then two)
         piece = linalg._DRAW_PIECE
         for seed, rows, cols in [(0, 500, 7), (1, 500, 7), (2, 500, 7), (0, 3000, 7), (1, 3000, 7),
-                                 (3, piece // 2, 1), (4, piece // 2 + 1, 1), (5, 2, piece + 3)]:
+                                 (3, piece // 2, 1), (4, piece // 2 + 1, 1), (5, 2, piece + 3),
+                                 (6, 2, 3 * piece + 5), (7, 1, piece + 1)]:
             rng = make_rng(seed, (9,))
             ref = make_rng(seed, (9,))
             a = ref.standard_normal((rows, cols))
@@ -99,7 +101,8 @@ class TestSampling:
 
     @pytest.mark.parametrize(
         "rows, cols",
-        [(1, 5), (3000, 7), (linalg._DRAW_PIECE + 1, 2), (2, linalg._DRAW_PIECE + 3), (10_000, 8)],
+        [(1, 5), (3000, 7), (linalg._DRAW_PIECE + 1, 2), (2, linalg._DRAW_PIECE + 3),
+         (2, 3 * linalg._DRAW_PIECE + 5), (10_000, 8)],
     )
     def test_f_order_out_matches_c_order(self, rows, cols):
         # an F-contiguous out (the transpose of a cols x rows array, as sample_blocks
@@ -120,7 +123,7 @@ class TestSampleBlocks:
     @pytest.mark.parametrize(
         "shape, n",
         [((), 5), ((1,), 1), ((2, 3), 7), ((2, 2), linalg._DRAW_PIECE + 1), ((3, 1, 2), 500),
-         ((linalg._DRAW_PIECE + 3,), 2)],
+         ((linalg._DRAW_PIECE + 3,), 2), ((3 * linalg._DRAW_PIECE + 5,), 2)],
     )
     def test_block_k_is_row_k_of_the_matrix_draw(self, shape, n):
         # the bits and the generator state of sample_cn_matrix(n, prod(shape)), with

@@ -293,13 +293,14 @@ class TestEmpiricalRankCheck:
         assert 0.0 < straddling.per_slot_fractions[0] < 1.0
 
     def test_memory_beyond_the_draw_does_not_grow_with_trials(self):
-        # apart from the draw of G (L N 16 B per trial) only one slice of matrices is
-        # alive; a whole-batch stack of D alone would add L N T 16 B = 128 B per trial,
-        # 7.7 MB more at 80k trials than at 20k
+        # apart from the draw of G (L N 16 B per trial) only one slice of matrices and the
+        # sampler's scratch of at most _DRAW_PIECE floats are alive; a whole-batch stack of
+        # D alone would add L N T 16 B = 128 B per trial, and a scratch of one whole row of
+        # the draw (N trials 8 B) 6.1 MiB at 400k trials
         L = N = 2
         empirical_rank_check(EXAMPLE1_DELTA, N, 1000, make_rng(19))  # warm-up
         beyond_draw = []
-        for trials in (20_000, 80_000):
+        for trials in (20_000, 400_000):
             tracemalloc.start()
             try:
                 empirical_rank_check(EXAMPLE1_DELTA, N, trials, make_rng(19))

@@ -125,6 +125,16 @@ CATALOGUE = (
            ("tests/test_simulate.py::test_forked_child_sweeps_on_its_own_pool",)),
     Mutant("unitary-phase-conjugated", "linalg.py", "q /= first / np.abs(first)", "q /= np.conj(first) / np.abs(first)",
            ("tests/test_linalg.py::TestRandomUnitary::test_phase_convention",)),
+    # the sampler's one draw-piece rule (column pieces of a long row, in stream order) and
+    # sample_blocks' size guard
+    Mutant("fill-whole-row-scratch", "linalg.py", "min(cols, _DRAW_PIECE)", "cols",
+           ("tests/test_measure.py::TestEmpiricalRankCheck::test_memory_beyond_the_draw_does_not_grow_with_trials",)),
+    Mutant("fill-columns-outer", "linalg.py",
+           "        for a in range(0, rows, step):\n            for b in range(0, cols, width):\n",
+           "        for b in range(0, cols, width):\n            for a in range(0, rows, step):\n",
+           ("tests/test_linalg.py::TestSampling::test_bits_match_combine_then_divide",)),
+    Mutant("blocks-guard-passes-empty-shape", "linalg.py", "min(shape, default=1) < 1", "min(shape, default=1) < 0",
+           ("tests/test_guards.py::test_guard_names_its_argument",)),
 )
 
 
