@@ -11,16 +11,19 @@ Commands:
     ber            BER sweep for both query schemes plus gain summary
     reproduce      full pipeline (measure + lemmas + pep + ber) for a preset
 
-Exit codes: 0 success, 1 usage error, 2 validation failure (or a failed
-run; partial outputs are removed), 3 verify-lemmas check failure.
+Exit codes: 0 success, 1 usage error, 2 validation failure or a failed run,
+3 verify-lemmas check failure. A run that fails writes no output files; files
+are written when the command finishes.
 MLNSIM_THREADS caps worker parallelism (default: machine core count).
 """
 
 from __future__ import annotations
 
 import argparse
+import contextlib
 import json
 import os
+import re
 import sys
 
 from .config import (
@@ -39,7 +42,8 @@ from .pep import (
 )
 from .query import UNITARY_KINDS
 from .simulate import (
-    DEFAULT_MAX_TRIALS_PER_POINT, DEFAULT_TARGET_ERROR_EVENTS, LevelNotCrossedError, SnrSweepConfig, gain_at_ber, simulate_bers,
+    DEFAULT_MAX_TRIALS_PER_POINT, DEFAULT_TARGET_ERROR_EVENTS, LevelNotCrossedError, SnrSweepConfig, _worker_count, gain_at_ber,
+    simulate_bers,
 )
 
 GAIN_LEVELS = (1e-2, 1e-3)
@@ -63,6 +67,8 @@ def _build_parser() -> _Parser:
         epilog=__doc__.split("Commands:")[1],
         formatter_class=argparse.RawDescriptionHelpFormatter,
     )
+    # read a value such as -10:5:0 (a negative --snr-grid) as a value, not a flag, as argparse does from 3.13 on
+    parser._negative_number_matcher = re.compile(r"-\.?\d")
     parser.add_argument("command", choices=tuple(STAGES), help="what to run")
     parser.add_argument("--preset", default=None, help="example1 | example2 | example3")
     parser.add_argument("--config", default=None, metavar="FILE", help="JSON config file")
@@ -91,49 +97,26 @@ def _build_parser() -> _Parser:
     return parser
 
 
-class _Artifacts:
-    """Tracks files written by one run so failures can clean up."""
-
-    def __init__(self, out_dir: str):
-        self.out_dir = out_dir
-        self.paths: list[str] = []
-
-    def write(self, name: str, text: str) -> str:
-        os.makedirs(self.out_dir, exist_ok=True)
-        path = os.path.join(self.out_dir, name)
-        with open(path, "w", encoding="utf-8") as fh:
-            fh.write(text)
-        self.paths.append(path)
-        return path
-
-    def discard_all(self):
-        for p in self.paths:
-            try:
-                os.unlink(p)
-            except OSError:
-                pass
-
-
 def _slug(cfg: ExperimentConfig) -> str:
     return cfg.preset or "custom"
 
 
-def _report(art: _Artifacts, name: str, doc: dict) -> None:
-    """Print doc as indented JSON and write the same text to the output file name."""
+def _report(files: dict, name: str, doc: dict) -> None:
+    """Print doc as indented JSON and store the same text as the output file name."""
     text = json.dumps(doc, indent=2)
     print(text)
-    art.write(name, text + "\n")
+    files[name] = text + "\n"
 
 
-def _run_measure(cfg: ExperimentConfig, art: _Artifacts) -> int:
-    _report(art, f"measure_{_slug(cfg)}.json", compare_queries(cfg.delta, cfg.dims.N).to_dict())
+def _run_measure(cfg: ExperimentConfig, files: dict) -> int:
+    _report(files, f"measure_{_slug(cfg)}.json", compare_queries(cfg.delta, cfg.dims.N).to_dict())
     return 0
 
 
-def _run_verify_lemmas(cfg: ExperimentConfig, art: _Artifacts) -> int:
+def _run_verify_lemmas(cfg: ExperimentConfig, files: dict) -> int:
     rng = make_rng(cfg.seed, (10,))
     report = empirical_rank_check(cfg.delta, cfg.dims.N, cfg.trials, rng)
-    _report(art, f"lemma_check_{_slug(cfg)}.json", report.to_dict())
+    _report(files, f"lemma_check_{_slug(cfg)}.json", report.to_dict())
     if not report.passed:
         print("rank predictions NOT met on sampled draws", file=sys.stderr)
         return 3
@@ -153,16 +136,16 @@ def _exponent_summary(estimates, nominal: int) -> dict:
         return {"nominal": nominal, "fitted": None, "divergent": False, "diagnostic": str(exc)}
 
 
-def _run_pep(cfg: ExperimentConfig, art: _Artifacts) -> int:
+def _run_pep(cfg: ExperimentConfig, files: dict) -> int:
     slug = _slug(cfg)
     measures = compare_queries(cfg.delta, cfg.dims.N)
     curves = {}
     for i, scheme in enumerate(QUERY_SCHEMES):
         rng = make_rng(cfg.seed, (20, i))
         curves[scheme] = pep_eigen_product_curve(scheme, cfg.delta, cfg.dims, cfg.pep_grid_db, cfg.trials, rng)
-        art.write(f"pep_{slug}_{scheme}.csv", pep_curve_to_csv(curves[scheme]))
+        files[f"pep_{slug}_{scheme}.csv"] = pep_curve_to_csv(curves[scheme])
     ratio = [ratio_point(eu, ef) for eu, ef in zip(curves["unitary"], curves["uniform"])]
-    art.write(f"pep_{slug}_ratio.csv", ratio_curve_to_csv(ratio))
+    files[f"pep_{slug}_ratio.csv"] = ratio_curve_to_csv(ratio)
     summary = {
         "preset": cfg.preset,
         "snr_grid_db": list(cfg.pep_grid_db),
@@ -170,11 +153,11 @@ def _run_pep(cfg: ExperimentConfig, art: _Artifacts) -> int:
         "unitary": _exponent_summary(curves["unitary"], measures.r_unitary),
         "uniform": _exponent_summary(curves["uniform"], measures.r_uniform),
     }
-    _report(art, f"pep_{slug}_summary.json", summary)
+    _report(files, f"pep_{slug}_summary.json", summary)
     return 0
 
 
-def _run_ber(cfg: ExperimentConfig, art: _Artifacts) -> int:
+def _run_ber(cfg: ExperimentConfig, files: dict) -> int:
     slug = _slug(cfg)
     kinds = (cfg.query, "uniform")
     sweeps = [
@@ -191,7 +174,7 @@ def _run_ber(cfg: ExperimentConfig, art: _Artifacts) -> int:
     ]
     curves = dict(zip(kinds, simulate_bers(sweeps)))
     for kind, curve in curves.items():
-        art.write(f"ber_{slug}_{kind}.csv", curve.to_csv())
+        files[f"ber_{slug}_{kind}.csv"] = curve.to_csv()
     summary = {"preset": cfg.preset, "query": cfg.query, "snr_grid_db": list(cfg.snr_grid_db)}
     for level in GAIN_LEVELS:
         key = f"gain_db_at_{level:g}"
@@ -200,7 +183,7 @@ def _run_ber(cfg: ExperimentConfig, art: _Artifacts) -> int:
         except LevelNotCrossedError as exc:
             summary[key] = None
             summary[key + "_note"] = str(exc)
-    _report(art, f"ber_{slug}_summary.json", summary)
+    _report(files, f"ber_{slug}_summary.json", summary)
     return 0
 
 
@@ -215,11 +198,23 @@ def main(argv: list[str] | None = None) -> int:
     except ConfigError as exc:
         print(f"mlnsim {args.command}: {exc}", file=sys.stderr)
         return 2
-    art = _Artifacts(cfg.output_dir)
+    files, written = {}, []  # the stages' outputs (name -> text), and the paths written so far
     try:  # every stage runs, and the command exits with the highest status
-        return max(_RUNNERS[stage](cfg, art) for stage in STAGES[cfg.command])
-    except Exception as exc:
-        art.discard_all()
+        if "ber" in STAGES[cfg.command]:
+            _worker_count()  # a bad MLNSIM_THREADS fails before any stage prints
+        status = max(_RUNNERS[stage](cfg, files) for stage in STAGES[cfg.command])
+        os.makedirs(cfg.output_dir, exist_ok=True)
+        for name, text in files.items():
+            with open(os.path.join(cfg.output_dir, name), "w", encoding="utf-8") as fh:
+                written.append(fh.name)  # before the write, which can fail part-way
+                fh.write(text)
+        return status
+    except BaseException as exc:  # a failed or interrupted write leaves none of the run's files
+        for path in written:
+            with contextlib.suppress(OSError):  # one already gone is passed over
+                os.unlink(path)
+        if not isinstance(exc, Exception):
+            raise
         print(f"mlnsim {cfg.command}: {type(exc).__name__}: {exc}", file=sys.stderr)
         return 2
 

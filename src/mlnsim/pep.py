@@ -319,7 +319,8 @@ def pep_qfunction_mc(
 
     def draw(n):
         z = _batched_z(A.shape[0], d, dims.N, n, rng)
-        z *= gbar  # sqrt(gbar * z / 2), in place
+        with np.errstate(over="ignore"):  # near 3082.5 dB gbar z can pass 1e308; Q(inf) = 0 is the limit
+            z *= gbar  # sqrt(gbar * z / 2), in place
         z /= 2.0
         return [qfunc(np.sqrt(z, out=z))]
 
@@ -356,9 +357,10 @@ def _lambda_products(A: np.ndarray, N: int, n: int, gbars: list[float], rng):
     # in row order, as np.prod multiplies along a draw's eigenvalues, so the bits are np.prod's
     factors = np.empty_like(lam)
     for g in gbars:
-        np.multiply(lam, g / 4.0, out=factors)
-        factors += 1.0
-        prod = np.multiply.reduce(factors, axis=0)
+        with np.errstate(over="ignore"):  # near 3082.5 dB a product can pass 1e308; 1 / inf = 0 is the limit
+            np.multiply(lam, g / 4.0, out=factors)
+            factors += 1.0
+            prod = np.multiply.reduce(factors, axis=0)
         yield np.divide(1.0, prod, out=prod)
 
 

@@ -1,5 +1,6 @@
 """Tests for config loading and the command-line front end."""
 
+import errno
 import json
 import math
 import os
@@ -11,6 +12,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+import mlnsim.cli as cli_mod
 from mlnsim.channel import snr_gain
 from mlnsim.cli import _exponent_summary, main
 from mlnsim.config import DEFAULT_BER_GRID, DEFAULT_PEP_GRID, PRESET_NAMES, ConfigError, load_config, parse_snr_grid
@@ -645,10 +647,8 @@ class TestCliCommands:
         assert {"unitary", "uniform"} <= set(summary)
 
     def test_failed_run_removes_partial_outputs(self, tmp_path, capsys, monkeypatch):
-        import mlnsim.cli as cli_mod
-
-        def boom(cfg, art):
-            art.write("junk.txt", "partial")
+        def boom(cfg, files):
+            files["junk.txt"] = "partial"
             raise RuntimeError("injected failure")
 
         monkeypatch.setitem(cli_mod._RUNNERS, "measure", boom)
@@ -656,6 +656,47 @@ class TestCliCommands:
         assert status == 2
         assert not (tmp_path / "junk.txt").exists()
         assert "injected failure" in capsys.readouterr().err
+
+    def test_failed_stage_writes_nothing_and_creates_no_directory(self, tmp_path, capsys, monkeypatch):
+        def boom(cfg, files):
+            raise RuntimeError("injected failure")
+
+        monkeypatch.setitem(cli_mod._RUNNERS, "ber", boom)
+        argv = ["reproduce", "--preset", "example3", "--trials", "200", "--snr-grid", "0:6:12"]
+        fresh, earlier = tmp_path / "fresh", tmp_path / "earlier"
+        earlier.mkdir()
+        (earlier / "measure_example3.json").write_text("from an earlier run\n")
+        for out in (fresh, earlier):
+            assert main([*argv, "--out", str(out)]) == 2
+            captured = capsys.readouterr()
+            assert captured.err == "mlnsim reproduce: RuntimeError: injected failure\n"
+            assert '"r_unitary": 2' in captured.out  # the stages before ber still print their reports
+        assert not fresh.exists()
+        assert [p.name for p in earlier.iterdir()] == ["measure_example3.json"]
+        assert (earlier / "measure_example3.json").read_text() == "from an earlier run\n"
+
+    def test_failed_write_leaves_none_of_the_runs_files(self, tmp_path, capsys, monkeypatch):
+        # the second output's write runs out of space after its open has created the file
+        opened = []
+
+        def open_on_a_full_disk(path, *args, **kwargs):
+            fh = open(path, *args, **kwargs)
+            opened.append(os.path.basename(path))
+            if len(opened) == 2:
+                def write(text):
+                    fh.buffer.write(text[:8].encode())
+                    fh.flush()
+                    raise OSError(errno.ENOSPC, os.strerror(errno.ENOSPC))
+                fh.write = write
+            return fh
+
+        monkeypatch.setattr(cli_mod, "open", open_on_a_full_disk, raising=False)
+        out = tmp_path / "o"
+        status = main(["pep", "--preset", "example3", "--snr-grid", "10:10:30", "--trials", "200", "--out", str(out)])
+        assert status == 2
+        assert capsys.readouterr().err == f"mlnsim pep: OSError: [Errno {errno.ENOSPC}] {os.strerror(errno.ENOSPC)}\n"
+        assert opened == ["pep_example3_unitary.csv", "pep_example3_uniform.csv"]
+        assert list(out.iterdir()) == []
 
     def test_help_lists_flags(self, capsys):
         with pytest.raises(SystemExit) as exc:
@@ -728,6 +769,27 @@ class TestCliCommands:
             f"mlnsim ber: ValueError: MLNSIM_THREADS must be an integer >= 1, got '{env}'\n"
         )
         assert not out.exists() and captured.out == ""
+
+    def test_bad_threads_env_fails_before_the_first_stage(self, tmp_path, monkeypatch, capsys):
+        monkeypatch.setenv("MLNSIM_THREADS", "0")
+        out = tmp_path / "o"
+        status = main(
+            ["reproduce", "--preset", "example3", "--trials", "200", "--snr-grid", "0:6:12",
+             "--max-trials", "2000", "--out", str(out)]
+        )
+        assert status == 2
+        captured = capsys.readouterr()
+        assert captured.err == "mlnsim reproduce: ValueError: MLNSIM_THREADS must be an integer >= 1, got '0'\n"
+        assert not out.exists() and captured.out == ""
+
+    def test_negative_grid_after_a_space(self, tmp_path, capsys):
+        # argparse reads "-10:5:0" as a flag unless the parser takes it for a negative number
+        args = ["ber", "--preset", "example3", "--events", "20", "--max-trials", "2000"]
+        assert main([*args, "--snr-grid", "-10:5:0", "--out", str(tmp_path / "a")]) == 0
+        assert main([*args, "--snr-grid=-10:5:0", "--out", str(tmp_path / "b")]) == 0
+        for name in ("ber_example3_summary.json", "ber_example3_dft.csv", "ber_example3_uniform.csv"):
+            assert (tmp_path / "a" / name).read_text() == (tmp_path / "b" / name).read_text()
+        assert json.loads((tmp_path / "a" / "ber_example3_summary.json").read_text())["snr_grid_db"] == [-10.0, -5.0, 0.0]
 
     def test_threads_env_respected(self, tmp_path, monkeypatch):
         monkeypatch.setenv("MLNSIM_THREADS", "1")

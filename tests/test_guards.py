@@ -1,5 +1,8 @@
 """Argument guards that no other test reaches: each raises its type with a message naming the argument."""
 
+import errno
+import os
+
 import numpy as np
 import pytest
 
@@ -48,11 +51,19 @@ def test_guard_names_its_argument(case):
         call()
 
 
-def test_discard_all_skips_a_file_already_gone(tmp_path):
-    # a failed run removes what it wrote; a file removed before that is passed over
-    art = cli._Artifacts(str(tmp_path))
-    art.write("gone.csv", "a\n")
-    art.write("kept.csv", "b\n")
-    (tmp_path / "gone.csv").unlink()
-    art.discard_all()
+def test_write_cleanup_skips_a_file_already_gone(tmp_path, monkeypatch, capsys):
+    # a failed write removes the run's files; a file removed before that is passed over
+    opened = []
+
+    def open_then_fail(path, *args, **kwargs):
+        opened.append(path)
+        if len(opened) == 2:
+            os.unlink(opened[0])
+            raise OSError(errno.EIO, os.strerror(errno.EIO))
+        return open(path, *args, **kwargs)
+
+    monkeypatch.setattr(cli, "open", open_then_fail, raising=False)
+    argv = ["pep", "--preset", "example3", "--snr-grid", "10:10:30", "--trials", "200", "--out", str(tmp_path)]
+    assert cli.main(argv) == 2
+    assert capsys.readouterr().err == f"mlnsim pep: OSError: [Errno {errno.EIO}] {os.strerror(errno.EIO)}\n"
     assert list(tmp_path.iterdir()) == []

@@ -4,6 +4,7 @@ import json
 import math
 import re
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -135,6 +136,15 @@ def test_pep_routes_name_an_snr_past_the_gain_range(route, snr):
     # 10**(snr/10) overflows a float past about 3082.5 dB; NaN would give a NaN estimate
     with pytest.raises(ValueError, match="^snr_db: "):
         _PEP_ROUTES[route](snr)
+
+
+@pytest.mark.parametrize("route", sorted(_PEP_ROUTES))
+def test_pep_routes_reach_zero_at_the_top_of_the_gain_range_without_a_warning(route):
+    # at 3080 dB gbar Z and the eigen-products overflow to inf, and Q(inf) = 1 / inf = 0 is the PEP's limit
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        estimate = _PEP_ROUTES[route](3080.0)
+    assert (estimate[-1] if isinstance(estimate, list) else estimate).value == 0.0
 
 
 _TRIALS_ROUTES = {

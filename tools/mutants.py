@@ -46,6 +46,7 @@ _RANK = "tests/test_linalg.py::TestNumericRank"
 _KERNEL = "tests/test_simulate.py::TestMetricKernel"
 _SCORE = "tests/test_simulate.py::TestScorePoints"
 _BUDGET = "tests/test_simulate.py::TestSliceBudget"
+_CLI = "tests/test_config_cli.py::TestCliCommands"
 
 CATALOGUE = (
     # the blocks-last rank kernels, the rank check's slicing and value equality
@@ -135,6 +136,25 @@ CATALOGUE = (
            ("tests/test_linalg.py::TestSampling::test_bits_match_combine_then_divide",)),
     Mutant("blocks-guard-passes-empty-shape", "linalg.py", "min(shape, default=1) < 1", "min(shape, default=1) < 0",
            ("tests/test_guards.py::test_guard_names_its_argument",)),
+    # the CLI writes its files once every stage has run, removes them when a write fails,
+    # checks MLNSIM_THREADS before the first stage and reads a negative grid as a value
+    Mutant("write-cleanup-skipped", "cli.py", "        for path in written:\n", "        for path in ():\n",
+           (f"{_CLI}::test_failed_write_leaves_none_of_the_runs_files",)),
+    Mutant("files-written-per-stage", "cli.py",
+           "        status = max(_RUNNERS[stage](cfg, files) for stage in STAGES[cfg.command])\n",
+           "        status = 0\n"
+           "        for stage in STAGES[cfg.command]:\n"
+           "            status = max(status, _RUNNERS[stage](cfg, files))\n"
+           "            os.makedirs(cfg.output_dir, exist_ok=True)\n"
+           "            for name, text in files.items():\n"
+           "                with open(os.path.join(cfg.output_dir, name), \"w\", encoding=\"utf-8\") as fh:\n"
+           "                    written.append(fh.name)\n"
+           "                    fh.write(text)\n",
+           (f"{_CLI}::test_failed_stage_writes_nothing_and_creates_no_directory",)),
+    Mutant("threads-precheck-dropped", "cli.py", "            _worker_count()  #", "            pass  #",
+           (f"{_CLI}::test_bad_threads_env_fails_before_the_first_stage",)),
+    Mutant("negative-grid-read-as-flag", "cli.py", "parser._negative_number_matcher = re.compile(", "(",
+           (f"{_CLI}::test_negative_grid_after_a_space",)),
 )
 
 
