@@ -23,6 +23,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .codes import ByValue
 from .linalg import DimensionMismatchError, sample_cn_matrix
 from .query import effective_forward
 
@@ -85,14 +86,16 @@ class SystemDims:
             object.__setattr__(self, name, checked_integer(name, v))
 
 
-@dataclass(frozen=True)
-class ChannelRealization:
-    """One quasi-static draw of the two fading stages."""
+@dataclass(frozen=True, eq=False)
+class ChannelRealization(ByValue):
+    """One quasi-static draw of the two fading stages, held as read-only complex copies."""
 
     H: np.ndarray  # M x L forward gains
     G: np.ndarray  # L x N backscatter gains
 
     def __post_init__(self):
+        self._hold("H", self.H)
+        self._hold("G", self.G)
         if self.H.ndim != 2 or self.G.ndim != 2 or self.H.shape[1] != self.G.shape[0]:
             raise DimensionMismatchError(
                 f"H {self.H.shape} and G {self.G.shape} disagree on tag antenna count"

@@ -33,6 +33,7 @@ from .config import (
 from .linalg import make_rng
 from .measure import QUERY_SCHEMES, compare_queries, empirical_rank_check
 from .pep import (
+    FIT_MIN_POINTS, FIT_MIN_SPAN_DB,
     DivergentAverageError,
     decay_exponent_checked,
     pep_curve_to_csv,
@@ -125,15 +126,13 @@ def _run_verify_lemmas(cfg: ExperimentConfig, files: dict) -> int:
 
 def _exponent_summary(estimates, nominal: int) -> dict:
     window = [e for e in estimates if e.snr_db >= EXPONENT_FIT_FROM_DB]
-    if len(window) < 3 or window[-1].snr_db - window[0].snr_db < 10.0:
+    if len(window) < FIT_MIN_POINTS or window[-1].snr_db - window[0].snr_db < FIT_MIN_SPAN_DB:
         window = estimates
     try:
-        fitted = decay_exponent_checked(window, nominal)
-        return {"nominal": nominal, "fitted": fitted, "divergent": False}
-    except DivergentAverageError as exc:
-        return {"nominal": nominal, "fitted": None, "divergent": True, "diagnostic": str(exc)}
-    except ValueError as exc:
-        return {"nominal": nominal, "fitted": None, "divergent": False, "diagnostic": str(exc)}
+        return {"nominal": nominal, "fitted": decay_exponent_checked(window, nominal), "divergent": False}
+    except (DivergentAverageError, ValueError) as exc:
+        divergent = isinstance(exc, DivergentAverageError)
+        return {"nominal": nominal, "fitted": None, "divergent": divergent, "diagnostic": str(exc)}
 
 
 def _run_pep(cfg: ExperimentConfig, files: dict) -> int:

@@ -45,7 +45,17 @@ EXAMPLE3_DELTA = np.array([[2.0, 2.0]])
 
 
 class ByValue:
-    """Equality and hash of a frozen dataclass(eq=False): its fields, a read-only array by shape and bytes."""
+    """Equality and hash of a frozen dataclass(eq=False): its fields, a read-only array by shape and bytes.
+
+    Array fields are set through ``_hold``, so no caller's later write reaches a value or its hash.
+    """
+
+    def _hold(self, name: str, value) -> np.ndarray:
+        """Set field name to a read-only complex copy of value, and return it."""
+        a = np.array(value, dtype=complex)
+        a.flags.writeable = False
+        object.__setattr__(self, name, a)
+        return a
 
     def _key(self) -> tuple:
         values = (getattr(self, f.name) for f in fields(self) if f.compare)
@@ -69,7 +79,7 @@ class Codebook(ByValue):
             words = np.asarray(self.codewords)
         except ValueError as exc:  # numpy refuses words of different shapes
             raise DimensionMismatchError("codewords must share one shape") from exc
-        cws = np.array(words, dtype=complex)
+        cws = self._hold("codewords", words)
         K = len(cws)
         if K < 2 or K & (K - 1):
             raise ValueError(f"a codebook needs a power of 2 (>= 2) codewords, got {K}")
@@ -78,8 +88,6 @@ class Codebook(ByValue):
         avg_energy, T = np.sum(np.abs(cws) ** 2) / K, cws.shape[1]
         if not abs(avg_energy - T) <= ENERGY_TOL:  # NaN fails too
             raise ValueError(f"average codeword energy {avg_energy:.12g} != block length {T}")
-        cws.flags.writeable = False
-        object.__setattr__(self, "codewords", cws)
 
     @property
     def T(self) -> int:
@@ -125,9 +133,9 @@ def _metric_weights(codewords: np.ndarray) -> np.ndarray:
     return np.concatenate([outer.real, -outer.imag, cross.real, -cross.imag], axis=1)
 
 
-@dataclass(frozen=True)
-class DifferenceMatrix:
-    """C - C' stored antenna-major, with its nonzero-row count and numeric rank.
+@dataclass(frozen=True, eq=False)
+class DifferenceMatrix(ByValue):
+    """C - C' stored antenna-major as a read-only complex copy, with its nonzero-row count and numeric rank.
 
     nonzero_rows counts the antennas whose largest entry exceeds RANK_REL_TOL
     times delta's largest entry magnitude, those that differ anywhere in the
@@ -138,10 +146,9 @@ class DifferenceMatrix:
     nonzero_rows: int = field(init=False)
 
     def __post_init__(self):
-        d = np.asarray(self.delta, dtype=complex)
+        d = self._hold("delta", self.delta)
         if d.ndim != 2:
             raise DimensionMismatchError(f"delta must be 2-D, got shape {d.shape}")
-        object.__setattr__(self, "delta", d)
         row_max = np.abs(d).max(axis=1, initial=0.0)
         nonzero = row_max > RANK_REL_TOL * row_max.max(initial=0.0)
         object.__setattr__(self, "nonzero_rows", int(np.count_nonzero(nonzero)))
@@ -160,9 +167,7 @@ class DifferenceMatrix:
 
 
 def _as_diff(delta) -> DifferenceMatrix:
-    if isinstance(delta, DifferenceMatrix):
-        return delta
-    return DifferenceMatrix(np.asarray(delta, dtype=complex))
+    return delta if isinstance(delta, DifferenceMatrix) else DifferenceMatrix(delta)
 
 
 def difference_matrix(C: np.ndarray, C_prime: np.ndarray) -> DifferenceMatrix:

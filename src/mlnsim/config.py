@@ -260,6 +260,8 @@ def load_config(path: str | None = None, overrides: dict | None = None) -> Exper
     parent = os.path.dirname(os.path.abspath(out_dir))
     if not os.path.isdir(parent) or not os.access(parent, os.W_OK):
         raise ConfigError(f"out: cannot create output directory under {parent}")
+    if os.path.lexists(out_dir) and not os.path.isdir(out_dir):  # a dangling link too: makedirs would fail
+        raise ConfigError(f"out: {out_dir!r:.100} exists and is not a directory")
 
     return ExperimentConfig(
         command=command,

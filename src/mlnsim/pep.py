@@ -30,7 +30,8 @@ per-draw-sized arrays (the per-draw results, ``qfunc``'s temporaries and
 Slicing changes no bit.
 
 gbar = 10**(snr_db / 10) (``channel.snr_gain``) at any point below ``channel._SNR_DB_MAX``,
--inf dB included and NaN not; each estimate carries its Monte Carlo standard error.
+-inf dB included and NaN not; each estimate carries its Monte Carlo standard error. Decay
+is judged in dB: ``decay_exponent`` and ``check_scaled_limit`` read log PEP against snr_db / 10.
 """
 
 from __future__ import annotations
@@ -72,10 +73,8 @@ METHOD_EIGEN = "eigen-product-mc"
 _IDENTITY_RTOL = 1e-10
 _MC_BATCH = 100_000
 
-# A scheme's scaled average gbar**R * pep should flatten out at high SNR;
-# growth beyond this factor across the fit window (and beyond 3 sigma)
-# marks the limiting expectation as divergent.
-_DIVERGENCE_GROWTH = 3.0
+_DIVERGENCE_GROWTH = 3.0  # growth of gbar**R * pep that, at 3 sigma, marks a divergent average
+FIT_MIN_POINTS, FIT_MIN_SPAN_DB = 3, 10.0  # the least window a decay exponent is fitted on
 
 
 @dataclass(frozen=True)
@@ -396,16 +395,14 @@ def pep_eigen_product_mc(
 def decay_exponent(estimates: list[PepEstimate]) -> float:
     """Least-squares decay exponent R with value ~ gbar**(-R).
 
-    Fits log10(value) against snr_db / 10 and negates the slope. Needs at
-    least 3 points spanning at least 10 dB, all with positive values.
+    Fits log10(value) against snr_db / 10 and negates the slope. Needs at least
+    FIT_MIN_POINTS points spanning FIT_MIN_SPAN_DB dB, all with positive values.
     """
-    if len(estimates) < 3:
-        raise ValueError(f"need >= 3 estimates to fit an exponent, got {len(estimates)}")
+    if len(estimates) < FIT_MIN_POINTS:
+        raise ValueError(f"need >= {FIT_MIN_POINTS} estimates to fit an exponent, got {len(estimates)}")
     snrs = np.array([e.snr_db for e in estimates], dtype=float)
-    if snrs.max() - snrs.min() < 10.0:
-        raise ValueError(
-            f"estimates span only {snrs.max() - snrs.min():.3g} dB; need >= 10 dB"
-        )
+    if snrs.max() - snrs.min() < FIT_MIN_SPAN_DB:
+        raise ValueError(f"estimates span only {snrs.max() - snrs.min():.3g} dB; need >= {FIT_MIN_SPAN_DB:g} dB")
     vals = np.array([e.value for e in estimates], dtype=float)
     if np.any(vals <= 0.0):
         bad = snrs[vals <= 0.0]
@@ -430,21 +427,25 @@ def check_scaled_limit(estimates: list[PepEstimate], exponent: int) -> ScaledLim
 
     When the limiting expectation behind the high-SNR constant is finite,
     the scaled sequence flattens; systematic growth (factor above 3,
-    significant at 3 sigma) flags a divergent average. z combines the
-    endpoints' errors as if independent, which is conservative for the
-    positively correlated points of one ``pep_eigen_product_curve``.
+    significant at 3 sigma) flags a divergent average. Growth is read in dB,
+    ln growth = ln(last / first value) + exponent ln(10) (snr span in dB) / 10,
+    so no power of gbar is formed; ``growth`` is inf past the float range. z
+    combines the endpoints' errors as if independent, which is conservative
+    for the positively correlated points of one ``pep_eigen_product_curve``.
     """
     if len(estimates) < 2:
         raise ValueError("need >= 2 estimates to assess the scaled limit")
     first, last = estimates[0], estimates[-1]
     if first.value <= 0.0 or last.value <= 0.0:
         raise ValueError("scaled-limit check needs positive endpoint values")
-    g_first = snr_gain(first.snr_db)
-    g_last = snr_gain(last.snr_db)
-    growth = (last.value * g_last**exponent) / (first.value * g_first**exponent)
+    log_growth = np.log(last.value) - np.log(first.value)
+    if exponent:  # gbar**0 is 1 even at -inf dB, where the span is infinite
+        log_growth += exponent * np.log(10.0) * (last.snr_db - first.snr_db) / 10.0
     rel_err = np.hypot(first.std_error / first.value, last.std_error / last.value)
-    z = np.log(growth) / rel_err if rel_err > 0 else np.inf
-    divergent = growth > _DIVERGENCE_GROWTH and z > 3.0
+    z = log_growth / rel_err if rel_err > 0 else np.inf
+    divergent = log_growth > np.log(_DIVERGENCE_GROWTH) and z > 3.0
+    with np.errstate(over="ignore"):
+        growth = np.exp(log_growth)
     return ScaledLimitReport(exponent, float(growth), float(z), bool(divergent))
 
 

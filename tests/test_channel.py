@@ -62,6 +62,16 @@ class TestSampleChannel:
         a = sample_channel(dims, make_rng(3))
         b = sample_channel(dims, make_rng(3))
         assert np.array_equal(a.H, b.H) and np.array_equal(a.G, b.G)
+        assert a == b and hash(a) == hash(b)
+        assert a != sample_channel(dims, make_rng(4))
+
+    def test_holds_read_only_copies(self):
+        H, G = np.ones((2, 3)), np.ones((3, 1))
+        ch = ChannelRealization(H, G)
+        H[0, 0] = G[0, 0] = 5.0
+        assert ch.H[0, 0] == ch.G[0, 0] == 1.0 and ch.H.dtype == ch.G.dtype == complex
+        with pytest.raises(ValueError):
+            ch.G[0, 0] = 2.0
 
 
 class TestEffectiveSignal:

@@ -10,6 +10,7 @@ from mlnsim.codes import (
     EXAMPLE1_DELTA,
     EXAMPLE3_DELTA,
     Codebook,
+    DifferenceMatrix,
     difference_matrix,
     pairwise_codebook_from_delta,
     repetition_bpsk,
@@ -49,6 +50,21 @@ class TestDifferenceMatrix:
     def test_shape_mismatch(self):
         with pytest.raises(DimensionMismatchError):
             difference_matrix(np.ones((2, 2)), np.ones((2, 1)))
+
+    def test_equal_and_hash_equal_by_value(self):
+        a, b = DifferenceMatrix(EXAMPLE1_DELTA), DifferenceMatrix(EXAMPLE1_DELTA)
+        assert a is not b and a == b and hash(a) == hash(b)
+        assert a != DifferenceMatrix(2 * EXAMPLE1_DELTA)
+
+    def test_holds_a_read_only_copy(self):
+        # rank is computed on first use, so a caller's later write must not reach it
+        caller = np.array(EXAMPLE1_DELTA, dtype=complex)
+        d = DifferenceMatrix(caller)
+        caller[1] = 2 * caller[0]
+        assert (d.rank, d.nonzero_rows) == (2, 2)
+        assert np.array_equal(d.delta, EXAMPLE1_DELTA)
+        with pytest.raises(ValueError):
+            d.delta[1] = 0.0
 
 
 class TestPairwiseCodebook:

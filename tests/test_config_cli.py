@@ -395,6 +395,21 @@ def test_cli_bad_out_is_named(tmp_path, monkeypatch, capsys, doc_out, flag_out):
     assert [p.name for p in tmp_path.iterdir()] == ["cfg.json"]
 
 
+@pytest.mark.parametrize("kind", ["file", "dangling-link"])
+def test_cli_out_naming_a_file_fails_at_load(tmp_path, capsys, kind):
+    # makedirs would refuse it only after every stage had run
+    out = tmp_path / "taken"
+    if kind == "file":
+        out.write_text("kept")
+    else:
+        out.symlink_to(tmp_path / "missing")
+    assert main(["measure", "--preset", "example1", "--out", str(out)]) == 2
+    captured = capsys.readouterr()
+    assert captured.err.startswith("mlnsim measure: out:"), captured.err
+    assert "Traceback" not in captured.err and captured.out == ""
+    assert os.path.lexists(out) and sorted(p.name for p in tmp_path.iterdir()) == ["taken"]
+
+
 def test_cli_names_integer_literal_past_digit_limit(tmp_path, capsys):
     path = tmp_path / "cfg.json"
     path.write_text('{"command": "measure", "preset": "example1", "seed": ' + "1" * 5000 + "}")
@@ -644,6 +659,13 @@ class TestCliCommands:
             [ratio_point(eu, ef) for eu, ef in zip(unitary, uniform)]
         )
         summary = json.loads((tmp_path / "pep_example3_summary.json").read_text())
+        assert {"unitary", "uniform"} <= set(summary)
+
+    def test_pep_at_the_bottom_of_the_grid_range(self, tmp_path, capsys):
+        # gbar**4 underflows at -3080 dB, so a guard that formed it divided by zero
+        argv = ["pep", "--preset", "example1", "--snr-grid=-3080:10:-3070", "--trials", "100"]
+        assert main([*argv, "--out", str(tmp_path)]) == 0
+        summary = json.loads((tmp_path / "pep_example1_summary.json").read_text())
         assert {"unitary", "uniform"} <= set(summary)
 
     def test_failed_run_removes_partial_outputs(self, tmp_path, capsys, monkeypatch):

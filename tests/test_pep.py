@@ -11,7 +11,7 @@ import pytest
 from scipy.integrate import dblquad
 from scipy.special import erfc
 
-from mlnsim.channel import SystemDims, effective_signal, mix, sample_channel
+from mlnsim.channel import SystemDims, effective_signal, mix, sample_channel, snr_gain
 from mlnsim.codes import EXAMPLE1_DELTA, EXAMPLE3_DELTA, _as_diff, difference_matrix, pairwise_codebook_from_delta
 from mlnsim.linalg import DimensionMismatchError, make_rng, psd_eigenvalues, sample_blocks, sample_cn_matrix
 from mlnsim.measure import build_D, build_E_t, scheme_weights
@@ -672,6 +672,31 @@ class TestDecayExponent:
         with pytest.raises(DivergentAverageError, match="diverges"):
             decay_exponent_checked(ests, 4)
         assert decay_exponent_checked(ests, 3) == pytest.approx(3.0, abs=1e-6)
+
+
+class TestScaledLimit:
+    # gbar**4 underflows below about -770 dB and overflows above about 770 dB
+    @pytest.mark.parametrize("snrs, k", [((-3000.0, -2990.0), 1), ((700.0, 790.0), 3)])
+    def test_exact_power_law_growth(self, snrs, k):
+        c = 1e-3 * snr_gain(snrs[0]) ** k  # pep = c gbar^-k is 1e-3 at the first point
+        ests = [PepEstimate(s, c * snr_gain(s) ** -k, 0.0, 1, "synthetic") for s in snrs]
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            rep = check_scaled_limit(ests, 4)
+        assert rep.growth == pytest.approx(10.0 ** ((4 - k) * (snrs[1] - snrs[0]) / 10.0), rel=1e-12, abs=0.0)
+        assert rep.divergent
+
+    def test_growth_past_the_float_range_is_inf(self):
+        ests = [PepEstimate(s, 0.5, 0.0, 1, "synthetic") for s in (-3000.0, 3000.0)]
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            rep = check_scaled_limit(ests, 4)
+        assert rep.growth == np.inf and rep.z_score == np.inf and rep.divergent
+
+    def test_exponent_zero_from_minus_inf_db(self):
+        # gbar**0 is 1 even at gbar = 0, so the growth is the ratio of the values
+        ests = [PepEstimate(-np.inf, 1.0, 0.0, 1, "synthetic"), PepEstimate(0.0, 0.5, 0.0, 1, "synthetic")]
+        assert check_scaled_limit(ests, 0).growth == pytest.approx(0.5, rel=1e-15)
 
 
 class TestRatioPoint:

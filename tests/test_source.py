@@ -94,3 +94,21 @@ def test_only_linalg_computes_singular_values():
 def test_only_linalg_computes_eigenvalues():
     # likewise linalg.psd_eigenvalues for the PEP route's Gram matrices
     assert _uses_outside_linalg({"eigvalsh", "eigh", "eigvals"}) == []
+
+
+def _is_dataclass(node):
+    return "dataclass" in {ast.unparse(d.func if isinstance(d, ast.Call) else d) for d in node.decorator_list}
+
+
+def test_array_holding_dataclasses_compare_by_value():
+    # a dataclass's generated __eq__ compares array fields with ==, which raises on any
+    # array of more than one entry; codes.ByValue compares them by shape and bytes
+    found = [
+        f"{path.name}:{node.name}"
+        for path in sorted(SRC.glob("*.py"))
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
+        if isinstance(node, ast.ClassDef) and _is_dataclass(node)
+        and any(isinstance(f, ast.AnnAssign) and "ndarray" in ast.unparse(f.annotation) for f in node.body)
+        and "ByValue" not in [ast.unparse(b) for b in node.bases]
+    ]
+    assert found == []

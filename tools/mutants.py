@@ -155,6 +155,16 @@ CATALOGUE = (
            (f"{_CLI}::test_bad_threads_env_fails_before_the_first_stage",)),
     Mutant("negative-grid-read-as-flag", "cli.py", "parser._negative_number_matcher = re.compile(", "(",
            (f"{_CLI}::test_negative_grid_after_a_space",)),
+    # the scaled-limit guard's growth in dB, the load-time out check and value types' own copies
+    Mutant("log-growth-without-r-term", "pep.py",
+           "        log_growth += exponent * np.log(10.0) * (last.snr_db - first.snr_db) / 10.0\n", "            pass\n",
+           ("tests/test_pep.py::TestScaledLimit::test_exact_power_law_growth",)),
+    Mutant("out-file-check-dropped", "config.py",
+           "if os.path.lexists(out_dir) and not os.path.isdir(out_dir):", "if False:",
+           ("tests/test_config_cli.py::test_cli_out_naming_a_file_fails_at_load",)),
+    Mutant("difference-matrix-keeps-callers-array", "codes.py",
+           'd = self._hold("delta", self.delta)', "d = np.asarray(self.delta, dtype=complex)",
+           ("tests/test_codes.py::TestDifferenceMatrix::test_holds_a_read_only_copy",)),
 )
 
 
