@@ -37,6 +37,10 @@ UNITARY_TOL = 1e-10  # on the Frobenius norm of Q Q^H - I of a unitary Q
 # each slice-sized array is 0.5 MB, where a whole 100k-draw stack's temporaries reach tens of MB
 _SLICE = 8192
 
+# most draws a Monte Carlo estimator (both PEP routes, the rank check) holds at once: it
+# draws a batch of at most this many whole and works through it in _SLICE slices
+_MC_BATCH = 100_000
+
 _INV_SQRT2 = 1.0 / np.sqrt(2.0)
 
 # _fill draws at most this many float64s (64 KiB) at a time, a size malloc

@@ -36,7 +36,7 @@ import numpy as np
 
 from .codes import _as_diff
 from .channel import checked_integer
-from .linalg import DimensionMismatchError, even_slices, make_rng, numeric_rank, sample_cn_matrix
+from .linalg import _MC_BATCH, DimensionMismatchError, even_slices, make_rng, numeric_rank, sample_cn_matrix
 
 __all__ = [
     "MeasureReport",
@@ -195,21 +195,27 @@ def empirical_rank_check(delta, N: int, trials: int, rng: np.random.Generator) -
     Draws `trials` independent G matrices and records, for every slot t, the
     fraction of draws with rank(E_t) as ``compare_queries`` predicts it, and the
     fraction with rank(D) == r_uniform. The report passes iff every fraction
-    equals 1. Ranks are ``numeric_rank``'s. The draws are made at once, one
-    ``sample_cn_matrix`` call viewed as L x N x trials; each slice of them (``even_slices``)
-    then has the ranks of its E_t and D taken by the kernel ``compare_queries`` uses
-    and counts those as predicted, so that apart from the draw only one slice of
-    matrices is alive at a time. Each fraction is a hit count over trials.
-    Raises ``ValueError`` naming trials unless it is an integer >= 1.
+    equals 1. Ranks are ``numeric_rank``'s. The draws come in batches of at most
+    ``linalg._MC_BATCH``, each one ``sample_cn_matrix`` call viewed as L x N x n; each
+    slice of a batch (``even_slices``) then has the ranks of its E_t and D taken by
+    the kernel ``compare_queries`` uses and counts those as predicted, so that apart
+    from one batch's draw only one slice of matrices is alive at a time, whatever
+    trials is. Each fraction is a hit count over trials. Raises ``ValueError``
+    naming trials unless it is an integer >= 1.
     """
     trials = checked_integer("trials", trials)
     d = _as_diff(delta)
-    G = sample_cn_matrix(d.L, N * trials, rng).reshape(d.L, trials, N).transpose(0, 2, 1)
     predicted = compare_queries(d, N)
     ranks = np.array([*predicted.per_slot_ranks, predicted.r_uniform])[:, None]  # E_1, ..., E_T, then D
     hits = np.zeros(len(ranks), dtype=np.int64)
-    for s in even_slices(trials):
-        hits += np.count_nonzero(_ranks(d, G[..., s]) == ranks, axis=1)
+    done = 0
+    while done < trials:
+        n = min(_MC_BATCH, trials - done)
+        G = sample_cn_matrix(d.L, N * n, rng).reshape(d.L, n, N).transpose(0, 2, 1)
+        for s in even_slices(n):
+            hits += np.count_nonzero(_ranks(d, G[..., s]) == ranks, axis=1)
+        del G  # freed before the next batch is drawn
+        done += n
     *slot_fractions, d_fraction = (int(h) / trials for h in hits)
     return RankCheckReport(
         trials=trials,

@@ -23,7 +23,7 @@ Two routes are provided for each scheme:
   ``_gram_eigenvalues`` forms the Gram matrices blocks last and takes their
   eigenvalues from contiguous entries.
 
-Both routes draw each batch of up to ``_MC_BATCH`` draws whole and then work
+Both routes draw each batch of up to ``linalg._MC_BATCH`` draws whole and then work
 through it in slices (``linalg.even_slices``), so that beyond the draw only
 per-draw-sized arrays (the per-draw results, ``qfunc``'s temporaries and
 ``_lambda_products``' ``factors``) and one slice of temporaries are alive.
@@ -43,7 +43,7 @@ import numpy as np
 from .channel import _SNR_DB_MAX, SystemDims, checked_integer, checked_snr_grid, gram, mix, snr_gain
 from .codes import DifferenceMatrix, _as_diff
 from .csvio import csv_rows, csv_text
-from .linalg import DimensionMismatchError, even_slices, frobenius_norm_sq, psd_eigenvalues, sample_blocks
+from .linalg import _MC_BATCH, DimensionMismatchError, even_slices, frobenius_norm_sq, psd_eigenvalues, sample_blocks
 from .measure import build_D, build_E_t, scheme_weights
 
 __all__ = [
@@ -71,7 +71,6 @@ METHOD_QFUNC = "q-function-mc"
 METHOD_EIGEN = "eigen-product-mc"
 
 _IDENTITY_RTOL = 1e-10
-_MC_BATCH = 100_000
 
 _DIVERGENCE_GROWTH = 3.0  # growth of gbar**R * pep that, at 3 sigma, marks a divergent average
 FIT_MIN_POINTS, FIT_MIN_SPAN_DB = 3, 10.0  # the least window a decay exponent is fitted on
@@ -427,7 +426,10 @@ def check_scaled_limit(estimates: list[PepEstimate], exponent: int) -> ScaledLim
 
     When the limiting expectation behind the high-SNR constant is finite,
     the scaled sequence flattens; systematic growth (factor above 3,
-    significant at 3 sigma) flags a divergent average. Growth is read in dB,
+    significant at 3 sigma) flags a divergent average. A window whose values
+    do not fall (every PEP still 1.0, say, far below 0 dB) has not started to
+    decay, so it is not judged: a ValueError says so, as for a nonpositive
+    endpoint, and no exponent is fitted to it. Growth is read in dB,
     ln growth = ln(last / first value) + exponent ln(10) (snr span in dB) / 10,
     so no power of gbar is formed; ``growth`` is inf past the float range. z
     combines the endpoints' errors as if independent, which is conservative
@@ -438,6 +440,11 @@ def check_scaled_limit(estimates: list[PepEstimate], exponent: int) -> ScaledLim
     first, last = estimates[0], estimates[-1]
     if first.value <= 0.0 or last.value <= 0.0:
         raise ValueError("scaled-limit check needs positive endpoint values")
+    if not last.value < first.value:
+        raise ValueError(
+            f"pep does not fall across {first.snr_db:g}-{last.snr_db:g} dB "
+            f"({first.value:.3g} to {last.value:.3g}); no exponent fitted"
+        )
     log_growth = np.log(last.value) - np.log(first.value)
     if exponent:  # gbar**0 is 1 even at -inf dB, where the span is infinite
         log_growth += exponent * np.log(10.0) * (last.snr_db - first.snr_db) / 10.0

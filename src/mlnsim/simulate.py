@@ -7,15 +7,22 @@ expressions: codebooks carry unit average energy per slot, query rows
 have unit norm, and the per-entry complex noise variance is 1 / gbar with
 gbar = 10**(snr_db / 10) (``channel.snr_gain``).
 
-A sweep draws each batch of blocks (_BATCH_SCHEDULE) once and scores it at
-every point still below its event target and the cap. A batch is split
-into chunks of _CHUNK blocks; chunk c of batch b draws H, G, the sent
-codewords and unit-variance noise W, in that order, from the substream
-(1, b, c) of the sweep seed. So a sweep samples as many blocks as its
-longest point needs, a sweep is reproducible bit-for-bit regardless of
-worker scheduling, and each point still counts the blocks of the batches
-it was active for. Points share blocks and so are correlated across SNR;
-each point's own estimate and Wilson interval are as before.
+A sweep draws its blocks in chunks of one fixed layout: chunk k starts after
+e blocks, holds min(_CHUNK, max(_FIRST_CHUNK, e), cap - e) of them (1k, 1k,
+2k, 4k, 8k and then 10k each) and draws H, G, the sent codewords and
+unit-variance noise W, in that order, from the substream (1, k) of the sweep
+seed. Worker loops take the next chunk in turn, with no barrier between
+them, and the tallies of the chunks are counted in chunk order: a point stops
+at the end of the first chunk at which its error events reach the target, or
+at the cap, and the tallies of chunks after that are dropped for it. A chunk
+scores exactly the points still running once every chunk ending at or before
+half its start has been counted; a worker waits until then. The scored set
+is therefore a function of counted results alone, so a sweep is reproducible
+bit-for-bit for any worker count and scheduling. Whether a further chunk is
+drawn at all reads the latest count, which changes how much is drawn, never
+a result. An exception in one loop, or an interrupt of the caller, stops the
+other loops at their next chunk. Points share blocks and so are correlated
+across SNR; each point's own estimate and Wilson interval are as before.
 
 The query Q comes from its own substream (0,), so sweeps that differ only
 in query_kind, grid or event target draw the same blocks: the curves of a
@@ -74,8 +81,10 @@ reuse their pages instead of faulting in fresh ones.
 
 from __future__ import annotations
 
+import bisect
 import functools
 import os
+import threading
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import astuple, dataclass
 
@@ -106,9 +115,10 @@ DEFAULT_MAX_TRIALS_PER_POINT = 2_000_000
 
 CSV_HEADER = "snr_db,ber,ci_low,ci_high,error_events,trials"
 
-_BATCH_SCHEDULE = (20_000, 80_000, 200_000)
-# a batch is drawn in chunks of this many blocks, each from its own substream;
-# it divides every scheduled batch size, so the first batch splits in two
+# chunk k of a sweep draws min(_CHUNK, max(_FIRST_CHUNK, e), cap - e) blocks, e being the
+# blocks before it, from its own substream: early chunks are small, so a point that meets its
+# event target quickly stops after few blocks
+_FIRST_CHUNK = 1_000
 _CHUNK = 10_000
 # _score_chunk's slice budget (see the module docstring); a slice holds at least
 # _MIN_SLICE blocks, so a large codebook's weights are read once per _MIN_SLICE blocks
@@ -394,55 +404,131 @@ def _shared_layout(configs: tuple) -> SnrSweepConfig:
     return first
 
 
+def _chunk_end(e: int, cap: int) -> int:
+    """The end of the chunk that starts after e blocks of a sweep with trial cap cap."""
+    return e + min(_CHUNK, max(_FIRST_CHUNK, e), cap - e)
+
+
+# a point's stop while it runs: past every chunk, so it is in every chunk's snapshot
+_RUNNING = np.iinfo(np.int64).max
+
+
+class _Stream:
+    """The chunks of one sweep: worker loops take them in turn, and their tallies are counted in chunk order.
+
+    score(k, n, scored) returns the 2 x (number scored) tallies of chunk k, of n
+    blocks, at the points of the mask scored. edges holds the start of each
+    chunk taken and then the end of the last, so it grows with the blocks
+    drawn, not with the cap. stop holds the chunk at which each point stopped,
+    or _RUNNING, so the points running once the first p chunks are counted
+    are those with stop >= p, whatever has been counted since. Chunk k scores
+    the points running once the chunks that end at or before half its start
+    are counted.
+    """
+
+    def __init__(self, score, cap: int, targets: np.ndarray):
+        self.score = score
+        self.cap = cap
+        self.targets = targets
+        self.edges = [0]
+        self.counts = np.zeros((2, len(targets)), dtype=np.int64)  # events and bit errors
+        self.stop = np.full(len(targets), _RUNNING)
+        self.counted = 0
+        self.done = {}  # the scored mask and tallies of each chunk scored but not yet counted
+        self.halted = False
+        self.cond = threading.Condition()
+
+    def _over(self) -> bool:
+        """Whether no further chunk is to be scored: a loop failed, the caller was interrupted, or every point stopped."""
+        return self.halted or not np.any(self.stop == _RUNNING)
+
+    def halt(self) -> None:
+        with self.cond:
+            self.halted = True
+            self.cond.notify_all()
+
+    def _count(self, k: int, scored: np.ndarray, tallies: np.ndarray) -> None:
+        idx = np.flatnonzero(scored)
+        live = self.stop[idx] == _RUNNING  # a point that stopped at an earlier chunk takes no more tallies
+        idx = idx[live]
+        self.counts[:, idx] += tallies[:, live]
+        reached = self.counts[0, idx] >= self.targets[idx]
+        self.stop[idx[reached | (self.edges[k + 1] == self.cap)]] = k
+
+    def loop(self) -> None:
+        """Score chunks until none is left to score; count every chunk whose predecessors are counted."""
+        try:
+            while True:
+                with self.cond:
+                    k = len(self.edges) - 1  # the next chunk
+                    if self.edges[k] == self.cap or self._over():
+                        return
+                    self.edges.append(_chunk_end(self.edges[k], self.cap))
+                    need = bisect.bisect_right(self.edges, self.edges[k] // 2) - 1  # chunks ending by half its start
+                    self.cond.wait_for(lambda: self.counted >= need or self._over())
+                    if self._over():
+                        return
+                    scored = self.stop >= need
+                    n = self.edges[k + 1] - self.edges[k]
+                tallies = self.score(k, n, scored)
+                with self.cond:
+                    self.done[k] = scored, tallies
+                    while self.counted in self.done:
+                        self._count(self.counted, *self.done.pop(self.counted))
+                        self.counted += 1
+                    self.cond.notify_all()
+        except BaseException:
+            self.halt()
+            raise
+
+
 def simulate_bers(configs) -> tuple[BerCurve, ...]:
     """Run several SNR sweeps on the same blocks and return their BER curves, in order.
 
     The configs may differ in query_kind, snr_grid_db and target_error_events
     but must share dims, codebook, seed and max_trials_per_point, which fix
     the blocks drawn; otherwise a ValueError names the first field that
-    differs. Every batch of blocks is drawn once and scored at every SNR
-    point of every config that is still below its event target, so the
+    differs. Every chunk of blocks is drawn once and scored at every SNR
+    point of every config still running (see the module docstring), so the
     curves share their channel, codeword and noise draws (common random
     numbers). Chunks run on a thread pool of os.cpu_count() workers capped
     by the MLNSIM_THREADS environment variable (a ValueError names it unless
-    it is an integer >= 1). The process keeps that pool for every later
-    call, and a forked child makes its own. Each chunk draws from its own
-    substream of the seed, so the result does not depend on scheduling or
+    it is an integer >= 1), one loop per worker. The process keeps that pool
+    for every later call, and a forked child makes its own. Each chunk draws
+    from its own substream of the seed and scores a set of points fixed by
+    counted results alone, so the result does not depend on scheduling or
     on the worker count, and each curve equals that of its config swept
-    alone. Under-resolved points (too few error events at the trial cap)
-    are kept and flagged via BerPoint.resolved rather than failing the sweep.
+    alone. An exception in a loop, or an interrupt of the caller, stops the
+    other loops at their next chunk and propagates. Under-resolved points
+    (too few error events at the trial cap) are kept and flagged via
+    BerPoint.resolved rather than failing the sweep.
     """
     configs = tuple(configs)
     layout = _shared_layout(configs)
-    cap = layout.max_trials_per_point
-    pool = _pool(_worker_count())
+    workers = _worker_count()
+    pool = _pool(workers)
     queries = [build_query(c.query_kind, c.dims, c.seed) for c in configs]
     # the points of every config in one array, config by config
     sizes = [len(c.snr_grid_db) for c in configs]
     owner = np.repeat(np.arange(len(configs)), sizes)
     noise_stds = np.sqrt(1.0 / snr_gain(np.concatenate([c.snr_grid_db for c in configs])))
     targets = np.repeat([c.target_error_events for c in configs], sizes)
-    counts = np.zeros((3, len(owner)), dtype=np.int64)  # events, bit errors and trials
-    active = np.ones(len(owner), dtype=bool)
-    drawn = 0
-    batch = 0
     # read the cached codebook arrays once, before any worker can race to build them
     words = _sent_words(layout.codebook)
     weights = layout.codebook.metric_weights
-    while active.any():
-        n = min(_BATCH_SCHEDULE[min(batch, len(_BATCH_SCHEDULE) - 1)], cap - drawn)
-        idx = np.flatnonzero(active)
-        schemes = [(Q, noise_stds[idx[owner[idx] == j]]) for j, Q in enumerate(queries)]
-        tallies = pool.map(
-            lambda c: _score_chunk(layout, schemes, words, weights, (1, batch, c), min(_CHUNK, n - c * _CHUNK)),
-            range(-(-n // _CHUNK)),
-        )
-        for t in tallies:  # in chunk order
-            counts[:2, idx] += t
-        counts[2, idx] += n
-        drawn += n
-        batch += 1
-        active &= (counts[0] < targets) & (drawn < cap)
+
+    def score(k: int, n: int, scored: np.ndarray) -> np.ndarray:
+        schemes = [(Q, noise_stds[scored & (owner == j)]) for j, Q in enumerate(queries)]
+        return _score_chunk(layout, schemes, words, weights, (1, k), n)
+
+    stream = _Stream(score, layout.max_trials_per_point, targets)
+    try:  # an interrupt, even one that lands while the loops are submitted, halts every loop
+        for loop in [pool.submit(stream.loop) for _ in range(workers)]:
+            loop.result()
+    finally:
+        stream.halt()
+    # events, bit errors and trials: a point's trials are the blocks up to the end of its last chunk
+    counts = np.concatenate([stream.counts, np.array(stream.edges)[None, stream.stop + 1]])
 
     curves = []
     for config, count in zip(configs, np.split(counts, np.cumsum(sizes)[:-1], axis=1)):

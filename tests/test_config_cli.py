@@ -331,6 +331,8 @@ _FAULTS = {
     "bool-codeword": ("measure", {**_CUSTOM_PAIR, "codewords": [[[True], [1]], [[-1], [-1]]]}, "codewords"),
     "three-codewords": ("measure", {**_CUSTOM_PAIR, "codewords": [[[1], [1]], [[-1], [-1]], [[1], [-1]]]}, "codewords"),
     "ragged-codewords": ("measure", {**_CUSTOM_PAIR, "codewords": [[[1], [1]], [[-1]]]}, "codewords"),
+    "ragged-delta": ("measure", {"m": 2, "l": 2, "n": 2, "t": 2, "codebook": "uncoded-bpsk",
+                                 "delta": [[1, 2], [3]]}, "delta"),
     "inf-delta": ("measure", {"m": 2, "l": 1, "n": 2, "t": 2, "codebook": "repetition-bpsk",
                               "delta": [[1, math.inf]]}, "delta"),
     "string-delta": ("measure", {"m": 2, "l": 1, "n": 2, "t": 2, "codebook": "repetition-bpsk",
@@ -667,6 +669,17 @@ class TestCliCommands:
         assert main([*argv, "--out", str(tmp_path)]) == 0
         summary = json.loads((tmp_path / "pep_example1_summary.json").read_text())
         assert {"unitary", "uniform"} <= set(summary)
+
+    def test_flat_window_is_not_fitted_nor_divergent(self, tmp_path, capsys):
+        # every PEP is 1.0 with SE 0 this far below 0 dB: the window has not started to decay
+        argv = ["pep", "--preset", "example1", "--snr-grid=-3080:10:-3060", "--trials", "100"]
+        assert main([*argv, "--out", str(tmp_path)]) == 0
+        summary = json.loads((tmp_path / "pep_example1_summary.json").read_text())
+        for scheme, nominal in (("unitary", 4), ("uniform", 2)):
+            assert summary[scheme] == {
+                "nominal": nominal, "fitted": None, "divergent": False,
+                "diagnostic": "pep does not fall across -3080--3060 dB (1 to 1); no exponent fitted",
+            }
 
     def test_failed_run_removes_partial_outputs(self, tmp_path, capsys, monkeypatch):
         def boom(cfg, files):

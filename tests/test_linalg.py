@@ -2,6 +2,7 @@
 
 import math
 import re
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -73,6 +74,20 @@ class TestSampling:
             z = sample_cn_matrix(rows, cols, rng)
             assert np.array_equal(z.view(np.uint64), ((a + 1j * b) / np.sqrt(2)).view(np.uint64))
             assert rng.standard_normal() == ref.standard_normal()
+
+    def test_scratch_never_exceeds_one_piece(self):
+        # a fill allocates at most _DRAW_PIECE floats beside its out, however long the rows:
+        # a scratch of one whole 400k-entry row would take 3.2 MB
+        rng = make_rng(10, (9,))
+        for rows, cols in ((2, 400_000), (400_000, 2)):
+            out = np.empty((rows, cols), dtype=complex)
+            tracemalloc.start()
+            try:
+                linalg._fill(out, rng)
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            assert peak <= 8 * linalg._DRAW_PIECE + 4096, (rows, cols)
 
     def test_leaves_stream_where_two_draws_do(self):
         # the draw consumes what two (rows, cols) draws would

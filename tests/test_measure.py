@@ -10,7 +10,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from mlnsim import linalg
+from mlnsim import linalg, measure
 from mlnsim.codes import EXAMPLE1_DELTA, EXAMPLE3_DELTA, DifferenceMatrix
 from mlnsim.linalg import make_rng, numeric_rank, sample_cn_matrix
 from mlnsim.measure import (
@@ -293,10 +293,9 @@ class TestEmpiricalRankCheck:
         assert 0.0 < straddling.per_slot_fractions[0] < 1.0
 
     def test_memory_beyond_the_draw_does_not_grow_with_trials(self):
-        # apart from the draw of G (L N 16 B per trial) only one slice of matrices and the
-        # sampler's scratch of at most _DRAW_PIECE floats are alive; a whole-batch stack of
-        # D alone would add L N T 16 B = 128 B per trial, and a scratch of one whole row of
-        # the draw (N trials 8 B) 6.1 MiB at 400k trials
+        # apart from one batch's draw of G (L N 16 B per trial of the batch) only one slice of
+        # matrices and the sampler's scratch of at most _DRAW_PIECE floats are alive; a
+        # whole-batch stack of D alone would add L N T 16 B = 128 B per trial of the batch
         L = N = 2
         empirical_rank_check(EXAMPLE1_DELTA, N, 1000, make_rng(19))  # warm-up
         beyond_draw = []
@@ -304,10 +303,42 @@ class TestEmpiricalRankCheck:
             tracemalloc.start()
             try:
                 empirical_rank_check(EXAMPLE1_DELTA, N, trials, make_rng(19))
-                beyond_draw.append(tracemalloc.get_traced_memory()[1] - L * N * 16 * trials)
+                batch = min(trials, linalg._MC_BATCH)
+                beyond_draw.append(tracemalloc.get_traced_memory()[1] - L * N * 16 * batch)
             finally:
                 tracemalloc.stop()
         assert beyond_draw[1] - beyond_draw[0] < 2**20
+
+    def test_memory_does_not_grow_past_one_batch(self):
+        # the draws come in batches of _MC_BATCH, so 400k trials hold no more than 100k do;
+        # one draw of them all would add L N 16 B = 64 B per further trial (18.3 MiB)
+        empirical_rank_check(EXAMPLE1_DELTA, 2, 1000, make_rng(20))  # warm-up
+        peaks = []
+        for trials in (linalg._MC_BATCH, 4 * linalg._MC_BATCH):
+            tracemalloc.start()
+            try:
+                report = empirical_rank_check(EXAMPLE1_DELTA, 2, trials, make_rng(20))
+                peaks.append(tracemalloc.get_traced_memory()[1])
+            finally:
+                tracemalloc.stop()
+            assert report.passed and report.trials == trials
+        assert peaks[1] - peaks[0] < 2**20
+
+    def test_batches_count_as_successive_checks(self, monkeypatch):
+        # in batches of 300, a 900-trial check counts what three one-batch 300-trial checks
+        # count on the continuing stream; the 3e-10 entry straddles the rank threshold, so
+        # slot 1's count lies strictly between 0 and 900 and a lost or repeated batch would show
+        delta = np.array([[1.0, 1.0], [3e-10, 1.0]])
+        rng = make_rng(22)
+        parts = [empirical_rank_check(delta, 2, 300, rng) for _ in range(3)]
+        monkeypatch.setattr(measure, "_MC_BATCH", 300)
+        whole = empirical_rank_check(delta, 2, 900, make_rng(22))
+
+        def hits(report):
+            return [round(f * report.trials) for f in (*report.per_slot_fractions, report.d_fraction)]
+
+        assert hits(whole) == [sum(c) for c in zip(*map(hits, parts))]
+        assert 0 < hits(whole)[0] < 900
 
     def test_matches_per_matrix_rank_rule(self):
         # the batched rank rule must agree with numeric_rank draw by draw

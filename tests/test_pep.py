@@ -687,7 +687,7 @@ class TestScaledLimit:
         assert rep.divergent
 
     def test_growth_past_the_float_range_is_inf(self):
-        ests = [PepEstimate(s, 0.5, 0.0, 1, "synthetic") for s in (-3000.0, 3000.0)]
+        ests = [PepEstimate(s, v, 0.0, 1, "synthetic") for s, v in ((-3000.0, 0.5), (3000.0, 1e-300))]
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             rep = check_scaled_limit(ests, 4)
@@ -697,6 +697,16 @@ class TestScaledLimit:
         # gbar**0 is 1 even at gbar = 0, so the growth is the ratio of the values
         ests = [PepEstimate(-np.inf, 1.0, 0.0, 1, "synthetic"), PepEstimate(0.0, 0.5, 0.0, 1, "synthetic")]
         assert check_scaled_limit(ests, 0).growth == pytest.approx(0.5, rel=1e-15)
+
+
+    @pytest.mark.parametrize("values", [(1.0, 1.0, 1.0), (0.2, 0.3, 0.25)], ids=["flat", "rising"])
+    def test_window_that_does_not_fall_is_not_judged(self, values):
+        # gbar**4 * pep grows by 1e8 across 20 dB, at infinite z when the SE is 0, but the
+        # window has not started to decay: it is reported as not fitted, never as divergent
+        ests = [PepEstimate(s, v, 0.0, 1, "synthetic") for s, v in zip((-3080.0, -3070.0, -3060.0), values)]
+        for judge in (check_scaled_limit, decay_exponent_checked):
+            with pytest.raises(ValueError, match="^pep does not fall across -3080--3060 dB"):
+                judge(ests, 4)
 
 
 class TestRatioPoint:

@@ -1,10 +1,13 @@
 """Unit tests for the BER link simulator."""
 
+import concurrent.futures
+import dataclasses
 import os
 import platform
 import subprocess
 import sys
 import threading
+import time
 import tracemalloc
 from pathlib import Path
 
@@ -274,8 +277,8 @@ class TestMetricKernel:
         assert peaks[1] - peaks[0] < 8 * 2**20
         assert peaks[1] < 96 * 2**20
 
-        # the 96 blocks are chunk 0 of batch 0, drawn in the simulator's order
-        rng = make_rng(8, (1, 0, 0))
+        # the 96 blocks are chunk 0, drawn in the simulator's order
+        rng = make_rng(8, (1, 0))
         H = sample_cn_matrix(96, dims.M * dims.L, rng).reshape(96, dims.M, dims.L)
         G = sample_cn_matrix(96, dims.L * dims.N, rng).reshape(96, dims.L, dims.N)
         sent = rng.integers(0, K, 96)
@@ -332,7 +335,7 @@ class TestSliceBudget:
         words = simulate._sent_words(codebook)
         tracemalloc.start()
         try:
-            simulate._score_chunk(sweep, schemes, words, weights, (1, 0, 0), n)
+            simulate._score_chunk(sweep, schemes, words, weights, (1, 0), n)
             peaks.append(tracemalloc.get_traced_memory()[1])
         finally:
             tracemalloc.stop()
@@ -501,7 +504,8 @@ def test_consecutive_sweeps_run_on_one_pool(monkeypatch):
     )
     for _ in range(2):
         simulate_ber(sweep)
-    assert len(names) == 4
+    # every chunk of the 20k-block layout (1k, 1k, 2k, 4k, 8k, 4k), once per call
+    assert len(names) == 2 * 6 == 2 * (len(_edges(20_000)) - 1)
     assert len({name.rpartition("_")[0] for name in names}) == 1, names
 
 
@@ -589,7 +593,8 @@ class TestSimulateBer:
         _assert_draws_each_block_once(monkeypatch, ("uniform",), lambda s: [simulate_ber(s[0])])
 
     def test_byte_identical_across_worker_counts(self, monkeypatch):
-        # batches of 20k and 50k blocks span two and five chunks
+        # the points stop at three different chunks of the 70k layout (1k, 1k, 2k, 4k, 8k,
+        # then 10k each and 4k last), two of them mid-layout
         sweep = SnrSweepConfig(
             dims=SystemDims(2, 1, 2, 2), query_kind="dft", codebook=uncoded_bpsk(2, 1),
             snr_grid_db=(4.0, 10.0, 16.0), max_trials_per_point=70_000,
@@ -600,7 +605,7 @@ class TestSimulateBer:
             _threads(monkeypatch, w)
             csvs.append(simulate_ber(sweep).to_csv())
         assert csvs[0] == csvs[1] == csvs[2]
-        assert [p.trials for p in BerCurve.from_csv(csvs[0]).points] == [20_000, 70_000, 70_000]
+        assert [p.trials for p in BerCurve.from_csv(csvs[0]).points] == [26_000, 56_000, 70_000]
 
     def test_point_stops_after_its_target_batch(self):
         sweep = SnrSweepConfig(
@@ -608,8 +613,9 @@ class TestSimulateBer:
             snr_grid_db=(0.0, 40.0), max_trials_per_point=100_000,
             target_error_events=300, seed=11,
         )
+        # 0 dB stops at the end of the 8k-block chunk that takes it past 300 events
         low, high = simulate_ber(sweep).points
-        assert (low.trials, high.trials) == (20_000, 100_000)
+        assert (low.trials, high.trials) == (16_000, 100_000)
         assert low.error_events >= 300 and high.error_events < 300
 
     def test_bad_threads_env_is_named(self, monkeypatch):
@@ -687,9 +693,201 @@ def _assert_draws_each_block_once(monkeypatch, kinds, run):
     ]
     curves = run(sweeps)
     assert all(p.trials == 30_000 for c in curves for p in c.points)
-    # H, G and W of each of the three 10k-block chunks, each drawn once
-    assert len(drawn) == 3 * 3
+    # H, G and W of each chunk of the 30k layout (1k, 1k, 2k, 4k, 8k, 10k, 4k), each drawn once
+    assert len(drawn) == 3 * 7 == 3 * (len(_edges(30_000)) - 1)
     assert sum(drawn) == 30_000 * (dims.M * dims.L + dims.L * dims.N + dims.T * dims.N)
+
+
+def _edges(cap):
+    """The start of each chunk of a sweep with trial cap cap, and then cap."""
+    edges = [0]
+    while edges[-1] < cap:
+        edges.append(simulate._chunk_end(edges[-1], cap))
+    return edges
+
+
+def _chunk_spy(monkeypatch, slow=None):
+    """Record each chunk's scored noise scales per scheme and its tallies, keyed by chunk index;
+    slow maps a chunk index to seconds slept before it is scored."""
+    seen = {}
+    score = simulate._score_chunk
+
+    def spy(config, schemes, words, weights, key, n):
+        time.sleep((slow or {}).get(key[1], 0.0))
+        tallies = score(config, schemes, words, weights, key, n)
+        seen[key[1]] = ([stds.copy() for _, stds in schemes], tallies)
+        return tallies
+
+    monkeypatch.setattr(simulate, "_score_chunk", spy)
+    return seen
+
+
+def _staggered_sweep(**changes):
+    """A sweep whose points stop at different chunks: the noisiest in the first, the quietest at the cap."""
+    return SnrSweepConfig(**{
+        "dims": SystemDims(2, 2, 2, 2), "query_kind": "dft", "codebook": _antipodal(),
+        "snr_grid_db": (0.0, 3.0, 6.0, 9.0, 12.0, 40.0), "max_trials_per_point": 60_000,
+        "target_error_events": 150, "seed": 15, **changes,
+    })
+
+
+def _noise_stds(sweep):
+    return np.sqrt(1.0 / 10.0 ** (np.array(sweep.snr_grid_db) / 10.0))
+
+
+class TestChunkStream:
+    """The fixed chunk layout, counted in chunk order, with each chunk's points fixed by counted results."""
+
+    def test_layout(self):
+        assert list(_edges(30_000)) == [0, 1_000, 2_000, 4_000, 8_000, 16_000, 26_000, 30_000]
+        assert list(_edges(1_500)) == [0, 1_000, 1_500]
+        assert list(_edges(96)) == [0, 96]
+
+    def test_huge_cap_draws_what_its_points_need(self, monkeypatch):
+        # the layout is laid out as chunks are taken, so a cap of 10^15 blocks costs nothing
+        # while its one point stops after the first chunk
+        seen = _chunk_spy(monkeypatch)
+        sweep = _staggered_sweep(snr_grid_db=(0.0,), target_error_events=10, max_trials_per_point=10**15)
+        assert simulate_ber(sweep).points[0].trials == 1_000
+        assert 0 in seen and set(seen) <= {0, 1}  # chunk 1 may run while chunk 0 is scored
+
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_point_stops_at_first_chunk_past_its_target(self, monkeypatch, workers):
+        # each point's events, bit errors and trials are the spy's tallies summed in chunk order
+        # up to the first chunk end at which the events reach the target (or the cap)
+        _threads(monkeypatch, workers)
+        seen = _chunk_spy(monkeypatch)
+        sweep = _staggered_sweep()
+        curve = simulate_ber(sweep)
+        edges = _edges(sweep.max_trials_per_point)
+        stds = _noise_stds(sweep)
+        stops = []
+        for i, point in enumerate(curve.points):
+            events = bits = 0
+            for k in range(len(edges) - 1):
+                (scored,), tallies = seen[k]
+                j = int(np.flatnonzero(scored == stds[i])[0])  # the point is scored while it runs
+                events += int(tallies[0, j])
+                bits += int(tallies[1, j])
+                if events >= sweep.target_error_events or k == len(edges) - 2:
+                    break
+            stops.append(k)
+            assert (point.error_events, point.trials) == (events, edges[k + 1]), i
+            assert point.ber * point.trials * sweep.codebook.bits_per_block == pytest.approx(bits, abs=1e-6)
+        # the points stop at several chunks, the last at the cap
+        assert stops == sorted(stops) and stops[-1] == len(edges) - 2 and len(set(stops)) >= 4, stops
+
+    @pytest.mark.parametrize("workers", [1, 2, 3])
+    def test_scored_set_is_the_half_progress_snapshot(self, monkeypatch, workers):
+        # chunk k scores exactly the points still running once every chunk ending at or
+        # before half its start has been counted, not those running when it is drawn
+        _threads(monkeypatch, workers)
+        seen = _chunk_spy(monkeypatch)
+        sweep = _staggered_sweep()
+        curve = simulate_ber(sweep)
+        edges = list(_edges(sweep.max_trials_per_point))
+        stop = [edges.index(p.trials) - 1 for p in curve.points]  # the chunk each point stopped at
+        stds = _noise_stds(sweep)
+        assert sorted(seen) == list(range(len(edges) - 1))
+        late = 0
+        for k, ((scored,), _) in seen.items():
+            counted = sum(1 for end in edges[1:] if 2 * end <= edges[k])
+            assert list(scored) == [v for v, s in zip(stds, stop) if s >= counted], k
+            late += sum(counted <= s < k for s in stop)
+        assert late > 0  # some chunk scores a point that stopped at a chunk before it
+
+    def test_slow_first_chunk_changes_nothing(self, monkeypatch):
+        # with chunk 0 held back, later chunks are scored before it is counted
+        sweep = _staggered_sweep()
+        _threads(monkeypatch, 1)
+        expected = simulate_ber(sweep).to_csv()
+        _threads(monkeypatch, 3)
+        seen = _chunk_spy(monkeypatch, slow={0: 0.3})
+        assert simulate_ber(sweep).to_csv() == expected
+        assert list(seen)[0] != 0  # chunk 0 finished after another chunk
+
+    def test_many_small_chunks_under_fast_thread_switching(self, monkeypatch):
+        # a lost update to the shared count would change a tally, a trial count or the scored
+        # sets: 4 loops (more than the cores of a small machine) through 140 chunks of at most 60
+        # blocks, switching threads every microsecond, give the single loop's curves
+        monkeypatch.setattr(simulate, "_FIRST_CHUNK", 10)
+        monkeypatch.setattr(simulate, "_CHUNK", 60)
+        sweeps = [
+            dataclasses.replace(s, max_trials_per_point=8_000, target_error_events=150) for s in _joint_sweeps()
+        ]
+        assert len(_edges(8_000)) - 1 > 130
+        _threads(monkeypatch, 1)
+        expected = [c.to_csv() for c in simulate_bers(sweeps)]
+        _threads(monkeypatch, 4)
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            assert [c.to_csv() for c in simulate_bers(sweeps)] == expected
+        finally:
+            sys.setswitchinterval(interval)
+        trials = {p.trials for c in map(BerCurve.from_csv, expected) for p in c.points}
+        assert len(trials) >= 3  # the points stop at several chunks
+
+    def test_failed_loop_stops_the_others(self, monkeypatch):
+        # the exception propagates, the other loops stop at their next chunk, and the pool
+        # runs the next sweep as if nothing had happened
+        sweep = _staggered_sweep(target_error_events=10**6, max_trials_per_point=100_000)
+        _threads(monkeypatch, 1)
+        expected = simulate_ber(sweep).to_csv()
+        _threads(monkeypatch, 2)
+        calls = []
+        score = simulate._score_chunk
+
+        def failing(config, schemes, words, weights, key, n):
+            calls.append(key[1])
+            if key[1] == 3:
+                raise RuntimeError("chunk 3 failed")
+            return score(config, schemes, words, weights, key, n)
+
+        monkeypatch.setattr(simulate, "_score_chunk", failing)
+        with pytest.raises(RuntimeError, match="chunk 3 failed"):
+            simulate_ber(sweep)
+        _wait_for_idle_pool(2)
+        # chunk 3 fails at once; chunk 4 needs only chunks 0-2 counted and may still run, while
+        # chunk 5 waits on chunk 3, so it and the 8 chunks after it never run
+        assert 3 in calls and len(calls) <= 5, calls
+        monkeypatch.setattr(simulate, "_score_chunk", score)
+        assert simulate_ber(sweep).to_csv() == expected
+
+    def test_interrupted_caller_stops_the_loops(self, monkeypatch):
+        # a KeyboardInterrupt in the caller's wait, once chunk 2 runs, halts every loop
+        sweep = _staggered_sweep(target_error_events=10**6, max_trials_per_point=100_000)
+        _threads(monkeypatch, 2)
+        calls = []
+        running, interrupted = threading.Event(), threading.Event()
+        score = simulate._score_chunk
+
+        def held(config, schemes, words, weights, key, n):
+            calls.append(key[1])
+            if key[1] == 2:
+                running.set()
+                interrupted.wait(60)
+            return score(config, schemes, words, weights, key, n)
+
+        def interrupted_wait(future, timeout=None):
+            running.wait(60)
+            interrupted.set()
+            raise KeyboardInterrupt
+
+        monkeypatch.setattr(simulate, "_score_chunk", held)
+        with monkeypatch.context() as m:
+            m.setattr(concurrent.futures.Future, "result", interrupted_wait)
+            with pytest.raises(KeyboardInterrupt):
+                simulate_ber(sweep)
+        _wait_for_idle_pool(2)
+        assert 2 in calls and len(calls) < len(_edges(100_000)) - 1, calls
+
+
+def _wait_for_idle_pool(workers):
+    """Return once every thread of the pool of this many workers is free: a task of each meets at a barrier."""
+    barrier = threading.Barrier(workers, timeout=60)
+    for task in [simulate._pool(workers).submit(barrier.wait) for _ in range(workers)]:
+        task.result()
 
 
 def _joint_sweeps(**changes):
@@ -707,8 +905,8 @@ def _joint_sweeps(**changes):
 
 class TestSimulateBers:
     def test_equals_separate_sweeps_for_any_worker_count(self, monkeypatch):
-        # the dft sweep stops after the first batch of 20k blocks, while the
-        # uniform one runs on to the 70k cap (batches of two and five chunks)
+        # the dft sweep stops after the first two chunks (1k and 1k blocks), while
+        # the uniform one runs on through every chunk to the 70k cap
         sweeps = _joint_sweeps()
         _threads(monkeypatch, 1)
         separate = [simulate_ber(s).to_csv() for s in sweeps]
@@ -717,7 +915,7 @@ class TestSimulateBers:
             joint = [c.to_csv() for c in simulate_bers(sweeps)]
             assert joint == separate, workers
         first, second = (BerCurve.from_csv(c).points for c in separate)
-        assert [p.trials for p in first] == [20_000, 20_000]
+        assert [p.trials for p in first] == [1_000, 2_000]
         assert second[-1].trials == 70_000
 
     def test_pair_draws_each_block_once(self, monkeypatch):

@@ -1,6 +1,7 @@
 """Smoke tests for the scripts under tools/."""
 
 import importlib.util
+import json
 import os
 import subprocess
 import sys
@@ -55,3 +56,30 @@ def test_peakmem_reports_every_stage_and_writes_nothing(tmp_path):
     both = subprocess.run(tool + ["--preset", "example3", "--config", str(config)], cwd=cwd, env=env,
                           capture_output=True, text=True, timeout=60)
     assert both.returncode == 2 and "not allowed with argument --preset" in both.stderr
+
+
+def test_stagetimes_times_each_stage_in_process_and_writes_nothing(tmp_path):
+    cwd = tmp_path / "run"
+    cwd.mkdir()
+    record = tmp_path / "bench.json"
+    tool = [sys.executable, str(ROOT / "tools" / "stagetimes.py")]
+    env = dict(os.environ, OPENBLAS_NUM_THREADS="1", MLNSIM_THREADS="2")
+    argv = ["--preset", "example3", "--stages", "measure,ber", "--record", str(record),
+            "--trials", "200", "--max-trials", "2000", "--snr-grid", "0:6:12"]
+    for label in ("tiny", "again"):  # a second record is appended to the first
+        run = subprocess.run([*tool, *argv, "--label", label], cwd=cwd, env=env, capture_output=True, text=True,
+                             timeout=300)
+        assert run.returncode == 0, run.stderr
+    header, *rows = (line.split() for line in run.stdout.splitlines())
+    assert header == ["stage", "runs", "wall_s", "iqr", "cpu_s", "iqr", "same_outputs"]
+    assert [r[0] for r in rows] == ["measure", "ber"] and all(r[1] == "7" and r[-1] == "True" for r in rows)
+    records = json.loads(record.read_text())
+    assert [r["label"] for r in records] == ["tiny", "again"]
+    ber = records[1]["stages"]["ber"]
+    assert ber["wall_s"]["median"] > 0 and ber["cpu_s"]["median"] > 0 and ber["wall_s"]["iqr"] >= 0
+    assert sorted(ber["sha256"]) == ["ber_example3_dft.csv", "ber_example3_summary.json", "ber_example3_uniform.csv"]
+    assert records[0]["stages"]["ber"]["sha256"] == ber["sha256"]  # one seed, one set of outputs
+    assert records[1]["environment"]["MLNSIM_THREADS"] == "2"
+    assert list(cwd.iterdir()) == []
+    few = subprocess.run([*tool, "--runs", "3"], cwd=cwd, env=env, capture_output=True, text=True, timeout=60)
+    assert few.returncode == 2 and "--runs must be at least 7" in few.stderr

@@ -47,6 +47,7 @@ _KERNEL = "tests/test_simulate.py::TestMetricKernel"
 _SCORE = "tests/test_simulate.py::TestScorePoints"
 _BUDGET = "tests/test_simulate.py::TestSliceBudget"
 _CLI = "tests/test_config_cli.py::TestCliCommands"
+_STREAM = "tests/test_simulate.py::TestChunkStream"
 
 CATALOGUE = (
     # the blocks-last rank kernels, the rank check's slicing and value equality
@@ -129,7 +130,7 @@ CATALOGUE = (
     # the sampler's one draw-piece rule (column pieces of a long row, in stream order) and
     # sample_blocks' size guard
     Mutant("fill-whole-row-scratch", "linalg.py", "min(cols, _DRAW_PIECE)", "cols",
-           ("tests/test_measure.py::TestEmpiricalRankCheck::test_memory_beyond_the_draw_does_not_grow_with_trials",)),
+           ("tests/test_linalg.py::TestSampling::test_scratch_never_exceeds_one_piece",)),
     Mutant("fill-columns-outer", "linalg.py",
            "        for a in range(0, rows, step):\n            for b in range(0, cols, width):\n",
            "        for b in range(0, cols, width):\n            for a in range(0, rows, step):\n",
@@ -165,6 +166,23 @@ CATALOGUE = (
     Mutant("difference-matrix-keeps-callers-array", "codes.py",
            'd = self._hold("delta", self.delta)', "d = np.asarray(self.delta, dtype=complex)",
            ("tests/test_codes.py::TestDifferenceMatrix::test_holds_a_read_only_copy",)),
+    # the BER chunk stream: a stopped point takes no later tallies, a chunk scores the
+    # half-progress snapshot, and an interrupted caller halts the loops; a window that does
+    # not fall is never divergent; the rank check draws in batches
+    Mutant("stream-counts-stopped-points", "simulate.py",
+           "live = self.stop[idx] == _RUNNING", "live = self.stop[idx] >= 0",
+           (f"{_STREAM}::test_point_stops_at_first_chunk_past_its_target",)),
+    Mutant("stream-scores-fresh-set", "simulate.py",
+           "scored = self.stop >= need", "scored = self.stop >= self.counted",
+           (f"{_STREAM}::test_scored_set_is_the_half_progress_snapshot",)),
+    Mutant("interrupt-does-not-halt", "simulate.py", "    finally:\n        stream.halt()\n",
+           "    finally:\n        pass\n",
+           (f"{_STREAM}::test_interrupted_caller_stops_the_loops",)),
+    Mutant("flat-window-judged", "pep.py", "if not last.value < first.value:", "if False:",
+           ("tests/test_pep.py::TestScaledLimit::test_window_that_does_not_fall_is_not_judged",
+            f"{_CLI}::test_flat_window_is_not_fitted_nor_divergent")),
+    Mutant("rank-check-whole-draw", "measure.py", "n = min(_MC_BATCH, trials - done)", "n = trials - done",
+           ("tests/test_measure.py::TestEmpiricalRankCheck::test_memory_does_not_grow_past_one_batch",)),
 )
 
 
