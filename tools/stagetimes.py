@@ -126,10 +126,11 @@ def main(argv: list[str]) -> int:
               f"{cpu['median']:9.4f} {cpu['iqr']:8.4f} {row['same_outputs']}", flush=True)
     if args.record is not None:
         records = json.loads(args.record.read_text()) if args.record.exists() else []
-        records.append({
-            "label": args.label, "setting": chosen, "config": json.loads(Path(args.config).read_text())
-            if args.config else None, "arguments": extra, "environment": _environment(args.src, numpy),
-            "stages": table,
+        config = Path(args.config) if args.config else None
+        records.append({  # a config file by name and content, so the record holds no path of this machine
+            "label": args.label, "setting": ["--config", config.name] if config else chosen,
+            "config": json.loads(config.read_text()) if config else None, "arguments": extra,
+            "environment": _environment(args.src, numpy), "stages": table,
         })
         args.record.write_text(json.dumps(records, indent=2) + "\n")
     return int(failed)
