@@ -335,7 +335,7 @@ class TestSliceBudget:
         words = simulate._sent_words(codebook)
         tracemalloc.start()
         try:
-            simulate._score_chunk(sweep, schemes, words, weights, (1, 0), n)
+            simulate._score_chunk(sweep, schemes, words, weights, (1, 0, 0), n)
             peaks.append(tracemalloc.get_traced_memory()[1])
         finally:
             tracemalloc.stop()
