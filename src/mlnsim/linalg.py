@@ -2,12 +2,16 @@
 
 Arrays are ``complex128``, and stacks are blocks last: matrix j of an (..., m, n, B) stack
 is a[..., :, :, j], as ``sample_blocks`` draws them. Stack kernels work elementwise over B
-and do not slice; a caller with a large stack slices it (``even_slices``). Every operation
-is a pure function of its inputs; randomness always comes in through an explicit
-``numpy.random.Generator`` so results are reproducible per seed.
+and do not slice; a caller with a large stack draws it whole and then slices it
+(``even_slices``). Every operation is a pure function of its inputs; randomness always
+comes in through an explicit ``numpy.random.Generator`` so results are reproducible per
+seed. Every random draw is the one CN(0, 1) fill of ``sample_cn_matrix``, which
+``sample_blocks`` reshapes.
 """
 
 from __future__ import annotations
+
+import math
 
 import numpy as np
 
@@ -43,10 +47,6 @@ _MC_BATCH = 100_000
 
 _INV_SQRT2 = 1.0 / np.sqrt(2.0)
 
-# _fill draws at most this many float64s (64 KiB) at a time, a size malloc
-# reuses without fresh pages: a larger matrix goes piece by piece
-_DRAW_PIECE = 8192
-
 
 class DimensionMismatchError(ValueError):
     """Operands have incompatible shapes."""
@@ -73,49 +73,29 @@ def sample_cn_matrix(rows: int, cols: int, rng: np.random.Generator) -> np.ndarr
     """Sample a rows x cols matrix of i.i.d. CN(0, 1) entries.
 
     Circularly-symmetric complex Gaussian with unit total variance: real
-    and imaginary parts are independent N(0, 1/2).
+    and imaginary parts are independent N(0, 1/2). The matrix is one draw of
+    2 rows cols normals in place, Re and Im of each entry in turn (row by row),
+    scaled by 1/sqrt(2); it allocates nothing beyond itself.
     """
     if rows < 1 or cols < 1:
         raise DimensionMismatchError(f"dimensions must be >= 1, got ({rows}, {cols})")
-    return _fill(np.empty((rows, cols), dtype=complex), rng)
-
-
-def _fill(out: np.ndarray, rng: np.random.Generator) -> np.ndarray:
-    """Fill out (complex rows x cols, C- or F-contiguous) with a CN(0, 1) draw and return it."""
-    # the stream holds every real part and then every imaginary part, as one
-    # (2, rows, cols) draw would. numpy divides a complex by a real as a product
-    # with its reciprocal, so scaling each part by 1/sqrt(2) gives the bits of
-    # (a + 1j b) / sqrt(2) (a / sqrt(2) would not). A Generator's normal stream
-    # carries no state between calls, so a draw made in stream order piece by piece,
-    # none longer than _DRAW_PIECE, gives the same values and leaves the same state
-    # with no larger scratch: whole rows per piece, or pieces of one row when a row
-    # is longer. An F-contiguous out (the transpose of a C-contiguous cols x rows
-    # array) gets each drawn row in a column
-    rows, cols = out.shape
-    step, width = min(rows, max(1, _DRAW_PIECE // cols)), min(cols, _DRAW_PIECE)
-    scratch = np.empty((step, width))
-    for part in (out.real, out.imag):
-        for a in range(0, rows, step):
-            for b in range(0, cols, width):
-                piece = scratch[: rows - a, : cols - b]
-                rng.standard_normal(out=piece)
-                piece *= _INV_SQRT2
-                part[a : a + step, b : b + width] = piece
-    return out
+    z = np.empty((rows, cols), dtype=complex)
+    parts = z.view(float)  # Re and Im of each entry side by side
+    rng.standard_normal(out=parts)
+    parts *= _INV_SQRT2
+    return z
 
 
 def sample_blocks(shape: tuple, n: int, rng: np.random.Generator) -> np.ndarray:
     """n blocks of i.i.d. CN(0, 1) entries laid out last, as a C-contiguous shape + (n,) array.
 
-    Block k holds row k of sample_cn_matrix(n, prod(shape), rng), with the same bits and the
-    same generator state afterwards. Raises DimensionMismatchError unless n and every
-    entry of shape are >= 1; shape () gives n scalars.
+    The draw is sample_cn_matrix(prod(shape), n, rng) reshaped, with the same bits and the
+    same generator state afterwards, so block k is its column k. Raises
+    DimensionMismatchError unless n and every entry of shape are >= 1; shape () gives n scalars.
     """
     if n < 1 or min(shape, default=1) < 1:
         raise DimensionMismatchError(f"need shape entries and n >= 1, got shape {tuple(shape)} and n={n}")
-    out = np.empty(tuple(shape) + (n,), dtype=complex)
-    _fill(out.reshape(-1, n).T, rng)  # row k to column k
-    return out
+    return sample_cn_matrix(math.prod(shape), n, rng).reshape(tuple(shape) + (n,))
 
 
 def even_slices(n: int, most: int | None = None) -> list[slice]:

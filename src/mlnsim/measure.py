@@ -36,7 +36,7 @@ import numpy as np
 
 from .codes import _as_diff
 from .channel import checked_integer
-from .linalg import _MC_BATCH, DimensionMismatchError, even_slices, make_rng, numeric_rank, sample_cn_matrix
+from .linalg import _MC_BATCH, DimensionMismatchError, even_slices, make_rng, numeric_rank, sample_blocks
 
 __all__ = [
     "MeasureReport",
@@ -161,8 +161,8 @@ def compare_queries(delta, N: int) -> MeasureReport:
     the verdict is unitary-dominates or comparable.
     """
     d = _as_diff(delta)
-    G0 = sample_cn_matrix(d.L, N, make_rng(0, _RANK_PROBE_KEY))
-    *per_slot, rf = (int(r) for r in _ranks(d, G0[..., None])[:, 0])
+    G0 = sample_blocks((d.L, N), 1, make_rng(0, _RANK_PROBE_KEY))  # a stack of one
+    *per_slot, rf = (int(r) for r in _ranks(d, G0)[:, 0])
     ru = sum(per_slot)
     return MeasureReport(
         r_unitary=ru,
@@ -196,7 +196,7 @@ def empirical_rank_check(delta, N: int, trials: int, rng: np.random.Generator) -
     fraction of draws with rank(E_t) as ``compare_queries`` predicts it, and the
     fraction with rank(D) == r_uniform. The report passes iff every fraction
     equals 1. Ranks are ``numeric_rank``'s. The draws come in batches of at most
-    ``linalg._MC_BATCH``, each one ``sample_cn_matrix`` call viewed as L x N x n; each
+    ``linalg._MC_BATCH``, each one L x N x n ``sample_blocks`` call; each
     slice of a batch (``even_slices``) then has the ranks of its E_t and D taken by
     the kernel ``compare_queries`` uses and counts those as predicted, so that apart
     from one batch's draw only one slice of matrices is alive at a time, whatever
@@ -211,7 +211,7 @@ def empirical_rank_check(delta, N: int, trials: int, rng: np.random.Generator) -
     done = 0
     while done < trials:
         n = min(_MC_BATCH, trials - done)
-        G = sample_cn_matrix(d.L, N * n, rng).reshape(d.L, n, N).transpose(0, 2, 1)
+        G = sample_blocks((d.L, N), n, rng)
         for s in even_slices(n):
             hits += np.count_nonzero(_ranks(d, G[..., s]) == ranks, axis=1)
         del G  # freed before the next batch is drawn

@@ -733,6 +733,28 @@ class TestCliCommands:
         assert opened == ["pep_example3_unitary.csv", "pep_example3_uniform.csv"]
         assert list(out.iterdir()) == []
 
+    def test_interrupted_write_propagates_and_leaves_none_of_the_runs_files(self, tmp_path, capsys, monkeypatch):
+        # an interrupt during the second output's write is no failure to report: it
+        # propagates, with no exit status and no error line, once the first file is removed
+        opened = []
+
+        def open_then_interrupt(path, *args, **kwargs):
+            fh = open(path, *args, **kwargs)
+            opened.append(os.path.basename(path))
+            if len(opened) == 2:
+                def write(text):
+                    raise KeyboardInterrupt
+                fh.write = write
+            return fh
+
+        monkeypatch.setattr(cli_mod, "open", open_then_interrupt, raising=False)
+        out = tmp_path / "o"
+        with pytest.raises(KeyboardInterrupt):
+            main(["pep", "--preset", "example3", "--snr-grid", "10:10:30", "--trials", "200", "--out", str(out)])
+        assert "mlnsim pep:" not in capsys.readouterr().err
+        assert opened == ["pep_example3_unitary.csv", "pep_example3_uniform.csv"]
+        assert list(out.iterdir()) == []
+
     def test_help_lists_flags(self, capsys):
         with pytest.raises(SystemExit) as exc:
             main(["--help"])

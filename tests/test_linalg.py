@@ -58,36 +58,29 @@ class TestSampling:
         with pytest.raises(DimensionMismatchError):
             sample_cn_matrix(0, 2, make_rng(0))
 
-    def test_bits_match_combine_then_divide(self):
-        # the same bits as the two-pass reference from the same generator state;
-        # 3000 x 7 is drawn in three pieces per part, the next two sizes sit either
-        # side of the largest one-piece draw, and the last three have rows longer than
-        # one piece, drawn in column pieces (four per row, then two)
-        piece = linalg._DRAW_PIECE
-        for seed, rows, cols in [(0, 500, 7), (1, 500, 7), (2, 500, 7), (0, 3000, 7), (1, 3000, 7),
-                                 (3, piece // 2, 1), (4, piece // 2 + 1, 1), (5, 2, piece + 3),
-                                 (6, 2, 3 * piece + 5), (7, 1, piece + 1)]:
-            rng = make_rng(seed, (9,))
-            ref = make_rng(seed, (9,))
-            a = ref.standard_normal((rows, cols))
-            b = ref.standard_normal((rows, cols))
+    def test_bits_are_the_scaled_normals_re_and_im_in_turn(self):
+        # the bits of one draw of 2 rows cols normals times 1/sqrt(2), Re and Im of each
+        # entry side by side, and the generator where that draw leaves it
+        for seed, rows, cols in [(0, 1, 1), (1, 500, 7), (2, 3000, 7), (3, 2, 24_581), (4, 10_000, 8)]:
+            rng, ref = make_rng(seed, (9,)), make_rng(seed, (9,))
             z = sample_cn_matrix(rows, cols, rng)
-            assert np.array_equal(z.view(np.uint64), ((a + 1j * b) / np.sqrt(2)).view(np.uint64))
-            assert rng.standard_normal() == ref.standard_normal()
+            expected = (ref.standard_normal(2 * rows * cols) * linalg._INV_SQRT2).view(complex).reshape(rows, cols)
+            assert z.shape == (rows, cols) and z.flags.c_contiguous
+            assert np.array_equal(z.view(np.uint64), expected.view(np.uint64))
+            assert rng.bit_generator.state == ref.bit_generator.state
 
-    def test_scratch_never_exceeds_one_piece(self):
-        # a fill allocates at most _DRAW_PIECE floats beside its out, however long the rows:
-        # a scratch of one whole 400k-entry row would take 3.2 MB
+    def test_draw_allocates_only_its_output(self):
+        # no scratch beside the output, however the entries are shaped: a scratch of the
+        # normals alone would take another 6.4 MB
         rng = make_rng(10, (9,))
-        for rows, cols in ((2, 400_000), (400_000, 2)):
-            out = np.empty((rows, cols), dtype=complex)
+        for rows, cols in ((2, 200_000), (200_000, 2), (400, 1000)):
             tracemalloc.start()
             try:
-                linalg._fill(out, rng)
+                z = sample_cn_matrix(rows, cols, rng)
                 peak = tracemalloc.get_traced_memory()[1]
             finally:
                 tracemalloc.stop()
-            assert peak <= 8 * linalg._DRAW_PIECE + 4096, (rows, cols)
+            assert peak <= z.nbytes + 4096, (rows, cols)
 
     def test_leaves_stream_where_two_draws_do(self):
         # the draw consumes what two (rows, cols) draws would
@@ -97,59 +90,33 @@ class TestSampling:
         ref.standard_normal((33, 5))
         assert rng.standard_normal() == ref.standard_normal()
 
-    @pytest.mark.parametrize(
-        "rows, cols",
-        [(1, 1), (500, 7), (3000, 7), (linalg._DRAW_PIECE // 2, 1), (linalg._DRAW_PIECE // 2 + 1, 1)],
-    )
+    @pytest.mark.parametrize("rows, cols", [(1, 1), (500, 7), (3000, 7), (4096, 1), (4097, 1)])
     def test_out_buffer_reused_matches_fresh_draws(self, rows, cols):
-        # a dirty buffer filled twice by the samplers' one fill holds each time the bits
-        # of a fresh call, and the generator ends where two fresh calls leave it; 3000 x 7
-        # is drawn in three pieces per part, and the last two sizes sit either side of
-        # the largest one-piece draw
+        # a draw into memory just freed by a dirty array of its size holds the bits of a
+        # draw on a clean heap, twice in a row, and the generator ends where two such draws leave it
         rng, ref = make_rng(6, (9,)), make_rng(6, (9,))
-        buf = np.full((rows, cols), np.nan + 1j * np.inf)
         for _ in range(2):
             fresh = sample_cn_matrix(rows, cols, ref)
-            assert linalg._fill(buf, rng) is buf
-            assert np.array_equal(buf.view(np.uint64), fresh.view(np.uint64))
-        assert rng.bit_generator.state == ref.bit_generator.state
-
-    @pytest.mark.parametrize(
-        "rows, cols",
-        [(1, 5), (3000, 7), (linalg._DRAW_PIECE + 1, 2), (2, linalg._DRAW_PIECE + 3),
-         (2, 3 * linalg._DRAW_PIECE + 5), (10_000, 8)],
-    )
-    def test_f_order_out_matches_c_order(self, rows, cols):
-        # an F-contiguous out (the transpose of a cols x rows array, as sample_blocks
-        # fills) gets the bits of a C-contiguous one and leaves the generator in the
-        # same state: a single row, a piece of whole rows that does not fill
-        # _DRAW_PIECE, draws of several pieces, and rows longer than one piece
-        rng, ref = make_rng(8, (rows, cols)), make_rng(8, (rows, cols))
-        buf = np.full((cols, rows), np.nan + 1j * np.inf).T
-        assert buf.flags.f_contiguous
-        for _ in range(2):
-            c_order = sample_cn_matrix(rows, cols, ref)
-            assert linalg._fill(buf, rng) is buf
-            assert np.array_equal(np.ascontiguousarray(buf).view(np.uint64), c_order.view(np.uint64))
+            dirty = np.full((rows, cols), np.nan + 1j * np.inf)
+            del dirty
+            z = sample_cn_matrix(rows, cols, rng)
+            assert np.array_equal(z.view(np.uint64), fresh.view(np.uint64))
         assert rng.bit_generator.state == ref.bit_generator.state
 
 
 class TestSampleBlocks:
     @pytest.mark.parametrize(
-        "shape, n",
-        [((), 5), ((1,), 1), ((2, 3), 7), ((2, 2), linalg._DRAW_PIECE + 1), ((3, 1, 2), 500),
-         ((linalg._DRAW_PIECE + 3,), 2), ((3 * linalg._DRAW_PIECE + 5,), 2)],
+        "shape, n", [((), 5), ((1,), 1), ((2, 3), 7), ((2, 2), 8193), ((3, 1, 2), 500), ((8195,), 2), ((24_581,), 2)],
     )
-    def test_block_k_is_row_k_of_the_matrix_draw(self, shape, n):
-        # the bits and the generator state of sample_cn_matrix(n, prod(shape)), with
-        # row k in block k, on two draws in a row; the last blocks are larger than one piece
+    def test_blocks_are_the_matrix_draw_reshaped(self, shape, n):
+        # the bits and the generator state of sample_cn_matrix(prod(shape), n), reshaped so
+        # that block k is its column k, on two draws in a row
         rng, ref = make_rng(31, (n,)), make_rng(31, (n,))
         for _ in range(2):
-            rows = sample_cn_matrix(n, math.prod(shape), ref)
+            matrix = sample_cn_matrix(math.prod(shape), n, ref)
             blocks = sample_blocks(shape, n, rng)
             assert blocks.shape == shape + (n,) and blocks.flags.c_contiguous
-            expected = np.ascontiguousarray(rows.T).reshape(shape + (n,))
-            assert np.array_equal(blocks.view(np.uint64), expected.view(np.uint64))
+            assert np.array_equal(blocks.view(np.uint64), matrix.reshape(shape + (n,)).view(np.uint64))
         assert rng.bit_generator.state == ref.bit_generator.state
 
 

@@ -287,8 +287,8 @@ class TestQFunctionMc:
         rows = T if scheme == "unitary" else 1
         z = []
         for n in (64, 64, 22):
-            X = sample_cn_matrix(n, rows * L, rng).reshape(n, rows, L)
-            G = sample_cn_matrix(n, L * N, rng).reshape(n, L, N)
+            X = np.moveaxis(sample_blocks((rows, L), n, rng), -1, 0)
+            G = np.moveaxis(sample_blocks((L, N), n, rng), -1, 0)
             for k in range(n):
                 if scheme == "unitary":
                     z.append(squared_distance_unitary(X[k], delta, G[k]))
@@ -331,8 +331,8 @@ class TestQFunctionMc:
             for rows in (T, 1):
                 z = _batched_z(rows, d, N, n, make_rng(case))
                 redraw = make_rng(case)
-                X = np.moveaxis(sample_cn_matrix(n, rows * L, redraw).reshape(n, rows, L), 0, -1)
-                G = np.moveaxis(sample_cn_matrix(n, L * N, redraw).reshape(n, L, N), 0, -1)
+                X = sample_blocks((rows, L), n, redraw)
+                G = sample_blocks((L, N), n, redraw)
                 S = mix(X, d.delta.T[:, :, None], G)
                 ref = sum(np.square(S.real).reshape(-1, n)) + sum(np.square(S.imag).reshape(-1, n))
                 assert np.array_equal(z.view(np.uint64), ref.view(np.uint64)), (case, rows)
@@ -425,7 +425,7 @@ class TestGramDeterminant:
         L = delta.shape[0]
         A = scheme_weights(delta, kind)
         got = next(_lambda_products(A, N, self.DRAWS, [gbar], make_rng(seed)))
-        G = sample_cn_matrix(self.DRAWS, L * N, make_rng(seed)).reshape(self.DRAWS, L, N)
+        G = np.moveaxis(sample_blocks((L, N), self.DRAWS, make_rng(seed)), -1, 0)
         return got, self._svd_eigen_product(kind, delta, G, gbar)
 
     def test_matches_svd_on_same_draws(self, monkeypatch):
@@ -446,7 +446,7 @@ class TestGramDeterminant:
                 got, ref = self._both(kind, delta, N, gbar, 100 + trial)
                 np.testing.assert_allclose(got, ref, rtol=self.RTOL, atol=0.0)
                 assert calls == ([L] if L >= 3 else [])
-                G = sample_cn_matrix(self.DRAWS, L * N, make_rng(trial)).reshape(self.DRAWS, L, N)
+                G = np.moveaxis(sample_blocks((L, N), self.DRAWS, make_rng(trial)), -1, 0)
                 grams = scheme_weights(delta, kind) * (G @ G.conj().swapaxes(1, 2))[:, None]
                 lam, ref_lam = np.moveaxis(psd_eigenvalues(np.moveaxis(grams, 0, -1)), -1, 0), eigvalsh(grams)
                 assert np.all(np.abs(lam - ref_lam) <= 8 * np.finfo(float).eps * ref_lam[..., -1:])
@@ -534,7 +534,7 @@ class TestEigenProductCurve:
                 curve = pep_eigen_product_curve(kind, delta, dims, grid, trials, make_rng(200 + case))
                 redraw = make_rng(200 + case)
                 G = np.concatenate(
-                    [sample_cn_matrix(n, L * N, redraw).reshape(n, L, N) for n in (128, 128, 44)]
+                    [np.moveaxis(sample_blocks((L, N), n, redraw), -1, 0) for n in (128, 128, 44)]
                 )
                 assert [e.snr_db for e in curve] == grid
                 for est, snr in zip(curve, grid):
@@ -551,13 +551,13 @@ class TestEigenProductCurve:
 
         monkeypatch.setattr(pep_mod, "_MC_BATCH", 100)
         drawn = []
-        fill = linalg_mod._fill
+        sample = linalg_mod.sample_cn_matrix
 
-        def counting(out, rng):
-            drawn.append(out.size)
-            return fill(out, rng)
+        def counting(rows, cols, rng):
+            drawn.append(rows * cols)
+            return sample(rows, cols, rng)
 
-        monkeypatch.setattr(linalg_mod, "_fill", counting)
+        monkeypatch.setattr(linalg_mod, "sample_cn_matrix", counting)
         trials = 250
         for points in (1, 2, 12):
             drawn.clear()

@@ -24,7 +24,7 @@ from mlnsim.codes import (
     repetition_bpsk,
     uncoded_bpsk,
 )
-from mlnsim.linalg import make_rng, sample_cn_matrix
+from mlnsim.linalg import make_rng, sample_blocks
 from mlnsim.pep import pep_qfunction_mc
 from mlnsim.query import uniform_query, unitary_query
 from mlnsim.simulate import (
@@ -279,10 +279,10 @@ class TestMetricKernel:
 
         # the 96 blocks are chunk 0, drawn in the simulator's order
         rng = make_rng(8, (1, 0))
-        H = sample_cn_matrix(96, dims.M * dims.L, rng).reshape(96, dims.M, dims.L)
-        G = sample_cn_matrix(96, dims.L * dims.N, rng).reshape(96, dims.L, dims.N)
+        H = np.moveaxis(sample_blocks((dims.M, dims.L), 96, rng), -1, 0)
+        G = np.moveaxis(sample_blocks((dims.L, dims.N), 96, rng), -1, 0)
         sent = rng.integers(0, K, 96)
-        W = sample_cn_matrix(96, dims.T * dims.N, rng).reshape(96, dims.T, dims.N)
+        W = np.moveaxis(sample_blocks((dims.T, dims.N), 96, rng), -1, 0)
         Q = simulate.build_query("dft", dims, 8)
         XG = np.einsum("tm,kml,kln->ktln", Q, H, G)  # ((X o C) G)[t] = C[t] @ XG[t]
         R = np.einsum("ktl,ktln->ktn", cb.codewords[sent], XG)
@@ -675,13 +675,13 @@ class TestSimulateBer:
 def _assert_draws_each_block_once(monkeypatch, kinds, run):
     """run(sweeps), one sweep per query kind, samples max_trials blocks of H, G and W in all."""
     drawn = []
-    fill = linalg._fill
+    sample = linalg.sample_cn_matrix
 
-    def counting(out, rng):
-        drawn.append(out.size)
-        return fill(out, rng)
+    def counting(rows, cols, rng):
+        drawn.append(rows * cols)
+        return sample(rows, cols, rng)
 
-    monkeypatch.setattr(linalg, "_fill", counting)
+    monkeypatch.setattr(linalg, "sample_cn_matrix", counting)
     dims = SystemDims(2, 2, 3, 2)
     sweeps = [
         SnrSweepConfig(

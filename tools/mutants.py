@@ -77,8 +77,6 @@ CATALOGUE = (
            "ends = [k * size + min(k, extra) for k in range(count + 1)]",
            "ends = [k * size + max(0, k - count + extra) for k in range(count + 1)]",
            ("tests/test_linalg.py::TestEvenSlices",)),
-    Mutant("sample-blocks-first", "linalg.py", "_fill(out.reshape(-1, n).T, rng)", "_fill(out.reshape(-1, n), rng)",
-           ("tests/test_linalg.py::TestSampleBlocks",)),
     Mutant("mix-adds-l-in-reverse", "channel.py",
            "    S = XC[:, 0, None] * G[0]\n    for l in range(1, XC.shape[1]):",
            "    S = XC[:, -1, None] * G[-1]\n    for l in range(XC.shape[1] - 2, -1, -1):",
@@ -127,20 +125,22 @@ CATALOGUE = (
            ("tests/test_simulate.py::test_forked_child_sweeps_on_its_own_pool",)),
     Mutant("unitary-phase-conjugated", "linalg.py", "q /= first / np.abs(first)", "q /= np.conj(first) / np.abs(first)",
            ("tests/test_linalg.py::TestRandomUnitary::test_phase_convention",)),
-    # the sampler's one draw-piece rule (column pieces of a long row, in stream order) and
-    # sample_blocks' size guard
-    Mutant("fill-whole-row-scratch", "linalg.py", "min(cols, _DRAW_PIECE)", "cols",
-           ("tests/test_linalg.py::TestSampling::test_scratch_never_exceeds_one_piece",)),
-    Mutant("fill-columns-outer", "linalg.py",
-           "        for a in range(0, rows, step):\n            for b in range(0, cols, width):\n",
-           "        for b in range(0, cols, width):\n            for a in range(0, rows, step):\n",
-           ("tests/test_linalg.py::TestSampling::test_bits_match_combine_then_divide",)),
+    # the sampler's one fill (both parts scaled, in place) and sample_blocks' size guard
+    Mutant("fill-unscaled", "linalg.py", "    parts *= _INV_SQRT2\n", "",
+           ("tests/test_linalg.py::TestSampling::test_bits_are_the_scaled_normals_re_and_im_in_turn",)),
+    Mutant("fill-real-part-only", "linalg.py", "rng.standard_normal(out=parts)",
+           "z.real = rng.standard_normal((rows, cols)); z.imag = 0.0",
+           ("tests/test_linalg.py::TestSampling::test_bits_are_the_scaled_normals_re_and_im_in_turn",)),
+    Mutant("fill-scaled-copy", "linalg.py", "    parts *= _INV_SQRT2\n", "    parts[:] = parts * _INV_SQRT2\n",
+           ("tests/test_linalg.py::TestSampling::test_draw_allocates_only_its_output",)),
     Mutant("blocks-guard-passes-empty-shape", "linalg.py", "min(shape, default=1) < 1", "min(shape, default=1) < 0",
            ("tests/test_guards.py::test_guard_names_its_argument",)),
     # the CLI writes its files once every stage has run, removes them when a write fails,
     # checks MLNSIM_THREADS before the first stage and reads a negative grid as a value
     Mutant("write-cleanup-skipped", "cli.py", "        for path in written:\n", "        for path in ():\n",
            (f"{_CLI}::test_failed_write_leaves_none_of_the_runs_files",)),
+    Mutant("write-interrupt-swallowed", "cli.py", "        if not isinstance(exc, Exception):\n            raise\n", "",
+           (f"{_CLI}::test_interrupted_write_propagates_and_leaves_none_of_the_runs_files",)),
     Mutant("files-written-per-stage", "cli.py",
            "        status = max(_RUNNERS[stage](cfg, files) for stage in STAGES[cfg.command])\n",
            "        status = 0\n"
