@@ -19,7 +19,7 @@ performance measures (``measure.compare_queries``).
 from __future__ import annotations
 
 from dataclasses import dataclass, field, fields
-from functools import cached_property
+from functools import cache, cached_property
 
 import numpy as np
 
@@ -112,25 +112,32 @@ class Codebook(ByValue):
         return w
 
 
-def _metric_weights(codewords: np.ndarray) -> np.ndarray:
-    """K x F real weights that pair each K x T x L codeword with the ML metric features.
+@cache
+def packed_pairs(L: int) -> tuple:
+    """The flat indices l L + l' of an L x L matrix's pairs l <= l', row by row, and then of those with l < l'."""
+    rows, cols = np.triu_indices(L)
+    return rows * L + cols, (rows * L + cols)[rows < cols]
 
-    Row j holds c_j c_j^H per slot (T L^2 columns) and then -2 c_j (T L
-    columns), each as (Re, -Im) parts, so that Re(f w) = Re f Re w - Im f Im w
-    is a dot product with (Re, Im) features. A real codebook (every built-in
-    one) has no Im parts: its rows hold the Re parts alone, so F = T L (L + 1)
-    for a real codebook and twice that otherwise. simulate._metric builds the
-    matching features.
+
+def _metric_weights(codewords: np.ndarray) -> np.ndarray:
+    """K x F real weights that pair each K x T x L codeword with the packed ML metric features.
+
+    Row j holds c_j c_j^H per slot on the pairs l <= l' (packed_pairs), each off-diagonal
+    pair doubled (it stands for both (l, l') and (l', l) of the Hermitian pairing), and
+    then -2 c_j: as (Re, -Im) parts, so that Re(f w) = Re f Re w - Im f Im w is a dot
+    product with (Re, Im) features. A real codebook (every built-in one) has Re parts
+    alone, F = T L (L + 1) / 2 + T L; a complex one adds the -Im parts of the pairs
+    l < l' and of -2 c_j, F = T L^2 + 2 T L. simulate._metric builds the matching features.
     """
-    real = not np.any(codewords.imag)
-    if real:
-        codewords = codewords.real
-    K = len(codewords)
-    outer = (codewords[:, :, :, None] * codewords[:, :, None, :].conj()).reshape(K, -1)
+    K, T, L = codewords.shape
+    upper, strict = packed_pairs(L)
+    # c c^H with each off-diagonal entry doubled, as its pair stands for both
+    outer = (codewords[:, :, :, None] * codewords[:, :, None, :].conj() * (2.0 - np.eye(L))).reshape(K, T, -1)
     cross = -2.0 * codewords.reshape(K, -1)
-    if real:
-        return np.concatenate([outer, cross], axis=1)
-    return np.concatenate([outer.real, -outer.imag, cross.real, -cross.imag], axis=1)
+    if not np.any(codewords.imag):  # Re parts alone
+        return np.concatenate([outer[:, :, upper].real.reshape(K, -1), cross.real], axis=1)
+    energy = [outer[:, :, upper].real.reshape(K, -1), -outer[:, :, strict].imag.reshape(K, -1)]
+    return np.concatenate(energy + [cross.real, -cross.imag], axis=1)
 
 
 @dataclass(frozen=True, eq=False)

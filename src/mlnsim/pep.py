@@ -285,18 +285,23 @@ def _checked_args(query_kind: str, delta, dims: SystemDims, trials: int, snrs: l
 
 def _mc_mean(draw, trials: int, points: int = 1) -> tuple[np.ndarray, np.ndarray]:
     """Means and standard errors over `trials` samples; draw(n) yields `points` length-n samples."""
-    total = np.zeros(points)
-    total_sq = np.zeros(points)
+    # squares are summed times 4^-exps, 2^exps above the largest magnitude so far (exps start below every
+    # float's), so samples below 1e-154 do not square to 0; the scaling is exact, so it changes no other bit
+    total, total_sq, exps = np.zeros(points), np.zeros(points), np.full(points, -2100)
     done = 0
     while done < trials:
         n = min(_MC_BATCH, trials - done)
         for i, v in enumerate(draw(n)):
             total[i] += float(np.sum(v))
-            total_sq[i] += float(np.sum(v * v))
+            e = int(np.frexp(np.max(np.abs(v), initial=0.0))[1])
+            if e > exps[i] and np.any(v):  # a batch of zeros adds nothing
+                total_sq[i], exps[i] = np.ldexp(total_sq[i], 2 * (exps[i] - e)), e
+            u = np.ldexp(v, -exps[i])
+            total_sq[i] += float(np.sum(np.multiply(u, u, out=u)))
         done += n
     mean = total / trials
-    var = np.maximum(total_sq / trials - mean * mean, 0.0)
-    return mean, np.sqrt(var / trials)
+    var = np.maximum(total_sq / trials - np.ldexp(mean, -exps) ** 2, 0.0)
+    return mean, np.ldexp(np.sqrt(var / trials), exps)
 
 
 def pep_qfunction_mc(

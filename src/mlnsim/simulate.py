@@ -34,29 +34,25 @@ scoring are per sweep, and each sweep's curve is the one it gets alone. An
 interval for a gain that treats the two curves as independent (such as the
 Wilson bracket of the acceptance suite) is therefore conservative.
 
-ML detection scores all K codewords of a block with one real GEMM. With
+ML detection scores all K codewords with one real GEMM per noise scale. With
 X = Q H and S_j = (X o C_j) G, the metric is the sufficient statistic
-||R - S_j||^2 - ||R||^2 = ||S_j||^2 - 2 Re<R, S_j>. With R = S + s W it is
-base + s noise: both are SNR-free, so each point costs one scaled sum and
-argmin. base is linear in the T x L x L energy features
-E = (x_t x_t^H) o (G G^H), against the weights c_t c_t^H, and in the T x L
-cross features sum_l' E[t, l, l'] conj(c_tl') of the sent word c, which equal
-X o conj(S G^H), against c_j: S itself is never formed. noise is linear in
-the cross features X o V of W, with V = conj(W) G^T. Split into real and
-imaginary parts (real parts alone for a real codebook), the features (n x F)
-and the weights (K x F, Codebook.metric_weights) give every distance as one
-product; the argmin keeps the lowest index on ties. G G^H and V do not
-depend on the query, so each slice forms them once for every sweep.
-ml_detect runs the same kernel, with R as the noise on the zero word.
+||R - S_j||^2 - ||R||^2 = ||S_j||^2 - 2 Re<R, S_j>. The first term pairs the
+Hermitian energy features E = (x_t x_t^H) o (G G^H) with the weights c_t c_t^H,
+packed: each off-diagonal pair once, its weight doubled. The second pairs c_j
+with the cross features of R = S + s W, X o conj(S G^H) (S itself is never
+formed) plus s times X o V of W, V = conj(W) G^T. In Re and Im parts (Re alone
+for a real codebook), these SNR-free features (F x n) times the weights (K x F,
+Codebook.metric_weights) give a slice's n x K metric, the one K-wide array; the
+argmin keeps the lowest index on ties. G G^H and V do not depend on the query,
+so each slice forms them once for every sweep. ml_detect runs the same kernel,
+with R as the noise on the zero word.
 
 Blocks are laid out last (L x N x n), so G G^H and V are products of
 length-n vectors; a chunk's draws go straight into blocks-last arrays
 (linalg.sample_blocks), of which a slice is a view. A chunk is scored in as
-few even slices (linalg.even_slices) as keep every per-slice array
-(_slice_bytes) within the one budget _SLICE_BYTES, at least _MIN_SLICE
-blocks each, so the scorer's arrays of a 2^16-word codebook take
-3 x 32 x 2^16 float64s (48 MiB) at most. The number of numpy calls per
-slice does not grow with L, N or T.
+few even slices (linalg.even_slices) as keep the per-slice arrays live at
+once (_slice_bytes) within the one budget _SLICE_BYTES, at least _MIN_SLICE
+blocks each. The number of numpy calls per slice does not grow with L, N or T.
 
 The points of a slice are scored from the noisiest down, the first on
 every block and each later one only on the blocks in error at the point
@@ -91,7 +87,7 @@ from dataclasses import astuple, dataclass
 import numpy as np
 
 from .channel import ChannelRealization, SystemDims, checked_integer, checked_snr_grid, gram, snr_gain
-from .codes import Codebook
+from .codes import Codebook, packed_pairs
 from .csvio import csv_rows, csv_text
 from .linalg import DimensionMismatchError, even_slices, make_rng, sample_blocks
 from .query import QUERY_KINDS, check_query_shape, effective_forward, uniform_query, unitary_query
@@ -211,48 +207,37 @@ def build_query(kind: str, dims: SystemDims, seed: int):
     return unitary_query(dims.M, kind, make_rng(seed, (0,)))
 
 
-def _rows(arrays, parts: int) -> np.ndarray:
-    """The Re and then Im parts (Re alone when parts == 1) of each blocks-last array in turn, as rows of n."""
-    return np.concatenate([p.reshape(-1, p.shape[-1]) for z in arrays for p in (z.real, z.imag)[:parts]])
-
-
 def _shared_terms(G: np.ndarray, W: np.ndarray) -> tuple:
     """gram = G G^H (L x L x n) and V = conj(W G^H) = conj(W) G^T (T x L x n)."""
     Gc = np.conjugate(G)
     return gram(G, Gc=Gc), np.conjugate(gram(W, Gc=Gc))
 
 
-def _base_features(X: np.ndarray, gram: np.ndarray, Cc: np.ndarray, parts: int) -> np.ndarray:
-    """F x n features of the noise-free metric, F = parts T L (L + 1).
-
-    The energy features E[t, l, l'] = X_tl conj(X_tl') gram_ll' come first,
-    then the cross features sum_l' E[t, l, l'] Cc[t, l'], which equal
-    X o conj(S G^H) for S = (X o C) G and Cc = conj(C). Each gives its Re rows
-    and then its Im rows (Re rows alone when parts == 1).
-    """
-    # conj(X_tl') gram_ll', as gram is Hermitian; C-contiguous, so that _rows reads Re and Im rows in place
-    E = np.conjugate(np.multiply(X[:, None], gram.transpose(1, 0, 2), order="C"))
-    E *= X[:, :, None]
-    # real words need Re(E Cc) = Re(E) Re(Cc) alone
-    cross = np.sum(E * Cc[:, None] if parts == 2 else E.real * Cc.real[:, None], axis=2)
-    return _rows((E, cross), parts)
-
-
 def _metric(X: np.ndarray, gram: np.ndarray, V: np.ndarray, Cc: np.ndarray, weights: np.ndarray) -> tuple:
-    """base and noise (n x K each): the metric ||R - S_j||^2 - ||R||^2 of R = S + s W is base + s noise.
+    """The features base (F x n) of S and noise of W: weights pair those of R = S + s W with ||R - S_j||^2 - ||R||^2.
 
-    Arrays are blocks-last: X = Q H is T x L x n, gram and V are the
-    _shared_terms of G and W, and Cc holds the conjugated sent words C of
-    S = (X o C) G. base = ||S_j||^2 - 2 Re<S, S_j> and noise = -2 Re<W, S_j>.
-    weights are Codebook.metric_weights, whose width tells whether they carry
-    Im parts.
+    Blocks-last: X = Q H is T x L x n, gram and V are the _shared_terms of G and W,
+    Cc holds the conjugated sent words C of S = (X o C) G. base holds the Re rows of
+    E[t, l, l'] = X_tl conj(X_tl') gram_ll' on the pairs l <= l' (codes.packed_pairs),
+    the Im rows on l < l' for complex (T L (L + 2) wide) weights, and the cross rows
+    sum_l' E[t, l, l'] Cc[t, l'] = X o conj(S G^H); noise the cross rows X o V of W.
     """
     T, L, n = X.shape
-    parts = weights.shape[1] // (T * L * (L + 1))
-    base = _base_features(X, gram, Cc, parts).T @ weights.T
-    # -2 Re<W, S_j> pairs the cross features X o V of W with c_j, as base's pair those of S
-    noise = _rows((X * V,), parts).T @ weights[:, parts * T * L * L :].T
-    return base, noise
+    parts = 2 if weights.shape[1] == T * L * (L + 2) else 1
+    # conj(X_tl') gram_ll', as gram is Hermitian; C-contiguous, so that the Re and Im rows read are views
+    E = np.conjugate(np.multiply(X[:, None], gram.transpose(1, 0, 2), order="C"))
+    E *= X[:, :, None]
+    base = np.empty((weights.shape[1], n))
+    upper, strict = packed_pairs(L)
+    base[: T * len(upper)].reshape(T, -1, n)[:] = E.real.reshape(T, L * L, n)[:, upper]
+    if parts == 2:
+        base[T * len(upper) : T * L * L].reshape(T, -1, n)[:] = E.imag.reshape(T, L * L, n)[:, strict]
+    # real words need Re(E Cc) = Re(E) Re(Cc) alone (and the Im part of a real array would be a fresh one)
+    cross = np.einsum("tkln,tln->tkn", *((E, Cc) if parts == 2 else (E.real, Cc.real))).reshape(T * L, n)
+    np.concatenate((cross.real, cross.imag) if parts == 2 else (cross,), out=base[-parts * T * L :])
+    del E, cross  # before the noise features are formed
+    noise = (X * V).reshape(T * L, n)
+    return base, np.concatenate([noise.real, noise.imag][:parts])
 
 
 def ml_detect(R: np.ndarray, q, ch: ChannelRealization, codebook: Codebook) -> int:
@@ -269,48 +254,46 @@ def ml_detect(R: np.ndarray, q, ch: ChannelRealization, codebook: Codebook) -> i
         )
     gram, V = _shared_terms(ch.G[..., None], R[..., None])  # R is the noise on the zero word
     base, noise = _metric(X[..., None], gram, V, np.zeros(X.shape + (1,)), codebook.metric_weights)
-    return int(np.argmin(base[0] + noise[0]))
+    base[len(base) - len(noise) :] += noise  # scale 1
+    return int(np.argmin(base.T @ codebook.metric_weights.T))
 
 
 def _score_points(
     base: np.ndarray,
     noise: np.ndarray,
+    weights: np.ndarray,
     sent: np.ndarray,
     noise_stds: np.ndarray,
     tallies: np.ndarray,
 ) -> None:
     """Add the error events and bit errors of n blocks at each noise scale to tallies.
 
-    base + s noise (both n x K) is the metric at noise scale s and sent holds
-    the sent word indices; base and noise are overwritten, and one more n x K
-    array is all the scoring allocates. noise_stds must be descending: the first scale
-    scores every block in place and each later one only the blocks in error
-    at the scale before, whose rows are gathered into the leading rows of
-    the three arrays. That gives the tallies of scoring every block at every
-    scale (see the module docstring). Equal scales give equal metrics and
-    are allowed; scales must be finite, as those of a checked SNR grid are.
+    base and noise are the blocks' _metric features and sent their sent words. At scale
+    s, base's cross rows (overwritten) are S's plus s times noise's, and one GEMM with
+    weights gives the n x K metric, in one buffer. noise_stds must be descending and
+    finite (equal scales are allowed): the first scale scores every block, each later one
+    only those in error at the scale before, which gives the tallies of scoring every
+    block at every scale (see the module docstring).
     """
     if not (np.all(noise_stds[1:] <= noise_stds[:-1]) and np.all(np.isfinite(noise_stds))):
         raise ValueError(f"noise scales must be descending and finite, got {noise_stds}")
-    spare = np.empty_like(base)
+    c, split = len(noise), len(base) - len(noise)  # the cross rows, and the first of them
+    cross = np.concatenate([base[split:], noise])  # the cross rows of S and then of W
+    metric = np.empty((len(sent), len(weights)))
     for i, noise_std in enumerate(noise_stds):
-        metric = spare[: len(sent)]
-        np.multiply(noise, noise_std, out=metric)
-        metric += base
-        detected = np.argmin(metric, axis=1)
-        wrong = np.flatnonzero(detected != sent)
-        tallies[0, i] += wrong.size
-        tallies[1, i] += np.sum(np.bitwise_count(sent[wrong] ^ detected[wrong]))
+        m = len(sent)
+        f, folded = base[:, :m], base[split:, :m]
+        np.multiply(cross[c:, :m], noise_std, out=folded)
+        folded += cross[:c, :m]
+        detected = np.matmul(f.T, weights.T, out=metric[:m]).argmin(axis=1)
+        wrong = (detected != sent).nonzero()[0]
+        sent = sent[wrong]
+        tallies[:, i] += wrong.size, int(np.bitwise_count(sent ^ detected[wrong]).sum())
         if wrong.size == 0 or i == len(noise_stds) - 1:
             break
-        # keep the rows in error: their noise moves to the spare rows, their base
-        # to the noise rows, and the base rows become the spare
-        noise, base, spare = (
-            np.take(noise, wrong, axis=0, out=spare[: wrong.size], mode="clip"),
-            np.take(base, wrong, axis=0, out=noise[: wrong.size], mode="clip"),
-            base,
-        )
-        sent = sent[wrong]
+        # the columns in error move to the leading columns, through one gathered copy at a time
+        base[:, : wrong.size] = base[:, wrong]
+        cross[:, : wrong.size] = cross[:, wrong]
 
 
 def _sent_words(codebook: Codebook) -> np.ndarray:
@@ -319,13 +302,16 @@ def _sent_words(codebook: Codebook) -> np.ndarray:
 
 
 def _slice_bytes(dims: SystemDims, weights: np.ndarray) -> int:
-    """Bytes per block of every per-slice array of _score_chunk."""
+    """Bytes per block of the per-slice arrays of _score_chunk that are live at once, at most."""
     L, N, T = dims.L, dims.N, dims.T
     K, F = weights.shape
-    # conj(G), gram, V, X, C and the largest product are complex; feats and the scorer's base,
-    # noise and spare are real
-    complex_entries = L * N + L * L + 3 * T * L + max(L * L * N, T * L * N, T * L * L)
-    return 16 * complex_entries + 8 * F + 8 * 3 * K
+    # the slice's gram, V and C, and then the most of: _shared_terms' conj(G) and larger product; _metric's X,
+    # E, one array no larger than E and base; the scorer's base, noise, the (at most 2 T L) cross rows of S and
+    # W, gathered columns of base, the n x K metric and six index arrays
+    shared = 16 * (L * N + max(L * L * N, T * L * N))
+    metric = 16 * T * L * (2 * L + 1) + 8 * F
+    score = 8 * (2 * F + 6 * T * L + K + 6)
+    return 16 * (L * L + 2 * T * L) + max(shared, metric, score)
 
 
 def _score_chunk(
@@ -364,7 +350,7 @@ def _score_chunk(
         for (Q, noise_stds), t in zip(schemes, per_scheme):
             if len(noise_stds):  # no name holds X, base or noise past the scorer, so slices stay in budget
                 _score_points(
-                    *_metric(effective_forward(Q, H[..., s]), gram, V, Cc, weights), sent[s], noise_stds, t
+                    *_metric(effective_forward(Q, H[..., s]), gram, V, Cc, weights), weights, sent[s], noise_stds, t
                 )
     return tallies
 

@@ -15,6 +15,7 @@ from mlnsim.channel import SystemDims, effective_signal, mix, sample_channel, sn
 from mlnsim.codes import EXAMPLE1_DELTA, EXAMPLE3_DELTA, _as_diff, difference_matrix, pairwise_codebook_from_delta
 from mlnsim.linalg import DimensionMismatchError, make_rng, psd_eigenvalues, sample_blocks, sample_cn_matrix
 from mlnsim.measure import build_D, build_E_t, scheme_weights
+from mlnsim import pep
 from mlnsim.pep import (
     DivergentAverageError,
     PEP_CSV_HEADER,
@@ -24,6 +25,7 @@ from mlnsim.pep import (
     _batched_z,
     _gram_eigenvalues,
     _lambda_products,
+    _mc_mean,
     check_scaled_limit,
     decay_exponent,
     decay_exponent_checked,
@@ -341,6 +343,63 @@ class TestQFunctionMc:
         for kind in ("unitary", "uniform"):
             with pytest.raises(ValueError, match="^delta: "):
                 pep_qfunction_mc(kind, np.array([[1e200, 1.0], [1.0, 1.0]]), DIMS1, 10.0, 10, make_rng(33))
+
+    def test_tiny_pep_keeps_a_positive_standard_error(self):
+        # at 45 dB every draw is below 1e-154, whose square is 0: the standard error stays
+        # positive, so the scaled-limit check against 10 dB reads a finite z
+        for kind in ("unitary", "uniform"):
+            low, high = (pep_qfunction_mc(kind, EXAMPLE1_DELTA, DIMS1, snr, 50_000, make_rng(1, (30, 0)))
+                         for snr in (10.0, 45.0))
+            assert 0.0 < high.value < 1e-150 and 0.0 < high.std_error < high.value, kind
+            assert np.isfinite(check_scaled_limit([low, high], 0).z_score), kind
+
+
+def _mc_of(monkeypatch, samples):
+    """_mc_mean over the rows of samples (points x trials), drawn 1000 columns at a time."""
+    done = 0
+
+    def draw(n):
+        nonlocal done
+        done += n
+        return list(samples[:, done - n : done])
+
+    monkeypatch.setattr(pep, "_MC_BATCH", 1_000)
+    return _mc_mean(draw, samples.shape[1], len(samples))
+
+
+def _growing_samples(seed):
+    """3 x 2500 positive samples whose three batches grow in magnitude, so the scale of the squares moves."""
+    return (make_rng(seed).random((3, 2_500)) ** 4 + 1e-3) * np.repeat([1e-30, 1.0, 1e5], [1_000, 1_000, 500])
+
+
+class TestMcMean:
+    def test_unscaled_bits_where_nothing_underflows(self, monkeypatch):
+        # the mean is the plain sum over trials; the standard error is the textbook one,
+        # from the sums of the batches' squares, bit for bit
+        samples = _growing_samples(36)
+        mean, se = _mc_of(monkeypatch, samples)
+        batches = np.split(samples, [1_000, 2_000], axis=1)
+        want_mean = sum(np.sum(b, axis=1) for b in batches) / 2_500
+        sq = sum(np.sum(b * b, axis=1) for b in batches)
+        want_se = np.sqrt(np.maximum(sq / 2_500 - want_mean * want_mean, 0.0) / 2_500)
+        assert np.array_equal(mean, want_mean) and np.array_equal(se, want_se)
+
+    @pytest.mark.parametrize("k", [1, 600, 900])
+    def test_samples_scaled_by_a_power_of_two_scale_both_results(self, monkeypatch, k):
+        # 2^-k times the samples give 2^-k times the mean and standard error, bit for bit,
+        # also once their squares are far below the smallest float (from k = 600 on, all are)
+        samples = _growing_samples(37)
+        mean, se = _mc_of(monkeypatch, samples)
+        tiny_mean, tiny_se = _mc_of(monkeypatch, np.ldexp(samples, -k))
+        assert np.array_equal(tiny_mean, np.ldexp(mean, -k)) and np.array_equal(tiny_se, np.ldexp(se, -k))
+        assert np.all(tiny_se > 0.0)
+
+    def test_zero_and_nan_batches(self, monkeypatch):
+        assert _mc_of(monkeypatch, np.zeros((1, 3_000))) == (np.zeros(1), np.zeros(1))
+        nan = np.ones((1, 3_000))
+        nan[0, 1_500] = np.nan
+        mean, se = _mc_of(monkeypatch, nan)
+        assert np.isnan(mean[0]) and np.isnan(se[0])
 
 
 class TestEigenProductMc:

@@ -134,10 +134,23 @@ def _kernel(X, G, W, Cc, weights):
     return simulate._metric(X, gram, V, Cc, weights)
 
 
+def _folded(base, noise, s):
+    """The features of R = S + s W: base with s noise added to its cross rows (its last len(noise))."""
+    f = base.copy()
+    f[len(base) - len(noise) :] += s * noise
+    return f
+
+
 def _metric_of(X, G, R, weights):
     """||R - S_j||^2 - ||R||^2 from simulate._metric, with R the noise on the zero word."""
     base, noise = _kernel(X, G, R, np.zeros(X.shape), weights)
-    return base + noise
+    return _folded(base, noise, 1.0).T @ weights.T
+
+
+def _width(T, L, real):
+    """The packed metric width: T L (L + 1) / 2 energy and T L cross columns, and for complex
+    words the Im parts of the T L (L - 1) / 2 off-diagonal pairs and of the cross columns."""
+    return T * L * (L + 1) // 2 + T * L if real else T * L * L + 2 * T * L
 
 
 class TestMetricKernel:
@@ -157,8 +170,7 @@ class TestMetricKernel:
 
             weights = _metric_weights(codewords)
             # real codebooks take the reduced path without the Im parts
-            parts = 2 if family == "complex" else 1
-            assert weights.shape == (len(codewords), parts * T * L * (L + 1))
+            assert weights.shape == (len(codewords), _width(T, L, family != "complex"))
             d = _metric_of(X, G, R, weights)
             bf = _brute_force(X, G, R, codewords)
             r2 = np.sum(np.abs(R) ** 2, axis=(0, 1))[:, None]
@@ -168,7 +180,8 @@ class TestMetricKernel:
 
     @pytest.mark.parametrize("family", FAMILIES)
     def test_split_metric_matches_metric(self, family):
-        # base on the noise-free S plus s times the noise term equals the metric of S + s W
+        # base on the noise-free S with s times the noise features added to its cross rows
+        # gives the metric of S + s W
         rng = make_rng(43, (FAMILIES.index(family),))
         for case in range(12):
             codewords = _random_codewords(family, rng)
@@ -178,13 +191,13 @@ class TestMetricKernel:
             s = float(rng.choice([0.03, 0.3, 3.0]))
             weights = _metric_weights(codewords)
             base, noise = _kernel(X, G, W, np.conjugate(C), weights)
-            split = base + s * noise
+            assert base.shape == (weights.shape[1], 16) and len(noise) == (1 + (family == "complex")) * T * L
+            split = _folded(base, noise, s).T @ weights.T
             R = S + s * W
-            d = _metric_of(X, G, R, weights)
             r2 = np.sum(np.abs(R) ** 2, axis=(0, 1))[:, None]
             bf = _brute_force(X, G, R, codewords)
             where = f"case {case}: T={T} L={L} N={G.shape[1]} K={len(codewords)}"
-            assert np.all(np.abs(split - d) <= KERNEL_RTOL * (r2 + bf)), where
+            assert np.all(np.abs(split + r2 - bf) <= KERNEL_RTOL * (r2 + bf)), where
 
     @pytest.mark.parametrize("query_kind", QUERY_KINDS)
     @pytest.mark.parametrize("family", FAMILIES)
@@ -199,9 +212,8 @@ class TestMetricKernel:
             q = unitary_query(T, "dft") if query_kind == "dft" else uniform_query(T, M)
             X, G, _, C = _random_blocks(q, codewords, 16, 0.0, rng)
             parts = 2 if family == "complex" else 1
-            gram, _ = simulate._shared_terms(G, np.zeros((T,) + G.shape[1:], complex))
-            feats = simulate._base_features(X, gram, np.conjugate(C), parts)
-            cross = feats[parts * T * L * L :].reshape(parts, T, L, -1)
+            base, _ = _kernel(X, G, np.zeros((T,) + G.shape[1:], complex), np.conjugate(C), _metric_weights(codewords))
+            cross = base[-parts * T * L :].reshape(parts, T, L, -1)
             S = mix(X, C, G)
             direct = X * np.einsum("tnk,lnk->tlk", np.conjugate(S), G)
             # every term of the sums over l' and n, in magnitude
@@ -209,6 +221,33 @@ class TestMetricKernel:
             where = f"case {case}: T={T} L={L} N={G.shape[1]} K={len(codewords)}"
             for got, want in zip(cross, (direct.real, direct.imag)):
                 assert np.all(np.abs(got - want) <= 1e-12 * terms), where
+
+    @pytest.mark.parametrize("kind", ["real", "complex"])
+    def test_packed_weights_pair_like_the_full_outer_products(self, kind):
+        # for Hermitian E[t], the packed energy weights against E's Re parts on the pairs
+        # l <= l' (row by row, slot by slot) and then its Im parts on the pairs l < l' give
+        # the unpacked pairing sum_t sum_{l, l'} E[t, l, l'] c_tl conj(c_tl'), which is real
+        rng = make_rng(48, (kind == "complex",))
+        for T, L in [(1, 1), (1, 2), (2, 2), (3, 3), (2, 4)]:
+            words = rng.standard_normal((8, T, L)).astype(complex)
+            if kind == "complex":
+                words += 1j * rng.standard_normal((8, T, L))
+            weights = _metric_weights(words)
+            assert weights.shape == (8, _width(T, L, kind == "real"))
+            A = rng.standard_normal((T, L, L)) + 1j * rng.standard_normal((T, L, L))
+            E = A + np.conjugate(np.swapaxes(A, 1, 2))
+            feats = [E[t, l, m].real for t in range(T) for l in range(L) for m in range(l, L)]
+            if kind == "complex":
+                feats += [E[t, l, m].imag for t in range(T) for l in range(L) for m in range(l + 1, L)]
+            packed = weights[:, : len(feats)] @ np.array(feats)
+            full = np.einsum("tlm,jtl,jtm->j", E, words, np.conjugate(words))
+            assert np.allclose(full.imag, 0.0, atol=1e-12)
+            assert np.allclose(packed, full.real, rtol=1e-12, atol=1e-12), (T, L)
+            # and the cross columns are -2 c_j, Re and then -Im parts
+            cross = np.split(weights[:, len(feats) :], 1 + (kind == "complex"), axis=1)
+            assert np.array_equal(cross[0], -2.0 * words.real.reshape(8, -1))
+            if kind == "complex":
+                assert np.array_equal(cross[1], 2.0 * words.imag.reshape(8, -1))
 
     def test_weights_built_once_per_codebook(self, monkeypatch):
         cb = uncoded_bpsk(2, 2)
@@ -253,8 +292,8 @@ class TestMetricKernel:
             return metric(X, *args)
 
         monkeypatch.setattr(simulate, "_metric", spy)
-        # build the cached weights untraced: real, so T L (L + 1) columns
-        assert cb.metric_weights.shape == (K, 80)
+        # build the cached weights untraced: real, so T L (L + 1) / 2 + T L columns
+        assert cb.metric_weights.shape == (K, 56)
         _threads(monkeypatch, 1)
         peaks, points = [], []
         for blocks in (96, 384):
@@ -270,8 +309,8 @@ class TestMetricKernel:
             finally:
                 tracemalloc.stop()
             assert points[-1].trials == sum(slices) == blocks
-            # fewer than _MIN_SLICE blocks' buffers (3 x 2^16 float64s a block for
-            # the scorer alone) fit the byte budget, so the slices are the smallest allowed
+            # fewer than _MIN_SLICE blocks' buffers (a 2^16-wide float64 metric row a block
+            # for the scorer alone) fit the byte budget, so the slices are the smallest allowed
             assert simulate._SLICE_BYTES // simulate._slice_bytes(dims, cb.metric_weights) < simulate._MIN_SLICE
             assert max(slices) == simulate._MIN_SLICE
         assert peaks[1] - peaks[0] < 8 * 2**20
@@ -310,8 +349,8 @@ class TestSliceBudget:
         [
             # example1 in two slices, where three would take the budget of the draws
             (SystemDims(2, 2, 2, 2), _antipodal(), ("dft", "uniform"), 10_000, [5_000] * 2),
-            # 256 words: the scorer's arrays take most of the budget, so 25 even slices
-            (SystemDims(2, 4, 2, 2), uncoded_bpsk(2, 4), ("dft",), 10_000, [400] * 25),
+            # 256 words: the scorer's n x K metric takes most of the budget, so 11 even slices
+            (SystemDims(2, 4, 2, 2), uncoded_bpsk(2, 4), ("dft",), 10_000, [910] + [909] * 10),
             # complex words, so complex features
             (SystemDims(3, 3, 4, 3), _complex_codebook(), ("dft", "uniform"), 2_500, [1_250] * 2),
         ],
@@ -346,27 +385,25 @@ class TestSliceBudget:
         assert max(peaks[1:]) - draws <= max(slices) * per_block <= simulate._SLICE_BYTES
 
 
-def _tallies_every_point(base, noise, sent, noise_stds):
-    """Events and bit errors with every block scored at every noise scale."""
+def _tallies_every_point(X, G, S, W, codewords, sent, noise_stds):
+    """Events and bit errors with every block scored at every noise scale by brute force on R = S + s W."""
     tallies = np.zeros((2, len(noise_stds)), dtype=np.int64)
     for i, noise_std in enumerate(noise_stds):
-        metric = np.multiply(noise, noise_std)
-        metric += base
-        detected = np.argmin(metric, axis=1)
+        detected = np.argmin(_brute_force(X, G, S + noise_std * W, codewords), axis=1)
         wrong = detected != sent
         tallies[0, i] = np.count_nonzero(wrong)
         tallies[1, i] = np.sum(np.bitwise_count(sent[wrong] ^ detected[wrong]))
     return tallies
 
 
-def _score(base, noise, sent, noise_stds):
+def _score(base, noise, weights, sent, noise_stds):
     tallies = np.zeros((2, len(noise_stds)), dtype=np.int64)
-    simulate._score_points(base.copy(), noise.copy(), sent, noise_stds, tallies)
+    simulate._score_points(base.copy(), noise.copy(), weights, sent, noise_stds, tallies)
     return tallies
 
 
 class TestScorePoints:
-    """Scoring each point on the blocks in error at the point before, against scoring all."""
+    """Scoring each point on the blocks in error at the point before, against scoring all by brute force."""
 
     @pytest.mark.parametrize("K", [2, 4, 256])
     @pytest.mark.parametrize("kind", ["real", "complex"])
@@ -387,8 +424,9 @@ class TestScorePoints:
             G = rng.standard_normal((L, N, n)) + 1j * rng.standard_normal((L, N, n))
             W = rng.standard_normal((T, N, n)) + 1j * rng.standard_normal((T, N, n))
             sent = rng.integers(0, K, n)
+            C = np.moveaxis(codewords[sent], 0, -1)
             weights = _metric_weights(codewords)
-            base, noise = _kernel(X, G, W, np.conjugate(np.moveaxis(codewords[sent], 0, -1)), weights)
+            base, noise = _kernel(X, G, W, np.conjugate(C), weights)
             # the noisiest scale in [3, 30) has errors to carry over, the rest in [0.01, 3);
             # some cases repeat a scale or end at 0, the noise-free limit
             rest = np.exp(rng.uniform(np.log(0.01), np.log(3.0), int(rng.integers(0, 7))))
@@ -397,9 +435,9 @@ class TestScorePoints:
                 stds = np.repeat(stds, 2)
             if case % 4 == 2:
                 stds = np.concatenate([stds, [0.0, 0.0]])
-            expected = _tallies_every_point(base, noise, sent, stds)
+            expected = _tallies_every_point(X, G, mix(X, C, G), W, codewords, sent, stds)
             where = f"case {case}: T={T} L={L} N={N} scales={stds}"
-            assert np.array_equal(_score(base, noise, sent, stds), expected), where
+            assert np.array_equal(_score(base, noise, weights, sent, stds), expected), where
             assert expected[0, 0] > 0, where
             mostly_wrong = 2 * expected[0] > n
             mostly_wrong_twice |= bool(np.any(mostly_wrong[1:] & mostly_wrong[:-1]))
@@ -414,21 +452,24 @@ class TestScorePoints:
         G = np.zeros((1, 2, 8), dtype=complex)
         W = np.ones((2, 2, 8), dtype=complex)
         sent = np.array([0, 1, 2, 3, 3, 2, 1, 0])
+        C = np.moveaxis(codewords[sent], 0, -1)
         weights = _metric_weights(codewords)
-        base, noise = _kernel(X, G, W, np.moveaxis(codewords[sent], 0, -1), weights)
+        base, noise = _kernel(X, G, W, np.conjugate(C), weights)
         assert not base.any() and not noise.any()
         stds = np.array([4.0, 1.0, 0.25])
         bits = int(np.sum(np.bitwise_count(sent)))
-        assert np.array_equal(_score(base, noise, sent, stds), [[6, 6, 6], [bits] * 3])
-        assert np.array_equal(_tallies_every_point(base, noise, sent, stds), [[6, 6, 6], [bits] * 3])
+        assert np.array_equal(_score(base, noise, weights, sent, stds), [[6, 6, 6], [bits] * 3])
+        S = mix(X, C, G)
+        assert np.array_equal(_tallies_every_point(X, G, S, W, codewords, sent, stds), [[6, 6, 6], [bits] * 3])
 
     @pytest.mark.parametrize(
         "stds", [[1.0, 2.0], [0.0, 1e-300], [2.0, 0.5, 0.7], [1.0, np.inf], [1.0, np.nan], [np.inf, 1.0]]
     )
     def test_rejects_scales_not_descending(self, stds):
-        base = noise = np.zeros((4, 2))
+        weights = _metric_weights(np.stack(uncoded_bpsk(1, 1).codewords))  # F = 2, one cross row
+        base, noise = np.zeros((2, 4)), np.zeros((1, 4))
         with pytest.raises(ValueError, match="must be descending"):
-            _score(base, noise, np.zeros(4, dtype=np.int64), np.array(stds))
+            _score(base, noise, weights, np.zeros(4, dtype=np.int64), np.array(stds))
 
 
 # a repeated BER sweep on 2 workers and a repeated Q-function PEP curve, each right after a
@@ -881,6 +922,44 @@ class TestChunkStream:
                 simulate_ber(sweep)
         _wait_for_idle_pool(2)
         assert 2 in calls and len(calls) < len(_edges(100_000)) - 1, calls
+
+    def test_halt_during_a_wait_returns_without_scoring(self):
+        # chunk 0 fails only once the other loop waits for it to be counted before chunk 2
+        # (which starts at 2000 blocks, so it needs chunk 0, which ends at 1000): the waiting
+        # loop wakes to the halt and returns without scoring chunk 2, and the error propagates
+        scored, started = [], threading.Event()
+        cond = _SignallingCondition()
+
+        def score(k, n, mask):
+            scored.append(k)
+            if k == 0:
+                started.set()
+                assert cond.waiting.wait(60)
+                raise RuntimeError("chunk 0 failed")
+            return np.zeros((2, int(mask.sum())), dtype=np.int64)
+
+        stream = simulate._Stream(score, 100_000, np.array([10**9]))
+        stream.cond = cond
+        with concurrent.futures.ThreadPoolExecutor(2) as pool:
+            first = pool.submit(stream.loop)
+            assert started.wait(60)
+            second = pool.submit(stream.loop)
+            assert second.result(60) is None
+            with pytest.raises(RuntimeError, match="chunk 0 failed"):
+                first.result(60)
+        assert scored == [0, 1] and stream.halted and stream.counted == 0
+
+
+class _SignallingCondition(threading.Condition):
+    """A Condition that sets waiting whenever a thread starts to wait on it."""
+
+    def __init__(self):
+        super().__init__()
+        self.waiting = threading.Event()
+
+    def wait(self, timeout=None):
+        self.waiting.set()
+        return super().wait(timeout)
 
 
 def _wait_for_idle_pool(workers):

@@ -89,14 +89,14 @@ CATALOGUE = (
            ("tests/test_codes.py::TestUncodedBpsk",)),
     Mutant("pep-without-trials-guard", "pep.py", '    trials = checked_integer("trials", trials)\n', "",
            ("tests/test_pep.py::test_pep_routes_name_a_bad_trials_count",)),
-    # the BER chunk kernel's one scoring path and one slice budget, and kernels beside it
-    # (swapping only the two out= arrays is an equivalent mutant: wrong ascends, so a take
-    # into its own leading rows reads every row before it overwrites it)
-    Mutant("score-take-targets-swapped", "simulate.py",
-           "np.take(noise, wrong, axis=0, out=spare[: wrong.size], mode=\"clip\"),\n            np.take(base,",
-           "np.take(base, wrong, axis=0, out=spare[: wrong.size], mode=\"clip\"),\n            np.take(noise,",
+    # the BER chunk kernel's packed weights, one scoring path and one slice budget, and kernels beside it
+    Mutant("packed-offdiag-unweighted", "codes.py", "* (2.0 - np.eye(L))", "* 1.0",
+           (f"{_KERNEL}::test_packed_weights_pair_like_the_full_outer_products",
+            f"{_KERNEL}::test_matches_brute_force")),
+    Mutant("fold-scales-energy-rows", "simulate.py", "f, folded = base[:, :m], base[split:, :m]", "f, folded = base[:, :m], base[:c, :m]",
            (f"{_SCORE}::test_matches_every_point_brute_force",)),
-    Mutant("slice-bytes-scorer-two-arrays", "simulate.py", "8 * 3 * K", "8 * 2 * K", (_BUDGET,)),
+    Mutant("slice-bytes-without-metric", "simulate.py", "score = 8 * (2 * F + 6 * T * L + K + 6)",
+           "score = 8 * (2 * F + 6 * T * L + 6)", (_BUDGET,)),
     Mutant("slice-without-floor", "simulate.py",
            "most = max(_MIN_SLICE, _SLICE_BYTES // _slice_bytes(config.dims, weights))",
            "most = _SLICE_BYTES // _slice_bytes(config.dims, weights)",
