@@ -285,19 +285,21 @@ def _checked_args(query_kind: str, delta, dims: SystemDims, trials: int, snrs: l
 
 def _mc_mean(draw, trials: int, points: int = 1) -> tuple[np.ndarray, np.ndarray]:
     """Means and standard errors over `trials` samples; draw(n) yields `points` length-n samples."""
-    # squares are summed times 4^-exps, 2^exps above the largest magnitude so far (exps start below every
-    # float's), so samples below 1e-154 do not square to 0; the scaling is exact, so it changes no other bit
-    total, total_sq, exps = np.zeros(points), np.zeros(points), np.full(points, -2100)
+    # total_sq holds the sums of squares times 4^-exps. A batch whose squares sum below 2^-960 (below 1e-154, a
+    # sample squares to 0) is summed again times 4^-e, 2^e above its largest magnitude: that scaling is exact
+    total, total_sq, exps = np.zeros(points), np.zeros(points), np.zeros(points, dtype=int)
     done = 0
     while done < trials:
         n = min(_MC_BATCH, trials - done)
         for i, v in enumerate(draw(n)):
             total[i] += float(np.sum(v))
-            e = int(np.frexp(np.max(np.abs(v), initial=0.0))[1])
-            if e > exps[i] and np.any(v):  # a batch of zeros adds nothing
-                total_sq[i], exps[i] = np.ldexp(total_sq[i], 2 * (exps[i] - e)), e
-            u = np.ldexp(v, -exps[i])
-            total_sq[i] += float(np.sum(np.multiply(u, u, out=u)))
+            sq, e = float(np.sum(v * v)), 0
+            if sq < 2.0**-960 and np.any(v):
+                e = max(int(np.frexp(max(v.max(), -v.min()))[1]), -1021)
+                sq = float(np.sum(np.square(v * 2.0**-e)))
+            if sq:  # a batch of zeros moves no scale
+                top = max(exps[i], e) if total_sq[i] else e
+                total_sq[i], exps[i] = np.ldexp(total_sq[i], 2 * (exps[i] - top)) + np.ldexp(sq, 2 * (e - top)), top
         done += n
     mean = total / trials
     var = np.maximum(total_sq / trials - np.ldexp(mean, -exps) ** 2, 0.0)
