@@ -106,6 +106,8 @@ CATALOGUE = (
            (f"{_KERNEL}::test_matches_brute_force",)),
     Mutant("cross-weight-sign", "codes.py", "cross = -2.0 * codewords", "cross = 2.0 * codewords",
            (f"{_KERNEL}::test_matches_brute_force",)),
+    Mutant("mc-mean-squares-unscaled", "pep.py", "if sq < 2.0**-960 and np.any(v):", "if False:",
+           ("tests/test_pep.py::TestMcMean", "tests/test_pep.py::TestQFunctionMc::test_tiny_pep_keeps_a_positive_standard_error")),
     Mutant("z-adds-re-twice", "pep.py", "np.add(squares[::2], squares[1::2], out=z[s])",
            "np.add(squares[::2], squares[::2], out=z[s])",
            ("tests/test_pep.py::TestQFunctionMc::test_z_is_the_squared_norm_of_mix_bit_for_bit",)),
