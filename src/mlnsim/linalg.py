@@ -5,8 +5,8 @@ is a[..., :, :, j], as ``sample_blocks`` draws them. Stack kernels work elementw
 and do not slice; a caller with a large stack draws it whole and then slices it
 (``even_slices``). Every operation is a pure function of its inputs; randomness always
 comes in through an explicit ``numpy.random.Generator`` so results are reproducible per
-seed. Every random draw is the one CN(0, 1) fill of ``sample_cn_matrix``, which
-``sample_blocks`` reshapes.
+seed. Whole channels are one CN(0, 1) fill of ``sample_cn_matrix``, which ``sample_blocks``
+reshapes; the analyses, which see G only through G G^H, draw ``sample_gram_factor``'s factors.
 """
 
 from __future__ import annotations
@@ -20,6 +20,7 @@ __all__ = [
     "make_rng",
     "sample_cn_matrix",
     "sample_blocks",
+    "sample_gram_factor",
     "even_slices",
     "matmul",
     "hadamard",
@@ -70,12 +71,10 @@ def _as_matrix(a, name: str = "matrix") -> np.ndarray:
 
 
 def sample_cn_matrix(rows: int, cols: int, rng: np.random.Generator) -> np.ndarray:
-    """Sample a rows x cols matrix of i.i.d. CN(0, 1) entries.
+    """Sample a rows x cols matrix of i.i.d. CN(0, 1) entries, with Re and Im independent N(0, 1/2).
 
-    Circularly-symmetric complex Gaussian with unit total variance: real
-    and imaginary parts are independent N(0, 1/2). The matrix is one draw of
-    2 rows cols normals in place, Re and Im of each entry in turn (row by row),
-    scaled by 1/sqrt(2); it allocates nothing beyond itself.
+    The matrix is one draw of 2 rows cols normals in place, Re and Im of each entry in turn
+    (row by row), scaled by 1/sqrt(2); it allocates nothing beyond itself.
     """
     if rows < 1 or cols < 1:
         raise DimensionMismatchError(f"dimensions must be >= 1, got ({rows}, {cols})")
@@ -96,6 +95,30 @@ def sample_blocks(shape: tuple, n: int, rng: np.random.Generator) -> np.ndarray:
     if n < 1 or min(shape, default=1) < 1:
         raise DimensionMismatchError(f"need shape entries and n >= 1, got shape {tuple(shape)} and n={n}")
     return sample_cn_matrix(math.prod(shape), n, rng).reshape(tuple(shape) + (n,))
+
+
+def sample_gram_factor(L: int, N: int, n: int, rng: np.random.Generator) -> np.ndarray:
+    """n lower-trapezoidal L x min(L, N) factors B, blocks last, with B B^H distributed as G G^H.
+
+    G is L x N and CN(0, 1); by the Bartlett decomposition (Goodman, Ann. Math. Statist. 34(1), 1963;
+    Edelman, SIAM J. Matrix Anal. Appl. 9(4), 1988) diagonal entry j is sqrt(Gamma(N - j)), drawn as
+    N - j draws of n unit exponentials added in turn (j = 0, 1, ...); then the entries below the
+    diagonal are CN(0, 1), filled row by row as ``sample_cn_matrix`` fills, and those above it 0.
+    """
+    if min(L, N, n) < 1:
+        raise DimensionMismatchError(f"need L, N and n >= 1, got L={L}, N={N} and n={n}")
+    B = np.empty((L, min(L, N), n), dtype=complex)
+    for j in range(B.shape[1]):
+        B[j, j + 1 :] = 0.0
+        B[j, j] = rng.standard_exponential(n)  # Im 0
+        for _ in range(N - j - 1):
+            B[j, j].real += rng.standard_exponential(n)
+        np.sqrt(B[j, j].real, out=B[j, j].real)
+    for i in range(1, L):
+        below = B[i, : min(i, N)].view(float)
+        rng.standard_normal(out=below)
+        below *= _INV_SQRT2
+    return B
 
 
 def even_slices(n: int, most: int | None = None) -> list[slice]:

@@ -21,11 +21,11 @@ relative to each matrix's largest singular value, and it is the only rule
 here that decides a rank or whether something is zero, so every field of
 the report is the same for delta and for any nonzero multiple of it. D's
 columns are those of (E_1 | ... | E_T), regrouped, so rank(D) <=
-sum_t rank(E_t): the uniform measure never exceeds the unitary one. One
-stack kernel forms the ranks of every E_t and of D, for G0 in
-``compare_queries`` and for the sampled draws in ``empirical_rank_check``.
-Batches are blocks last, as in ``linalg``: an L x N x n stack of G gives
-T x L x N x n E_t and L x NT x n D stacks, ranked as they are.
+sum_t rank(E_t): the uniform measure never exceeds the unitary one. One stack kernel
+forms the ranks of every E_t and of D, for G0 in ``compare_queries`` and for the sampled
+draws in ``empirical_rank_check``, which are Gram factors of G, as the ranks depend on G
+only through G G^H. Batches are blocks last, as in ``linalg``: an L x N x n stack of G
+gives T x L x N x n E_t and L x NT x n D stacks, ranked as they are.
 """
 
 from __future__ import annotations
@@ -36,7 +36,7 @@ import numpy as np
 
 from .codes import _as_diff
 from .channel import checked_integer
-from .linalg import _MC_BATCH, DimensionMismatchError, even_slices, make_rng, numeric_rank, sample_blocks
+from .linalg import _MC_BATCH, DimensionMismatchError, even_slices, make_rng, numeric_rank, sample_blocks, sample_gram_factor
 
 __all__ = [
     "MeasureReport",
@@ -195,12 +195,12 @@ def empirical_rank_check(delta, N: int, trials: int, rng: np.random.Generator) -
     Draws `trials` independent G matrices and records, for every slot t, the
     fraction of draws with rank(E_t) as ``compare_queries`` predicts it, and the
     fraction with rank(D) == r_uniform. The report passes iff every fraction
-    equals 1. Ranks are ``numeric_rank``'s. The draws come in batches of at most
-    ``linalg._MC_BATCH``, each one L x N x n ``sample_blocks`` call; each
-    slice of a batch (``even_slices``) then has the ranks of its E_t and D taken by
-    the kernel ``compare_queries`` uses and counts those as predicted, so that apart
-    from one batch's draw only one slice of matrices is alive at a time, whatever
-    trials is. Each fraction is a hit count over trials. Raises ``ValueError``
+    equals 1. Ranks are ``numeric_rank``'s, of E_t and D formed from G's Gram factor
+    (E_t E_t^H and D D^H are A o G G^H). The draws come in batches of at most ``linalg._MC_BATCH``,
+    each one ``sample_gram_factor(L, N, n)`` call; each slice of a batch (``even_slices``) then
+    has the ranks of its E_t and D taken by the kernel ``compare_queries`` uses and counts those
+    as predicted, so that apart from one batch's draw only one slice of matrices is alive at a
+    time, whatever trials is. Each fraction is a hit count over trials. Raises ``ValueError``
     naming trials unless it is an integer >= 1.
     """
     trials = checked_integer("trials", trials)
@@ -211,7 +211,7 @@ def empirical_rank_check(delta, N: int, trials: int, rng: np.random.Generator) -
     done = 0
     while done < trials:
         n = min(_MC_BATCH, trials - done)
-        G = sample_blocks((d.L, N), n, rng)
+        G = sample_gram_factor(d.L, N, n, rng)
         for s in even_slices(n):
             hits += np.count_nonzero(_ranks(d, G[..., s]) == ranks, axis=1)
         del G  # freed before the next batch is drawn

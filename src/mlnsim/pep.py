@@ -20,11 +20,10 @@ Two routes are provided for each scheme:
   Only gbar depends on SNR, so ``pep_eigen_product_curve`` takes lam once
   per draw of G and scores every point of a curve from it: the points are
   correlated across SNR, while each one's estimate and SE are unchanged.
-  ``_gram_eigenvalues`` forms the Gram matrices blocks last and takes their
-  eigenvalues from contiguous entries.
 
-Both routes draw each batch of up to ``linalg._MC_BATCH`` draws whole and then work
-through it in slices (``linalg.even_slices``), so that beyond the draw only
+Both routes see G only through G G^H, and forward rows only up to a unit phase, so they
+draw Gram factors (``linalg.sample_gram_factor``), not whole channels, each batch of up to
+``linalg._MC_BATCH`` draws at once, and work through it in slices (``linalg.even_slices``), so that beyond the draw only
 per-draw-sized arrays (the per-draw results, ``qfunc``'s temporaries and
 ``_lambda_products``' ``factors``) and one slice of temporaries are alive.
 Slicing changes no bit.
@@ -43,7 +42,7 @@ import numpy as np
 from .channel import _SNR_DB_MAX, SystemDims, checked_integer, checked_snr_grid, gram, mix, snr_gain
 from .codes import DifferenceMatrix, _as_diff
 from .csvio import csv_rows, csv_text
-from .linalg import _MC_BATCH, DimensionMismatchError, even_slices, frobenius_norm_sq, psd_eigenvalues, sample_blocks
+from .linalg import _MC_BATCH, DimensionMismatchError, even_slices, frobenius_norm_sq, psd_eigenvalues, sample_gram_factor
 from .measure import build_D, build_E_t, scheme_weights
 
 __all__ = [
@@ -164,8 +163,9 @@ def _half_exp_neg_sq(b: np.ndarray, r: np.ndarray) -> np.ndarray:
 
     exp(-b^2) is taken as exp(-s^2) exp(-(b - s)(b + s)) with s = trunc(16 b) / 16,
     whose square is exact, so the rounding of b^2 (up to 6e-14 near b = 27, which exp
-    would turn into a relative error) stays out. The factor exp(-s^2), subnormal near
-    the underflow, is multiplied in last, so such a result is rounded once.
+    would turn into a relative error) stays out. exp(-s^2) is multiplied in last, as twice
+    exp(-s^2 / 2), a normal float where it can be subnormal (numpy's exp of a subnormal
+    is about 100 times slower), so that a subnormal result is still rounded once.
     """
     s = np.trunc(16.0 * b)
     s /= 16.0
@@ -175,8 +175,9 @@ def _half_exp_neg_sq(b: np.ndarray, r: np.ndarray) -> np.ndarray:
     r *= np.exp(d, out=d)
     r *= 0.5
     s *= s
-    np.negative(s, out=s)
+    s *= -0.5
     r *= np.exp(s, out=s)
+    r *= s
     return r
 
 
@@ -251,14 +252,15 @@ def _batched_z(rows: int, d: DifferenceMatrix, N: int, n: int, rng) -> np.ndarra
     """n draws of Z = ||(X o delta^T) G||_F^2 with `rows` Gaussian forward rows per draw.
 
     The unitary scheme draws T rows (one per slot), the uniform one a single static row,
-    which broadcasts over the slots. X and then G are drawn for all n at once, blocks
-    last (``sample_blocks``), and ``channel.mix`` forms each slice's T x N blocks; Z adds
-    up the squares of their real and then imaginary parts. ``even_slices`` gives no slice
+    which broadcasts over the slots. Z sees G only through G G^H and each row up to a phase,
+    so X and then G are drawn as Gram factors (``sample_gram_factor``) for all n at once,
+    row r of draw k being L x 1 factor r n + k; ``channel.mix`` forms each slice's T x
+    min(L, N) blocks, and Z adds up the squares of their real and then imaginary parts. ``even_slices`` gives no slice
     a single draw unless n is 1: numpy rounds a one-element complex product apart from
     its vector kernel, so such a slice would change the bits of Z at T = N = 1.
     """
-    X = sample_blocks((rows, d.L), n, rng)
-    G = sample_blocks((d.L, N), n, rng)
+    X = np.moveaxis(sample_gram_factor(d.L, 1, rows * n, rng).reshape(d.L, rows, n), 0, 1)
+    G = sample_gram_factor(d.L, N, n, rng)
     C = d.delta.T[:, :, None]
     z = np.empty(n)
     for s in even_slices(n):
@@ -318,7 +320,7 @@ def pep_qfunction_mc(
 
     Both fading stages are redrawn every trial: the forward process enters
     as i.i.d. Gaussian slots (unitary) or one Gaussian row repeated over
-    slots (uniform).
+    slots (uniform), each drawn as a Gram factor (``_batched_z``).
     """
     d, A, (gbar,), trials = _checked_args(query_kind, delta, dims, trials, [float(snr_db)])
 
@@ -334,7 +336,7 @@ def pep_qfunction_mc(
 
 
 def _gram_eigenvalues(G: np.ndarray, A: np.ndarray) -> np.ndarray:
-    """Eigenvalues of A_w o G G^H for a blocks-last L x N x n G and W x L x L weights A.
+    """Eigenvalues of A_w o G G^H for a blocks-last L x N x n G, or its factor, and W x L x L weights A.
 
     Returns a C-contiguous (W L) x n array whose row w L + k holds eigenvalue k
     (ascending) of A_w o G G^H for every draw. Each slice of the draws
@@ -356,8 +358,8 @@ def _gram_eigenvalues(G: np.ndarray, A: np.ndarray) -> np.ndarray:
 
 
 def _lambda_products(A: np.ndarray, N: int, n: int, gbars: list[float], rng):
-    """Yield, per gbar, n draws of prod_w 1/det(I_L + (gbar/4) A_w o G G^H) from one draw of G."""
-    lam = _gram_eigenvalues(sample_blocks((A.shape[-1], N), n, rng), A)  # G is freed here
+    """Yield, per gbar, n draws of prod_w 1/det(I_L + (gbar/4) A_w o G G^H) from one draw of G's factor."""
+    lam = _gram_eigenvalues(sample_gram_factor(A.shape[-1], N, n, rng), A)  # G's factor is freed here
     # 1 / prod_k (1 + (gbar/4) lam_k), reduced over the rows of lam: numpy multiplies them
     # in row order, as np.prod multiplies along a draw's eigenvalues, so the bits are np.prod's
     factors = np.empty_like(lam)

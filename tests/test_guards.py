@@ -9,7 +9,7 @@ import pytest
 from mlnsim import cli
 from mlnsim.channel import SystemDims
 from mlnsim.codes import DifferenceMatrix, repetition_bpsk, uncoded_bpsk
-from mlnsim.linalg import DimensionMismatchError, make_rng, matmul, random_unitary, sample_blocks
+from mlnsim.linalg import DimensionMismatchError, make_rng, matmul, random_unitary, sample_blocks, sample_gram_factor
 from mlnsim.pep import PepEstimate, check_scaled_limit
 from mlnsim.presets import get_preset
 from mlnsim.query import uniform_query, unitary_query
@@ -26,6 +26,12 @@ _GUARDS = {
                           r"need shape entries and n >= 1, got shape \(0,\) and n=3"),
     "blocks-no-block": (lambda: sample_blocks((2, 2), 0, make_rng(0)), DimensionMismatchError,
                         r"need shape entries and n >= 1, got shape \(2, 2\) and n=0"),
+    "gram-factor-no-row": (lambda: sample_gram_factor(0, 2, 3, make_rng(0)), DimensionMismatchError,
+                           r"need L, N and n >= 1, got L=0, N=2 and n=3"),
+    "gram-factor-no-column": (lambda: sample_gram_factor(2, 0, 3, make_rng(0)), DimensionMismatchError,
+                              r"need L, N and n >= 1, got L=2, N=0 and n=3"),
+    "gram-factor-no-draw": (lambda: sample_gram_factor(2, 2, 0, make_rng(0)), DimensionMismatchError,
+                            r"need L, N and n >= 1, got L=2, N=2 and n=0"),
     "scaled-limit-one-estimate": (
         lambda: check_scaled_limit([PepEstimate(10.0, 0.1, 0.01, 100, "eigen-product")], 2),
         ValueError,

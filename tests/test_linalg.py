@@ -23,6 +23,7 @@ from mlnsim.linalg import (
     random_unitary,
     sample_blocks,
     sample_cn_matrix,
+    sample_gram_factor,
     singular_values,
 )
 from mlnsim.measure import empirical_rank_check
@@ -117,6 +118,66 @@ class TestSampleBlocks:
             blocks = sample_blocks(shape, n, rng)
             assert blocks.shape == shape + (n,) and blocks.flags.c_contiguous
             assert np.array_equal(blocks.view(np.uint64), matrix.reshape(shape + (n,)).view(np.uint64))
+        assert rng.bit_generator.state == ref.bit_generator.state
+
+
+def _gram_of_factors(B: np.ndarray) -> np.ndarray:
+    """B B^H of each blocks-last factor, as an n x L x L stack."""
+    return np.einsum("ikn,jkn->nij", B, B.conj())
+
+
+class TestGramFactor:
+    @pytest.mark.parametrize("L, N, n", [(1, 1, 5), (1, 3, 40), (2, 2, 7), (3, 2, 100), (2, 3, 50), (4, 4, 33)])
+    def test_lower_trapezoid_with_a_real_nonnegative_diagonal(self, L, N, n):
+        # memory just freed by a dirty array of the factors' size holds no entry of them:
+        # every entry above the diagonal is exactly 0, and the diagonal is real and >= 0
+        K = min(L, N)
+        dirty = np.full((L, K, n), 7.0 + 7.0j)
+        del dirty
+        B = sample_gram_factor(L, N, n, make_rng(23, (L, N)))
+        assert B.shape == (L, K, n) and B.dtype == complex
+        upper = np.triu(np.ones((L, K), dtype=bool), 1)
+        assert np.all(B[upper] == 0.0)
+        diag = B[np.arange(K), np.arange(K)]
+        assert np.all(diag.imag == 0.0) and np.all(diag.real >= 0.0)
+        assert np.all(B[np.tril(np.ones((L, K), dtype=bool), -1)] != 0.0)
+
+    @pytest.mark.parametrize("L, N", [(2, 2), (4, 2), (2, 1), (1, 2), (3, 3)])
+    def test_moments_are_those_of_g_g_h(self, L, N):
+        # W = B B^H against W = G G^H for an L x N CN(0, 1) G: E W = N I, E |W_ij|^2 = N off the
+        # diagonal and E W_ii^2 = N (N + 1). Each mean is within 5 of its standard errors,
+        # taken from the variances of G G^H: N on the diagonal, N / 2 for Re and Im off it,
+        # N^2 + 2N for |W_ij|^2 and (N)_4 - (N (N + 1))^2 for W_ii^2
+        n = 200_000
+        W = _gram_of_factors(sample_gram_factor(L, N, n, make_rng(24, (L, N))))
+        tol = 5.0 / math.sqrt(n)
+        diag = W[:, np.arange(L), np.arange(L)].real
+        assert np.all(np.abs(diag.mean(axis=0) - N) <= tol * math.sqrt(N))
+        rising = N * (N + 1) * (N + 2) * (N + 3) - (N * (N + 1)) ** 2
+        assert np.all(np.abs((diag**2).mean(axis=0) - N * (N + 1)) <= tol * math.sqrt(rising))
+        rows, cols = np.triu_indices(L, 1)
+        off = W[:, rows, cols]
+        assert np.all(np.abs(off.real.mean(axis=0)) <= tol * math.sqrt(N / 2))
+        assert np.all(np.abs(off.imag.mean(axis=0)) <= tol * math.sqrt(N / 2))
+        assert np.all(np.abs((np.abs(off) ** 2).mean(axis=0) - N) <= tol * math.sqrt(N * N + 2 * N))
+
+    @pytest.mark.parametrize("L, N, n", [(1, 1, 5), (1, 3, 40), (2, 1, 9), (2, 2, 7), (3, 2, 100), (2, 3, 50), (4, 4, 33)])
+    def test_bits_and_state_follow_the_draw_order(self, L, N, n):
+        # diagonal j as N - j fills of n exponentials added in turn, square-rooted; then row
+        # i's entries below the diagonal as one fill of scaled normals, Re and Im side by side
+        rng, ref = make_rng(25, (L, N, n)), make_rng(25, (L, N, n))
+        B = sample_gram_factor(L, N, n, rng)
+        K = min(L, N)
+        want = np.zeros((L, K, n), dtype=complex)
+        for j in range(K):
+            total = ref.standard_exponential(n)
+            for _ in range(N - j - 1):
+                total += ref.standard_exponential(n)
+            want[j, j] = np.sqrt(total)
+        for i in range(1, L):
+            below = min(i, K)
+            want[i, :below] = (ref.standard_normal(2 * below * n) * linalg._INV_SQRT2).view(complex).reshape(below, n)
+        assert np.array_equal(B.view(np.uint64), want.view(np.uint64))
         assert rng.bit_generator.state == ref.bit_generator.state
 
 

@@ -293,9 +293,9 @@ class TestEmpiricalRankCheck:
         assert 0.0 < straddling.per_slot_fractions[0] < 1.0
 
     def test_memory_beyond_the_draw_does_not_grow_with_trials(self):
-        # apart from one batch's draw of G (L N 16 B per trial of the batch, with no scratch
-        # beside it) only one slice of matrices is alive; a whole-batch stack of D alone
-        # would add L N T 16 B = 128 B per trial of the batch
+        # apart from one batch's draw of G's factors (L min(L, N) 16 B per trial of the batch,
+        # and one row of exponentials beside it while it is drawn) only one slice of matrices
+        # is alive; a whole-batch stack of D alone would add L N T 16 B = 128 B per trial of the batch
         L = N = 2
         empirical_rank_check(EXAMPLE1_DELTA, N, 1000, make_rng(19))  # warm-up
         beyond_draw = []

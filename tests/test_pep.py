@@ -8,12 +8,14 @@ import warnings
 
 import numpy as np
 import pytest
-from scipy.integrate import dblquad
+from scipy.integrate import dblquad, quad
 from scipy.special import erfc
 
 from mlnsim.channel import SystemDims, effective_signal, mix, sample_channel, snr_gain
 from mlnsim.codes import EXAMPLE1_DELTA, EXAMPLE3_DELTA, _as_diff, difference_matrix, pairwise_codebook_from_delta
-from mlnsim.linalg import DimensionMismatchError, make_rng, psd_eigenvalues, sample_blocks, sample_cn_matrix
+from mlnsim.linalg import (
+    DimensionMismatchError, make_rng, psd_eigenvalues, sample_blocks, sample_cn_matrix, sample_gram_factor,
+)
 from mlnsim.measure import build_D, build_E_t, scheme_weights
 from mlnsim import pep
 from mlnsim.pep import (
@@ -266,6 +268,22 @@ class TestQFunctionMc:
         est = pep_qfunction_mc("unitary", DELTA_SCALAR, DIMS_SCALAR, 20.0, 200_000, make_rng(8))
         assert abs(est.value - oracle) < 3 * est.std_error
 
+    def test_two_receive_antenna_quadrature_oracle(self):
+        # L = T = 1, N = 2: Z = 4 u r with u = |x|^2 ~ Exp(1) and r = G G^H ~ Gamma(2), the
+        # square of the Gram factor's one diagonal entry; the exact PEP of each route is a
+        # quadrature: E Q(sqrt(2 gbar u r)) and E 1 / (1 + gbar r)
+        gbar, dims = 100.0, SystemDims(1, 1, 2, 1)  # 20 dB
+        q_oracle, q_err = dblquad(
+            lambda r, u: _qfunc(np.sqrt(2.0 * gbar * u * r)) * r * np.exp(-u - r),
+            0.0, 50.0, lambda u: 0.0, lambda u: 60.0,
+        )
+        e_oracle, e_err = quad(lambda r: r * np.exp(-r) / (1.0 + gbar * r), 0.0, np.inf)
+        assert q_err < 1e-6 and e_err < 1e-8
+        q = pep_qfunction_mc("unitary", DELTA_SCALAR, dims, 20.0, 200_000, make_rng(8, (2,)))
+        e = pep_eigen_product_mc("unitary", DELTA_SCALAR, dims, 20.0, 200_000, make_rng(8, (3,)))
+        assert abs(q.value - q_oracle) < 3 * q.std_error
+        assert abs(e.value - e_oracle) < 3 * e.std_error
+
     def test_schemes_coincide_for_single_slot(self):
         # with T == 1 the slot-varying and static forward processes match
         dims = SystemDims(1, 2, 2, 1)
@@ -278,7 +296,8 @@ class TestQFunctionMc:
     @pytest.mark.parametrize("delta, dims", _DISTANCE_CASES)
     @pytest.mark.parametrize("scheme", ["unitary", "uniform"])
     def test_draw_order_matches_scalar_distances(self, monkeypatch, scheme, delta, dims):
-        # per batch: the forward rows (T per draw for unitary, 1 for uniform), then G
+        # per batch: the forward rows (T per draw for unitary, 1 for uniform) as rows n
+        # L x 1 Gram factors, row r of draw k being factor r n + k, then G's L x min(L, N) factors
         import mlnsim.pep as pep_mod
 
         monkeypatch.setattr(pep_mod, "_MC_BATCH", 64)
@@ -289,13 +308,14 @@ class TestQFunctionMc:
         rows = T if scheme == "unitary" else 1
         z = []
         for n in (64, 64, 22):
-            X = np.moveaxis(sample_blocks((rows, L), n, rng), -1, 0)
-            G = np.moveaxis(sample_blocks((L, N), n, rng), -1, 0)
+            F = sample_gram_factor(L, 1, rows * n, rng)[:, 0]
+            G = np.moveaxis(sample_gram_factor(L, N, n, rng), -1, 0)
             for k in range(n):
+                X = F[:, k::n].T  # rows x L
                 if scheme == "unitary":
-                    z.append(squared_distance_unitary(X[k], delta, G[k]))
+                    z.append(squared_distance_unitary(X, delta, G[k]))
                 else:
-                    z.append(squared_distance_uniform(X[k, 0], delta, G[k]))
+                    z.append(squared_distance_uniform(X[0], delta, G[k]))
         gbar = 10.0 ** (snr / 10.0)
         expected = np.mean(qfunc(np.sqrt(gbar * np.array(z) / 2.0)))
         assert est.value == pytest.approx(expected, rel=1e-12)
@@ -333,8 +353,8 @@ class TestQFunctionMc:
             for rows in (T, 1):
                 z = _batched_z(rows, d, N, n, make_rng(case))
                 redraw = make_rng(case)
-                X = sample_blocks((rows, L), n, redraw)
-                G = sample_blocks((L, N), n, redraw)
+                X = np.moveaxis(sample_gram_factor(L, 1, rows * n, redraw).reshape(L, rows, n), 0, 1)
+                G = sample_gram_factor(L, N, n, redraw)
                 S = mix(X, d.delta.T[:, :, None], G)
                 ref = sum(np.square(S.real).reshape(-1, n)) + sum(np.square(S.imag).reshape(-1, n))
                 assert np.array_equal(z.view(np.uint64), ref.view(np.uint64)), (case, rows)
@@ -345,12 +365,17 @@ class TestQFunctionMc:
                 pep_qfunction_mc(kind, np.array([[1e200, 1.0], [1.0, 1.0]]), DIMS1, 10.0, 10, make_rng(33))
 
     def test_tiny_pep_keeps_a_positive_standard_error(self):
-        # at 45 dB every draw is below 1e-154, whose square is 0: the standard error stays
-        # positive, so the scaled-limit check against 10 dB reads a finite z
-        for kind in ("unitary", "uniform"):
-            low, high = (pep_qfunction_mc(kind, EXAMPLE1_DELTA, DIMS1, snr, 50_000, make_rng(1, (30, 0)))
-                         for snr in (10.0, 45.0))
-            assert 0.0 < high.value < 1e-150 and 0.0 < high.std_error < high.value, kind
+        # at these points two or more samples are nonzero and every one lies below 1e-154,
+        # whose square is 0: the standard error stays positive and below the value, so the
+        # scaled-limit check against 10 dB reads a finite z
+        d = _as_diff(EXAMPLE1_DELTA)
+        for kind, snr in (("unitary", 40.0), ("uniform", 45.0)):
+            z = _batched_z(d.T if kind == "unitary" else 1, d, DIMS1.N, 20_000, make_rng(1, (30, 0)))
+            samples = qfunc(np.sqrt(snr_gain(snr) * z / 2.0))  # the point's samples, on its stream
+            assert np.count_nonzero(samples) >= 2 and samples.max() < 1e-154, kind
+            low, high = (pep_qfunction_mc(kind, EXAMPLE1_DELTA, DIMS1, s, 20_000, make_rng(1, (30, 0)))
+                         for s in (10.0, snr))
+            assert 0.0 < high.std_error < high.value < 1e-150, kind
             assert np.isfinite(check_scaled_limit([low, high], 0).z_score), kind
 
 
@@ -484,7 +509,7 @@ class TestGramDeterminant:
         L = delta.shape[0]
         A = scheme_weights(delta, kind)
         got = next(_lambda_products(A, N, self.DRAWS, [gbar], make_rng(seed)))
-        G = np.moveaxis(sample_blocks((L, N), self.DRAWS, make_rng(seed)), -1, 0)
+        G = np.moveaxis(sample_gram_factor(L, N, self.DRAWS, make_rng(seed)), -1, 0)
         return got, self._svd_eigen_product(kind, delta, G, gbar)
 
     def test_matches_svd_on_same_draws(self, monkeypatch):
@@ -593,7 +618,7 @@ class TestEigenProductCurve:
                 curve = pep_eigen_product_curve(kind, delta, dims, grid, trials, make_rng(200 + case))
                 redraw = make_rng(200 + case)
                 G = np.concatenate(
-                    [np.moveaxis(sample_blocks((L, N), n, redraw), -1, 0) for n in (128, 128, 44)]
+                    [np.moveaxis(sample_gram_factor(L, N, n, redraw), -1, 0) for n in (128, 128, 44)]
                 )
                 assert [e.snr_db for e in curve] == grid
                 for est, snr in zip(curve, grid):
@@ -605,25 +630,23 @@ class TestEigenProductCurve:
                     )
 
     def test_draws_do_not_grow_with_grid(self, monkeypatch):
-        import mlnsim.linalg as linalg_mod
         import mlnsim.pep as pep_mod
 
         monkeypatch.setattr(pep_mod, "_MC_BATCH", 100)
         drawn = []
-        sample = linalg_mod.sample_cn_matrix
+        sample = pep_mod.sample_gram_factor
 
-        def counting(rows, cols, rng):
-            drawn.append(rows * cols)
-            return sample(rows, cols, rng)
+        def counting(L, N, n, rng):
+            drawn.append((L, N, n))
+            return sample(L, N, n, rng)
 
-        monkeypatch.setattr(linalg_mod, "sample_cn_matrix", counting)
+        monkeypatch.setattr(pep_mod, "sample_gram_factor", counting)
         trials = 250
         for points in (1, 2, 12):
             drawn.clear()
             grid = [10.0 + 3.0 * i for i in range(points)]
             pep_eigen_product_curve("unitary", EXAMPLE1_DELTA, DIMS1, grid, trials, make_rng(51))
-            assert sum(drawn) == trials * DIMS1.L * DIMS1.N
-            assert len(drawn) == 3
+            assert drawn == [(DIMS1.L, DIMS1.N, n) for n in (100, 100, 50)]
 
     def test_every_point_equals_a_one_point_run(self):
         grid = [10.0, 15.0, 20.0, 25.0, 30.0, 35.0, 40.0, 45.0]

@@ -83,3 +83,26 @@ def test_stagetimes_times_each_stage_in_process_and_writes_nothing(tmp_path):
     assert list(cwd.iterdir()) == []
     few = subprocess.run([*tool, "--runs", "3"], cwd=cwd, env=env, capture_output=True, text=True, timeout=60)
     assert few.returncode == 2 and "--runs must be at least 7" in few.stderr
+
+
+def test_stagetimes_kernels_report_every_rate_and_write_nothing(tmp_path):
+    # each named kernel, called directly on 64 draws of example1's shapes, reports a positive rate
+    cwd = tmp_path / "run"
+    cwd.mkdir()
+    record = tmp_path / "bench.json"
+    tool = [sys.executable, str(ROOT / "tools" / "stagetimes.py")]
+    env = dict(os.environ, OPENBLAS_NUM_THREADS="1")
+    argv = ["--kernels", "--draws", "64", "--preset", "example1", "--record", str(record), "--label", "tiny"]
+    run = subprocess.run([*tool, *argv], cwd=cwd, env=env, capture_output=True, text=True, timeout=300)
+    assert run.returncode == 0, run.stdout + run.stderr
+    spec = importlib.util.spec_from_file_location("stagetimes", ROOT / "tools" / "stagetimes.py")
+    names = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(names)
+    header, *rows = (line.split() for line in run.stdout.splitlines())
+    assert header == ["kernel", "draws", "draws_per_s", "median_s"]
+    assert [r[0] for r in rows] == list(names.KERNELS)
+    assert all(r[1] == "64" and float(r[2]) > 0 and float(r[3]) > 0 for r in rows)
+    (only,) = json.loads(record.read_text())
+    assert only["label"] == "tiny" and only["stages"] == {} and sorted(only["kernels"]) == sorted(names.KERNELS)
+    assert all(k["draws"] == 64 and k["runs"] == 7 and k["draws_per_s"] > 0 for k in only["kernels"].values())
+    assert list(cwd.iterdir()) == []

@@ -137,6 +137,15 @@ CATALOGUE = (
            ("tests/test_linalg.py::TestSampling::test_draw_allocates_only_its_output",)),
     Mutant("blocks-guard-passes-empty-shape", "linalg.py", "min(shape, default=1) < 1", "min(shape, default=1) < 0",
            ("tests/test_guards.py::test_guard_names_its_argument",)),
+    # the Gram factor: Gamma(N - j) on diagonal j, zeros above it, and the forward rows as L x 1 factors
+    Mutant("gram-factor-diag-shape", "linalg.py", "for _ in range(N - j - 1):", "for _ in range(N - 1):",
+           ("tests/test_linalg.py::TestGramFactor::test_moments_are_those_of_g_g_h",)),
+    Mutant("gram-factor-upper-not-zeroed", "linalg.py", "        B[j, j + 1 :] = 0.0\n", "",
+           ("tests/test_linalg.py::TestGramFactor::test_lower_trapezoid_with_a_real_nonnegative_diagonal",)),
+    Mutant("qfunc-rows-full-phase", "pep.py",
+           "X = np.moveaxis(sample_gram_factor(d.L, 1, rows * n, rng).reshape(d.L, rows, n), 0, 1)",
+           'X = __import__("mlnsim").linalg.sample_blocks((rows, d.L), n, rng)',
+           ("tests/test_pep.py::TestQFunctionMc::test_draw_order_matches_scalar_distances",)),
     # the CLI writes its files once every stage has run, removes them when a write fails,
     # checks MLNSIM_THREADS before the first stage and reads a negative grid as a value
     Mutant("write-cleanup-skipped", "cli.py", "        for path in written:\n", "        for path in ():\n",

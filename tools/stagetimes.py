@@ -2,6 +2,7 @@
 
     python tools/stagetimes.py [--preset NAME | --config FILE] [--stages ber,pep] [--runs 7]
                                [--seed 1] [--src DIR] [--label TEXT] [--record FILE] [CLI arguments ...]
+    python tools/stagetimes.py --kernels [--draws 8192] [same options]
 
 For each stage (every stage of ``reproduce`` by default) the stage's config is
 loaded as ``mlnsim <stage> --preset NAME`` (example1 by default) or ``mlnsim
@@ -18,12 +19,20 @@ machine. ``--record FILE`` appends the table, the environment and the sha256
 of each stage's outputs to the JSON list of records in FILE, under ``--label``.
 A stage whose runs differ in their outputs, or that raises, makes the exit
 status 1.
+
+``--kernels`` reports, in place of the stage table, the draws per second of
+each kernel named in ``KERNELS``, called directly (nothing is patched) on
+``--draws`` draws of the setting's shapes: the median of ``--runs`` calls after
+a warm-up, on inputs drawn once from a fixed stream of ``--seed``. A kernel
+the source tree lacks, or that raises, is reported as failed and makes the
+exit status 1; ``--record`` keeps the rates under ``kernels``.
 """
 
 from __future__ import annotations
 
 import argparse
 import contextlib
+import functools
 import hashlib
 import io
 import json
@@ -67,6 +76,73 @@ def time_stage(cli, stage: str, setting: list[str], extra: list[str], runs: int)
     }
 
 
+# the kernels --kernels times, each on n draws (blocks, matrices or Q-function arguments)
+KERNELS = (
+    "linalg.sample_blocks", "linalg.sample_gram_factor", "query.effective_forward", "channel.mix",
+    "simulate._metric+_score_points", "pep._lambda_products", "pep.qfunc", "measure._ranks",
+)
+
+
+def _kernel_calls(cfg, n: int) -> dict:
+    """name -> a function that draws that kernel's inputs for n draws of cfg's shapes and returns the timed call."""
+    import numpy as np
+
+    from mlnsim import channel, codes, linalg, measure, pep, query, simulate
+
+    M, L, N, T = cfg.dims.M, cfg.dims.L, cfg.dims.N, cfg.dims.T
+    d, A = codes._as_diff(cfg.delta), measure.scheme_weights(cfg.delta, "unitary")
+    rng = linalg.make_rng(cfg.seed, (99,))  # a stream no stage draws from
+    Q = simulate.build_query(cfg.query, cfg.dims, cfg.seed)
+    H, G, W = (linalg.sample_blocks(shape, n, rng) for shape in ((M, L), (L, N), (T, N)))
+    X = query.effective_forward(Q, H)
+
+    def score():
+        words, weights = simulate._sent_words(cfg.codebook), cfg.codebook.metric_weights
+        sent = rng.integers(0, words.shape[-1], n)
+        gram, V = simulate._shared_terms(G, W)
+        noise_stds = np.sqrt(1.0 / channel.snr_gain(np.array(cfg.snr_grid_db)))  # descending, as the grid ascends
+
+        def call():
+            tallies = np.zeros((2, len(noise_stds)), dtype=np.int64)
+            base, noise = simulate._metric(X, gram, V, np.take(words, sent, axis=2), weights)
+            simulate._score_points(base, noise, weights, sent, noise_stds, tallies)
+        return call
+
+    x = np.sqrt(channel.snr_gain(20.0) * np.sum(np.abs(channel.mix(X, d.delta.T[:, :, None], G)) ** 2, axis=(0, 1)) / 2.0)
+    return {
+        "linalg.sample_blocks": lambda: lambda: linalg.sample_blocks((L, N), n, rng),
+        "linalg.sample_gram_factor": lambda: lambda: linalg.sample_gram_factor(L, N, n, rng),
+        "query.effective_forward": lambda: lambda: query.effective_forward(Q, H),
+        "channel.mix": lambda: lambda: channel.mix(X, d.delta.T[:, :, None], G),
+        "simulate._metric+_score_points": score,
+        "pep._lambda_products": lambda: lambda: list(pep._lambda_products(A, N, n, [100.0], rng)),
+        "pep.qfunc": lambda: lambda: pep.qfunc(x),
+        "measure._ranks": lambda: functools.partial(measure._ranks, d, linalg.sample_gram_factor(L, N, n, rng)),
+    }
+
+
+def time_kernels(cfg, n: int, runs: int) -> tuple[dict, list]:
+    """Draws per second of each of KERNELS on n draws (median of runs after a warm-up), and the names that failed."""
+    setups = _kernel_calls(cfg, n)
+    rates, failed = {}, []
+    for name in KERNELS:
+        try:
+            call, samples = setups[name](), []
+            for run in range(runs + 1):
+                start = time.perf_counter()
+                call()
+                if run:
+                    samples.append(time.perf_counter() - start)
+        except Exception as exc:  # a kernel the source tree lacks is reported, and the others still run
+            print(f"{name:<31} failed: {type(exc).__name__}: {exc}")
+            failed.append(name)
+            continue
+        seconds = _spread(samples)
+        rates[name] = {"draws": n, "runs": runs, "seconds": seconds, "draws_per_s": n / seconds["median"]}
+        print(f"{name:<31} {n:8d} {rates[name]['draws_per_s']:14.4g} {seconds['median']:10.3g}", flush=True)
+    return rates, failed
+
+
 def _git(src: Path, *args: str) -> str | None:
     """git's output for the checkout that holds src, or None outside a checkout."""
     try:
@@ -100,9 +176,13 @@ def main(argv: list[str]) -> int:
     parser.add_argument("--src", type=Path, default=ROOT / "src", help="source tree to import mlnsim from")
     parser.add_argument("--label", default="", help="name of the record in --record")
     parser.add_argument("--record", type=Path, metavar="FILE", help="JSON file to append the record to")
+    parser.add_argument("--kernels", action="store_true", help="time the kernels instead of the stages")
+    parser.add_argument("--draws", type=int, default=8192, help="draws per kernel call (with --kernels)")
     args, extra = parser.parse_known_args(argv)
     if args.runs < MIN_RUNS:
         parser.error(f"--runs must be at least {MIN_RUNS}")
+    if args.draws < 1:
+        parser.error("--draws must be at least 1")
     sys.path.insert(0, str(args.src.resolve()))
     import numpy
 
@@ -111,8 +191,17 @@ def main(argv: list[str]) -> int:
     stages = args.stages.split(",") if args.stages else list(cli.STAGES["reproduce"])
     chosen = ["--config", args.config] if args.config else ["--preset", args.preset]
     extra = [*extra, "--seed", str(args.seed)]
-    print(f"{'stage':<14} {'runs':>4} {'wall_s':>9} {'iqr':>8} {'cpu_s':>9} {'iqr':>8} same_outputs")
-    table, failed = {}, False
+    table, failed, kernels = {}, False, None
+    if args.kernels:
+        stages = []
+        with tempfile.TemporaryDirectory() as out:
+            overrides = vars(cli._build_parser().parse_args(["ber", *chosen, *extra, "--out", out]))
+            cfg = cli.load_config(overrides.pop("config"), overrides)
+        print(f"{'kernel':<31} {'draws':>8} {'draws_per_s':>14} {'median_s':>10}")
+        kernels, missed = time_kernels(cfg, args.draws, args.runs)
+        failed = bool(missed)
+    else:
+        print(f"{'stage':<14} {'runs':>4} {'wall_s':>9} {'iqr':>8} {'cpu_s':>9} {'iqr':>8} same_outputs")
     for stage in stages:
         try:
             row = table[stage] = time_stage(cli, stage, chosen, extra, args.runs)
@@ -131,6 +220,7 @@ def main(argv: list[str]) -> int:
             "label": args.label, "setting": ["--config", config.name] if config else chosen,
             "config": json.loads(config.read_text()) if config else None, "arguments": extra,
             "environment": _environment(args.src, numpy), "stages": table,
+            **({"kernels": kernels} if args.kernels else {}),
         })
         args.record.write_text(json.dumps(records, indent=2) + "\n")
     return int(failed)
