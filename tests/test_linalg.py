@@ -121,11 +121,6 @@ class TestSampleBlocks:
         assert rng.bit_generator.state == ref.bit_generator.state
 
 
-def _gram_of_factors(B: np.ndarray) -> np.ndarray:
-    """B B^H of each blocks-last factor, as an n x L x L stack."""
-    return np.einsum("ikn,jkn->nij", B, B.conj())
-
-
 class TestGramFactor:
     @pytest.mark.parametrize("L, N, n", [(1, 1, 5), (1, 3, 40), (2, 2, 7), (3, 2, 100), (2, 3, 50), (4, 4, 33)])
     def test_lower_trapezoid_with_a_real_nonnegative_diagonal(self, L, N, n):
@@ -149,7 +144,8 @@ class TestGramFactor:
         # taken from the variances of G G^H: N on the diagonal, N / 2 for Re and Im off it,
         # N^2 + 2N for |W_ij|^2 and (N)_4 - (N (N + 1))^2 for W_ii^2
         n = 200_000
-        W = _gram_of_factors(sample_gram_factor(L, N, n, make_rng(24, (L, N))))
+        B = sample_gram_factor(L, N, n, make_rng(24, (L, N)))
+        W = np.einsum("ikn,jkn->nij", B, B.conj())  # n x L x L
         tol = 5.0 / math.sqrt(n)
         diag = W[:, np.arange(L), np.arange(L)].real
         assert np.all(np.abs(diag.mean(axis=0) - N) <= tol * math.sqrt(N))

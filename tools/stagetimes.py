@@ -32,7 +32,6 @@ from __future__ import annotations
 
 import argparse
 import contextlib
-import functools
 import hashlib
 import io
 import json
@@ -84,7 +83,7 @@ KERNELS = (
 
 
 def _kernel_calls(cfg, n: int) -> dict:
-    """name -> a function that draws that kernel's inputs for n draws of cfg's shapes and returns the timed call."""
+    """name -> a call of that kernel on n draws of cfg's shapes, with its inputs drawn here once."""
     import numpy as np
 
     from mlnsim import channel, codes, linalg, measure, pep, query, simulate
@@ -94,43 +93,40 @@ def _kernel_calls(cfg, n: int) -> dict:
     rng = linalg.make_rng(cfg.seed, (99,))  # a stream no stage draws from
     Q = simulate.build_query(cfg.query, cfg.dims, cfg.seed)
     H, G, W = (linalg.sample_blocks(shape, n, rng) for shape in ((M, L), (L, N), (T, N)))
-    X = query.effective_forward(Q, H)
+    X, C = query.effective_forward(Q, H), d.delta.T[:, :, None]
+    words, weights = simulate._sent_words(cfg.codebook), cfg.codebook.metric_weights
+    sent = rng.integers(0, words.shape[-1], n)
+    gram, V = simulate._shared_terms(G, W)
+    noise_stds = np.sqrt(1.0 / channel.snr_gain(np.array(cfg.snr_grid_db)))  # descending, as the grid ascends
+    x = np.sqrt(channel.snr_gain(20.0) * np.sum(np.abs(channel.mix(X, C, G)) ** 2, axis=(0, 1)) / 2.0)
 
     def score():
-        words, weights = simulate._sent_words(cfg.codebook), cfg.codebook.metric_weights
-        sent = rng.integers(0, words.shape[-1], n)
-        gram, V = simulate._shared_terms(G, W)
-        noise_stds = np.sqrt(1.0 / channel.snr_gain(np.array(cfg.snr_grid_db)))  # descending, as the grid ascends
+        tallies = np.zeros((2, len(noise_stds)), dtype=np.int64)
+        base, noise = simulate._metric(X, gram, V, np.take(words, sent, axis=2), weights)
+        simulate._score_points(base, noise, weights, sent, noise_stds, tallies)
 
-        def call():
-            tallies = np.zeros((2, len(noise_stds)), dtype=np.int64)
-            base, noise = simulate._metric(X, gram, V, np.take(words, sent, axis=2), weights)
-            simulate._score_points(base, noise, weights, sent, noise_stds, tallies)
-        return call
-
-    x = np.sqrt(channel.snr_gain(20.0) * np.sum(np.abs(channel.mix(X, d.delta.T[:, :, None], G)) ** 2, axis=(0, 1)) / 2.0)
     return {
-        "linalg.sample_blocks": lambda: lambda: linalg.sample_blocks((L, N), n, rng),
-        "linalg.sample_gram_factor": lambda: lambda: linalg.sample_gram_factor(L, N, n, rng),
-        "query.effective_forward": lambda: lambda: query.effective_forward(Q, H),
-        "channel.mix": lambda: lambda: channel.mix(X, d.delta.T[:, :, None], G),
+        "linalg.sample_blocks": lambda: linalg.sample_blocks((L, N), n, rng),
+        "linalg.sample_gram_factor": lambda: linalg.sample_gram_factor(L, N, n, rng),
+        "query.effective_forward": lambda: query.effective_forward(Q, H),
+        "channel.mix": lambda: channel.mix(X, C, G),
         "simulate._metric+_score_points": score,
-        "pep._lambda_products": lambda: lambda: list(pep._lambda_products(A, N, n, [100.0], rng)),
-        "pep.qfunc": lambda: lambda: pep.qfunc(x),
-        "measure._ranks": lambda: functools.partial(measure._ranks, d, linalg.sample_gram_factor(L, N, n, rng)),
+        "pep._lambda_products": lambda: list(pep._lambda_products(A, N, n, [100.0], rng)),
+        "pep.qfunc": lambda: pep.qfunc(x),
+        "measure._ranks": lambda: measure._ranks(d, G),
     }
 
 
 def time_kernels(cfg, n: int, runs: int) -> tuple[dict, list]:
     """Draws per second of each of KERNELS on n draws (median of runs after a warm-up), and the names that failed."""
-    setups = _kernel_calls(cfg, n)
+    calls = _kernel_calls(cfg, n)
     rates, failed = {}, []
     for name in KERNELS:
         try:
-            call, samples = setups[name](), []
+            samples = []
             for run in range(runs + 1):
                 start = time.perf_counter()
-                call()
+                calls[name]()
                 if run:
                     samples.append(time.perf_counter() - start)
         except Exception as exc:  # a kernel the source tree lacks is reported, and the others still run
