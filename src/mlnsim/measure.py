@@ -15,17 +15,18 @@ column. rank(D) has no such closed form in the ranks and supports alone:
 min(N * rank(delta), L*), with L* the number of nonzero rows, can exceed
 it (Edmonds' matroid-union rank, a minimum over row sets S of
 L* - |S| + N rank(delta_S), is exact but exponential in L). So every rank
-is taken numerically on one draw G0 of G from a fixed stream, which gives
-the almost-sure rank with probability one. ``numeric_rank``'s threshold is
+is taken numerically on one draw G0 from a fixed stream, which gives the
+almost-sure rank with probability one. ``numeric_rank``'s threshold is
 relative to each matrix's largest singular value, and it is the only rule
 here that decides a rank or whether something is zero, so every field of
 the report is the same for delta and for any nonzero multiple of it. D's
 columns are those of (E_1 | ... | E_T), regrouped, so rank(D) <=
-sum_t rank(E_t): the uniform measure never exceeds the unitary one. One stack kernel
-forms the ranks of every E_t and of D, for G0 in ``compare_queries`` and for the sampled
-draws in ``empirical_rank_check``, which are Gram factors of G, as the ranks depend on G
-only through G G^H. Batches are blocks last, as in ``linalg``: an L x N x n stack of G
-gives T x L x N x n E_t and L x NT x n D stacks, ranked as they are.
+sum_t rank(E_t): the uniform measure never exceeds the unitary one. The ranks depend on G
+only through G G^H (E_t E_t^H and D D^H are A o G G^H), so G0 in ``compare_queries`` and
+the sampled draws in ``empirical_rank_check`` are all Gram factors of G, L x min(L, N),
+each from ``linalg.sample_gram_factor``, and one stack kernel forms the ranks of every E_t
+and of D from them. Batches are blocks last, as in ``linalg``: an L x N x n stack gives
+T x L x N x n E_t and L x NT x n D stacks, ranked as they are.
 """
 
 from __future__ import annotations
@@ -36,7 +37,7 @@ import numpy as np
 
 from .codes import _as_diff
 from .channel import checked_integer
-from .linalg import _MC_BATCH, DimensionMismatchError, even_slices, make_rng, numeric_rank, sample_blocks, sample_gram_factor
+from .linalg import _MC_BATCH, DimensionMismatchError, even_slices, make_rng, numeric_rank, sample_gram_factor
 
 __all__ = [
     "MeasureReport",
@@ -55,7 +56,7 @@ VERDICT_UNITARY = "unitary-dominates"
 VERDICT_COMPARABLE = "comparable"
 QUERY_SCHEMES = ("unitary", "uniform")
 
-# spawn key of the fixed stream whose one draw G0 of G gives the ranks of every E_t and of D;
+# spawn key of the fixed stream whose one Gram factor G0 of G gives the ranks of every E_t and of D;
 # seed 0, whatever the caller's seed
 _RANK_PROBE_KEY = (7,)
 
@@ -156,12 +157,12 @@ def compare_queries(delta, N: int) -> MeasureReport:
     """Both measures for delta and N receive antennas, the almost-sure ranks they predict.
 
     r_unitary is the sum over slots of rank(E_t) and r_uniform is rank(D), each the
-    numeric rank on one draw G0 of G from a fixed stream, taken by the kernel that
+    numeric rank on one Gram factor G0 of G from a fixed stream, taken by the kernel that
     ``empirical_rank_check`` runs on its sampled draws. r_uniform <= r_unitary, so
     the verdict is unitary-dominates or comparable.
     """
     d = _as_diff(delta)
-    G0 = sample_blocks((d.L, N), 1, make_rng(0, _RANK_PROBE_KEY))  # a stack of one
+    G0 = sample_gram_factor(d.L, N, 1, make_rng(0, _RANK_PROBE_KEY))  # a stack of one
     *per_slot, rf = (int(r) for r in _ranks(d, G0)[:, 0])
     ru = sum(per_slot)
     return MeasureReport(

@@ -1,24 +1,27 @@
-"""In-process wall and CPU time of each CLI stage of a preset or config file, from the standard library alone.
+"""Wall time, CPU time and peak memory of each CLI stage of a preset or config file, from the standard library alone.
 
     python tools/stagetimes.py [--preset NAME | --config FILE] [--stages ber,pep] [--runs 7]
                                [--seed 1] [--src DIR] [--label TEXT] [--record FILE] [CLI arguments ...]
     python tools/stagetimes.py --kernels [--draws 8192] [same options]
 
-For each stage (every stage of ``reproduce`` by default) the stage's config is
-loaded as ``mlnsim <stage> --preset NAME`` (example1 by default) or ``mlnsim
-<stage> --config FILE`` would load it, with the further CLI arguments (for
-example ``--max-trials 20000``), the fixed ``--seed`` and a temporary output
-directory. Then ``mlnsim.cli._RUNNERS[stage]`` runs in this process once as a
-warm-up and ``--runs`` times more (at least 7), each into a fresh dict of output
-files, so nothing is written. The table gives the median and interquartile
-range of each stage's wall (``perf_counter``) and CPU (``process_time``, every
-thread of the process) seconds, and says whether every run's outputs had the
-same bytes. ``--src`` imports mlnsim from another source tree (a checkout of
-an earlier commit, say), so one harness times both sides of a change on one
-machine. ``--record FILE`` appends the table, the environment and the sha256
-of each stage's outputs to the JSON list of records in FILE, under ``--label``.
-A stage whose runs differ in their outputs, or that raises, makes the exit
-status 1.
+For each stage (every stage of ``reproduce`` by default), ``mlnsim.cli._RUNNERS[stage]``
+runs in this process on the config ``mlnsim <stage> --preset NAME`` (example1 by
+default) or ``--config FILE`` loads, with the further CLI arguments (for example
+``--max-trials 20000``) and the fixed ``--seed``: once as a warm-up and ``--runs``
+times more (at least 7), each into a fresh dict of output files. Then ``python -m
+mlnsim.cli`` with the same arguments runs in ``--runs`` fresh interpreters, each in
+a temporary working directory of its own, so nothing is written here. The table
+gives the median and interquartile range of the in-process wall (``perf_counter``)
+and CPU (``process_time``, every thread) seconds and of the children's peak RSS and
+minor page faults (each child's own ``ru_maxrss`` and ``ru_minflt``, from
+``os.wait4``), and whether every run had outputs of the same bytes. The
+``(import)`` row is one child that only imports ``mlnsim.cli``, the floor under
+every stage. ``--src`` imports mlnsim from another source tree (a checkout of an
+earlier commit, say), here and in the children, so one harness measures both sides
+of a change on one machine. ``--record FILE`` appends the table, the floor, the
+environment and the sha256 of each stage's outputs to the JSON list of records in
+FILE, under ``--label``. A stage whose runs differ in their outputs, that raises,
+or whose child exits with a status other than 0 makes the exit status 1.
 
 ``--kernels`` reports, in place of the stage table, the draws per second of
 each kernel named in ``KERNELS``, called directly (nothing is patched) on
@@ -47,32 +50,47 @@ from pathlib import Path
 ROOT = Path(__file__).resolve().parent.parent
 MIN_RUNS = 7
 
-
 def _spread(samples: list[float]) -> dict:
     q1, median, q3 = statistics.quantiles(samples, n=4, method="inclusive")
     return {"median": median, "iqr": q3 - q1}
 
 
-def time_stage(cli, stage: str, setting: list[str], extra: list[str], runs: int) -> dict:
-    """Load the stage's config, run its runner once untimed and runs times timed; return its timings and hashes."""
-    with tempfile.TemporaryDirectory() as out:
-        overrides = vars(cli._build_parser().parse_args([stage, *setting, *extra, "--out", out]))
-        cfg = cli.load_config(overrides.pop("config"), overrides)
-        walls, cpus, hashes = [], [], []
-        for run in range(runs + 1):
-            files = {}
-            with contextlib.redirect_stdout(io.StringIO()):  # the runners print their JSON reports
-                cpu, wall = time.process_time(), time.perf_counter()
-                cli._RUNNERS[stage](cfg, files)
-                wall, cpu = time.perf_counter() - wall, time.process_time() - cpu
-            hashes.append({name: hashlib.sha256(text.encode()).hexdigest() for name, text in sorted(files.items())})
-            if run:  # the first run warms the caches, the pool and the heap
-                walls.append(wall)
-                cpus.append(cpu)
-    return {
-        "runs": runs, "wall_s": _spread(walls), "cpu_s": _spread(cpus),
-        "same_outputs": all(h == hashes[0] for h in hashes), "sha256": hashes[0],
-    }
+def run_child(src: Path, argv: list[str]) -> tuple[int, float, int, dict]:
+    """Run python argv in a fresh interpreter on src, in a temporary working directory of its own; return its
+    exit code, peak RSS (MiB), minor faults and the sha256 of each file it wrote under ./out."""
+    path = [str(src), os.environ.get("PYTHONPATH")]
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, path))}  # an empty entry would add the cwd
+    with tempfile.TemporaryDirectory() as cwd:  # python -m puts it first on sys.path, so it must hold no mlnsim
+        proc = subprocess.Popen([sys.executable, *argv], cwd=cwd, env=env, stdout=subprocess.DEVNULL)
+        _, status, usage = os.wait4(proc.pid, 0)  # this child's own rusage
+        proc.returncode = os.waitstatus_to_exitcode(status)
+        written = {p.name: hashlib.sha256(p.read_bytes()).hexdigest() for p in Path(cwd).glob("out/*")}
+    rss_mb = usage.ru_maxrss / (2**20 if sys.platform == "darwin" else 2**10)  # bytes on macOS, KiB on Linux
+    return proc.returncode, rss_mb, usage.ru_minflt, written
+
+
+def time_stage(cli, src: Path, stage: str, setting: list[str], extra: list[str], runs: int) -> dict:
+    """Time the stage's runner here (a warm-up, then runs timed runs), then measure runs fresh children of it."""
+    argv = [stage, *setting, *extra, "--out", "out"]  # a runner writes nowhere, and a child in its own directory
+    overrides = vars(cli._build_parser().parse_args(argv))
+    cfg = cli.load_config(overrides.pop("config"), overrides)
+    walls, cpus, hashes = [], [], []
+    for run in range(runs + 1):
+        files = {}
+        with contextlib.redirect_stdout(io.StringIO()):  # the runners print their JSON reports
+            cpu, wall = time.process_time(), time.perf_counter()
+            cli._RUNNERS[stage](cfg, files)
+            wall, cpu = time.perf_counter() - wall, time.process_time() - cpu
+        hashes.append({name: hashlib.sha256(text.encode()).hexdigest() for name, text in sorted(files.items())})
+        if run:  # the first run warms the caches, the pool and the heap
+            walls.append(wall)
+            cpus.append(cpu)
+    codes, rss, faults, written = zip(*(run_child(src, ["-m", "mlnsim.cli", *argv]) for _ in range(runs)))
+    if any(codes):
+        raise RuntimeError(f"a fresh `mlnsim {stage}` exited with status {next(c for c in codes if c)}")
+    return {"runs": runs, "wall_s": _spread(walls), "cpu_s": _spread(cpus), "peak_rss_mb": _spread(rss),
+            "minflt": _spread(faults), "same_outputs": all(h == hashes[0] for h in hashes + list(written)),
+            "sha256": hashes[0]}
 
 
 # the kernels --kernels times, each on n draws (blocks, matrices or Q-function arguments)
@@ -167,7 +185,7 @@ def main(argv: list[str]) -> int:
     setting.add_argument("--preset", default="example1")
     setting.add_argument("--config", metavar="FILE")
     parser.add_argument("--stages", default=None, help="comma-separated stages (default: every stage of reproduce)")
-    parser.add_argument("--runs", type=int, default=MIN_RUNS, help=f"timed runs per stage, at least {MIN_RUNS}")
+    parser.add_argument("--runs", type=int, default=MIN_RUNS, help=f"runs and children per stage, at least {MIN_RUNS}")
     parser.add_argument("--seed", type=int, default=1)
     parser.add_argument("--src", type=Path, default=ROOT / "src", help="source tree to import mlnsim from")
     parser.add_argument("--label", default="", help="name of the record in --record")
@@ -179,44 +197,58 @@ def main(argv: list[str]) -> int:
         parser.error(f"--runs must be at least {MIN_RUNS}")
     if args.draws < 1:
         parser.error("--draws must be at least 1")
-    sys.path.insert(0, str(args.src.resolve()))
+    try:  # read before any run, so a bad file loses no measurement
+        records = json.loads(args.record.read_text()) if args.record and args.record.exists() else []
+    except (OSError, ValueError) as exc:
+        parser.error(f"--record {args.record}: {exc}")
+    if not isinstance(records, list):
+        parser.error(f"--record {args.record} holds a JSON {type(records).__name__}, not a list of records")
+    src = args.src.resolve()
+    sys.path.insert(0, str(src))
     import numpy
 
     from mlnsim import cli
 
-    stages = args.stages.split(",") if args.stages else list(cli.STAGES["reproduce"])
-    chosen = ["--config", args.config] if args.config else ["--preset", args.preset]
+    reproduce = cli.STAGES["reproduce"]
+    stages = args.stages.split(",") if args.stages else list(reproduce)
+    if not set(stages) <= set(reproduce):
+        unknown = ", ".join(stage for stage in stages if stage not in reproduce)
+        parser.error(f"--stages: {unknown} is not a stage of reproduce ({', '.join(reproduce)})")
+    config = Path(args.config).resolve() if args.config else None  # the children run in other directories
+    chosen = ["--config", str(config)] if config else ["--preset", args.preset]
     extra = [*extra, "--seed", str(args.seed)]
-    table, failed, kernels = {}, False, None
+    table, failed, kernels, floor = {}, False, None, None
     if args.kernels:
         stages = []
-        with tempfile.TemporaryDirectory() as out:
-            overrides = vars(cli._build_parser().parse_args(["ber", *chosen, *extra, "--out", out]))
-            cfg = cli.load_config(overrides.pop("config"), overrides)
+        overrides = vars(cli._build_parser().parse_args(["ber", *chosen, *extra]))
+        cfg = cli.load_config(overrides.pop("config"), overrides)
         print(f"{'kernel':<31} {'draws':>8} {'draws_per_s':>14} {'median_s':>10}")
         kernels, missed = time_kernels(cfg, args.draws, args.runs)
         failed = bool(missed)
     else:
-        print(f"{'stage':<14} {'runs':>4} {'wall_s':>9} {'iqr':>8} {'cpu_s':>9} {'iqr':>8} same_outputs")
+        print("stage          runs    wall_s      iqr     cpu_s      iqr peak_rss_mb    iqr   minflt    iqr same_outputs")
+        code, rss, faults, _ = run_child(src, ["-c", "import mlnsim.cli"])
+        floor, failed = {"peak_rss_mb": rss, "minflt": faults}, code != 0
+        print(f"{'(import)':<14} {1:4d}{'-':>10}{'-':>9}{'-':>10}{'-':>9} {rss:11.1f}{'-':>7} {faults:8d}{'-':>7} "
+              + (f"failed: exit status {code}" if code else "-"), flush=True)
     for stage in stages:
         try:
-            row = table[stage] = time_stage(cli, stage, chosen, extra, args.runs)
+            row = table[stage] = time_stage(cli, src, stage, chosen, extra, args.runs)
         except Exception as exc:  # a stage that cannot run is reported, and the others still run
             print(f"{stage:<14} failed: {type(exc).__name__}: {exc}")
             failed = True
             continue
         failed |= not row["same_outputs"]
-        wall, cpu = row["wall_s"], row["cpu_s"]
-        print(f"{stage:<14} {row['runs']:4d} {wall['median']:9.4f} {wall['iqr']:8.4f} "
-              f"{cpu['median']:9.4f} {cpu['iqr']:8.4f} {row['same_outputs']}", flush=True)
+        wall, cpu, rss, faults = row["wall_s"], row["cpu_s"], row["peak_rss_mb"], row["minflt"]
+        print(f"{stage:<14} {row['runs']:4d} {wall['median']:9.4f} {wall['iqr']:8.4f} {cpu['median']:9.4f} "
+              f"{cpu['iqr']:8.4f} {rss['median']:11.1f} {rss['iqr']:6.2f} {faults['median']:8.0f} "
+              f"{faults['iqr']:6.0f} {row['same_outputs']}", flush=True)
     if args.record is not None:
-        records = json.loads(args.record.read_text()) if args.record.exists() else []
-        config = Path(args.config) if args.config else None
         records.append({  # a config file by name and content, so the record holds no path of this machine
             "label": args.label, "setting": ["--config", config.name] if config else chosen,
             "config": json.loads(config.read_text()) if config else None, "arguments": extra,
             "environment": _environment(args.src, numpy), "stages": table,
-            **({"kernels": kernels} if args.kernels else {}),
+            **({"kernels": kernels} if args.kernels else {"import_floor": floor}),
         })
         args.record.write_text(json.dumps(records, indent=2) + "\n")
     return int(failed)
