@@ -48,26 +48,25 @@ def test_stagetimes_times_and_measures_each_stage_and_writes_nothing(tmp_path):
     record.write_text('[{"label": "earlier"}]')  # the new record is appended to it
     tool = [sys.executable, str(ROOT / "tools" / "stagetimes.py")]
     env = dict(os.environ, OPENBLAS_NUM_THREADS="1", MLNSIM_THREADS="2")
-    argv = ["--config", str(config), "--stages", "measure,ber", "--record", str(record), "--label", "tiny",
+    argv = ["--config", str(config), "--stages", "ber", "--record", str(record), "--label", "tiny",
             "--trials", "200", "--max-trials", "2000", "--snr-grid", "0:6:12"]
     run = subprocess.run([*tool, *argv], cwd=cwd, env=env, capture_output=True, text=True, timeout=300)
     assert run.returncode == 0, run.stdout + run.stderr
     header, *rows = (line.split() for line in run.stdout.splitlines())
     assert header == ["stage", "runs", "wall_s", "iqr", "cpu_s", "iqr", "peak_rss_mb", "iqr", "minflt", "iqr",
                       "same_outputs"]
-    assert [r[0] for r in rows] == ["(import)", "measure", "ber"]
+    assert [r[0] for r in rows] == ["(import)", "ber"]
     assert all(float(r[6]) > 0 and int(float(r[8])) > 0 for r in rows)  # the floor row too
     assert all(r[1] == "7" and r[-1] == "True" for r in rows[1:])
     earlier, tiny = json.loads(record.read_text())
     assert earlier == {"label": "earlier"} and tiny["label"] == "tiny"
     assert tiny["setting"] == ["--config", "setting.json"] and tiny["config"]["codebook"] == "uncoded-bpsk"
     assert tiny["import_floor"]["peak_rss_mb"] > 0 and tiny["import_floor"]["minflt"] > 0
-    for row in tiny["stages"].values():
-        assert row["wall_s"]["median"] > 0 and row["cpu_s"]["median"] > 0 and row["wall_s"]["iqr"] >= 0
-        assert row["peak_rss_mb"]["median"] > 0 and row["minflt"]["median"] > 0 and row["peak_rss_mb"]["iqr"] >= 0
-        assert row["same_outputs"] is True
-    assert sorted(tiny["stages"]["ber"]["sha256"]) == ["ber_custom_dft.csv", "ber_custom_summary.json",
-                                                       "ber_custom_uniform.csv"]
+    ber = tiny["stages"]["ber"]
+    assert ber["wall_s"]["median"] > 0 and ber["cpu_s"]["median"] > 0 and ber["wall_s"]["iqr"] >= 0
+    assert ber["peak_rss_mb"]["median"] > 0 and ber["minflt"]["median"] > 0 and ber["peak_rss_mb"]["iqr"] >= 0
+    assert ber["same_outputs"] is True
+    assert sorted(ber["sha256"]) == ["ber_custom_dft.csv", "ber_custom_summary.json", "ber_custom_uniform.csv"]
     assert tiny["environment"]["MLNSIM_THREADS"] == "2"
     assert list(cwd.iterdir()) == []  # every child ran in a temporary directory of its own
     for bad, message in ((["--runs", "3"], "--runs must be at least 7"),
@@ -94,8 +93,8 @@ def test_stagetimes_rejects_a_bad_stage_or_record_before_any_run(tmp_path, monke
     for text, message in (('{"not": "a list"}', "holds a JSON dict, not a list of records"),
                           ("not JSON", "Expecting value")):
         record.write_text(text)
-        assert f"--record {record}" in (err := usage_error()) and message in err
-        assert record.read_text() == text
+        err = usage_error()
+        assert f"--record {record}" in err and message in err and record.read_text() == text
     assert list(tmp_path.iterdir()) == [record]
 
 

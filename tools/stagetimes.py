@@ -9,19 +9,18 @@ runs in this process on the config ``mlnsim <stage> --preset NAME`` (example1 by
 default) or ``--config FILE`` loads, with the further CLI arguments (for example
 ``--max-trials 20000``) and the fixed ``--seed``: once as a warm-up and ``--runs``
 times more (at least 7), each into a fresh dict of output files. Then ``python -m
-mlnsim.cli`` with the same arguments runs in ``--runs`` fresh interpreters, each in
-a temporary working directory of its own, so nothing is written here. The table
-gives the median and interquartile range of the in-process wall (``perf_counter``)
-and CPU (``process_time``, every thread) seconds and of the children's peak RSS and
-minor page faults (each child's own ``ru_maxrss`` and ``ru_minflt``, from
-``os.wait4``), and whether every run had outputs of the same bytes. The
-``(import)`` row is one child that only imports ``mlnsim.cli``, the floor under
-every stage. ``--src`` imports mlnsim from another source tree (a checkout of an
-earlier commit, say), here and in the children, so one harness measures both sides
-of a change on one machine. ``--record FILE`` appends the table, the floor, the
-environment and the sha256 of each stage's outputs to the JSON list of records in
-FILE, under ``--label``. A stage whose runs differ in their outputs, that raises,
-or whose child exits with a status other than 0 makes the exit status 1.
+mlnsim.cli`` runs the same arguments in ``--runs`` fresh interpreters, each in a
+temporary working directory of its own, so nothing is written here. The table gives
+the median and interquartile range of the in-process wall (``perf_counter``) and CPU
+(``process_time``, every thread) seconds and of each child's own peak RSS and minor
+page faults (``ru_maxrss`` and ``ru_minflt``, from ``os.wait4``), and whether every
+run had outputs of the same bytes. The ``(import)`` row, one child that only imports
+``mlnsim.cli``, is the floor under every stage. ``--src`` imports mlnsim from another
+source tree (a checkout of an earlier commit, say), here and in the children, so one
+harness measures both sides of a change on one machine. ``--record FILE`` appends the
+table, the floor, the environment and the sha256 of each stage's outputs to the JSON
+list of records in FILE, under ``--label``. A stage whose runs differ in their
+outputs, that raises, or whose child exits non-zero makes the exit status 1.
 
 ``--kernels`` reports, in place of the stage table, the draws per second of
 each kernel named in ``KERNELS``, called directly (nothing is patched) on
@@ -49,6 +48,7 @@ from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
 MIN_RUNS = 7
+
 
 def _spread(samples: list[float]) -> dict:
     q1, median, q3 = statistics.quantiles(samples, n=4, method="inclusive")
