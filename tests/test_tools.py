@@ -38,41 +38,69 @@ def test_a_drifted_mutant_fails_before_any_run(monkeypatch, capsys):
     assert capsys.readouterr().out == "DRIFTED   gone: old text occurs 0 times in linalg.py, not once\n"
 
 
-def test_stagetimes_times_and_measures_each_stage_and_writes_nothing(tmp_path):
-    # a config file reaches the in-process runs and the fresh children alike: their outputs are the same bytes
+def test_peakmem_reports_every_stage_and_writes_nothing(tmp_path):
+    # peak memory of each stage from fresh children, for a preset or a config file in its place but not both
     config = tmp_path / "setting.json"
     config.write_text('{"m": 2, "l": 4, "n": 2, "t": 2, "codebook": "uncoded-bpsk"}')
+    cwd = tmp_path / "run"
+    cwd.mkdir()
+    record = tmp_path / "bench.json"
+    tool = [sys.executable, str(ROOT / "tools" / "stagetimes.py")]
+    env = dict(os.environ, OPENBLAS_NUM_THREADS="1")
+    # every stage for the preset; for the config file, the stage whose outputs name it
+    for setting, stages in ((["--preset", "example3"], ["measure", "verify-lemmas", "pep", "ber"]),
+                            (["--config", str(config)], ["ber"])):
+        argv = [*setting, "--stages", ",".join(stages), "--record", str(record),
+                "--trials", "200", "--max-trials", "2000", "--snr-grid", "0:6:12"]
+        run = subprocess.run([*tool, *argv], cwd=cwd, env=env, capture_output=True, text=True, timeout=300)
+        assert run.returncode == 0, run.stdout + run.stderr  # a child that exits non-zero fails its stage
+        header, *rows = (line.split() for line in run.stdout.splitlines())
+        assert header[6:10] == ["peak_rss_mb", "iqr", "minflt", "iqr"]
+        assert [r[0] for r in rows] == ["(import)", *stages]
+        assert all(float(r[6]) > 0 and int(float(r[8])) > 0 for r in rows)  # the floor row too
+        assert all(r[-1] == "True" for r in rows[1:])  # the children's outputs match the in-process runs'
+        assert list(cwd.iterdir()) == []  # every child ran in a temporary directory of its own
+    preset, custom = json.loads(record.read_text())
+    assert preset["setting"] == ["--preset", "example3"]
+    assert custom["setting"] == ["--config", "setting.json"] and custom["config"]["codebook"] == "uncoded-bpsk"
+    assert sorted(custom["stages"]["ber"]["sha256"]) == ["ber_custom_dft.csv", "ber_custom_summary.json",
+                                                           "ber_custom_uniform.csv"]
+    for tiny in (preset, custom):
+        assert tiny["import_floor"]["peak_rss_mb"] > 0 and tiny["import_floor"]["minflt"] > 0
+        for row in tiny["stages"].values():
+            assert row["peak_rss_mb"]["median"] > 0 and row["minflt"]["median"] > 0 and row["peak_rss_mb"]["iqr"] >= 0
+    both = subprocess.run([*tool, "--preset", "example3", "--config", str(config)], cwd=cwd, env=env,
+                          capture_output=True, text=True, timeout=60)
+    assert both.returncode == 2 and "not allowed with argument --preset" in both.stderr
+
+
+def test_stagetimes_times_each_stage_in_process_and_writes_nothing(tmp_path):
     cwd = tmp_path / "run"
     cwd.mkdir()
     record = tmp_path / "bench.json"
     record.write_text('[{"label": "earlier"}]')  # the new record is appended to it
     tool = [sys.executable, str(ROOT / "tools" / "stagetimes.py")]
     env = dict(os.environ, OPENBLAS_NUM_THREADS="1", MLNSIM_THREADS="2")
-    argv = ["--config", str(config), "--stages", "ber", "--record", str(record), "--label", "tiny",
+    argv = ["--preset", "example3", "--stages", "measure,ber", "--record", str(record), "--label", "tiny",
             "--trials", "200", "--max-trials", "2000", "--snr-grid", "0:6:12"]
     run = subprocess.run([*tool, *argv], cwd=cwd, env=env, capture_output=True, text=True, timeout=300)
     assert run.returncode == 0, run.stdout + run.stderr
     header, *rows = (line.split() for line in run.stdout.splitlines())
     assert header == ["stage", "runs", "wall_s", "iqr", "cpu_s", "iqr", "peak_rss_mb", "iqr", "minflt", "iqr",
                       "same_outputs"]
-    assert [r[0] for r in rows] == ["(import)", "ber"]
-    assert all(float(r[6]) > 0 and int(float(r[8])) > 0 for r in rows)  # the floor row too
+    assert [r[0] for r in rows] == ["(import)", "measure", "ber"]
     assert all(r[1] == "7" and r[-1] == "True" for r in rows[1:])
     earlier, tiny = json.loads(record.read_text())
     assert earlier == {"label": "earlier"} and tiny["label"] == "tiny"
-    assert tiny["setting"] == ["--config", "setting.json"] and tiny["config"]["codebook"] == "uncoded-bpsk"
-    assert tiny["import_floor"]["peak_rss_mb"] > 0 and tiny["import_floor"]["minflt"] > 0
-    ber = tiny["stages"]["ber"]
-    assert ber["wall_s"]["median"] > 0 and ber["cpu_s"]["median"] > 0 and ber["wall_s"]["iqr"] >= 0
-    assert ber["peak_rss_mb"]["median"] > 0 and ber["minflt"]["median"] > 0 and ber["peak_rss_mb"]["iqr"] >= 0
-    assert ber["same_outputs"] is True
-    assert sorted(ber["sha256"]) == ["ber_custom_dft.csv", "ber_custom_summary.json", "ber_custom_uniform.csv"]
+    for row in tiny["stages"].values():
+        assert row["wall_s"]["median"] > 0 and row["cpu_s"]["median"] > 0 and row["wall_s"]["iqr"] >= 0
+        assert row["same_outputs"] is True  # one seed, one set of outputs over every run and child
+    assert sorted(tiny["stages"]["ber"]["sha256"]) == ["ber_example3_dft.csv", "ber_example3_summary.json",
+                                                       "ber_example3_uniform.csv"]
     assert tiny["environment"]["MLNSIM_THREADS"] == "2"
-    assert list(cwd.iterdir()) == []  # every child ran in a temporary directory of its own
-    for bad, message in ((["--runs", "3"], "--runs must be at least 7"),
-                         (["--preset", "example3", "--config", str(config)], "not allowed with argument --preset")):
-        usage = subprocess.run([*tool, *bad], cwd=cwd, env=env, capture_output=True, text=True, timeout=60)
-        assert usage.returncode == 2 and message in usage.stderr
+    assert list(cwd.iterdir()) == []
+    few = subprocess.run([*tool, "--runs", "3"], cwd=cwd, env=env, capture_output=True, text=True, timeout=60)
+    assert few.returncode == 2 and "--runs must be at least 7" in few.stderr
 
 
 def test_stagetimes_rejects_a_bad_stage_or_record_before_any_run(tmp_path, monkeypatch, capsys):
