@@ -5,8 +5,15 @@ is a[..., :, :, j], as ``sample_blocks`` draws them. Stack kernels work elementw
 and do not slice; a caller with a large stack draws it whole and then slices it
 (``even_slices``). Every operation is a pure function of its inputs; randomness always
 comes in through an explicit ``numpy.random.Generator`` so results are reproducible per
-seed. Whole channels are one CN(0, 1) fill of ``sample_cn_matrix``, which ``sample_blocks``
-reshapes; the analyses, which see G only through G G^H, draw ``sample_gram_factor``'s factors.
+seed. The forward stage H and the noise are each one CN(0, 1) fill of ``sample_cn_matrix``,
+which ``sample_blocks`` reshapes. Every draw of the backscatter stage G in the analyses and
+the BER simulator is instead a ``sample_gram_factor`` factor B: each of them sees G only
+through G G^H, and only up to the phases of its rows. That is exact because replacing
+G G^H by D G G^H D^H, for a diagonal unitary D chosen from G itself, changes nothing
+computed from it: the ranks of E_t and of the uniform-query matrix (``measure``), the
+eigenvalues of A_w o G G^H (``pep``), Z for i.i.d. forward rows, and the ML decisions, which
+are those of the forward process Q H D, of Q H's law, on G G^H (``simulate``). So B's
+column 0 is drawn real and nonnegative.
 """
 
 from __future__ import annotations
@@ -98,12 +105,19 @@ def sample_blocks(shape: tuple, n: int, rng: np.random.Generator) -> np.ndarray:
 
 
 def sample_gram_factor(L: int, N: int, n: int, rng: np.random.Generator) -> np.ndarray:
-    """n lower-trapezoidal L x min(L, N) factors B, blocks last, with B B^H distributed as G G^H.
+    """n lower-trapezoidal L x min(L, N) factors B, blocks last, with B B^H distributed as D G G^H D^H.
 
-    G is L x N and CN(0, 1); by the Bartlett decomposition (Goodman, Ann. Math. Statist. 34(1), 1963;
-    Edelman, SIAM J. Matrix Anal. Appl. 9(4), 1988) diagonal entry j is sqrt(Gamma(N - j)), drawn as
-    N - j draws of n unit exponentials added in turn (j = 0, 1, ...); then the entries below the
-    diagonal are CN(0, 1), filled row by row as ``sample_cn_matrix`` fills, and those above it 0.
+    G is L x N and CN(0, 1), and D is a diagonal unitary chosen from G. By the Bartlett
+    decomposition (Goodman, Ann. Math. Statist. 34(1), 1963; Edelman, SIAM J. Matrix Anal.
+    Appl. 9(4), 1988) G = B0 U, with U's rows orthonormal, B0's diagonal entry j sqrt(Gamma(N - j))
+    and B0's entries below the diagonal CN(0, 1). B is D B0 D_K^H, D_K being D's leading K x K
+    block (K = min(L, N)) and D's entry i >= 1 the phase of B0[i, 0]: column 0 of B is |B0[:, 0]|,
+    whose entries below the diagonal are sqrt(Exp(1)); the diagonal stays real; and the other
+    entries below it, times phases independent of them, stay CN(0, 1). B B^H = D B0 B0^H D^H. The draw:
+    diagonal j as N - j fills of n unit exponentials added in turn (j = 0, 1, ...), square-rooted;
+    then column 0 below the diagonal as one fill of (L - 1) n exponentials, square-rooted; then
+    row i's CN(0, 1) entries in columns 1 to i - 1 (i = 2, 3, ...), filled as ``sample_cn_matrix``
+    fills. Every other entry is 0, and every entry of the diagonal and of column 0 is real.
     """
     if min(L, N, n) < 1:
         raise DimensionMismatchError(f"need L, N and n >= 1, got L={L}, N={N} and n={n}")
@@ -114,8 +128,10 @@ def sample_gram_factor(L: int, N: int, n: int, rng: np.random.Generator) -> np.n
         for _ in range(N - j - 1):
             B[j, j].real += rng.standard_exponential(n)
         np.sqrt(B[j, j].real, out=B[j, j].real)
-    for i in range(1, L):
-        below = B[i, : min(i, N)].view(float)
+    B[1:, 0] = rng.standard_exponential((L - 1, n))  # Im 0
+    np.sqrt(B[1:, 0].real, out=B[1:, 0].real)
+    for i in range(2, L):
+        below = B[i, 1 : min(i, N)].view(float)
         rng.standard_normal(out=below)
         below *= _INV_SQRT2
     return B

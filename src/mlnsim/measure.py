@@ -22,10 +22,12 @@ here that decides a rank or whether something is zero, so every field of
 the report is the same for delta and for any nonzero multiple of it. D's
 columns are those of (E_1 | ... | E_T), regrouped, so rank(D) <=
 sum_t rank(E_t): the uniform measure never exceeds the unitary one. The ranks depend on G
-only through G G^H (E_t E_t^H and D D^H are A o G G^H), so G0 in ``compare_queries`` and
-the sampled draws in ``empirical_rank_check`` are all Gram factors of G, L x min(L, N),
-each from ``linalg.sample_gram_factor``, and one stack kernel forms the ranks of every E_t
-and of D from them. Batches are blocks last, as in ``linalg``: an L x N x n stack gives
+only through G G^H (E_t E_t^H and D D^H are A o G G^H), and only up to the phases of its
+rows: replacing G G^H by P G G^H P^H, for a diagonal unitary P, replaces each A o G G^H by
+P (A o G G^H) P^H, of the same rank. So G0 in ``compare_queries`` and the sampled draws in
+``empirical_rank_check`` are all canonical Gram factors of G, L x min(L, N), with a real
+column 0, each from ``linalg.sample_gram_factor``, and one stack kernel forms the ranks of
+every E_t and of D from them. Batches are blocks last, as in ``linalg``: an L x N x n stack gives
 T x L x N x n E_t and L x NT x n D stacks, ranked as they are.
 """
 

@@ -21,9 +21,14 @@ Two routes are provided for each scheme:
   per draw of G and scores every point of a curve from it: the points are
   correlated across SNR, while each one's estimate and SE are unchanged.
 
-Both routes see G only through G G^H, and forward rows only up to a unit phase, so they
-draw Gram factors (``linalg.sample_gram_factor``), not whole channels, each batch of up to
-``linalg._MC_BATCH`` draws at once, and work through it in slices (``linalg.even_slices``), so that beyond the draw only
+Both routes see G only through G G^H, and only up to the phases of its rows: replacing
+G G^H by D G G^H D^H, for a diagonal unitary D chosen from G, leaves the eigenvalues of
+A_w o G G^H = D (A_w o G G^H) D^H alone, and Z too, as x_t D has x_t's law for i.i.d.
+forward rows x_t. So they draw G as ``linalg.sample_gram_factor``'s canonical factors, whose
+column 0 is real. Z sees each forward row only up to its own unit phase, so ``_forward_rows``
+draws a row as sqrt(Exp(1)) and then CN(0, 1) entries; the canonical factor at N = 1 would
+draw every entry real, which changes Z's law. Each route draws a batch of up to
+``linalg._MC_BATCH`` draws at once and works through it in slices (``linalg.even_slices``), so that beyond the draw only
 per-draw-sized arrays (the per-draw results, ``qfunc``'s temporaries and
 ``_lambda_products``' ``factors``) and one slice of temporaries are alive.
 Slicing changes no bit.
@@ -42,7 +47,7 @@ import numpy as np
 from .channel import _SNR_DB_MAX, SystemDims, checked_integer, checked_snr_grid, gram, mix, snr_gain
 from .codes import DifferenceMatrix, _as_diff
 from .csvio import csv_rows, csv_text
-from .linalg import _MC_BATCH, DimensionMismatchError, even_slices, frobenius_norm_sq, psd_eigenvalues, sample_gram_factor
+from .linalg import _INV_SQRT2, _MC_BATCH, DimensionMismatchError, even_slices, frobenius_norm_sq, psd_eigenvalues, sample_gram_factor
 from .measure import build_D, build_E_t, scheme_weights
 
 __all__ = [
@@ -248,18 +253,32 @@ def squared_distance_uniform(y: np.ndarray, delta, G: np.ndarray) -> float:
     return _agreed(e_form, d_form)
 
 
+def _forward_rows(L: int, n: int, rng) -> np.ndarray:
+    """n CN(0, I_L) rows, each up to a unit phase, as the columns of an L x n array.
+
+    Entry 0 of each is sqrt(Exp(1)), one fill of n exponentials square-rooted, and then the
+    other entries are CN(0, 1), filled row by row as ``sample_cn_matrix`` fills.
+    """
+    x = np.empty((L, n), dtype=complex)
+    x[0] = np.sqrt(rng.standard_exponential(n))  # Im 0
+    below = x[1:].view(float)
+    rng.standard_normal(out=below)
+    below *= _INV_SQRT2
+    return x
+
+
 def _batched_z(rows: int, d: DifferenceMatrix, N: int, n: int, rng) -> np.ndarray:
     """n draws of Z = ||(X o delta^T) G||_F^2 with `rows` Gaussian forward rows per draw.
 
     The unitary scheme draws T rows (one per slot), the uniform one a single static row,
-    which broadcasts over the slots. Z sees G only through G G^H and each row up to a phase,
-    so X and then G are drawn as Gram factors (``sample_gram_factor``) for all n at once,
-    row r of draw k being L x 1 factor r n + k; ``channel.mix`` forms each slice's T x
+    which broadcasts over the slots. X and then G are drawn for all n at once, X as
+    ``_forward_rows`` (row r of draw k being row r n + k) and G as ``sample_gram_factor``'s
+    canonical factors; ``channel.mix`` forms each slice's T x
     min(L, N) blocks, and Z adds up the squares of their real and then imaginary parts. ``even_slices`` gives no slice
     a single draw unless n is 1: numpy rounds a one-element complex product apart from
     its vector kernel, so such a slice would change the bits of Z at T = N = 1.
     """
-    X = np.moveaxis(sample_gram_factor(d.L, 1, rows * n, rng).reshape(d.L, rows, n), 0, 1)
+    X = np.moveaxis(_forward_rows(d.L, rows * n, rng).reshape(d.L, rows, n), 0, 1)
     G = sample_gram_factor(d.L, N, n, rng)
     C = d.delta.T[:, :, None]
     z = np.empty(n)
@@ -320,7 +339,7 @@ def pep_qfunction_mc(
 
     Both fading stages are redrawn every trial: the forward process enters
     as i.i.d. Gaussian slots (unitary) or one Gaussian row repeated over
-    slots (uniform), each drawn as a Gram factor (``_batched_z``).
+    slots (uniform), each drawn up to its phase (``_batched_z``).
     """
     d, A, (gbar,), trials = _checked_args(query_kind, delta, dims, trials, [float(snr_db)])
 

@@ -11,7 +11,15 @@ A sweep draws its blocks in chunks of one fixed layout: chunk k starts after
 e blocks, holds min(_CHUNK, max(_FIRST_CHUNK, e), cap - e) of them (1k, 1k,
 2k, 4k, 8k and then 10k each) and draws H, G, the sent codewords and
 unit-variance noise W, in that order, from the substream (1, k) of the sweep
-seed. Worker loops take the next chunk in turn, with no barrier between
+seed. G and W are not drawn whole: the genie receiver sees them only through
+G G^H and W G^H (_shared_terms). Write G = B0 U, U's min(L, N) rows orthonormal
+(Goodman; Edelman). Then W U^H is T x min(L, N), CN(0, 1) and independent of
+B0, so (B0 B0^H, (W U^H) B0^H) has the law of (G G^H, W G^H), and W is drawn as
+W U^H. G is drawn as linalg.sample_gram_factor's canonical factor B, whose
+B B^H is D B0 B0^H D^H for a diagonal unitary D chosen from G. On B, every
+feature of _metric is the one of X D on B0, and X D = Q H D has the law of
+X = Q H, as H is independent of D; so every ML decision, and every tally, keeps
+its law. Worker loops take the next chunk in turn, with no barrier between
 them, and the tallies of the chunks are counted in chunk order: a point stops
 at the end of the first chunk at which its error events reach the target, or
 at the cap, and the tallies of chunks after that are dropped for it. A chunk
@@ -47,9 +55,10 @@ argmin keeps the lowest index on ties. G G^H and V do not depend on the query,
 so each slice forms them once for every sweep. ml_detect runs the same kernel,
 with R as the noise on the zero word.
 
-Blocks are laid out last (L x N x n), so G G^H and V are products of
-length-n vectors; a chunk's draws go straight into blocks-last arrays
-(linalg.sample_blocks), of which a slice is a view. A chunk is scored in as
+Blocks are laid out last (G's factor is L x min(L, N) x n), so G G^H and V
+are products of length-n vectors; a chunk's draws go straight into
+blocks-last arrays (linalg.sample_blocks, linalg.sample_gram_factor), of
+which a slice is a view. A chunk is scored in as
 few even slices (linalg.even_slices) as keep the per-slice arrays live at
 once (_slice_bytes) within the one budget _SLICE_BYTES, at least _MIN_SLICE
 blocks each. The number of numpy calls per slice does not grow with L, N or T.
@@ -89,7 +98,7 @@ import numpy as np
 from .channel import ChannelRealization, SystemDims, checked_integer, checked_snr_grid, gram, snr_gain
 from .codes import Codebook, packed_pairs
 from .csvio import csv_rows, csv_text
-from .linalg import DimensionMismatchError, even_slices, make_rng, sample_blocks
+from .linalg import DimensionMismatchError, even_slices, make_rng, sample_blocks, sample_gram_factor
 from .query import QUERY_KINDS, check_query_shape, effective_forward, uniform_query, unitary_query
 
 __all__ = [
@@ -303,12 +312,12 @@ def _sent_words(codebook: Codebook) -> np.ndarray:
 
 def _slice_bytes(dims: SystemDims, weights: np.ndarray) -> int:
     """Bytes per block of the per-slice arrays of _score_chunk that are live at once, at most."""
-    L, N, T = dims.L, dims.N, dims.T
+    L, R, T = dims.L, min(dims.L, dims.N), dims.T
     K, F = weights.shape
-    # the slice's gram, V and C, and then the most of: _shared_terms' conj(G) and larger product; _metric's X,
-    # E, one array no larger than E and base; the scorer's base, noise, the (at most 2 T L) cross rows of S and
-    # W, gathered columns of base, the n x K metric and six index arrays
-    shared = 16 * (L * N + max(L * L * N, T * L * N))
+    # the slice's gram, V and C, and then the most of: _shared_terms' conj(G) and larger product, G being the
+    # L x R factor and W T x R; _metric's X, E, one array no larger than E and base; the scorer's base, noise,
+    # the (at most 2 T L) cross rows of S and W, gathered columns of base, the n x K metric and six index arrays
+    shared = 16 * (L * R + max(L * L * R, T * L * R))
     metric = 16 * T * L * (2 * L + 1) + 8 * F
     score = 8 * (2 * F + 6 * T * L + K + 6)
     return 16 * (L * L + 2 * T * L) + max(shared, metric, score)
@@ -327,8 +336,9 @@ def _score_chunk(
     config gives the dims and seed every scheme shares, schemes holds one
     (Q, noise_stds) pair per query scheme, words are the codebook's
     conjugated codewords blocks-last (T x L x K) and weights its metric
-    weights. The chunk draws H, G, sent and unit-variance W from its own
-    substream key once for all schemes. Returns a 2 x P integer array
+    weights. The chunk draws H, G's canonical factor, sent and unit-variance
+    W U^H (T x min(L, N)) from its own substream key once for all schemes.
+    Returns a 2 x P integer array
     (events, then bit errors) of the P noise scales of all schemes in order;
     a scheme without noise scales is not scored.
     """
@@ -336,9 +346,9 @@ def _score_chunk(
     K = words.shape[-1]
     rng = make_rng(config.seed, key)
     H = sample_blocks((M, L), n, rng)
-    G = sample_blocks((L, N), n, rng)
+    G = sample_gram_factor(L, N, n, rng)  # G's canonical factor B and then W U^H (see the module docstring)
     sent = rng.integers(0, K, n)
-    W = sample_blocks((T, N), n, rng)
+    W = sample_blocks((T, min(L, N)), n, rng)
 
     most = max(_MIN_SLICE, _SLICE_BYTES // _slice_bytes(config.dims, weights))
     scales = [len(noise_stds) for _, noise_stds in schemes]

@@ -125,7 +125,8 @@ class TestGramFactor:
     @pytest.mark.parametrize("L, N, n", [(1, 1, 5), (1, 3, 40), (2, 2, 7), (3, 2, 100), (2, 3, 50), (4, 4, 33)])
     def test_lower_trapezoid_with_a_real_nonnegative_diagonal(self, L, N, n):
         # memory just freed by a dirty array of the factors' size holds no entry of them:
-        # every entry above the diagonal is exactly 0, and the diagonal is real and >= 0
+        # every entry above the diagonal is exactly 0, and the diagonal and column 0 below
+        # it (the canonical factor's) are real and >= 0
         K = min(L, N)
         dirty = np.full((L, K, n), 7.0 + 7.0j)
         del dirty
@@ -133,16 +134,20 @@ class TestGramFactor:
         assert B.shape == (L, K, n) and B.dtype == complex
         upper = np.triu(np.ones((L, K), dtype=bool), 1)
         assert np.all(B[upper] == 0.0)
-        diag = B[np.arange(K), np.arange(K)]
-        assert np.all(diag.imag == 0.0) and np.all(diag.real >= 0.0)
-        assert np.all(B[np.tril(np.ones((L, K), dtype=bool), -1)] != 0.0)
+        for real in (B[np.arange(K), np.arange(K)], B[1:, 0]):
+            assert np.all(real.imag == 0.0) and np.all(real.real >= 0.0)
+        below = np.tril(np.ones((L, K), dtype=bool), -1)
+        assert np.all(B[below] != 0.0)
+        below[:, 0] = False  # the entries below the diagonal in columns 1 and on are complex
+        assert np.all(B[below].imag != 0.0)
 
-    @pytest.mark.parametrize("L, N", [(2, 2), (4, 2), (2, 1), (1, 2), (3, 3)])
+    @pytest.mark.parametrize("L, N", [(2, 2), (4, 2), (2, 1), (1, 2), (3, 3), (3, 1)])
     def test_moments_are_those_of_g_g_h(self, L, N):
-        # W = B B^H against W = G G^H for an L x N CN(0, 1) G: E W = N I, E |W_ij|^2 = N off the
-        # diagonal and E W_ii^2 = N (N + 1). Each mean is within 5 of its standard errors,
-        # taken from the variances of G G^H: N on the diagonal, N / 2 for Re and Im off it,
-        # N^2 + 2N for |W_ij|^2 and (N)_4 - (N (N + 1))^2 for W_ii^2
+        # W = B B^H against W = G G^H for an L x N CN(0, 1) G, on the moments that conjugation
+        # by a diagonal unitary leaves alone: E W_ii = N and E W_ii^2 = N (N + 1), E |W_ij|^2 = N
+        # off the diagonal and, for L >= 3, E W_01 W_12 W_20 = N. Each mean is within 5 of its
+        # standard errors, taken from the variances of G G^H: N on the diagonal, N^2 + 2N for
+        # |W_ij|^2 and (N)_4 - (N (N + 1))^2 for W_ii^2, and from the sample for the triple
         n = 200_000
         B = sample_gram_factor(L, N, n, make_rng(24, (L, N)))
         W = np.einsum("ikn,jkn->nij", B, B.conj())  # n x L x L
@@ -153,14 +158,17 @@ class TestGramFactor:
         assert np.all(np.abs((diag**2).mean(axis=0) - N * (N + 1)) <= tol * math.sqrt(rising))
         rows, cols = np.triu_indices(L, 1)
         off = W[:, rows, cols]
-        assert np.all(np.abs(off.real.mean(axis=0)) <= tol * math.sqrt(N / 2))
-        assert np.all(np.abs(off.imag.mean(axis=0)) <= tol * math.sqrt(N / 2))
         assert np.all(np.abs((np.abs(off) ** 2).mean(axis=0) - N) <= tol * math.sqrt(N * N + 2 * N))
+        if L >= 3:
+            triple = W[:, 0, 1] * W[:, 1, 2] * W[:, 2, 0]
+            assert abs(triple.mean() - N) <= tol * math.sqrt(np.mean(np.abs(triple - N) ** 2))
 
-    @pytest.mark.parametrize("L, N, n", [(1, 1, 5), (1, 3, 40), (2, 1, 9), (2, 2, 7), (3, 2, 100), (2, 3, 50), (4, 4, 33)])
+    @pytest.mark.parametrize("L, N, n", [(1, 1, 5), (1, 3, 40), (2, 1, 9), (3, 1, 6), (2, 2, 7), (3, 2, 100),
+                                         (2, 3, 50), (4, 4, 33)])
     def test_bits_and_state_follow_the_draw_order(self, L, N, n):
-        # diagonal j as N - j fills of n exponentials added in turn, square-rooted; then row
-        # i's entries below the diagonal as one fill of scaled normals, Re and Im side by side
+        # diagonal j as N - j fills of n exponentials added in turn, square-rooted; then column 0
+        # below the diagonal as one fill of exponentials, square-rooted; then row i's entries in
+        # columns 1 to i - 1 as one fill of scaled normals, Re and Im side by side
         rng, ref = make_rng(25, (L, N, n)), make_rng(25, (L, N, n))
         B = sample_gram_factor(L, N, n, rng)
         K = min(L, N)
@@ -170,9 +178,10 @@ class TestGramFactor:
             for _ in range(N - j - 1):
                 total += ref.standard_exponential(n)
             want[j, j] = np.sqrt(total)
-        for i in range(1, L):
-            below = min(i, K)
-            want[i, :below] = (ref.standard_normal(2 * below * n) * linalg._INV_SQRT2).view(complex).reshape(below, n)
+        want[1:, 0] = np.sqrt(ref.standard_exponential((L - 1) * n)).reshape(L - 1, n)
+        for i in range(2, L):
+            below = min(i, K) - 1
+            want[i, 1 : 1 + below] = (ref.standard_normal(2 * below * n) * linalg._INV_SQRT2).view(complex).reshape(below, n)
         assert np.array_equal(B.view(np.uint64), want.view(np.uint64))
         assert rng.bit_generator.state == ref.bit_generator.state
 

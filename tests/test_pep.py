@@ -66,6 +66,9 @@ _SCALAR_SLOT_CASES = [
     (np.array([[1.0 + 0.5j], [-0.7j]]), SystemDims(1, 2, 1, 1)),
     (np.array([[0.3], [1.2 - 1j], [-0.4 + 0.9j]]), SystemDims(1, 3, 1, 1)),
 ]
+# L x 2 deltas (its first L rows) whose columns mix phases, so that the relative phases of a
+# forward row's entries move Z
+DELTA_PHASED = np.array([[1.0, 0.6j], [-0.8j, 1.1 - 0.4j], [0.5 + 0.9j, -1.0]])
 
 
 def _qfunc(x):
@@ -297,7 +300,7 @@ class TestQFunctionMc:
     @pytest.mark.parametrize("scheme", ["unitary", "uniform"])
     def test_draw_order_matches_scalar_distances(self, monkeypatch, scheme, delta, dims):
         # per batch: the forward rows (T per draw for unitary, 1 for uniform) as rows n
-        # L x 1 Gram factors, row r of draw k being factor r n + k, then G's L x min(L, N) factors
+        # _forward_rows, row r of draw k being row r n + k, then G's L x min(L, N) factors
         import mlnsim.pep as pep_mod
 
         monkeypatch.setattr(pep_mod, "_MC_BATCH", 64)
@@ -308,7 +311,7 @@ class TestQFunctionMc:
         rows = T if scheme == "unitary" else 1
         z = []
         for n in (64, 64, 22):
-            F = sample_gram_factor(L, 1, rows * n, rng)[:, 0]
+            F = pep._forward_rows(L, rows * n, rng)
             G = np.moveaxis(sample_gram_factor(L, N, n, rng), -1, 0)
             for k in range(n):
                 X = F[:, k::n].T  # rows x L
@@ -353,11 +356,31 @@ class TestQFunctionMc:
             for rows in (T, 1):
                 z = _batched_z(rows, d, N, n, make_rng(case))
                 redraw = make_rng(case)
-                X = np.moveaxis(sample_gram_factor(L, 1, rows * n, redraw).reshape(L, rows, n), 0, 1)
+                X = np.moveaxis(pep._forward_rows(L, rows * n, redraw).reshape(L, rows, n), 0, 1)
                 G = sample_gram_factor(L, N, n, redraw)
                 S = mix(X, d.delta.T[:, :, None], G)
                 ref = sum(np.square(S.real).reshape(-1, n)) + sum(np.square(S.imag).reshape(-1, n))
                 assert np.array_equal(z.view(np.uint64), ref.view(np.uint64)), (case, rows)
+
+    @pytest.mark.parametrize("L", [1, 2, 3])
+    @pytest.mark.parametrize("N", [1, 2, 3])
+    def test_z_has_the_law_of_whole_channel_draws(self, L, N):
+        # _batched_z's Z against Z = ||(X o delta^T) G||_F^2 on whole CN(0, 1) draws of X and
+        # G (sample_blocks, then channel.mix), for T forward rows and for one static row: the
+        # mean and the second moment agree within 5 standard errors of their difference
+        n = 100_000
+        d = _as_diff(DELTA_PHASED[:L])
+        C = d.delta.T[:, :, None]
+        for rows in (d.T, 1):
+            fast = _batched_z(rows, d, N, n, make_rng(35, (L, N, rows)))
+            redraw = make_rng(36, (L, N, rows))
+            X = sample_blocks((rows, L), n, redraw)
+            S = mix(X, C, sample_blocks((L, N), n, redraw))
+            whole = np.sum(S.real**2 + S.imag**2, axis=(0, 1))
+            for power in (1, 2):
+                a, b = fast**power, whole**power
+                se = math.sqrt((a.var() + b.var()) / n)
+                assert abs(a.mean() - b.mean()) <= 5.0 * se, (rows, power)
 
     def test_overflowing_delta_is_named(self):
         for kind in ("unitary", "uniform"):
@@ -369,11 +392,11 @@ class TestQFunctionMc:
         # whose square is 0: the standard error stays positive and below the value, so the
         # scaled-limit check against 10 dB reads a finite z
         d = _as_diff(EXAMPLE1_DELTA)
-        for kind, snr in (("unitary", 40.0), ("uniform", 45.0)):
-            z = _batched_z(d.T if kind == "unitary" else 1, d, DIMS1.N, 20_000, make_rng(1, (30, 0)))
+        for kind, snr in (("unitary", 40.0), ("uniform", 44.0)):
+            z = _batched_z(d.T if kind == "unitary" else 1, d, DIMS1.N, 20_000, make_rng(2, (30, 0)))
             samples = qfunc(np.sqrt(snr_gain(snr) * z / 2.0))  # the point's samples, on its stream
             assert np.count_nonzero(samples) >= 2 and samples.max() < 1e-154, kind
-            low, high = (pep_qfunction_mc(kind, EXAMPLE1_DELTA, DIMS1, s, 20_000, make_rng(1, (30, 0)))
+            low, high = (pep_qfunction_mc(kind, EXAMPLE1_DELTA, DIMS1, s, 20_000, make_rng(2, (30, 0)))
                          for s in (10.0, snr))
             assert 0.0 < high.std_error < high.value < 1e-150, kind
             assert np.isfinite(check_scaled_limit([low, high], 0).z_score), kind

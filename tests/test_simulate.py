@@ -24,7 +24,7 @@ from mlnsim.codes import (
     repetition_bpsk,
     uncoded_bpsk,
 )
-from mlnsim.linalg import make_rng, sample_blocks
+from mlnsim.linalg import make_rng, sample_blocks, sample_gram_factor
 from mlnsim.pep import pep_qfunction_mc
 from mlnsim.query import uniform_query, unitary_query
 from mlnsim.simulate import (
@@ -316,12 +316,13 @@ class TestMetricKernel:
         assert peaks[1] - peaks[0] < 8 * 2**20
         assert peaks[1] < 96 * 2**20
 
-        # the 96 blocks are chunk 0, drawn in the simulator's order
+        # the 96 blocks are chunk 0, drawn in the simulator's order: H, G's L x min(L, N)
+        # canonical factor, the sent words and the T x min(L, N) noise W U^H
         rng = make_rng(8, (1, 0))
         H = np.moveaxis(sample_blocks((dims.M, dims.L), 96, rng), -1, 0)
-        G = np.moveaxis(sample_blocks((dims.L, dims.N), 96, rng), -1, 0)
+        G = np.moveaxis(sample_gram_factor(dims.L, dims.N, 96, rng), -1, 0)
         sent = rng.integers(0, K, 96)
-        W = np.moveaxis(sample_blocks((dims.T, dims.N), 96, rng), -1, 0)
+        W = np.moveaxis(sample_blocks((dims.T, min(dims.L, dims.N)), 96, rng), -1, 0)
         Q = simulate.build_query("dft", dims, 8)
         XG = np.einsum("tm,kml,kln->ktln", Q, H, G)  # ((X o C) G)[t] = C[t] @ XG[t]
         R = np.einsum("ktl,ktln->ktn", cb.codewords[sent], XG)
@@ -353,6 +354,9 @@ class TestSliceBudget:
             (SystemDims(2, 4, 2, 2), uncoded_bpsk(2, 4), ("dft",), 10_000, [910] + [909] * 10),
             # complex words, so complex features
             (SystemDims(3, 3, 4, 3), _complex_codebook(), ("dft", "uniform"), 2_500, [1_250] * 2),
+            # 16 receive antennas and one tag antenna: G's factor is 1 x 1 and W U^H is T x 1, so
+            # one slice, where counting all N (848 B a block, not 304) would take three
+            (SystemDims(2, 1, 16, 2), repetition_bpsk(2), ("dft", "uniform"), 10_000, [10_000]),
         ],
     )
     def test_slices_fit_the_byte_budgets(self, monkeypatch, dims, codebook, query_kinds, n, slices):
@@ -379,7 +383,8 @@ class TestSliceBudget:
         finally:
             tracemalloc.stop()
         assert seen[:: len(schemes)] == slices
-        draws = n * (16 * (dims.M * dims.L + dims.L * dims.N + dims.T * dims.N) + 8)  # H, G, W and sent
+        R = min(dims.L, dims.N)
+        draws = n * (16 * (dims.M * dims.L + dims.L * R + dims.T * R) + 8)  # H, G's factor, W U^H and sent
         per_block = simulate._slice_bytes(dims, weights)
         assert len(peaks) == len(slices) + 1  # the first is the draws'
         assert max(peaks[1:]) - draws <= max(slices) * per_block <= simulate._SLICE_BYTES
@@ -715,14 +720,19 @@ class TestSimulateBer:
 
 def _assert_draws_each_block_once(monkeypatch, kinds, run):
     """run(sweeps), one sweep per query kind, samples max_trials blocks of H, G and W in all."""
-    drawn = []
-    sample = linalg.sample_cn_matrix
+    drawn, factors = [], []
+    sample, factor = linalg.sample_cn_matrix, simulate.sample_gram_factor
 
     def counting(rows, cols, rng):
         drawn.append(rows * cols)
         return sample(rows, cols, rng)
 
+    def counting_factors(L, N, n, rng):
+        factors.append(n)
+        return factor(L, N, n, rng)
+
     monkeypatch.setattr(linalg, "sample_cn_matrix", counting)
+    monkeypatch.setattr(simulate, "sample_gram_factor", counting_factors)
     dims = SystemDims(2, 2, 3, 2)
     sweeps = [
         SnrSweepConfig(
@@ -734,9 +744,11 @@ def _assert_draws_each_block_once(monkeypatch, kinds, run):
     ]
     curves = run(sweeps)
     assert all(p.trials == 30_000 for c in curves for p in c.points)
-    # H, G and W of each chunk of the 30k layout (1k, 1k, 2k, 4k, 8k, 10k, 4k), each drawn once
-    assert len(drawn) == 3 * 7 == 3 * (len(_edges(30_000)) - 1)
-    assert sum(drawn) == 30_000 * (dims.M * dims.L + dims.L * dims.N + dims.T * dims.N)
+    # H, G's factor and W U^H (T x min(L, N)) of each chunk of the 30k layout (1k, 1k, 2k,
+    # 4k, 8k, 10k, 4k), each drawn once
+    assert len(drawn) == 2 * 7 == 2 * (len(_edges(30_000)) - 1) == 2 * len(factors)
+    assert sum(drawn) == 30_000 * (dims.M * dims.L + dims.T * min(dims.L, dims.N))
+    assert sum(factors) == 30_000
 
 
 def _edges(cap):

@@ -137,15 +137,29 @@ CATALOGUE = (
            ("tests/test_linalg.py::TestSampling::test_draw_allocates_only_its_output",)),
     Mutant("blocks-guard-passes-empty-shape", "linalg.py", "min(shape, default=1) < 1", "min(shape, default=1) < 0",
            ("tests/test_guards.py::test_guard_names_its_argument",)),
-    # the Gram factor: Gamma(N - j) on diagonal j, zeros above it, and the forward rows as L x 1 factors
+    # the canonical Gram factor: Gamma(N - j) on diagonal j, sqrt(Exp(1)) in column 0 below it and
+    # zeros above it; the Q-function route's forward rows each up to its own phase, not as that
+    # factor at N = 1 (which draws them real); the BER chunk draws the factor and W U^H
     Mutant("gram-factor-diag-shape", "linalg.py", "for _ in range(N - j - 1):", "for _ in range(N - 1):",
            ("tests/test_linalg.py::TestGramFactor::test_moments_are_those_of_g_g_h",)),
     Mutant("gram-factor-upper-not-zeroed", "linalg.py", "        B[j, j + 1 :] = 0.0\n", "",
            ("tests/test_linalg.py::TestGramFactor::test_lower_trapezoid_with_a_real_nonnegative_diagonal",)),
+    Mutant("gram-factor-column-0-unrooted", "linalg.py", "    np.sqrt(B[1:, 0].real, out=B[1:, 0].real)\n", "",
+           ("tests/test_linalg.py::TestGramFactor::test_moments_are_those_of_g_g_h",)),
     Mutant("qfunc-rows-full-phase", "pep.py",
-           "X = np.moveaxis(sample_gram_factor(d.L, 1, rows * n, rng).reshape(d.L, rows, n), 0, 1)",
+           "X = np.moveaxis(_forward_rows(d.L, rows * n, rng).reshape(d.L, rows, n), 0, 1)",
            'X = __import__("mlnsim").linalg.sample_blocks((rows, d.L), n, rng)',
            ("tests/test_pep.py::TestQFunctionMc::test_draw_order_matches_scalar_distances",)),
+    Mutant("qfunc-rows-canonical-factor", "pep.py",
+           "X = np.moveaxis(_forward_rows(d.L, rows * n, rng).reshape(d.L, rows, n), 0, 1)",
+           "X = np.moveaxis(sample_gram_factor(d.L, 1, rows * n, rng).reshape(d.L, rows, n), 0, 1)",
+           ("tests/test_pep.py::TestQFunctionMc::test_z_has_the_law_of_whole_channel_draws",)),
+    Mutant("ber-chunk-draws-g-whole", "simulate.py", "G = sample_gram_factor(L, N, n, rng)",
+           "G = sample_blocks((L, N), n, rng)",
+           (f"{_KERNEL}::test_large_codebook_sweep_in_bounded_memory",
+            "tests/test_simulate.py::TestSimulateBer::test_sweep_draws_each_block_once")),
+    Mutant("slice-bytes-counts-n", "simulate.py", "L, R, T = dims.L, min(dims.L, dims.N), dims.T",
+           "L, R, T = dims.L, dims.N, dims.T", (_BUDGET,)),
     # the CLI writes its files once every stage has run, removes them when a write fails,
     # checks MLNSIM_THREADS before the first stage and reads a negative grid as a value
     Mutant("write-cleanup-skipped", "cli.py", "        for path in written:\n", "        for path in ():\n",

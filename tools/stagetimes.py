@@ -110,7 +110,10 @@ def _kernel_calls(cfg, n: int) -> dict:
     d, A = codes._as_diff(cfg.delta), measure.scheme_weights(cfg.delta, "unitary")
     rng = linalg.make_rng(cfg.seed, (99,))  # a stream no stage draws from
     Q = simulate.build_query(cfg.query, cfg.dims, cfg.seed)
-    H, G, W = (linalg.sample_blocks(shape, n, rng) for shape in ((M, L), (L, N), (T, N)))
+    # the inputs the BER chunk draws: H whole, G's canonical factor and the noise W U^H, T x min(L, N)
+    H = linalg.sample_blocks((M, L), n, rng)
+    G = linalg.sample_gram_factor(L, N, n, rng)
+    W = linalg.sample_blocks((T, min(L, N)), n, rng)
     X, C = query.effective_forward(Q, H), d.delta.T[:, :, None]
     words, weights = simulate._sent_words(cfg.codebook), cfg.codebook.metric_weights
     sent = rng.integers(0, words.shape[-1], n)
