@@ -66,8 +66,8 @@ _SCALAR_SLOT_CASES = [
     (np.array([[1.0 + 0.5j], [-0.7j]]), SystemDims(1, 2, 1, 1)),
     (np.array([[0.3], [1.2 - 1j], [-0.4 + 0.9j]]), SystemDims(1, 3, 1, 1)),
 ]
-# L x 2 deltas (its first L rows) whose columns mix phases, so that the relative phases of a
-# forward row's entries move Z
+# the law test's L x 2 delta is this array's first L rows; its columns mix phases, so the
+# relative phases of a forward row's entries move Z
 DELTA_PHASED = np.array([[1.0, 0.6j], [-0.8j, 1.1 - 0.4j], [0.5 + 0.9j, -1.0]])
 
 

@@ -127,7 +127,7 @@ def _kernel_calls(cfg, n: int) -> dict:
         simulate._score_points(base, noise, weights, sent, noise_stds, tallies)
 
     return {
-        "linalg.sample_blocks": lambda: linalg.sample_blocks((L, N), n, rng),
+        "linalg.sample_blocks": lambda: linalg.sample_blocks((M, L), n, rng),  # H's shape; W's is T x min(L, N)
         "linalg.sample_gram_factor": lambda: linalg.sample_gram_factor(L, N, n, rng),
         "query.effective_forward": lambda: query.effective_forward(Q, H),
         "channel.mix": lambda: channel.mix(X, C, G),
