@@ -346,7 +346,7 @@ def _score_chunk(
     K = words.shape[-1]
     rng = make_rng(config.seed, key)
     H = sample_blocks((M, L), n, rng)
-    G = sample_gram_factor(L, N, n, rng)  # G's canonical factor B and then W U^H (see the module docstring)
+    G = sample_gram_factor(L, N, n, rng)  # G's canonical factor, and W below is W U^H (see the module docstring)
     sent = rng.integers(0, K, n)
     W = sample_blocks((T, min(L, N)), n, rng)
 
